@@ -158,6 +158,9 @@ class RewardGrid:
     the obstacle at -10; ``modified`` overrides those cells to +10.1/-10.1.
     When goal and obstacle coincide the system is inconsistent, ``base`` is
     None and ``modified`` is identically zero.
+
+    Grids come from a shared cache and every caller gets the same arrays, so
+    both are read-only.
     """
 
     feasible: bool
@@ -165,38 +168,63 @@ class RewardGrid:
     modified: np.ndarray
 
 
+def _integral(v) -> int:
+    i = int(v)
+    if i != v:
+        raise ValueError(v)
+    return i
+
+
 def _cell(c, what: str = "cell") -> tuple:
-    c = tuple(int(v) for v in c)
+    # fast path: the barriers look up already-validated cells on every
+    # evaluation; bool and numpy integers take the checked path below
+    if type(c) is tuple and len(c) == 2:
+        i, j = c
+        if type(i) is int and type(j) is int and 0 <= i < GRID_N and 0 <= j < GRID_N:
+            return c
+    try:
+        c = tuple(_integral(v) for v in c)
+    except (TypeError, ValueError, OverflowError):
+        c = ()
     if len(c) != 2 or not all(0 <= v < GRID_N for v in c):
         raise ValueError(f"{what} must be a pair of integers in 0..{GRID_N - 1}")
     return c
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
-def _solve_reward_cached(goal: tuple, obstacle: tuple) -> RewardGrid:
-    if goal == obstacle:
-        return RewardGrid(False, None, np.zeros((GRID_N, GRID_N)))
+def _averaging_operator() -> np.ndarray:
+    """``I - 0.2 * sum over actions of the successor matrix`` (self-loops at
+    walls): each unpinned value is the mean of its five successors.  It does
+    not depend on goal or obstacle.  Built on first use, accumulating each
+    row in the order the explicit per-pair assembly did, so every entry has
+    the same bits (1.0 - 0.2 - 0.2 is not 1.0 - 0.4)."""
     n2 = GRID_N * GRID_N
     A = np.zeros((n2, n2))
-    rhs = np.zeros(n2)
-
-    def idx(c):
-        return c[0] * GRID_N + c[1]
-
     for i, j in product(range(GRID_N), range(GRID_N)):
-        k = idx((i, j))
-        if (i, j) == goal:
-            A[k, k] = 1.0
-            rhs[k] = 10.0
-        elif (i, j) == obstacle:
-            A[k, k] = 1.0
-            rhs[k] = -10.0
-        else:
-            # value equals 0.2 times the sum over all five actions of the
-            # successor value (self-loops included at walls)
-            A[k, k] += 1.0
-            for u in GRID_ACTIONS:
-                A[k, idx(grid_step((i, j), u))] -= 0.2
+        k = i * GRID_N + j
+        A[k, k] += 1.0
+        for u in GRID_ACTIONS:
+            ni, nj = grid_step((i, j), u)
+            A[k, ni * GRID_N + nj] -= 0.2
+    return _readonly(A)
+
+
+@lru_cache(maxsize=GRID_N ** 4)
+def _solve_reward_cached(goal: tuple, obstacle: tuple) -> RewardGrid:
+    if goal == obstacle:
+        return RewardGrid(False, None, _readonly(np.zeros((GRID_N, GRID_N))))
+    A = _averaging_operator().copy()
+    rhs = np.zeros(GRID_N * GRID_N)
+    for (i, j), value in ((goal, 10.0), (obstacle, -10.0)):
+        k = i * GRID_N + j
+        A[k] = 0.0
+        A[k, k] = 1.0
+        rhs[k] = value
     base = np.linalg.solve(A, rhs).reshape(GRID_N, GRID_N)
     residual = np.abs(A @ base.reshape(-1) - rhs).max()
     if residual > 1e-9:
@@ -204,12 +232,20 @@ def _solve_reward_cached(goal: tuple, obstacle: tuple) -> RewardGrid:
     modified = base.copy()
     modified[goal] = 10.1
     modified[obstacle] = -10.1
-    return RewardGrid(True, base, modified)
+    return RewardGrid(True, _readonly(base), _readonly(modified))
 
 
 def solve_reward(goal, obstacle) -> RewardGrid:
-    """Value matrices for a goal/obstacle pair; each pair is solved once and
-    cached, so repeated barrier evaluations are array lookups."""
+    """Value matrices for a goal/obstacle pair.
+
+    Each pair copies the shared averaging operator, pins the goal row to +10
+    and the obstacle row to -10, solves the 100-cell system and checks its
+    residual against that pinned matrix (at most 1e-9).  Results are cached
+    per pair, up to ``GRID_N ** 4`` entries: all 100 goals times 100
+    obstacles, so no pair is ever evicted or solved twice.  Each entry holds
+    two 10x10 float grids, about 2.2 KB with overhead, so the worst case is
+    about 21 MB.  Cached grids are shared and read-only.  Cells are pairs of
+    integral values in 0..9."""
     return _solve_reward_cached(_cell(goal, "goal"), _cell(obstacle, "obstacle"))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from advsynth import (
     solve_reward,
     unit_cell_corners,
 )
+from advsynth import scenarios
 from conftest import assert_gradient_consistent
 
 cell = st.tuples(st.integers(0, 9), st.integers(0, 9))
@@ -124,13 +126,86 @@ def test_reward_interior_harmonic_identity():
 
 def test_reward_memoized_identity():
     a = solve_reward((7, 9), (5, 5))
-    b = solve_reward((7, 9), (5, 5))
-    assert a is b
+    # integral spellings of the same cell share one cache entry
+    for goal in [(7, 9), (np.int64(7), 9), [7, 9], (7.0, 9.0)]:
+        assert solve_reward(goal, (5, 5)) is a
 
 
 def test_reward_rejects_bad_cells():
-    with pytest.raises(ValueError):
-        solve_reward((10, 0), (5, 5))
+    for goal, obstacle in [
+        ((10, 0), (5, 5)),
+        ((7.9, 9.2), (5, 5)),  # once truncated to the (7, 9) grid
+        ((7, 9), (5, 5.5)),
+        ((7, 9), (float("nan"), 5)),
+        ((7, 9), (5, 5, 5)),
+    ]:
+        with pytest.raises(ValueError, match="pair of integers"):
+            solve_reward(goal, obstacle)
+
+
+def _reference_reward(goal, obstacle):
+    # the explicit per-pair assembly the shared operator replaced
+    if goal == obstacle:
+        return None, np.zeros((10, 10))
+    A = np.zeros((100, 100))
+    rhs = np.zeros(100)
+
+    def idx(c):
+        return c[0] * 10 + c[1]
+
+    for i, j in itertools.product(range(10), range(10)):
+        k = idx((i, j))
+        if (i, j) == goal:
+            A[k, k] = 1.0
+            rhs[k] = 10.0
+        elif (i, j) == obstacle:
+            A[k, k] = 1.0
+            rhs[k] = -10.0
+        else:
+            A[k, k] += 1.0
+            for u in ("left", "right", "up", "down", "stay"):
+                A[k, idx(grid_step((i, j), u))] -= 0.2
+    base = np.linalg.solve(A, rhs).reshape(10, 10)
+    modified = base.copy()
+    modified[goal] = 10.1
+    modified[obstacle] = -10.1
+    return base, modified
+
+
+@pytest.mark.parametrize("goal", [(0, 0), (0, 5), (7, 9)])
+def test_reward_matches_explicit_assembly_bitwise(goal):
+    for obstacle in itertools.product(range(10), range(10)):
+        base, modified = _reference_reward(goal, obstacle)
+        rg = solve_reward(goal, obstacle)
+        assert rg.feasible == (base is not None)
+        if base is None:
+            assert rg.base is None
+        else:
+            assert np.array_equal(rg.base, base)
+        assert np.array_equal(rg.modified, modified)
+
+
+def test_reward_grids_are_read_only():
+    rg = solve_reward((7, 9), (5, 5))
+    shared = (rg.base, rg.modified, solve_reward((4, 4), (4, 4)).modified,
+              scenarios._averaging_operator())
+    for grid in shared:
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+
+
+def test_reward_cache_holds_every_pair():
+    cached = scenarios._solve_reward_cached
+    assert cached.cache_info().maxsize == scenarios.GRID_N ** 4
+    cells = list(itertools.product(range(10), range(10)))
+    for goal in cells[:17]:
+        for obstacle in cells:
+            solve_reward(goal, obstacle)
+    info = cached.cache_info()
+    assert info.currsize <= info.maxsize
+    # nothing was evicted: the first goal's pairs are still hits
+    solve_reward(cells[0], cells[1])
+    assert cached.cache_info().misses == info.misses
 
 
 # ---------------------------------------------------------------------------
