@@ -17,6 +17,7 @@ import math
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -36,6 +37,7 @@ from .scenarios import (
     build_unicycle,
     greedy_safe_controller,
     simulate_adversarial,
+    simulation_steps,
 )
 from .core import monitor_trajectory
 
@@ -184,7 +186,30 @@ def _grid_cells(values, what: str) -> tuple:
     return tuple(cells)
 
 
+@contextmanager
+def _rejected(what: str):
+    """Report a library ValueError about config values as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {what}: {exc}") from exc
+
+
+# config keys each scenario builder reads
+_BUILDER_KEYS = {
+    "unicycle": ("goal", "obstacle_count", "kappa", "m", "t_max", "tau"),
+    "gridworld": ("goal", "m", "horizon_n"),
+    "quadgrid": ("kappa", "m"),
+}
+
+
 def make_scenario(cfg: RunConfig):
+    keys = [k for k in _BUILDER_KEYS[cfg.scenario] if k in cfg.echo]
+    with _rejected(", ".join(f"'{k}'" for k in keys) or f"scenario '{cfg.scenario}'"):
+        return _build_scenario(cfg)
+
+
+def _build_scenario(cfg: RunConfig):
     if cfg.scenario == "unicycle":
         return build_unicycle(
             goal=cfg.goal if cfg.goal is not None else (0.5, 0.5),
@@ -205,11 +230,12 @@ def make_scenario(cfg: RunConfig):
 
 
 def _search(cfg: RunConfig) -> SearchConfig:
-    return SearchConfig(
-        grid_points=cfg.grid_points,
-        refine_iterations=cfg.refine_iterations,
-        step_tolerance=cfg.step_tolerance,
-    )
+    with _rejected("the search settings"):
+        return SearchConfig(
+            grid_points=cfg.grid_points,
+            refine_iterations=cfg.refine_iterations,
+            step_tolerance=cfg.step_tolerance,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +279,8 @@ def _parse_state(cfg: RunConfig, text: str):
         raise ConfigError(f"bad --state: {exc}") from exc
     if cfg.scenario == "gridworld":
         return _grid_cells(values, "--state")
-    return as_vector(values, "--state")
+    with _rejected("--state"):
+        return as_vector(values, "--state")
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +522,14 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
     if state_text is not None:
         x0 = _parse_state(cfg, state_text)
     elif cfg.x0 is not None:
-        x0 = as_vector(cfg.x0, "x0")
+        with _rejected("'x0'"):
+            x0 = as_vector(cfg.x0, "x0")
     else:
         x0 = np.array(_DEFAULT_X0[cfg.scenario])
     if not (horizon >= 0 and math.isfinite(horizon)):
         raise ConfigError("--horizon must be finite and nonnegative")
+    with _rejected("'dt' / 'synth_period'"):
+        simulation_steps(cfg.dt, cfg.synth_period, horizon)
 
     t0 = time.perf_counter()
     log = simulate_adversarial(

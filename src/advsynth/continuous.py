@@ -12,6 +12,8 @@ Finite test sets are enumerated exhaustively instead.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -29,8 +31,10 @@ from .core import (
     SynthesisResult,
     TestSpace,
     as_vector,
+    avoid_rows,
     feasible_input_polytope,
     lie_derivatives,
+    stack_rows,
 )
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, polytope_vertices, solve_lp
 
@@ -59,6 +63,15 @@ class SearchConfig:
     grid_points: int = 25
     refine_iterations: int = 40
     step_tolerance: float = 1e-4
+
+    def __post_init__(self):
+        if not (isinstance(self.grid_points, numbers.Integral) and self.grid_points >= 1):
+            raise ValueError("grid_points must be an integer >= 1")
+        if not (isinstance(self.refine_iterations, numbers.Integral)
+                and self.refine_iterations >= 0):
+            raise ValueError("refine_iterations must be an integer >= 0")
+        if not (math.isfinite(self.step_tolerance) and self.step_tolerance >= 0):
+            raise ValueError("step_tolerance must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +142,26 @@ def _axis(lo: float, hi: float, k: int) -> np.ndarray:
     return np.linspace(lo, hi, k)
 
 
-def _box_grid(lower: np.ndarray, upper: np.ndarray, counts: tuple):
-    axes = [_axis(lower[i], upper[i], counts[i]) for i in range(lower.size)]
-    for idx in np.ndindex(*(len(a) for a in axes)):
-        yield np.array([axes[i][idx[i]] for i in range(len(axes))])
+class _BoxGrid:
+    """The points of a box grid in ``np.ndindex`` order, as a lazy sequence:
+    iterating walks the grid and indexing rebuilds one point, with the same
+    bits, so no point is stored."""
+
+    def __init__(self, lower: np.ndarray, upper: np.ndarray, counts: tuple):
+        self.axes = [_axis(lower[i], upper[i], counts[i]) for i in range(lower.size)]
+        self.shape = tuple(len(a) for a in self.axes)
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    def __iter__(self):
+        return map(self._point, np.ndindex(*self.shape))
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._point(np.unravel_index(i, self.shape))
+
+    def _point(self, idx) -> np.ndarray:
+        return np.array([axis[j] for axis, j in zip(self.axes, idx)])
 
 
 def compute_floor(scn: ContinuousScenario, state_points=9, test_points=5) -> SatisfactionFloor:
@@ -155,7 +184,7 @@ def compute_floor(scn: ContinuousScenario, state_points=9, test_points=5) -> Sat
     fixed_tests = None
     if isinstance(space, BoxSpace):
         t_counts = _per_dim(test_points, space.dim, "test grid")
-        fixed_tests = list(_box_grid(space.lower, space.upper, t_counts))
+        fixed_tests = list(_BoxGrid(space.lower, space.upper, t_counts))
     elif isinstance(space, FiniteSpace):
         t_counts = (len(space),)
         fixed_tests = list(space.points)
@@ -163,7 +192,7 @@ def compute_floor(scn: ContinuousScenario, state_points=9, test_points=5) -> Sat
         t_counts = None  # mapped: realized per state below
 
     vmin = np.inf
-    for x in _box_grid(scn.state_lower, scn.state_upper, s_counts):
+    for x in _BoxGrid(scn.state_lower, scn.state_upper, s_counts):
         if fixed_tests is not None:
             tests = fixed_tests
         else:
@@ -171,7 +200,7 @@ def compute_floor(scn: ContinuousScenario, state_points=9, test_points=5) -> Sat
             tests = (
                 list(realized.points)
                 if isinstance(realized, FiniteSpace)
-                else list(_box_grid(realized.lower, realized.upper,
+                else list(_BoxGrid(realized.lower, realized.upper,
                                     _per_dim(test_points, realized.dim, "test grid")))
             )
         for d in tests:
@@ -192,6 +221,12 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     """
     d = np.asarray(d, dtype=float)
     poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope)
+    return _best_rate(scn, x, d, poly, floor, tau)
+
+
+def _best_rate(scn, x, d, poly, floor, tau):
+    """The inner maximization of :func:`difficulty` over the safe-input
+    polytope ``poly`` already assembled at (x, d)."""
     drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d)
     out = solve_lp(LpProblem(input_row, poly))
     if out.status == INFEASIBLE:
@@ -203,40 +238,86 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     return drift_rate + out.value - tau, out.point
 
 
+def _scan(scn, x, candidates, floor, tau, evals):
+    """Hardest of ``candidates`` (a sequence, walked once in order and then
+    indexed), Γ first.
+
+    Each candidate's avoid rows are built and validated as it comes.  A
+    candidate with a negative right-hand side among its avoid and actuator
+    rows is evaluated on the spot, and the first one found in Γ is returned
+    with ``early_exit``.  The others cannot be in Γ (see :func:`synthesize`):
+    their rows are held and their LPs solved after the scan, and every
+    value is folded in candidate order with the earliest minimum kept.
+    ``evals`` counts earlier candidates of the same search.
+
+    The held rows take ``8 * len(candidates) * barriers * (inputs + 1)``
+    bytes: about 19 MB for a 25^4 grid with two avoid barriers and two
+    inputs.  Candidates are not copied; a held one is looked up again by
+    its index.
+    """
+    spec, dyn, inputs = scn.spec, scn.dynamics, scn.input_polytope
+    can_hold = not (inputs.b < 0).any()
+    n = len(candidates)
+    held_A = np.empty((n, len(spec.avoid), inputs.dim))
+    held_b = np.empty((n, len(spec.avoid)))
+    solved = {}
+    for i, d in enumerate(candidates):
+        dv = np.asarray(d, dtype=float)
+        A, b = avoid_rows(spec, dyn, x, dv, inputs.dim)
+        if can_hold and not (b < 0).any():
+            held_A[i] = A
+            held_b[i] = b
+            continue
+        val, u = _best_rate(scn, x, dv, stack_rows(A, b, inputs), floor, tau)
+        if u is None:
+            return SynthesisResult(d, float(floor), True, None, evals + i + 1, True)
+        solved[i] = (d, val, u)
+
+    best_d = best_u = None
+    best_val = np.inf
+    for i in range(n):
+        if i in solved:
+            d, val, u = solved[i]
+        else:
+            d = candidates[i]
+            poly = stack_rows(held_A[i], held_b[i], inputs)
+            val, u = _best_rate(scn, x, np.asarray(d, dtype=float), poly, floor, tau)
+        if val < best_val:
+            best_val, best_d, best_u = val, d, u
+    return SynthesisResult(best_d, best_val, False, best_u, evals + n)
+
+
 def _resolve_floor(scn: ContinuousScenario, floor) -> float:
     if floor is not None:
         return float(floor)
     return compute_floor(scn).value
 
 
-def _refine(scn, x, space, d0, val0, u0, floor, search, tau, evals):
+def _refine(scn, x, space, start, floor, search, tau):
     lower, upper = space.lower, space.upper
     diam = float(np.linalg.norm(upper - lower))
     span = upper - lower
     step = np.where(span > 0, span / max(search.grid_points - 1, 1), 0.0)
-    d_cur = np.asarray(d0, dtype=float).copy()
-    val_cur, u_cur = val0, u0
+    d_cur = np.asarray(start.d_star, dtype=float).copy()
+    val_cur, u_cur, evals = start.difficulty, start.inner_maximizer, start.evaluations
     for _ in range(search.refine_iterations):
         if step.size == 0 or step.max() <= search.step_tolerance * diam:
             break
-        best_cand = best_u = None
-        best_val = np.inf
+        candidates = []
         for i in range(d_cur.size):
             if step[i] == 0.0:
                 continue
             for sign in (-1.0, 1.0):
                 cand = d_cur.copy()
                 cand[i] = float(np.clip(cand[i] + sign * step[i], lower[i], upper[i]))
-                if cand[i] == d_cur[i]:
-                    continue
-                val, u = difficulty(scn, x, cand, floor, tau)
-                evals += 1
-                if u is None:
-                    return SynthesisResult(cand, float(floor), True, None, evals, True)
-                if val < best_val:
-                    best_val, best_cand, best_u = val, cand, u
-        if best_cand is not None and best_val < val_cur:
-            d_cur, val_cur, u_cur = best_cand, best_val, best_u
+                if cand[i] != d_cur[i]:
+                    candidates.append(cand)
+        best = _scan(scn, x, candidates, floor, tau, evals)
+        if best.in_gamma:
+            return best
+        evals = best.evaluations
+        if best.d_star is not None and best.difficulty < val_cur:
+            d_cur, val_cur, u_cur = best.d_star, best.difficulty, best.inner_maximizer
         else:
             step = step * 0.5
     return SynthesisResult(d_cur, val_cur, False, u_cur, evals)
@@ -244,39 +325,27 @@ def _refine(scn, x, space, d0, val0, u0, floor, search, tau, evals):
 
 def _synthesize_over(scn, x, space, floor, search, tau):
     if isinstance(space, FiniteSpace):
-        candidates = list(space.points)
+        candidates = space.points
         box = None
     elif isinstance(space, BoxSpace):
         counts = _per_dim(search.grid_points, space.dim, "search grid")
-        candidates = _box_grid(space.lower, space.upper, counts)
+        candidates = _BoxGrid(space.lower, space.upper, counts)
         box = space
     else:
         raise ValueError("mapped test spaces need synthesize_constrained")
 
-    evals = 0
-    best_d = best_u = None
-    best_val = np.inf
-    first = True
-    for d in candidates:
-        if first:
-            first = False
-            # the avoid sets move with d, so only the goal-side start
-            # condition is meaningful to check; the probe uses this d
-            if float(scn.spec.reach.value(x, d)) >= 0.0:
-                warnings.warn(
-                    "start state already satisfies the reach predicate; "
-                    "the synthesized test is uninteresting but still valid",
-                    stacklevel=3,
-                )
-        val, u = difficulty(scn, x, d, floor, tau)
-        evals += 1
-        if u is None:
-            return SynthesisResult(d, float(floor), True, None, evals, True)
-        if val < best_val:
-            best_val, best_d, best_u = val, d, u
-    if box is not None:
-        return _refine(scn, x, box, best_d, best_val, best_u, floor, search, tau, evals)
-    return SynthesisResult(best_d, best_val, False, best_u, evals)
+    # the avoid sets move with d, so only the goal-side start condition is
+    # meaningful to check; the probe uses the first candidate
+    if float(scn.spec.reach.value(x, candidates[0])) >= 0.0:
+        warnings.warn(
+            "start state already satisfies the reach predicate; "
+            "the synthesized test is uninteresting but still valid",
+            stacklevel=3,
+        )
+    best = _scan(scn, x, candidates, floor, tau, 0)
+    if best.in_gamma or box is None:
+        return best
+    return _refine(scn, x, box, best, floor, search, tau)
 
 
 def synthesize(
@@ -288,10 +357,27 @@ def synthesize(
 ) -> SynthesisResult:
     """Hardest admissible test at state x.
 
-    Candidates are scanned in deterministic order; the first one that blocks
-    every safe input ends the search immediately (it is globally optimal).
-    Ties between equal difficulties keep the earliest candidate.  The floor
-    defaults to the scenario's pinned value, else a fresh grid estimate.
+    Candidates are scanned in deterministic order (the coarse grid, then
+    each compass round); the first one that blocks every safe input ends
+    the search immediately (it is globally optimal, in the paper's set
+    Γ).  Ties between equal difficulties keep the earliest candidate.  The
+    floor defaults to the scenario's pinned value, else a fresh grid
+    estimate.
+
+    Each scan settles Γ before solving any LP it can postpone.  Phase-I
+    adds no artificial variable for a polytope whose right-hand sides are
+    all >= 0: u = 0 is in it, so it is never empty.  A candidate whose
+    avoid rows and actuator rows all have a nonnegative right-hand side is
+    therefore not in Γ, and its reach-barrier rate and LP wait until the
+    scan ends without a blocking test.  Every other candidate is solved on
+    the spot.  Every reported value still comes from the simplex, on the
+    same polytope with the same bits, so results equal a one-by-one scan.
+    ``evaluations`` counts candidates examined, not LPs solved.
+
+    One difference from a one-by-one scan: the reach-barrier callbacks of a
+    postponed candidate run only after the scan, so they are skipped when
+    a later candidate is in Γ, and an error they raise surfaces after every
+    candidate's avoid rows were built.
     """
     x = as_vector(x, "state")
     space = scn.test_space

@@ -36,6 +36,8 @@ __all__ = [
     "as_vector",
     "lie_derivatives",
     "feasibility_filter",
+    "avoid_rows",
+    "stack_rows",
     "feasible_input_polytope",
     "monitor_trajectory",
 ]
@@ -50,7 +52,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -71,7 +73,7 @@ class Polytope:
             raise ValueError(
                 f"right-hand side length {b.shape} does not match {A.shape[0]} rows"
             )
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("polytope coefficients must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -124,7 +126,8 @@ class ClassKappaFn:
     """Strictly increasing gain with alpha(0) = 0.
 
     Linear form gain * r by default; pass ``form`` for another monotone
-    shape (only the linear form keeps the safe-input rows linear in u).
+    shape.  alpha(h) enters only the right-hand side of a safe-input row,
+    so every form keeps the rows linear in u.
     """
 
     gain: float
@@ -355,6 +358,41 @@ def feasibility_filter(value, point, member, fallback):
     return value if inside else fallback
 
 
+def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: int):
+    """Safe-input rows of the avoid barriers at (x, d).
+
+    Returns ``(A, b)`` with one row per avoid barrier, ``A`` of shape
+    (barriers, input_dim), such that ``A @ u <= b`` holds exactly when every
+    avoid barrier's rate is at least ``-alpha(h)``.  Non-finite coefficients
+    raise here, with the message :class:`Polytope` would give.
+    """
+    rows = []
+    rhs = []
+    for h, gain in zip(spec.avoid, spec.gains):
+        drift_rate, input_row = lie_derivatives(h, dyn, x, d)
+        if input_row.size != input_dim:
+            raise ValueError(
+                f"input row dim {input_row.size} does not match "
+                f"polytope dim {input_dim}"
+            )
+        rows.append(-input_row)
+        rhs.append(drift_rate + gain(h.value(x, d)))
+    A = np.asarray(rows, dtype=float).reshape(len(rows), input_dim)
+    b = np.asarray(rhs, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("polytope coefficients must be finite")
+    return A, b
+
+
+def stack_rows(A: np.ndarray, b: np.ndarray, input_polytope: Polytope) -> Polytope:
+    """The avoid rows ``A u <= b`` stacked ahead of the actuator rows, so
+    dropping them recovers the actuator polytope exactly.  With no avoid
+    rows the actuator polytope itself is returned."""
+    if b.size == 0:
+        return input_polytope
+    return Polytope(np.vstack([A, input_polytope.A]), np.concatenate([b, input_polytope.b]))
+
+
 def feasible_input_polytope(
     spec: ReachAvoidSpec,
     dyn: ContinuousDynamics,
@@ -363,29 +401,14 @@ def feasible_input_polytope(
     input_polytope: Polytope,
 ) -> Polytope:
     """Inputs keeping every avoid barrier's rate above its -alpha(h) bound,
-    intersected with the actuator polytope.
+    intersected with the actuator polytope: :func:`avoid_rows` stacked by
+    :func:`stack_rows`.
 
-    One row per avoid barrier, stacked ahead of the actuator rows, so
-    dropping the avoid rows recovers the actuator polytope exactly.  With no
-    avoid barriers the actuator polytope is returned unchanged.  The result
-    may be empty; emptiness is meaningful (the test admits no safe input).
+    The result may be empty; emptiness is meaningful (the test admits no
+    safe input).
     """
-    if not spec.avoid:
-        return input_polytope
-    rows = []
-    rhs = []
-    for h, gain in zip(spec.avoid, spec.gains):
-        drift_rate, input_row = lie_derivatives(h, dyn, x, d)
-        if input_row.size != input_polytope.dim:
-            raise ValueError(
-                f"input row dim {input_row.size} does not match "
-                f"polytope dim {input_polytope.dim}"
-            )
-        rows.append(-input_row)
-        rhs.append(drift_rate + gain(h.value(x, d)))
-    A = np.vstack([np.asarray(rows, dtype=float), input_polytope.A])
-    b = np.concatenate([np.asarray(rhs, dtype=float), input_polytope.b])
-    return Polytope(A, b)
+    A, b = avoid_rows(spec, dyn, x, d, input_polytope.dim)
+    return stack_rows(A, b, input_polytope)
 
 
 def monitor_trajectory(

@@ -151,8 +151,7 @@ def _drop_artificials(T: np.ndarray, basis: list, width: int):
             basis[i] = int(structural[0])
             keep.append(i)
     cols = np.concatenate([np.arange(width), [T.shape[1] - 1]])
-    rows = np.concatenate([keep, [T.shape[0] - 1]]).astype(int)
-    return np.ascontiguousarray(T[np.ix_(rows, cols)]), [basis[i] for i in keep]
+    return np.ascontiguousarray(T[keep + [T.shape[0] - 1]][:, cols]), [basis[i] for i in keep]
 
 
 def solve_lp(problem: LpProblem) -> LpOutcome:

@@ -47,6 +47,7 @@ __all__ = [
     "unit_cell_corners",
     "build_quadgrid",
     "greedy_safe_controller",
+    "simulation_steps",
     "simulate_adversarial",
 ]
 
@@ -382,20 +383,14 @@ def greedy_safe_controller(scn: ContinuousScenario, x, d) -> np.ndarray:
         return out.point
 
     # max-slack fallback: variables (u, s), maximize s subject to
-    # avoid_row @ u + s <= avoid_rhs and u in the actuator polytope
+    # avoid_row @ u + s <= avoid_rhs and u in the actuator polytope; the
+    # avoid rows lead the safe-input polytope's rows
     m = scn.input_polytope.dim
-    rows = []
-    rhs = []
-    for h, gain in zip(scn.spec.avoid, scn.spec.gains):
-        dr, row = lie_derivatives(h, scn.dynamics, x, d)
-        rows.append(np.concatenate([-row, [1.0]]))
-        rhs.append(dr + gain(h.value(x, d)))
-    for i in range(scn.input_polytope.rows):
-        rows.append(np.concatenate([scn.input_polytope.A[i], [0.0]]))
-        rhs.append(scn.input_polytope.b[i])
+    slack = np.zeros((poly.rows, 1))
+    slack[:len(scn.spec.avoid)] = 1.0
     objective = np.zeros(m + 1)
     objective[m] = 1.0
-    out2 = solve_lp(LpProblem(objective, Polytope(np.array(rows), np.array(rhs))))
+    out2 = solve_lp(LpProblem(objective, Polytope(np.hstack([poly.A, slack]), poly.b)))
     if out2.status != OPTIMAL:
         raise ScenarioError(f"max-slack fallback came back {out2.status}")
     return out2.point[:m]
@@ -446,6 +441,17 @@ def _pursue(actual: np.ndarray, target: np.ndarray, max_step: float) -> np.ndarr
     return out
 
 
+def simulation_steps(dt: float, synth_period: float, horizon: float) -> int:
+    """Euler steps of a closed-loop run, after checking its timing."""
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError("dt must be a positive finite number")
+    if synth_period < dt:
+        raise ValueError("synth_period must be at least dt")
+    if not (horizon >= 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be finite and nonnegative")
+    return int(round(horizon / dt))
+
+
 def simulate_adversarial(
     scn: ContinuousScenario,
     x0,
@@ -464,15 +470,8 @@ def simulate_adversarial(
     The run aborts (returning the partial log with ``aborted=True``) if the
     state goes non-finite.
     """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError("dt must be a positive finite number")
-    if synth_period < dt:
-        raise ValueError("synth_period must be at least dt")
-    if not (horizon >= 0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be finite and nonnegative")
-
+    n_steps = simulation_steps(dt, synth_period, horizon)
     x = as_vector(x0, "initial state").copy()
-    n_steps = int(round(horizon / dt))
 
     result = _command(scn, x, 0.0)
     cmd = np.asarray(result.d_star, dtype=float)

@@ -82,6 +82,12 @@ def test_synth_writes_artifact(tmp_path, capsys):
         ("scenario = unicycle\nseed = 1\nseed = 2\n", "duplicate"),
         ("goal = 1,1\n", "scenario"),
         ("scenario = spaceship\n", "scenario"),
+        ("scenario = unicycle\ngrid_points = 0\n", "grid_points"),
+        ("scenario = unicycle\nobstacle_count = 0\n", "obstacle_count"),
+        ("scenario = unicycle\nkappa = -1\n", "kappa"),
+        ("scenario = unicycle\nrefine_iterations = -3\n", "refine_iterations"),
+        ("scenario = unicycle\nstep_tolerance = inf\n", "step_tolerance"),
+        ("scenario = unicycle\nstep_tolerance = -1e-4\n", "step_tolerance"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, bad, needle):
@@ -89,6 +95,26 @@ def test_malformed_config_exits_2(tmp_path, capsys, bad, needle):
     rc, _, err = run_cli(capsys, ["synth", "--config", cfg, "--state", "0,0,0"])
     assert rc == 2
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "extra,needle",
+    [("dt = 0\n", "dt"), ("synth_period = 0.001\n", "synth_period"), ("x0 = inf, 0\n", "x0")],
+)
+def test_simulate_bad_config_exits_2(tmp_path, capsys, extra, needle):
+    cfg = write_config(tmp_path, "scenario = quadgrid\n" + extra)
+    rc, _, err = run_cli(
+        capsys, ["simulate", "--config", cfg, "--horizon", "1", "--out", str(tmp_path / "s")]
+    )
+    assert rc == 2
+    assert needle in err
+
+
+def test_non_finite_state_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, UNICYCLE_CFG)
+    rc, _, err = run_cli(capsys, ["synth", "--config", cfg, "--state=inf,0,0"])
+    assert rc == 2
+    assert "--state" in err
 
 
 def test_gridworld_non_integer_goal_rejected(tmp_path, capsys):
@@ -248,6 +274,29 @@ def test_trials_deterministic_json(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, args)
     _, out2, _ = run_cli(capsys, args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "text,count",
+    [
+        (UNICYCLE_CFG + "grid_points = 25\n", 8),
+        ("scenario = unicycle\nobstacle_count = 2\ngrid_points = 3\nseed = 11\n", 12),
+        ("scenario = quadgrid\nseed = 4\n", 30),
+    ],
+    ids=["unicycle-1obs-25pt", "unicycle-2obs-3pt", "quadgrid"],
+)
+def test_trials_artifact_matches_reference_scan(tmp_path, capsys, monkeypatch, text, count):
+    from advsynth import continuous
+    from conftest import reference_synthesize_over
+
+    cfg = write_config(tmp_path, text)
+    args = ["trials", "--config", cfg, "--count", str(count), "--out"]
+    assert run_cli(capsys, args + [str(tmp_path / "scan")])[0] == 0
+    with monkeypatch.context() as m:
+        m.setattr(continuous, "_synthesize_over", reference_synthesize_over)
+        assert run_cli(capsys, args + [str(tmp_path / "reference")])[0] == 0
+    got = (tmp_path / "scan" / "trials.json").read_bytes()
+    assert got == (tmp_path / "reference" / "trials.json").read_bytes()
 
 
 def test_trials_rejects_bad_count(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from advsynth import (
     BarrierFunction,
     BoxSpace,
+    ClassKappaFn,
     ContinuousDynamics,
     ContinuousScenario,
     FiniteSpace,
@@ -21,6 +23,8 @@ from advsynth import (
     synthesize_constrained,
     synthesize_perturbed,
 )
+from advsynth import continuous
+from conftest import reference_synthesize_over
 
 COARSE = SearchConfig(grid_points=9, refine_iterations=10)
 
@@ -323,3 +327,195 @@ def test_unbounded_input_polytope_rejected(unicycle):
 def test_state_box_validation(unicycle):
     with pytest.raises(ValueError):
         dataclasses.replace(unicycle, state_lower=np.array([2.0, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Γ-first scan against the one-by-one reference scan (conftest.py)
+
+def assert_same_result(got, want):
+    assert np.array_equal(np.asarray(got.d_star), np.asarray(want.d_star))
+    assert np.asarray(got.d_star).dtype == np.asarray(want.d_star).dtype
+    assert type(got.difficulty) is type(want.difficulty)
+    assert got.difficulty == want.difficulty
+    assert got.in_gamma == want.in_gamma
+    if want.inner_maximizer is None:
+        assert got.inner_maximizer is None
+    else:
+        assert np.array_equal(got.inner_maximizer, want.inner_maximizer)
+    assert got.evaluations == want.evaluations
+    assert got.early_exit == want.early_exit
+
+
+def both_scans(monkeypatch, run):
+    """``run()`` with the synthesizer's own scan, then with the reference."""
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(continuous, "_synthesize_over", reference_synthesize_over)
+        want = run()
+    return got, want
+
+
+def seeded_states(scn, seed, count):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(scn.state_lower, scn.state_upper) for _ in range(count)]
+
+
+def test_scan_matches_reference_on_criterion_1_states(unicycle, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(unicycle, 2024, 30):
+            got, want = both_scans(monkeypatch, lambda: synthesize(unicycle, x))
+            assert want.in_gamma
+            assert_same_result(got, want)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [np.array([-0.5, 0.5, np.pi / 4]), np.array([0.5, -0.5, np.pi / 2])],
+)
+def test_scan_matches_reference_on_criterion_2_states(unicycle, monkeypatch, state):
+    got, want = both_scans(monkeypatch, lambda: synthesize(unicycle, state))
+    assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("refine_iterations", [40, 0])
+def test_scan_matches_reference_on_two_obstacle_grid(monkeypatch, refine_iterations):
+    # without refinement a full scan reports a held grid point as it is
+    scn = build_unicycle(n_obstacles=2)
+    search = SearchConfig(grid_points=3, refine_iterations=refine_iterations)
+    grid_size = 3 ** 4
+    exits_in_grid = exits_in_refine = full_scans = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 11, 30):
+            got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+            assert_same_result(got, want)
+            if not want.in_gamma:
+                full_scans += 1
+            elif want.evaluations > grid_size:
+                exits_in_refine += 1
+            else:
+                exits_in_grid += 1
+    assert exits_in_grid and full_scans
+    assert bool(exits_in_refine) == (refine_iterations > 0)
+
+
+def test_scan_matches_reference_with_test_coupled_dynamics(monkeypatch):
+    # the test vector also pushes the unicycle, so both the avoid rows and
+    # the reach rate of a held grid point depend on it
+    base = build_unicycle(n_obstacles=2)
+    coupling = np.array([[0.3, 0.0, -0.1, 0.0], [0.0, 0.2, 0.0, 0.05], [0.0, 0.0, 0.0, 0.0]])
+    scn = dataclasses.replace(base, dynamics=dataclasses.replace(base.dynamics, C=coupling))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for refine_iterations in (0, 40):
+            search = SearchConfig(grid_points=3, refine_iterations=refine_iterations)
+            for x in seeded_states(scn, 13, 8):
+                got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+                assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("refine_iterations", [0, 10])
+def test_scan_matches_reference_with_held_minima(monkeypatch, refine_iterations):
+    # a gentle gain leaves most tests with a nonnegative avoid rhs, so the
+    # hardest grid point is often one the scan held back and looked up again
+    scn = build_unicycle(kappa=1.0)
+    search = SearchConfig(grid_points=5, refine_iterations=refine_iterations)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 3, 20):
+            got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+            assert_same_result(got, want)
+
+
+def test_scan_matches_reference_on_quadgrid_corner_maps(quadgrid, monkeypatch):
+    states = seeded_states(quadgrid, 5, 40) + [np.array([1.0, 2.0]), np.array([3.5, 2.5])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the last state sits on the goal
+        for x in states:
+            got, want = both_scans(monkeypatch, lambda: synthesize_constrained(quadgrid, x, 0.0))
+            assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("coupling", [None, np.eye(2)])
+def test_scan_matches_reference_without_avoid_barriers(monkeypatch, coupling):
+    scn = integrator_scenario(coupling=coupling)
+    for x in seeded_states(scn, 9, 5):
+        got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=COARSE, tau=0.3))
+        assert_same_result(got, want)
+
+
+def test_scan_matches_reference_when_actuators_exclude_zero(unicycle, monkeypatch):
+    # forward speed in [0.05, 0.2]: u = 0 is never admissible, so no
+    # candidate may be held back and every one is solved on the spot
+    scn = dataclasses.replace(
+        unicycle, input_polytope=Polytope.box([0.05, -1.0], [0.2, 1.0])
+    )
+    calls = []
+    real = continuous.solve_lp
+    monkeypatch.setattr(continuous, "solve_lp", lambda p: calls.append(p) or real(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 2024, 12):
+            del calls[:]
+            got = synthesize(scn, x, search=COARSE)
+            assert len(calls) == got.evaluations
+            _, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=COARSE))
+            assert_same_result(got, want)
+
+
+def test_scan_raises_avoid_row_errors_at_the_same_candidate(monkeypatch):
+    base = build_unicycle()
+    h = base.spec.avoid[0]
+    bad = np.array([0.25, -0.5])
+    seen = []
+
+    def value(x, d):
+        seen.append(np.array(d))
+        return float("nan") if np.array_equal(d, bad) else h.value(x, d)
+
+    spec = dataclasses.replace(base.spec, avoid=(BarrierFunction(value, h.gradient),))
+    scn = dataclasses.replace(base, spec=spec)
+    x = np.array([0.9, 0.9, 0.0])
+    counts = []
+    for scan in (continuous._synthesize_over, reference_synthesize_over):
+        del seen[:]
+        with monkeypatch.context() as m:
+            m.setattr(continuous, "_synthesize_over", scan)
+            with pytest.raises(ValueError, match="must be finite"):
+                synthesize(scn, x, search=COARSE)
+        assert np.array_equal(seen[-1], bad)
+        counts.append(len(seen))
+    assert counts[0] == counts[1]
+
+
+def test_scan_returns_finite_points_themselves(unicycle):
+    points = ((0.9, -0.9), (-0.9, -0.9), (0.5, 0.5))
+    scn = dataclasses.replace(unicycle, test_space=FiniteSpace(points))
+    res = synthesize(scn, np.array([0.0, 0.0, 0.0]))
+    assert not res.in_gamma and res.evaluations == 3
+    assert any(res.d_star is p for p in points)
+
+
+def test_box_grid_indexing_matches_iteration():
+    grid = continuous._BoxGrid(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.3, 2.0]), (4, 3, 1))
+    points = list(grid)
+    assert len(points) == len(grid) == 12
+    for i, p in enumerate(points):
+        assert np.array_equal(grid[i], p)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grid_points": 0},
+        {"grid_points": 2.5},
+        {"refine_iterations": -3},
+        {"step_tolerance": -1e-4},
+        {"step_tolerance": math.inf},
+        {"step_tolerance": math.nan},
+    ],
+)
+def test_search_config_rejects_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        SearchConfig(**kwargs)

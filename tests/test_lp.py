@@ -104,6 +104,22 @@ def test_negative_rhs_needs_phase_one():
     assert np.allclose(out.point, [2.0, 2.0], atol=1e-9)
 
 
+def test_nonnegative_rhs_is_never_infeasible():
+    # the continuous scan holds back the LPs of such polytopes until no
+    # test blocks, because u = 0 lies in them and Phase-I needs no pivot
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        rows = int(rng.integers(1, 8))
+        A = rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-6, 7, size=(rows, 1))
+        b = np.abs(rng.normal(size=rows)) * 10.0 ** rng.integers(-9, 4, size=rows)
+        b[rng.random(rows) < 0.3] = 0.0
+        b[rng.random(rows) < 0.1] = -0.0
+        box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+        poly = Polytope(A, b).stack(box)
+        assert phase_one_feasible(poly)
+        assert solve_lp(LpProblem(rng.normal(size=2), poly)).status == OPTIMAL
+
+
 def test_random_instances_match_vertex_oracle():
     rng = np.random.default_rng(42)
     checked_feasible = 0

@@ -292,6 +292,41 @@ def test_greedy_max_slack_fallback(unicycle):
     assert np.all(np.isfinite(u))
 
 
+def _reference_max_slack(scn, x, d):
+    """The max-slack program assembled row by row, each avoid row from its
+    own Lie derivative, apart from the controller's safe-input polytope."""
+    from advsynth import LpProblem, Polytope, lie_derivatives, solve_lp
+
+    m = scn.input_polytope.dim
+    rows, rhs = [], []
+    for h, gain in zip(scn.spec.avoid, scn.spec.gains):
+        dr, row = lie_derivatives(h, scn.dynamics, x, d)
+        rows.append(np.concatenate([-row, [1.0]]))
+        rhs.append(dr + gain(h.value(x, d)))
+    for i in range(scn.input_polytope.rows):
+        rows.append(np.concatenate([scn.input_polytope.A[i], [0.0]]))
+        rhs.append(scn.input_polytope.b[i])
+    objective = np.zeros(m + 1)
+    objective[m] = 1.0
+    return solve_lp(LpProblem(objective, Polytope(np.array(rows), np.array(rhs)))).point[:m]
+
+
+@pytest.mark.parametrize(
+    "which,x,d",
+    [
+        ("unicycle", [-0.5, 0.5, np.pi / 4], [-0.5, 0.5]),
+        ("unicycle", [0.5, -0.5, np.pi / 2], [0.55, -0.45]),
+        ("quadgrid", [1.0, 2.0], [1.1, 2.0, 0.9, 2.0]),
+    ],
+)
+def test_greedy_max_slack_matches_row_by_row_program(unicycle, quadgrid, which, x, d):
+    scn = unicycle if which == "unicycle" else quadgrid
+    x, d = np.array(x), np.array(d)
+    poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope)
+    assert blocks_all_inputs(poly)
+    assert np.array_equal(greedy_safe_controller(scn, x, d), _reference_max_slack(scn, x, d))
+
+
 def test_greedy_zero_gradient_feasible(unicycle):
     u = greedy_safe_controller(unicycle, np.array([0.5, 0.5, 0.0]), np.array([-0.9, -0.9]))
     assert unicycle.input_polytope.contains(u)
