@@ -3,6 +3,7 @@
 from .core import (
     BarrierFunction,
     BoxSpace,
+    BudgetError,
     ClassKappaFn,
     ContinuousDynamics,
     DiscreteDynamics,
@@ -44,8 +45,6 @@ from .continuous import (
 )
 from .discrete import (
     DiscreteScenario,
-    barrier_increment,
-    feasible_inputs,
     feasible_sequences,
     one_step_difficulty,
     predictive_difficulty,

@@ -18,18 +18,20 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+# ``synthesize`` stays bound here because bench/spans.py wraps it by name
 from .continuous import SearchConfig, difficulty, synthesize, synthesize_constrained
-from .core import ScenarioError, as_vector
+from .core import BudgetError, ScenarioError, as_vector
 from .discrete import (
-    one_step_difficulty,
+    DEFAULT_BUDGET,
+    DiscreteScenario,
+    predictive_difficulty,
     synthesize_discrete,
-    synthesize_predictive,
 )
 from .scenarios import (
     build_gridworld,
@@ -121,7 +123,7 @@ class RunConfig:
     t_max: float = math.inf
     horizon_n: int = 1
     check_path: bool = False
-    budget: int = 10_000_000
+    budget: int = DEFAULT_BUDGET
     grid_points: int = 25
     refine_iterations: int = 40
     step_tolerance: float = 1e-4
@@ -267,43 +269,58 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+def _emit(text: str, out_dir: Optional[Path], name: str) -> None:
+    """Print a JSON artifact, and write it to ``out_dir / name`` when given."""
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / name).write_text(text)
+    sys.stdout.write(text)
+
+
 def _write_csv(path: Path, rows) -> None:
     lines = [",".join(_fmt(v) if not isinstance(v, str) else v for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_state(cfg: RunConfig, text: str):
+def _parse_state(cfg: RunConfig, scn, text: str):
     try:
         values = _parse_floats(text)
     except ValueError as exc:
         raise ConfigError(f"bad --state: {exc}") from exc
     if cfg.scenario == "gridworld":
         return _grid_cells(values, "--state")
-    with _rejected("--state"):
-        return as_vector(values, "--state")
+    return _state_vector(scn, values, "--state")
+
+
+def _state_vector(scn, values, what: str):
+    with _rejected(what):
+        x = as_vector(values, what)
+    n = scn.state_lower.size
+    if x.size != n:
+        raise ConfigError(f"{what} needs {n} components for scenario '{scn.name}', got {x.size}")
+    return x
 
 
 # ---------------------------------------------------------------------------
 # commands
 
+def _synthesize(cfg: RunConfig, scn, x):
+    """The hardest test at x: the one place that picks a synthesizer by
+    scenario family.  Discrete scenarios plan over their own horizon."""
+    if isinstance(scn, DiscreteScenario):
+        try:
+            return synthesize_discrete(scn, x, check_path=cfg.check_path, budget=cfg.budget)
+        except BudgetError as exc:
+            raise ConfigError(f"bad value for 'budget': {exc}") from exc
+    return synthesize_constrained(scn, x, 0.0, search=_search(cfg))
+
+
 def _synthesis_payload(cfg: RunConfig, scn, x) -> dict:
-    if cfg.scenario == "gridworld":
-        if cfg.horizon_n > 1:
-            res = synthesize_predictive(
-                scn, x, n_steps=cfg.horizon_n, check_path=cfg.check_path, budget=cfg.budget
-            )
-        else:
-            res = synthesize_discrete(scn, x)
-    elif cfg.scenario == "quadgrid":
-        res = synthesize_constrained(scn, x, 0.0, search=_search(cfg))
-    else:
-        res = synthesize(scn, x, search=_search(cfg))
+    res = _synthesize(cfg, scn, x)
     return {
         "scenario": cfg.scenario,
-        "state": _jsonable(list(x)),
-        "d_star": _jsonable(
-            list(res.d_star) if not np.isscalar(res.d_star) else res.d_star
-        ),
+        "state": _jsonable(x),
+        "d_star": _jsonable(res.d_star),
         "difficulty": res.difficulty,
         "in_gamma": res.in_gamma,
         "early_exit": res.early_exit,
@@ -315,13 +332,8 @@ def _synthesis_payload(cfg: RunConfig, scn, x) -> dict:
 
 def cmd_synth(cfg: RunConfig, state_text: str, out_dir: Optional[Path]) -> int:
     scn = make_scenario(cfg)
-    x = _parse_state(cfg, state_text)
-    payload = _synthesis_payload(cfg, scn, x)
-    text = _dump_json(payload)
-    sys.stdout.write(text)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "synth.json").write_text(text)
+    x = _parse_state(cfg, scn, state_text)
+    _emit(_dump_json(_synthesis_payload(cfg, scn, x)), out_dir, "synth.json")
     return 0
 
 
@@ -361,19 +373,26 @@ def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
 
 def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) -> int:
     scn = make_scenario(cfg)
-    x = _parse_state(cfg, state_text)
+    x = _parse_state(cfg, scn, state_text)
     axes = _parse_axes(axes_text)
     (c1, lo1, hi1, n1), (c2, lo2, hi2, n2) = axes
     a1 = _axis_values(lo1, hi1, n1)
     a2 = _axis_values(lo2, hi2, n2)
 
-    grid_like = cfg.scenario == "gridworld"
-    if grid_like:
+    # each cell is one difficulty evaluation of the synthesizer's family,
+    # at the horizon it plans over
+    if isinstance(scn, DiscreteScenario):
         if not {c1, c2} == {0, 1}:
             raise ConfigError("gridworld sweeps must cover components 0 and 1")
         cells1 = [_grid_cells((v, 0), "axis value")[0] for v in a1]
         cells2 = [_grid_cells((v, 0), "axis value")[0] for v in a2]
-        floor_val = scn.floor
+
+        def cell_value(i, j):
+            d = [0, 0]
+            d[c1], d[c2] = cells1[i], cells2[j]
+            return predictive_difficulty(
+                scn, x, tuple(d), scn.floor, scn.horizon, cfg.check_path
+            )[0]
     else:
         p = scn.test_space.dim if hasattr(scn.test_space, "dim") else None
         base = np.array(cfg.d_fixed, dtype=float) if cfg.d_fixed is not None else None
@@ -384,19 +403,18 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
         for c in (c1, c2):
             if not 0 <= c < base.size:
                 raise ConfigError(f"axis component {c} out of range for test dim {base.size}")
-        floor_val = scn.floor
 
+        def cell_value(i, j):
+            d = base.copy()
+            d[c1], d[c2] = a1[i], a2[j]
+            return difficulty(scn, x, d, scn.floor)[0]
+
+    # synthesize before the cells, so a budget error leaves no partial artifact
+    payload = _synthesis_payload(cfg, scn, x)
     values = np.zeros((n1, n2))
     for i in range(n1):
         for j in range(n2):
-            if grid_like:
-                d = [0, 0]
-                d[c1], d[c2] = cells1[i], cells2[j]
-                values[i, j] = one_step_difficulty(scn, x, tuple(d), floor_val)[0]
-            else:
-                d = base.copy()
-                d[c1], d[c2] = a1[i], a2[j]
-                values[i, j] = difficulty(scn, x, d, floor_val)[0]
+            values[i, j] = cell_value(i, j)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [[""] + [_fmt(v) for v in a2]]
@@ -405,7 +423,6 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
     _write_csv(out_dir / "sweep.csv", rows)
 
     imin, jmin = np.unravel_index(int(np.argmin(values)), values.shape)
-    payload = _synthesis_payload(cfg, scn, x)
     d_star = payload["d_star"]
     overlay = {
         "scenario": cfg.scenario,
@@ -420,7 +437,7 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
             "axis_values": [float(a1[imin]), float(a2[jmin])],
             "indices": [int(imin), int(jmin)],
         },
-        "floor": floor_val,
+        "floor": scn.floor,
         "note": (
             "cell values are exact difficulty evaluations on the axis grid; "
             "the synthesizer may refine between cells, so its difficulty can "
@@ -429,64 +446,47 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
         "seed": cfg.seed,
         "config": dict(cfg.echo),
     }
-    text = _dump_json(overlay)
-    (out_dir / "sweep_overlay.json").write_text(text)
-    sys.stdout.write(text)
+    _emit(_dump_json(overlay), out_dir, "sweep_overlay.json")
     return 0
 
 
 def cmd_trials(cfg: RunConfig, count: int, out_dir: Optional[Path]) -> int:
     if count < 1:
         raise ConfigError("--count must be >= 1")
+    scn = make_scenario(cfg)
+    # grid trials draw a non-overlapping state/goal pair, and so a fresh
+    # scenario, per trial; the others draw states uniformly from the box
+    redraw_goal = cfg.scenario == "gridworld"
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     rows = []
-
-    if cfg.scenario == "gridworld":
-        optimum_rule = "d_star == goal"
+    with warnings.catch_warnings():
+        # random starts occasionally sit inside the goal disc already;
+        # that is expected in a batch sweep
+        warnings.simplefilter("ignore")
         for k in range(count):
-            while True:
-                x = tuple(int(v) for v in rng.integers(0, 10, size=2))
-                goal = tuple(int(v) for v in rng.integers(0, 10, size=2))
-                if x != goal:
-                    break
-            scn = build_gridworld(goal, floor=cfg.m if cfg.m is not None else -15.0)
-            res = synthesize_discrete(scn, x)
-            rows.append(
-                {
-                    "trial": k,
-                    "state": list(x),
-                    "goal": list(goal),
-                    "d_star": list(res.d_star),
-                    "difficulty": res.difficulty,
-                    "in_gamma": res.in_gamma,
-                    "optimal": list(res.d_star) == list(goal),
-                }
-            )
-    else:
-        scn = make_scenario(cfg)
-        floor_val = scn.floor
-        optimum_rule = "difficulty == floor"
-        with warnings.catch_warnings():
-            # random starts occasionally sit inside the goal disc already;
-            # that is expected in a batch sweep
-            warnings.simplefilter("ignore")
-            for k in range(count):
+            if redraw_goal:
+                while True:
+                    x = tuple(int(v) for v in rng.integers(0, 10, size=2))
+                    goal = tuple(int(v) for v in rng.integers(0, 10, size=2))
+                    if x != goal:
+                        break
+                scn = make_scenario(replace(cfg, goal=goal))
+            else:
                 x = rng.uniform(scn.state_lower, scn.state_upper)
-                if cfg.scenario == "quadgrid":
-                    res = synthesize_constrained(scn, x, 0.0, search=_search(cfg))
-                else:
-                    res = synthesize(scn, x, search=_search(cfg))
-                rows.append(
-                    {
-                        "trial": k,
-                        "state": [float(v) for v in x],
-                        "d_star": [float(v) for v in np.asarray(res.d_star, dtype=float)],
-                        "difficulty": res.difficulty,
-                        "in_gamma": res.in_gamma,
-                        "optimal": res.difficulty == floor_val,
-                    }
-                )
+            res = _synthesize(cfg, scn, x)
+            row = {
+                "trial": k,
+                "state": x,
+                "d_star": res.d_star,
+                "difficulty": res.difficulty,
+                "in_gamma": res.in_gamma,
+            }
+            if redraw_goal:
+                row.update(goal=goal, optimal=res.d_star == goal)
+            else:
+                row["optimal"] = res.difficulty == scn.floor
+            rows.append(row)
 
     elapsed = time.perf_counter() - t0
     # aggregates recomputed from the per-trial rows, never tracked separately
@@ -494,7 +494,7 @@ def cmd_trials(cfg: RunConfig, count: int, out_dir: Optional[Path]) -> int:
     summary = {
         "scenario": cfg.scenario,
         "count": len(rows),
-        "optimum_rule": optimum_rule,
+        "optimum_rule": "d_star == goal" if redraw_goal else "difficulty == floor",
         "fraction_attaining_optimum": sum(1 for r in rows if r["optimal"]) / len(rows),
         "difficulty_min": min(difficulties),
         "difficulty_max": max(difficulties),
@@ -503,11 +503,7 @@ def cmd_trials(cfg: RunConfig, count: int, out_dir: Optional[Path]) -> int:
         "seed": cfg.seed,
         "config": dict(cfg.echo),
     }
-    text = _dump_json(summary)
-    sys.stdout.write(text)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "trials.json").write_text(text)
+    _emit(_dump_json(summary), out_dir, "trials.json")
     print(f"trials wall time: {elapsed:.2f} s", file=sys.stderr)
     return 0
 
@@ -520,10 +516,9 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
         raise ConfigError("scenario 'gridworld' does not support simulation")
     scn = make_scenario(cfg)
     if state_text is not None:
-        x0 = _parse_state(cfg, state_text)
+        x0 = _parse_state(cfg, scn, state_text)
     elif cfg.x0 is not None:
-        with _rejected("'x0'"):
-            x0 = as_vector(cfg.x0, "x0")
+        x0 = _state_vector(scn, cfg.x0, "'x0'")
     else:
         x0 = np.array(_DEFAULT_X0[cfg.scenario])
     if not (horizon >= 0 and math.isfinite(horizon)):
@@ -590,9 +585,7 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
         "seed": cfg.seed,
         "config": dict(cfg.echo),
     }
-    text = _dump_json(payload)
-    (out_dir / "monitor.json").write_text(text)
-    sys.stdout.write(text)
+    _emit(_dump_json(payload), out_dir, "monitor.json")
     print(f"simulate wall time: {elapsed:.2f} s", file=sys.stderr)
     if log.aborted:
         print("integration aborted on non-finite state; logs are partial", file=sys.stderr)

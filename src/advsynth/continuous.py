@@ -386,20 +386,10 @@ def synthesize(
     return _synthesize_over(scn, x, space, _resolve_floor(scn, floor), search, tau)
 
 
-def synthesize_perturbed(
-    scn: ContinuousScenario,
-    x,
-    floor: Optional[float] = None,
-    search: SearchConfig = SearchConfig(),
-    tau: float = 0.0,
-) -> SynthesisResult:
-    """Synthesis against test-perturbed dynamics.
-
-    Dynamics callbacks always receive the candidate test vector, so this is
-    the same search as :func:`synthesize`; with a zero coupling matrix and
-    d-independent f, g it reduces to the nominal synthesizer exactly.
-    """
-    return synthesize(scn, x, floor, search, tau)
+# Synthesis against test-perturbed dynamics is the same search: dynamics
+# callbacks always receive the candidate test vector, so with a zero coupling
+# matrix and d-independent f, g it reduces to the nominal synthesizer exactly.
+synthesize_perturbed = synthesize
 
 
 def synthesize_constrained(

@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "ScenarioError",
+    "BudgetError",
     "Polytope",
     "BarrierFunction",
     "ClassKappaFn",
@@ -45,6 +46,10 @@ __all__ = [
 
 class ScenarioError(RuntimeError):
     """A scenario violated an assumption the synthesizers rely on."""
+
+
+class BudgetError(ValueError):
+    """A search would need more evaluations than its budget allows."""
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:

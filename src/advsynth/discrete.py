@@ -1,9 +1,11 @@
 """Adversarial test synthesis for finite-alphabet discrete-time systems.
 
 Everything here is exact enumeration: the finite action alphabet and finite
-test set make the minimax solvable by exhaustive search, one-step or over an
-N-step prediction horizon.  A test whose safe action set is empty ends the
-outer loop immediately (it is already optimal).
+test set make the minimax solvable by exhaustive search over an N-step
+prediction horizon, one step being N = 1.  One difficulty loop
+(:func:`predictive_difficulty`) and one test scan serve every synthesizer.
+A test with no safe action sequence ends the scan immediately (it is
+already optimal).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
-    BarrierFunction,
+    BudgetError,
     DiscreteDynamics,
     FiniteSpace,
     MappedSpace,
@@ -23,8 +25,6 @@ from .core import (
 
 __all__ = [
     "DiscreteScenario",
-    "barrier_increment",
-    "feasible_inputs",
     "rollout",
     "one_step_difficulty",
     "synthesize_discrete",
@@ -53,22 +53,6 @@ class DiscreteScenario:
             raise ValueError("discrete scenarios need a finite or mapped test space")
 
 
-def barrier_increment(h: BarrierFunction, dyn: DiscreteDynamics, x, u, d) -> float:
-    """Barrier value after one step minus the value now."""
-    return float(h.value(dyn.step(x, u), d)) - float(h.value(x, d))
-
-
-def feasible_inputs(spec: ReachAvoidSpec, dyn: DiscreteDynamics, x, d) -> tuple:
-    """Actions whose successor keeps every avoid barrier nonnegative, in
-    alphabet order."""
-    out = []
-    for u in dyn.alphabet:
-        nxt = dyn.step(x, u)
-        if all(float(h.value(nxt, d)) >= 0.0 for h in spec.avoid):
-            out.append(u)
-    return tuple(out)
-
-
 def rollout(dyn: DiscreteDynamics, x, inputs):
     """Terminal state after applying the input sequence in order."""
     for u in inputs:
@@ -77,19 +61,10 @@ def rollout(dyn: DiscreteDynamics, x, inputs):
 
 
 def one_step_difficulty(scn: DiscreteScenario, x, d, floor: float):
-    """Max one-step reach increment over the safe actions, or ``(floor,
-    None)`` when none are safe.  Equal increments resolve to the action
-    listed last in the alphabet."""
-    feas = feasible_inputs(scn.spec, scn.dynamics, x, d)
-    if not feas:
-        return float(floor), None
-    best_val = -float("inf")
-    best = None
-    for u in feas:
-        v = barrier_increment(scn.spec.reach, scn.dynamics, x, u, d)
-        if v >= best_val:
-            best_val, best = v, u
-    return best_val, best
+    """:func:`predictive_difficulty` at N = 1, with the best action unwrapped
+    from its 1-tuple (None when no action is safe)."""
+    val, seq = predictive_difficulty(scn, x, d, floor, 1)
+    return val, None if seq is None else seq[0]
 
 
 def feasible_sequences(
@@ -101,7 +76,9 @@ def feasible_sequences(
     check_path: bool = False,
 ) -> tuple:
     """Action sequences of length ``n_steps`` whose terminal state keeps
-    every avoid barrier nonnegative, in product order.
+    every avoid barrier nonnegative, in product order.  This is the one
+    feasibility rule of discrete synthesis; at N = 1 it lists the safe
+    actions, as 1-tuples in alphabet order.
 
     Only the terminal state is constrained, so sequences may pass through
     violating states on the way; ``check_path=True`` opts into the stricter
@@ -136,14 +113,13 @@ def predictive_difficulty(
     n_steps: int,
     check_path: bool = False,
 ):
-    """Max N-step reach increment over safe sequences, or ``(floor, None)``
-    when none exist.  Ties resolve to the last sequence in product order."""
+    """Max N-step reach increment over the :func:`feasible_sequences`, or
+    ``(floor, None)`` when none exist.  Ties resolve to the last sequence in
+    product order."""
     base = float(scn.spec.reach.value(x, d))
     best_val = -float("inf")
     best = None
-    for seq in itertools.product(scn.dynamics.alphabet, repeat=n_steps):
-        if not _sequence_ok(scn.spec, scn.dynamics, x, d, seq, check_path):
-            continue
+    for seq in feasible_sequences(scn.spec, scn.dynamics, x, d, n_steps, check_path):
         v = float(scn.spec.reach.value(rollout(scn.dynamics, x, seq), d)) - base
         if v >= best_val:
             best_val, best = v, seq
@@ -152,58 +128,38 @@ def predictive_difficulty(
     return best_val, best
 
 
-def _scenario_floor(scn: DiscreteScenario, floor) -> float:
-    if floor is not None:
-        return float(floor)
-    if scn.floor is None:
+def _minimize_over_points(scn, x, points, floor, n_steps, check_path, budget):
+    """Scan the tests in order for the least N-step difficulty.  The first
+    test with no safe sequence ends the scan (flagged via ``early_exit``);
+    ties keep the earliest minimizer."""
+    n = scn.horizon if n_steps is None else int(n_steps)
+    if n < 1:
+        raise ValueError("prediction horizon must be >= 1")
+    if floor is None:
+        floor = scn.floor
+    if floor is None:
         raise ValueError("no satisfaction floor: pass one or pin it on the scenario")
-    return float(scn.floor)
-
-
-def synthesize_discrete(scn: DiscreteScenario, x, floor: Optional[float] = None) -> SynthesisResult:
-    """Exact one-step minimax over the finite test set.
-
-    Tests are scanned in canonical order; ties keep the earliest minimizer,
-    and the first test with no safe action ends the scan (flagged via
-    ``early_exit``)."""
-    fl = _scenario_floor(scn, floor)
-    space = scn.test_space
-    if isinstance(space, MappedSpace):
-        raise ValueError("scenario has a mapped test space; use synthesize_discrete_constrained")
-    evals = 0
-    best_d = best_u = None
-    best_val = float("inf")
-    for d in space.points:
-        val, u = one_step_difficulty(scn, x, d, fl)
-        evals += 1
-        if u is None:
-            return SynthesisResult(d, fl, True, None, evals, True)
-        if val < best_val:
-            best_val, best_d, best_u = val, d, u
-    return SynthesisResult(best_d, best_val, False, best_u, evals)
-
-
-def _minimize_over_points(scn, x, points, fl, n_steps, check_path, budget):
-    cost = len(scn.dynamics.alphabet) ** n_steps * len(points)
+    fl = float(floor)
+    cost = len(scn.dynamics.alphabet) ** n * len(points)
     if cost > budget:
-        raise ValueError(
+        raise BudgetError(
             f"enumeration needs {cost} sequence evaluations but the budget is "
             f"{budget}; raise the budget or shrink the horizon"
         )
     evals = 0
-    best_d = best_u = None
+    best_d = best_seq = None
     best_val = float("inf")
     for d in points:
-        val, u = predictive_difficulty(scn, x, d, fl, n_steps, check_path)
+        val, seq = predictive_difficulty(scn, x, d, fl, n, check_path)
         evals += 1
-        if u is None:
+        if seq is None:
             return SynthesisResult(d, fl, True, None, evals, True)
         if val < best_val:
-            best_val, best_d, best_u = val, d, u
-    return SynthesisResult(best_d, best_val, False, best_u, evals)
+            best_val, best_d, best_seq = val, d, seq
+    return SynthesisResult(best_d, best_val, False, best_seq, evals)
 
 
-def synthesize_predictive(
+def synthesize_discrete(
     scn: DiscreteScenario,
     x,
     floor: Optional[float] = None,
@@ -211,15 +167,20 @@ def synthesize_predictive(
     check_path: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> SynthesisResult:
-    """Exact N-step minimax by enumeration; with N = 1 it coincides with
-    :func:`synthesize_discrete` in both value and chosen test."""
-    n = scn.horizon if n_steps is None else int(n_steps)
-    if n < 1:
-        raise ValueError("prediction horizon must be >= 1")
-    space = scn.test_space
-    if isinstance(space, MappedSpace):
+    """Exact N-step minimax over the finite test set, by enumeration.
+
+    N defaults to the scenario's ``horizon``, so a ``horizon > 1`` scenario
+    is planned over that horizon.  ``inner_maximizer`` is the best action
+    sequence under ``d_star`` (a 1-tuple at N = 1).  Enumeration that would
+    take more than ``budget`` sequence evaluations raises
+    :class:`BudgetError` before any is made."""
+    if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_discrete_constrained")
-    return _minimize_over_points(scn, x, space.points, _scenario_floor(scn, floor), n, check_path, budget)
+    return _minimize_over_points(scn, x, scn.test_space.points, floor, n_steps, check_path, budget)
+
+
+# the paper's name for the N-step synthesizer
+synthesize_predictive = synthesize_discrete
 
 
 def synthesize_discrete_constrained(
@@ -231,14 +192,11 @@ def synthesize_discrete_constrained(
     check_path: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> SynthesisResult:
-    """Predictive synthesis over the admissible test set realized at (x, t);
-    the result is always drawn from that set."""
-    n = scn.horizon if n_steps is None else int(n_steps)
-    if n < 1:
-        raise ValueError("prediction horizon must be >= 1")
+    """:func:`synthesize_discrete` over the admissible test set realized at
+    (x, t); the result is always drawn from that set."""
     space = scn.test_space
     if isinstance(space, MappedSpace):
         space = space.at(x, t)
     if not isinstance(space, FiniteSpace):
         raise ValueError("discrete synthesis needs a finite realized test set")
-    return _minimize_over_points(scn, x, space.points, _scenario_floor(scn, floor), n, check_path, budget)
+    return _minimize_over_points(scn, x, space.points, floor, n_steps, check_path, budget)

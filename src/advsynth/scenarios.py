@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .continuous import ContinuousScenario, synthesize, synthesize_constrained
+from .continuous import ContinuousScenario, synthesize_constrained
 from .core import (
     BarrierFunction,
     BoxSpace,
@@ -420,12 +420,6 @@ def _min_avoid(scn: ContinuousScenario, x, d) -> float:
     return min(float(h.value(x, d)) for h in scn.spec.avoid)
 
 
-def _command(scn: ContinuousScenario, x, t: float):
-    if isinstance(scn.test_space, MappedSpace):
-        return synthesize_constrained(scn, x, t)
-    return synthesize(scn, x)
-
-
 def _pursue(actual: np.ndarray, target: np.ndarray, max_step: float) -> np.ndarray:
     """Move each planar chunk of the test vector toward its target, capped
     at max_step per chunk (whole-vector pursuit for odd dimensions)."""
@@ -465,7 +459,8 @@ def simulate_adversarial(
     """Forward-Euler closed loop between the controller and the adversary.
 
     The adversary re-commands obstacle targets at t = 0 and then every
-    ``synth_period``; obstacles pursue their targets at ``obstacle_speed``;
+    ``synth_period``, by :func:`synthesize_constrained` over the test set
+    admissible at (x, t); obstacles pursue their targets at ``obstacle_speed``;
     the controller reacts to the obstacles' actual positions every ``dt``.
     The run aborts (returning the partial log with ``aborted=True``) if the
     state goes non-finite.
@@ -473,7 +468,7 @@ def simulate_adversarial(
     n_steps = simulation_steps(dt, synth_period, horizon)
     x = as_vector(x0, "initial state").copy()
 
-    result = _command(scn, x, 0.0)
+    result = synthesize_constrained(scn, x, 0.0)
     cmd = np.asarray(result.d_star, dtype=float)
     commands = [(0.0, x.copy(), cmd.copy())]
     obstacles = (
@@ -490,7 +485,7 @@ def simulate_adversarial(
     for k in range(n_steps):
         t = k * dt
         if k > 0 and t >= next_synth - 1e-9:
-            result = _command(scn, x, t)
+            result = synthesize_constrained(scn, x, t)
             cmd = np.asarray(result.d_star, dtype=float)
             commands.append((t, x.copy(), cmd.copy()))
             next_synth += synth_period

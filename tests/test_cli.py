@@ -1,12 +1,24 @@
+import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from advsynth import build_gridworld, build_unicycle, difficulty, one_step_difficulty
-from advsynth.cli import main
+from advsynth import (
+    build_gridworld,
+    build_unicycle,
+    difficulty,
+    one_step_difficulty,
+    predictive_difficulty,
+    synthesize_predictive,
+)
+from advsynth import cli
+from advsynth.cli import main, make_scenario, parse_config
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -95,6 +107,46 @@ def test_malformed_config_exits_2(tmp_path, capsys, bad, needle):
     rc, _, err = run_cli(capsys, ["synth", "--config", cfg, "--state", "0,0,0"])
     assert rc == 2
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synth", "--state", "3,5"],
+        ["trials", "--count", "3"],
+        ["sweep", "--state", "3,5", "--axes", "0:0:9:10,1:0:9:10", "--out", "OUT"],
+    ],
+    ids=["synth", "trials", "sweep"],
+)
+def test_budget_overflow_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, GRID_CFG + "horizon_n = 2\nbudget = 10\n")
+    args = [a.replace("OUT", str(tmp_path / "out")) for a in command]
+    rc, out, err = run_cli(capsys, [args[0], "--config", cfg] + args[1:])
+    assert rc == 2
+    assert "'budget'" in err
+    assert "needs 2500 sequence evaluations but the budget is 10" in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text,command,needle",
+    [
+        (QUAD_CFG, ["synth", "--state=1,2,3"], "--state needs 2 components"),
+        (QUAD_CFG, ["simulate", "--state=1,2,3", "--horizon", "1"], "--state needs 2 components"),
+        (UNICYCLE_CFG, ["synth", "--state=0,0"], "--state needs 3 components"),
+        (QUAD_CFG + "x0 = 1, 2, 3\n", ["simulate", "--horizon", "1"], "'x0' needs 2 components"),
+    ],
+    ids=["quadgrid-synth", "quadgrid-simulate", "unicycle-synth", "quadgrid-x0"],
+)
+def test_state_length_mismatch_exits_2(tmp_path, capsys, text, command, needle):
+    cfg = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(capsys, [command[0], "--config", cfg, "--out", str(out_dir)] + command[1:])
+    assert rc == 2
+    assert needle in err
+    assert out == ""
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -214,6 +266,27 @@ def test_sweep_gridworld_minimum_at_goal(tmp_path, capsys):
     assert row4[3] == one_step_difficulty(scn, (3, 5), (4, 2), floor=-15.0)[0]
 
 
+def test_sweep_gridworld_cells_follow_horizon(tmp_path, capsys):
+    cfg = write_config(tmp_path, GRID_CFG + "horizon_n = 2\n")
+    out_dir = tmp_path / "gsweep2"
+    rc, out, _ = run_cli(
+        capsys,
+        ["sweep", "--config", cfg, "--state", "3,5", "--axes", "0:0:9:10,1:0:9:10",
+         "--out", str(out_dir)],
+    )
+    assert rc == 0
+    scn = build_gridworld((7, 9))
+    lines = (out_dir / "sweep.csv").read_text().strip().splitlines()
+    for i, line in enumerate(lines[1:]):
+        for j, cell_value in enumerate(float(v) for v in line.split(",")[1:]):
+            assert cell_value == predictive_difficulty(scn, (3, 5), (i, j), -15.0, 2)[0]
+    # one and two steps differ on this cell, so the check above has teeth
+    assert predictive_difficulty(scn, (3, 5), (4, 2), -15.0, 2)[0] != one_step_difficulty(
+        scn, (3, 5), (4, 2), -15.0
+    )[0]
+    assert json.loads(out)["difficulty"] == synthesize_predictive(scn, (3, 5), n_steps=2).difficulty
+
+
 def test_sweep_degenerate_single_cell(tmp_path, capsys):
     cfg = write_config(tmp_path, UNICYCLE_CFG)
     out_dir = tmp_path / "one"
@@ -266,6 +339,37 @@ def test_trials_gridworld_randomizes_goals(tmp_path, capsys):
     for row in payload["per_trial"]:
         assert row["state"] != row["goal"]
         assert row["d_star"] == row["goal"]
+
+
+@pytest.mark.parametrize("check_path", ["false", "true"])
+def test_trials_gridworld_follows_horizon(tmp_path, capsys, monkeypatch, check_path):
+    cfg = write_config(tmp_path, GRID_CFG + f"horizon_n = 2\ncheck_path = {check_path}\n")
+    real, calls, results = cli.synthesize_discrete, [], []
+
+    def spy(*args, **kwargs):
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "synthesize_discrete", spy)
+    rc, out, _ = run_cli(capsys, ["trials", "--config", cfg, "--count", "4"])
+    assert rc == 0
+    rows = json.loads(out)["per_trial"]
+    assert len(results) == len(rows) == 4
+    # check_path never changes a grid trial's result (the hardest test covers
+    # the goal, where every cell is safe), so check that it is passed on
+    assert all(call["check_path"] is (check_path == "true") for call in calls)
+    for row, got in zip(rows, results):
+        want = synthesize_predictive(
+            build_gridworld(tuple(row["goal"])),
+            tuple(row["state"]),
+            n_steps=2,
+            check_path=check_path == "true",
+        )
+        assert row["difficulty"] == want.difficulty
+        assert row["d_star"] == list(want.d_star)
+        assert got.inner_maximizer == want.inner_maximizer
+        assert got.evaluations == want.evaluations
 
 
 def test_trials_deterministic_json(tmp_path, capsys):
@@ -370,3 +474,27 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d_star"] == [7, 9]
+
+
+# ---------------------------------------------------------------------------
+# shipped configs
+
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + sorted(REPO.glob("bench/configs/*.cfg"))
+FIXED_STATE = {"unicycle": "-0.5,0.5,0.7854", "gridworld": "3,5", "quadgrid": "0.3,1.7"}
+
+
+def test_shipped_configs_found():
+    assert {p.parent for p in SHIPPED_CONFIGS} == {REPO / "configs", REPO / "bench" / "configs"}
+
+
+@pytest.mark.parametrize(
+    "path", SHIPPED_CONFIGS, ids=[str(p.relative_to(REPO)) for p in SHIPPED_CONFIGS]
+)
+def test_shipped_config_runs_synth(path, capsys):
+    cfg = parse_config(path)
+    make_scenario(cfg)
+    rc, out, _ = run_cli(capsys, ["synth", "--config", str(path), f"--state={FIXED_STATE[cfg.scenario]}"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["scenario"] == cfg.scenario
+    assert payload["config"] == cfg.echo

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from advsynth import (
     BarrierFunction,
+    BudgetError,
     DiscreteDynamics,
     DiscreteScenario,
     FiniteSpace,
     MappedSpace,
     ReachAvoidSpec,
-    barrier_increment,
     build_gridworld,
-    feasible_inputs,
     feasible_sequences,
     grid_step,
     one_step_difficulty,
@@ -47,35 +47,57 @@ def blocked_scenario(floor=-3.0):
     )
 
 
+def increment(scn, x, u, d):
+    """Reach increment of action u at (x, d): the N = 1 difficulty of the
+    scenario cut down to that one action and no avoid barrier."""
+    alone = dataclasses.replace(
+        scn,
+        dynamics=DiscreteDynamics(step=scn.dynamics.step, alphabet=(u,)),
+        spec=ReachAvoidSpec(reach=scn.spec.reach, avoid=(), gains=()),
+    )
+    val, seq = predictive_difficulty(alone, x, d, floor=-15.0, n_steps=1)
+    assert seq == (u,)
+    return val
+
+
+def safe_actions(scn, x, d):
+    """Safe actions at (x, d) as 1-tuples, by the N = 1 feasibility rule."""
+    return feasible_sequences(scn.spec, scn.dynamics, x, d, 1)
+
+
 def test_increment_stay_is_zero(gridworld79):
     for x in [(0, 0), (3, 5), (9, 9)]:
         for d in [(5, 5), (7, 9), (0, 0)]:
-            assert barrier_increment(gridworld79.spec.reach, gridworld79.dynamics, x, "stay", d) == 0.0
+            assert increment(gridworld79, x, "stay", d) == 0.0
 
 
 def test_increment_matches_reward_difference(gridworld79):
     rg = solve_reward((7, 9), (5, 5)).modified
-    got = barrier_increment(gridworld79.spec.reach, gridworld79.dynamics, (3, 5), "right", (5, 5))
+    got = increment(gridworld79, (3, 5), "right", (5, 5))
     # the -10 shifts cancel mathematically, not bit for bit
     assert got == pytest.approx(rg[4, 5] - rg[3, 5], abs=1e-12)
 
 
 def test_increment_boundary_selfloop(gridworld79):
-    assert barrier_increment(gridworld79.spec.reach, gridworld79.dynamics, (9, 5), "right", (5, 5)) == 0.0
+    assert increment(gridworld79, (9, 5), "right", (5, 5)) == 0.0
 
 
 def test_feasible_inputs_far_obstacle(gridworld79):
-    assert feasible_inputs(gridworld79.spec, gridworld79.dynamics, (3, 5), (8, 1)) == gridworld79.dynamics.alphabet
+    assert safe_actions(gridworld79, (3, 5), (8, 1)) == tuple(
+        (u,) for u in gridworld79.dynamics.alphabet
+    )
 
 
 def test_feasible_inputs_blocked_direction(gridworld79):
-    feas = feasible_inputs(gridworld79.spec, gridworld79.dynamics, (3, 5), (4, 5))
-    assert set(feas) == {"left", "up", "down", "stay"}
+    feas = safe_actions(gridworld79, (3, 5), (4, 5))
+    assert feas == (("left",), ("up",), ("down",), ("stay",))  # alphabet order
 
 
 def test_feasible_inputs_no_avoid_barriers(gridworld79):
     spec = ReachAvoidSpec(reach=gridworld79.spec.reach, avoid=(), gains=())
-    assert feasible_inputs(spec, gridworld79.dynamics, (3, 5), (4, 5)) == gridworld79.dynamics.alphabet
+    assert feasible_sequences(spec, gridworld79.dynamics, (3, 5), (4, 5), 1) == tuple(
+        (u,) for u in gridworld79.dynamics.alphabet
+    )
 
 
 def test_rollout_examples(gridworld79):
@@ -177,11 +199,14 @@ def test_exactness_against_double_loop(gridworld79):
 
 
 def test_feasible_sequences_n1_matches_inputs(gridworld79):
-    for d in [(4, 5), (0, 0), (7, 9)]:
-        singles = feasible_sequences(gridworld79.spec, gridworld79.dynamics, (3, 5), d, 1)
-        assert tuple(s[0] for s in singles) == feasible_inputs(
-            gridworld79.spec, gridworld79.dynamics, (3, 5), d
-        )
+    dyn, avoid = gridworld79.dynamics, gridworld79.spec.avoid[0]
+    for x in [(3, 5), (0, 0), (9, 9)]:
+        for d in [(4, 5), (0, 0), (7, 9), (9, 8)]:
+            # the safe actions, checked directly on each successor
+            want = tuple((u,) for u in dyn.alphabet if avoid.value(dyn.step(x, u), d) >= 0)
+            for check_path in (False, True):
+                got = feasible_sequences(gridworld79.spec, dyn, x, d, 1, check_path)
+                assert got == want
 
 
 def test_feasible_sequences_terminal_only(gridworld79):
@@ -248,8 +273,40 @@ def test_predictive_matches_triple_loop(gridworld79):
 
 
 def test_predictive_budget_rejected(gridworld79):
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(BudgetError, match="needs 2500 sequence evaluations but the budget is 100"):
         synthesize_predictive(gridworld79, (3, 5), n_steps=2, budget=100)
+    assert issubclass(BudgetError, ValueError)
+
+
+def test_one_step_difficulty_is_predictive_at_n1(gridworld79):
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        x = tuple(int(v) for v in rng.integers(0, 10, 2))
+        d = tuple(int(v) for v in rng.integers(0, 10, 2))
+        val, u = one_step_difficulty(gridworld79, x, d, floor=-15.0)
+        want_val, seq = predictive_difficulty(gridworld79, x, d, floor=-15.0, n_steps=1)
+        assert val == want_val
+        assert u == (None if seq is None else seq[0])
+    blocked = blocked_scenario()
+    assert predictive_difficulty(blocked, (0,), (0,), floor=-3.0, n_steps=1) == (-3.0, None)
+
+
+def test_synthesize_discrete_plans_over_scenario_horizon():
+    # with the goal left out of the tests, one and two steps disagree
+    cells = ((4, 4), (2, 6), (3, 6))
+    one = dataclasses.replace(build_gridworld((7, 9)), test_space=FiniteSpace(cells))
+    two = dataclasses.replace(one, horizon=2)
+    for x in [(3, 5), (0, 0), (8, 9)]:
+        got = synthesize_discrete(two, x)
+        want = synthesize_predictive(one, x, n_steps=2)
+        assert (got.d_star, got.difficulty, got.inner_maximizer) == (
+            want.d_star, want.difficulty, want.inner_maximizer
+        )
+        assert len(got.inner_maximizer) == 2
+        assert len(synthesize_discrete(one, x).inner_maximizer) == 1
+    assert synthesize_discrete(two, (3, 5)).difficulty != synthesize_discrete(one, (3, 5)).difficulty
+    with pytest.raises(BudgetError):
+        synthesize_discrete(two, (3, 5), budget=10)
 
 
 def test_floor_property_over_evaluations(gridworld79):
@@ -270,8 +327,7 @@ def test_stay_bound_and_global_minimum(gridworld79):
         d = tuple(int(v) for v in rng.integers(0, 10, 2))
         if x == d:
             continue
-        feas = feasible_inputs(gridworld79.spec, gridworld79.dynamics, x, d)
-        assert "stay" in feas
+        assert ("stay",) in safe_actions(gridworld79, x, d)
         val, _ = one_step_difficulty(gridworld79, x, d, floor=-15.0)
         assert val >= 0.0
 
@@ -286,8 +342,8 @@ def test_monotone_feasibility(gridworld79):
     )
     for x in [(2, 2), (3, 5), (0, 9)]:
         for d in [(5, 5), (2, 3)]:
-            small = set(feasible_inputs(wider, gridworld79.dynamics, x, d))
-            big = set(feasible_inputs(spec, gridworld79.dynamics, x, d))
+            small = set(feasible_sequences(wider, gridworld79.dynamics, x, d, 1))
+            big = set(feasible_sequences(spec, gridworld79.dynamics, x, d, 1))
             assert small <= big
             seq_small = set(feasible_sequences(wider, gridworld79.dynamics, x, d, 2))
             seq_big = set(feasible_sequences(spec, gridworld79.dynamics, x, d, 2))
