@@ -26,9 +26,8 @@ import numpy as np
 
 # ``synthesize`` stays bound here because bench/spans.py wraps it by name
 from .continuous import SearchConfig, difficulty, synthesize, synthesize_constrained
-from .core import BudgetError, ScenarioError, as_vector
+from .core import DEFAULT_BUDGET, BoxSpace, BudgetError, MappedSpace, ScenarioError, as_vector
 from .discrete import (
-    DEFAULT_BUDGET,
     DiscreteScenario,
     predictive_difficulty,
     synthesize_discrete,
@@ -61,6 +60,13 @@ def _parse_float(s: str) -> float:
 
 def _parse_int(s: str) -> int:
     return int(s, 10)
+
+
+def _parse_seed(s: str) -> int:
+    v = _parse_int(s)
+    if v < 0:
+        raise ValueError("seeds must be >= 0")
+    return v
 
 
 def _parse_floats(s: str) -> tuple:
@@ -103,7 +109,7 @@ _KEYS = {
     "grid_points": (_parse_int, frozenset(("unicycle",))),
     "refine_iterations": (_parse_int, frozenset(("unicycle",))),
     "step_tolerance": (_parse_float, frozenset(("unicycle",))),
-    "seed": (_parse_int, _ALL),
+    "seed": (_parse_seed, _ALL),
     "synth_period": (_parse_float, _CONT),
     "dt": (_parse_float, _CONT),
     "obstacle_speed": (_parse_float, _CONT),
@@ -307,12 +313,13 @@ def _state_vector(scn, values, what: str):
 def _synthesize(cfg: RunConfig, scn, x):
     """The hardest test at x: the one place that picks a synthesizer by
     scenario family.  Discrete scenarios plan over their own horizon."""
-    if isinstance(scn, DiscreteScenario):
-        try:
+    try:
+        if isinstance(scn, DiscreteScenario):
             return synthesize_discrete(scn, x, check_path=cfg.check_path, budget=cfg.budget)
-        except BudgetError as exc:
-            raise ConfigError(f"bad value for 'budget': {exc}") from exc
-    return synthesize_constrained(scn, x, 0.0, search=_search(cfg))
+        return synthesize_constrained(scn, x, 0.0, search=_search(cfg))
+    except BudgetError as exc:
+        what = "'budget'" if isinstance(scn, DiscreteScenario) else "the search settings"
+        raise ConfigError(f"bad value for {what}: {exc}") from exc
 
 
 def _synthesis_payload(cfg: RunConfig, scn, x) -> dict:
@@ -354,6 +361,8 @@ def _parse_axes(spec_text: str) -> list:
             count = int(parts[3])
         except ValueError as exc:
             raise ConfigError(f"bad axis '{chunk}': {exc}") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"bad axis '{chunk}': bounds must be finite")
         if count < 1 or hi < lo:
             raise ConfigError(f"bad axis '{chunk}': need count >= 1 and hi >= lo")
         axes.append((comp, lo, hi, count))
@@ -369,6 +378,17 @@ def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
     if count == 1:
         return np.array([lo])
     return np.linspace(lo, hi, count)
+
+
+def _test_dim(scn, x) -> int:
+    """Length of the test vectors of a continuous scenario: the box's, or
+    that of the set a mapped space realizes at (x, t = 0)."""
+    space = scn.test_space
+    if isinstance(space, MappedSpace):
+        space = space.at(x, 0.0)
+    if isinstance(space, BoxSpace):
+        return space.dim
+    return np.asarray(space.points[0]).size
 
 
 def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) -> int:
@@ -394,12 +414,18 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
                 scn, x, tuple(d), scn.floor, scn.horizon, cfg.check_path
             )[0]
     else:
-        p = scn.test_space.dim if hasattr(scn.test_space, "dim") else None
-        base = np.array(cfg.d_fixed, dtype=float) if cfg.d_fixed is not None else None
-        if base is None:
-            if p is None:
-                raise ConfigError("this scenario needs d_fixed to anchor unswept components")
+        p = _test_dim(scn, x)
+        if cfg.d_fixed is not None:
+            with _rejected("'d_fixed'"):
+                base = as_vector(cfg.d_fixed, "'d_fixed'")
+            if base.size != p:
+                raise ConfigError(
+                    f"'d_fixed' needs {p} components (the test dimension), got {base.size}"
+                )
+        elif isinstance(scn.test_space, BoxSpace):
             base = np.zeros(p)
+        else:
+            raise ConfigError("this scenario needs d_fixed to anchor unswept components")
         for c in (c1, c2):
             if not 0 <= c < base.size:
                 raise ConfigError(f"axis component {c} out of range for test dim {base.size}")
@@ -527,15 +553,18 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
         simulation_steps(cfg.dt, cfg.synth_period, horizon)
 
     t0 = time.perf_counter()
-    log = simulate_adversarial(
-        scn,
-        x0,
-        greedy_safe_controller,
-        synth_period=cfg.synth_period,
-        dt=cfg.dt,
-        horizon=horizon,
-        obstacle_speed=cfg.obstacle_speed,
-    )
+    try:
+        log = simulate_adversarial(
+            scn,
+            x0,
+            greedy_safe_controller,
+            synth_period=cfg.synth_period,
+            dt=cfg.dt,
+            horizon=horizon,
+            obstacle_speed=cfg.obstacle_speed,
+        )
+    except BudgetError as exc:
+        raise ConfigError(f"bad value for the test dimension: {exc}") from exc
     elapsed = time.perf_counter() - t0
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -644,6 +673,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
             cfg.seed = args.seed
         out_dir = Path(args.out) if args.out is not None else None
         if args.command == "synth":

@@ -21,7 +21,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import (
+    DEFAULT_BUDGET,
     BoxSpace,
+    BudgetError,
     ContinuousDynamics,
     FiniteSpace,
     MappedSpace,
@@ -36,7 +38,16 @@ from .core import (
     lie_derivatives,
     stack_rows,
 )
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, polytope_vertices, solve_lp
+from .lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LpProblem,
+    objective_vector,
+    polytope_vertices,
+    solve_lp,
+    solve_lp_batch,
+)
 
 __all__ = [
     "SearchConfig",
@@ -48,6 +59,10 @@ __all__ = [
     "synthesize_perturbed",
     "synthesize_constrained",
 ]
+
+# held candidates per batched solve, which bounds the tableau memory
+_HELD_BLOCK = 256
+_UNBOUNDED = "inner maximization unbounded; the input polytope is not compact"
 
 
 @dataclass(frozen=True)
@@ -232,10 +247,45 @@ def _best_rate(scn, x, d, poly, floor, tau):
     if out.status == INFEASIBLE:
         return float(floor), None
     if out.status == UNBOUNDED:
-        raise ScenarioError(
-            "inner maximization unbounded; the input polytope is not compact"
-        )
+        raise ScenarioError(_UNBOUNDED)
     return drift_rate + out.value - tau, out.point
+
+
+def _solve_held(scn, x, candidates, held, held_A, held_b, tau):
+    """``(d, value, maximizer)`` of the held candidates ``held`` (indices in
+    candidate order) from one :func:`solve_lp_batch` of their stored rows.
+
+    Their reach rates are taken one by one, in order.  When one raises, an
+    unbounded program ahead of it is reported first, as a one-by-one scan
+    would."""
+    inputs = scn.input_polytope
+    rates, rows = [], []
+
+    def solve(k):
+        if k == 0:
+            return []
+        A = np.concatenate(
+            [held_A[held[:k]], np.broadcast_to(inputs.A, (k,) + inputs.A.shape)], axis=1
+        )
+        b = np.concatenate([held_b[held[:k]], np.broadcast_to(inputs.b, (k, inputs.rows))], axis=1)
+        outs = solve_lp_batch(np.reshape(rows, (k, inputs.dim)), A, b)
+        if any(out.status == UNBOUNDED for out in outs):
+            raise ScenarioError(_UNBOUNDED)
+        return outs
+
+    for i in held:
+        try:
+            rate, row = lie_derivatives(
+                scn.spec.reach, scn.dynamics, x, np.asarray(candidates[i], dtype=float)
+            )
+            rows.append(objective_vector(row, inputs.dim))
+        except Exception:
+            solve(len(rates))
+            raise
+        rates.append(rate)
+    outs = solve(len(held))
+    return [(candidates[i], rate + out.value - tau, out.point)
+            for i, rate, out in zip(held, rates, outs)]
 
 
 def _scan(scn, x, candidates, floor, tau, evals):
@@ -246,14 +296,20 @@ def _scan(scn, x, candidates, floor, tau, evals):
     candidate with a negative right-hand side among its avoid and actuator
     rows is evaluated on the spot, and the first one found in Γ is returned
     with ``early_exit``.  The others cannot be in Γ (see :func:`synthesize`):
-    their rows are held and their LPs solved after the scan, and every
+    their rows are held, and after the scan their LPs are solved by
+    :func:`solve_lp_batch` in blocks of at most ``_HELD_BLOCK``
+    candidates, with the same bits as one :func:`solve_lp` each.  Every
     value is folded in candidate order with the earliest minimum kept.
     ``evals`` counts earlier candidates of the same search.
 
-    The held rows take ``8 * len(candidates) * barriers * (inputs + 1)``
-    bytes: about 19 MB for a 25^4 grid with two avoid barriers and two
-    inputs.  Candidates are not copied; a held one is looked up again by
-    its index.
+    Memory is the held rows plus one block of tableaux.  The held rows
+    take ``8 * len(candidates) * barriers * (inputs + 1)`` bytes: about
+    19 MB for a 25^4 grid with two avoid barriers and two inputs.  A block
+    takes ``8 * _HELD_BLOCK * (rows + 1) * (2 * inputs + rows + 1)`` bytes
+    twice over (the tableaux and the running ones' working copy), where
+    ``rows`` counts the avoid and actuator rows: about 0.3 MB for that
+    grid.  Candidates are not copied; a held one is looked up again by its
+    index.
     """
     spec, dyn, inputs = scn.spec, scn.dynamics, scn.input_polytope
     can_hold = not (inputs.b < 0).any()
@@ -275,15 +331,14 @@ def _scan(scn, x, candidates, floor, tau, evals):
 
     best_d = best_u = None
     best_val = np.inf
-    for i in range(n):
-        if i in solved:
-            d, val, u = solved[i]
-        else:
-            d = candidates[i]
-            poly = stack_rows(held_A[i], held_b[i], inputs)
-            val, u = _best_rate(scn, x, np.asarray(d, dtype=float), poly, floor, tau)
-        if val < best_val:
-            best_val, best_d, best_u = val, d, u
+    for start in range(0, n, _HELD_BLOCK):
+        block = range(start, min(start + _HELD_BLOCK, n))
+        held = [i for i in block if i not in solved]
+        solved.update(zip(held, _solve_held(scn, x, candidates, held, held_A, held_b, tau)))
+        for i in block:
+            d, val, u = solved.pop(i)
+            if val < best_val:
+                best_val, best_d, best_u = val, d, u
     return SynthesisResult(best_d, best_val, False, best_u, evals + n)
 
 
@@ -333,6 +388,12 @@ def _synthesize_over(scn, x, space, floor, search, tau):
         box = space
     else:
         raise ValueError("mapped test spaces need synthesize_constrained")
+    # the grid is lazy, so nothing sized by the count exists yet
+    if len(candidates) > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"search would scan {len(candidates)} candidate tests but the budget is "
+            f"{DEFAULT_BUDGET}; lower grid_points or the test dimension"
+        )
 
     # the avoid sets move with d, so only the goal-side start condition is
     # meaningful to check; the probe uses the first candidate
@@ -371,7 +432,11 @@ def synthesize(
     therefore not in Γ, and its reach-barrier rate and LP wait until the
     scan ends without a blocking test.  Every other candidate is solved on
     the spot.  Every reported value still comes from the simplex, on the
-    same polytope with the same bits, so results equal a one-by-one scan.
+    same polytope with the same bits, so results equal a one-by-one scan;
+    the postponed LPs are solved together by a batched Phase-II kernel
+    that makes the same pivots as the scalar one.  A box grid of more than
+    ``DEFAULT_BUDGET`` points, or a larger finite test set, raises
+    :class:`BudgetError` before any candidate is examined.
     ``evaluations`` counts candidates examined, not LPs solved.
 
     One difference from a one-by-one scan: the reach-barrier callbacks of a

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "ScenarioError",
     "BudgetError",
+    "DEFAULT_BUDGET",
     "Polytope",
     "BarrierFunction",
     "ClassKappaFn",
@@ -50,6 +51,12 @@ class ScenarioError(RuntimeError):
 
 class BudgetError(ValueError):
     """A search would need more evaluations than its budget allows."""
+
+
+# evaluations a search may plan before it raises BudgetError: sequence
+# evaluations for the discrete enumeration, candidate tests for the
+# continuous scan
+DEFAULT_BUDGET = 10_000_000
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
+    DEFAULT_BUDGET,
     BudgetError,
     DiscreteDynamics,
     FiniteSpace,
@@ -33,8 +34,6 @@ __all__ = [
     "synthesize_predictive",
     "synthesize_discrete_constrained",
 ]
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)

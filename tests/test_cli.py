@@ -100,6 +100,7 @@ def test_synth_writes_artifact(tmp_path, capsys):
         ("scenario = unicycle\nrefine_iterations = -3\n", "refine_iterations"),
         ("scenario = unicycle\nstep_tolerance = inf\n", "step_tolerance"),
         ("scenario = unicycle\nstep_tolerance = -1e-4\n", "step_tolerance"),
+        ("scenario = unicycle\nseed = -3\n", "seed"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, bad, needle):
@@ -127,6 +128,57 @@ def test_budget_overflow_exits_2(tmp_path, capsys, command):
     assert "needs 2500 sequence evaluations but the budget is 10" in err
     assert out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synth", "--state", "0,0,0"],
+        ["trials", "--count", "3"],
+        ["sweep", "--state", "0,0,0", "--axes", "0:-1:1:3,1:-1:1:3", "--out", "OUT"],
+        ["simulate", "--horizon", "0.1", "--out", "OUT"],
+    ],
+    ids=["synth", "trials", "sweep", "simulate"],
+)
+def test_continuous_budget_overflow_exits_2(tmp_path, capsys, command):
+    # four obstacles make an 8-D test box: 25^8 grid points
+    cfg = write_config(tmp_path, "scenario = unicycle\nobstacle_count = 4\n")
+    args = [a.replace("OUT", str(tmp_path / "out")) for a in command]
+    rc, out, err = run_cli(capsys, [args[0], "--config", cfg] + args[1:])
+    assert rc == 2
+    assert "scan 152587890625 candidate tests but the budget is 10000000" in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+UNICYCLE_2_CFG = "scenario = unicycle\nobstacle_count = 2\ngrid_points = 3\n"
+SWEEP = ["sweep", "--state=0.1,0.2,0.3", "--axes", "0:-1:1:3,1:-1:1:3"]
+
+
+@pytest.mark.parametrize(
+    "text,command,needle",
+    [
+        (UNICYCLE_CFG, ["trials", "--count", "1", "--seed", "-1"], "--seed must be >= 0"),
+        (UNICYCLE_2_CFG + "seed = -3\n", ["trials", "--count", "1"], "'seed': seeds must be >= 0"),
+        (UNICYCLE_2_CFG + "d_fixed = 0, 0\n", SWEEP, "'d_fixed' needs 4 components"),
+        (UNICYCLE_2_CFG + "d_fixed = 0, 0, 0, 0, 0\n", SWEEP, "'d_fixed' needs 4 components"),
+        (UNICYCLE_2_CFG + "d_fixed = 0, 0, inf, 0\n", SWEEP, "non-finite"),
+        (QUAD_CFG + "d_fixed = 0, 0\n", ["sweep", "--state=0.5,0.5", "--axes", "0:0:1:2,1:0:1:2"],
+         "'d_fixed' needs 4 components"),
+        (UNICYCLE_CFG, SWEEP[:3] + ["0:nan:1:3,1:-1:1:3"], "bounds must be finite"),
+        (UNICYCLE_CFG, SWEEP[:3] + ["0:-inf:1:3,1:-1:1:3"], "bounds must be finite"),
+    ],
+    ids=["seed-flag", "seed-key", "unicycle-d-fixed-short", "unicycle-d-fixed-long",
+         "unicycle-d-fixed-inf", "quadgrid-d-fixed-short", "axes-nan", "axes-minus-inf"],
+)
+def test_bad_seed_anchor_or_axis_exits_2(tmp_path, capsys, text, command, needle):
+    cfg = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(capsys, [command[0], "--config", cfg, "--out", str(out_dir)] + command[1:])
+    assert rc == 2
+    assert needle in err
+    assert out == ""
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -243,6 +295,23 @@ def test_sweep_matches_direct_difficulty_calls(tmp_path, capsys):
         for j, cell_value in enumerate(parts[1:]):
             expect, _ = difficulty(scn, x, np.array([parts[0], a2[j]]), floor=-5.0)
             assert cell_value == expect  # cells are direct difficulty calls
+
+
+def test_sweep_quadgrid_anchors_on_d_fixed(tmp_path, capsys, quadgrid):
+    cfg = write_config(tmp_path, QUAD_CFG + "d_fixed = 0, 0, 2, 1\n")
+    out_dir = tmp_path / "sweep_quad"
+    rc, _, _ = run_cli(
+        capsys,
+        ["sweep", "--config", cfg, "--state=0.5,0.5", "--axes", "0:0:1:2,1:0:1:2",
+         "--out", str(out_dir)],
+    )
+    assert rc == 0
+    lines = (out_dir / "sweep.csv").read_text().strip().splitlines()
+    x = np.array([0.5, 0.5])
+    for i, line in enumerate(lines[1:]):
+        for j, cell_value in enumerate(line.split(",")[1:]):
+            d = np.array([float(i), float(j), 2.0, 1.0])
+            assert float(cell_value) == difficulty(quadgrid, x, d, floor=-8.0)[0]
 
 
 def test_sweep_gridworld_minimum_at_goal(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from advsynth import (
     BarrierFunction,
     BoxSpace,
+    BudgetError,
     ClassKappaFn,
     ContinuousDynamics,
     ContinuousScenario,
@@ -15,6 +16,7 @@ from advsynth import (
     MappedSpace,
     Polytope,
     ReachAvoidSpec,
+    ScenarioError,
     SearchConfig,
     build_unicycle,
     compute_floor,
@@ -487,6 +489,145 @@ def test_scan_raises_avoid_row_errors_at_the_same_candidate(monkeypatch):
         assert np.array_equal(seen[-1], bad)
         counts.append(len(seen))
     assert counts[0] == counts[1]
+
+
+def test_held_candidates_skip_the_scalar_solver(monkeypatch):
+    # the scalar simplex sees only candidates with a negative avoid rhs;
+    # every other one goes through the batched kernel
+    scn = build_unicycle(n_obstacles=2)
+    search = SearchConfig(grid_points=3)
+    rhs, scalar, batched = [], [], []
+    held = 0
+    real_rows, real_lp, real_batch = continuous.avoid_rows, continuous.solve_lp, continuous.solve_lp_batch
+
+    def rows(*args):
+        A, b = real_rows(*args)
+        rhs.append(b)
+        return A, b
+
+    monkeypatch.setattr(continuous, "avoid_rows", rows)
+    monkeypatch.setattr(continuous, "solve_lp", lambda p: scalar.append(p) or real_lp(p))
+    monkeypatch.setattr(
+        continuous, "solve_lp_batch", lambda C, A, b: batched.append(len(C)) or real_batch(C, A, b)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 11, 30):
+            res = synthesize(scn, x, search=search)
+            assert len(rhs) == res.evaluations
+            on_the_spot = sum(1 for b in rhs if (b < 0).any())
+            assert len(scalar) == on_the_spot
+            if not res.in_gamma:
+                assert sum(batched) == res.evaluations - on_the_spot
+            held += sum(batched)
+            del rhs[:], scalar[:], batched[:]
+    assert held > 1000
+
+
+def test_scan_matches_reference_across_held_blocks(monkeypatch):
+    # five held candidates per block, so the 81-point grid spans many
+    # blocks with on-the-spot candidates between them
+    monkeypatch.setattr(continuous, "_HELD_BLOCK", 5)
+    scn = build_unicycle(n_obstacles=2)
+    search = SearchConfig(grid_points=3, refine_iterations=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 17, 12):
+            got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+            assert_same_result(got, want)
+
+
+def test_scan_matches_reference_on_a_grid_wider_than_a_block(monkeypatch):
+    # 5^4 = 625 candidates: full scans solve three blocks at the default size
+    scn = build_unicycle(n_obstacles=2)
+    search = SearchConfig(grid_points=5, refine_iterations=0)
+    assert 5 ** 4 > 2 * continuous._HELD_BLOCK
+    full_scans = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 19, 8):
+            got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+            assert_same_result(got, want)
+            full_scans += not want.in_gamma
+    assert full_scans
+
+
+def _raise_lookup_error():
+    raise LookupError("reach callback failed")
+
+
+@pytest.mark.parametrize(
+    "make_error,error,needle",
+    [
+        (_raise_lookup_error, LookupError, "reach callback failed"),
+        (lambda: np.array([1.5e308, 1.5e308, 0.0]), ValueError, "objective contains non-finite"),
+    ],
+    ids=["callback", "non-finite-objective"],
+)
+def test_scan_raises_reach_errors_at_the_same_candidate(monkeypatch, make_error, error, needle):
+    # no grid point comes within an obstacle radius of the state, so no
+    # test is in Γ and every candidate is held until the scan ends
+    bad = np.array([0.25, -0.5])
+    base = build_unicycle()
+    h = base.spec.reach
+    seen = []
+
+    def gradient(x, d):
+        seen.append(np.array(d))
+        return make_error() if np.array_equal(d, bad) else h.gradient(x, d)
+
+    scn = dataclasses.replace(
+        base, spec=dataclasses.replace(base.spec, reach=BarrierFunction(h.value, gradient))
+    )
+    x = np.array([0.125, 0.125, math.pi / 4])
+    search = SearchConfig(grid_points=9, refine_iterations=0)
+    counts = []
+    for scan in (continuous._synthesize_over, reference_synthesize_over):
+        del seen[:]
+        with monkeypatch.context() as m, np.errstate(over="ignore"):
+            m.setattr(continuous, "_synthesize_over", scan)
+            with pytest.raises(error, match=needle):
+                synthesize(scn, x, search=search)
+        assert np.array_equal(seen[-1], bad)
+        counts.append(len(seen))
+    assert counts[0] == counts[1]
+
+
+def test_unbounded_held_program_raises_before_a_later_reach_error(monkeypatch):
+    # an actuator polytope open towards -u: at x = (1, 1) every program is
+    # unbounded, which the first candidate reports before the failing one
+    scn = integrator_scenario()
+    object.__setattr__(scn, "input_polytope", Polytope(np.eye(2), np.ones(2)))
+    h = scn.spec.reach
+    bad = np.array([0.0, 0.0])
+
+    def gradient(x, d):
+        if np.array_equal(d, bad):
+            raise LookupError("reach callback failed")
+        return h.gradient(x, d)
+
+    spec = dataclasses.replace(scn.spec, reach=BarrierFunction(h.value, gradient))
+    object.__setattr__(scn, "spec", spec)
+    x = np.array([1.0, 1.0])
+    for scan in (continuous._synthesize_over, reference_synthesize_over):
+        with monkeypatch.context() as m:
+            m.setattr(continuous, "_synthesize_over", scan)
+            with pytest.raises(ScenarioError, match="unbounded"):
+                synthesize(scn, x, search=COARSE)
+
+
+def test_search_over_budget_raises_before_any_callback():
+    # four obstacles on the default 25-point grid: 25^8 candidate tests
+    base = build_unicycle(n_obstacles=4)
+    calls = []
+    h = base.spec.avoid[0]
+    avoid = (BarrierFunction(lambda x, d: calls.append(d) or h.value(x, d), h.gradient),)
+    scn = dataclasses.replace(base, spec=dataclasses.replace(
+        base.spec, avoid=avoid + base.spec.avoid[1:]))
+    with pytest.raises(BudgetError, match="scan 152587890625 candidate tests but the budget is 10000000"):
+        synthesize(scn, np.zeros(3))
+    assert not calls
+    assert synthesize(base, np.zeros(3), search=SearchConfig(grid_points=7, refine_iterations=0))
 
 
 def test_scan_returns_finite_points_themselves(unicycle):

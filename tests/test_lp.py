@@ -14,6 +14,7 @@ from advsynth import (
     phase_one_feasible,
     solve_lp,
 )
+from advsynth.lp import solve_lp_batch
 
 
 def brute_force_vertices(poly):
@@ -176,3 +177,74 @@ def test_emptiness_monotone_under_added_rows():
 def test_outcome_dataclass_defaults():
     out = LpOutcome(INFEASIBLE)
     assert out.value is None and out.point is None
+
+
+def random_batch(rng, n, r, K):
+    """K programs with right-hand sides >= 0, drawn to hit the kernel's
+    edge cases: zero and -0.0 right-hand sides, integer data whose ratio
+    tests tie, zero objectives, and few rows, so some are unbounded."""
+    A = rng.normal(size=(K, r, n)) * 10.0 ** rng.integers(-3, 4, size=(K, r, 1))
+    b = np.abs(rng.normal(size=(K, r))) * 10.0 ** rng.integers(-3, 2, size=(K, r))
+    C = rng.normal(size=(K, n))
+    if rng.random() < 0.3:
+        A, b, C = np.round(3 * A), np.round(2 * b), np.round(2 * C)
+    b[rng.random((K, r)) < 0.25] = 0.0
+    b[rng.random((K, r)) < 0.1] = -0.0
+    C[rng.random(K) < 0.1] = 0.0
+    return C, A, b
+
+
+def test_batch_matches_scalar_solve_per_program():
+    rng = np.random.default_rng(2026)
+    statuses = {OPTIMAL: 0, UNBOUNDED: 0}
+    programs = no_rows = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 4))
+        r = int(rng.integers(0, 9))
+        C, A, b = random_batch(rng, n, r, int(rng.integers(1, 9)))
+        if rng.random() < 0.5 and r:
+            # bounded programs: stack a box under the random rows
+            box = Polytope.box(-np.ones(n), np.ones(n))
+            A = np.concatenate([A, np.broadcast_to(box.A, (len(C),) + box.A.shape)], axis=1)
+            b = np.concatenate([b, np.broadcast_to(box.b, (len(C), box.rows))], axis=1)
+        got = solve_lp_batch(C, A, b)
+        assert len(got) == len(C)
+        for k, out in enumerate(got):
+            want = solve_lp(LpProblem(C[k], Polytope(A[k], b[k])))
+            assert out.status == want.status
+            statuses[out.status] += 1
+            programs += 1
+            no_rows += A.shape[1] == 0
+            if want.status == OPTIMAL:
+                assert np.array_equal(out.point, want.point)
+                assert np.array_equal(np.signbit(out.point), np.signbit(want.point))
+                assert type(out.value) is float and out.value == want.value
+                assert np.signbit(out.value) == np.signbit(want.value)
+            else:
+                assert out.value is None and out.point is None
+    assert programs >= 1000
+    assert statuses[OPTIMAL] >= 500 and statuses[UNBOUNDED] >= 50 and no_rows >= 50
+
+
+def test_batch_gets_the_scalar_pivots_on_ties():
+    # a square box with a face-parallel objective: the ratio test ties and
+    # the lowest basic index must win, as in solve_lp
+    box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+    C = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [0.0, 0.0]])
+    got = solve_lp_batch(C, np.broadcast_to(box.A, (4, 4, 2)), np.broadcast_to(box.b, (4, 4)))
+    for c, out in zip(C, got):
+        want = solve_lp(LpProblem(c, box))
+        assert out.status == want.status == OPTIMAL
+        assert np.array_equal(out.point, want.point) and out.value == want.value
+    # ratios 1 + 5e-13 and 1 count as tied, so the first row's slack leaves
+    near = Polytope(np.array([[1.0], [1.0], [-1.0]]), np.array([1.0 + 5e-13, 1.0, 1.0]))
+    (out,) = solve_lp_batch(np.ones((1, 1)), near.A[None], near.b[None])
+    want = solve_lp(LpProblem(np.ones(1), near))
+    assert out.point[0] == want.point[0] == 1.0 + 5e-13
+
+
+def test_batch_rejects_negative_right_hand_sides():
+    box = Polytope.box([-1.0], [1.0])
+    b = np.array([[1.0, 1.0], [1.0, -0.5]])
+    with pytest.raises(ValueError, match=">= 0"):
+        solve_lp_batch(np.ones((2, 1)), np.broadcast_to(box.A, (2, 2, 1)), b)
