@@ -30,14 +30,11 @@ from .lp import (
     LpProblem,
     blocks_all_inputs,
     phase_one_feasible,
-    polytope_vertices,
     solve_lp,
 )
 from .continuous import (
     ContinuousScenario,
-    SatisfactionFloor,
     SearchConfig,
-    compute_floor,
     difficulty,
     synthesize,
     synthesize_constrained,

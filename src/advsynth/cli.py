@@ -101,7 +101,6 @@ _KEYS = {
     "obstacle_count": (_parse_int, frozenset(("unicycle",))),
     "kappa": (_parse_float, _CONT),
     "m": (_parse_float, _ALL),
-    "tau": (_parse_float, frozenset(("unicycle",))),
     "t_max": (_parse_float, _CONT),
     "horizon_n": (_parse_int, frozenset(("gridworld",))),
     "check_path": (_parse_bool, frozenset(("gridworld",))),
@@ -125,7 +124,6 @@ class RunConfig:
     obstacle_count: int = 1
     kappa: float = 10.0
     m: Optional[float] = None
-    tau: float = 0.0
     t_max: float = math.inf
     horizon_n: int = 1
     check_path: bool = False
@@ -205,9 +203,9 @@ def _rejected(what: str):
 
 # config keys each scenario builder reads
 _BUILDER_KEYS = {
-    "unicycle": ("goal", "obstacle_count", "kappa", "m", "t_max", "tau"),
+    "unicycle": ("goal", "obstacle_count", "kappa", "m", "t_max"),
     "gridworld": ("goal", "m", "horizon_n"),
-    "quadgrid": ("kappa", "m"),
+    "quadgrid": ("kappa", "m", "t_max"),
 }
 
 
@@ -218,23 +216,20 @@ def make_scenario(cfg: RunConfig):
 
 
 def _build_scenario(cfg: RunConfig):
+    # an unset 'm' leaves the builder's pinned floor
+    floor = {} if cfg.m is None else {"floor": cfg.m}
     if cfg.scenario == "unicycle":
         return build_unicycle(
             goal=cfg.goal if cfg.goal is not None else (0.5, 0.5),
             n_obstacles=cfg.obstacle_count,
             kappa=cfg.kappa,
-            floor=cfg.m if cfg.m is not None else -5.0,
             t_max=cfg.t_max,
-            tau=cfg.tau,
+            **floor,
         )
     if cfg.scenario == "gridworld":
         goal = _grid_cells(cfg.goal if cfg.goal is not None else (7, 9), "goal")
-        return build_gridworld(
-            goal,
-            floor=cfg.m if cfg.m is not None else -15.0,
-            horizon=cfg.horizon_n,
-        )
-    return build_quadgrid(kappa=cfg.kappa, floor=cfg.m if cfg.m is not None else -8.0)
+        return build_gridworld(goal, horizon=cfg.horizon_n, **floor)
+    return build_quadgrid(kappa=cfg.kappa, t_max=cfg.t_max, **floor)
 
 
 def _search(cfg: RunConfig) -> SearchConfig:
@@ -551,6 +546,7 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
         raise ConfigError("--horizon must be finite and nonnegative")
     with _rejected("'dt' / 'synth_period'"):
         simulation_steps(cfg.dt, cfg.synth_period, horizon)
+    search = _search(cfg)
 
     t0 = time.perf_counter()
     try:
@@ -562,9 +558,10 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
             dt=cfg.dt,
             horizon=horizon,
             obstacle_speed=cfg.obstacle_speed,
+            search=search,
         )
     except BudgetError as exc:
-        raise ConfigError(f"bad value for the test dimension: {exc}") from exc
+        raise ConfigError(f"bad value for the search settings: {exc}") from exc
     elapsed = time.perf_counter() - t0
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .core import (
     avoid_rows,
     feasible_input_polytope,
     lie_derivatives,
+    satisfaction_floor,
     stack_rows,
 )
 from .lp import (
@@ -44,7 +46,6 @@ from .lp import (
     UNBOUNDED,
     LpProblem,
     objective_vector,
-    polytope_vertices,
     solve_lp,
     solve_lp_batch,
 )
@@ -52,8 +53,6 @@ from .lp import (
 __all__ = [
     "SearchConfig",
     "ContinuousScenario",
-    "SatisfactionFloor",
-    "compute_floor",
     "difficulty",
     "synthesize",
     "synthesize_perturbed",
@@ -95,7 +94,9 @@ class ContinuousScenario:
 
     The state box and test space must be compact and the input polytope
     bounded (checked at construction with one LP per axis direction), which
-    is what guarantees the synthesizer always returns a test.
+    is what guarantees the synthesizer always returns a test.  ``floor`` is
+    the satisfaction floor, the difficulty of a test that admits no safe
+    input; synthesis needs it unless the call passes one.
     """
 
     dynamics: ContinuousDynamics
@@ -127,30 +128,6 @@ class ContinuousScenario:
                     )
 
 
-@dataclass(frozen=True)
-class SatisfactionFloor:
-    """Lower bound on the reach-barrier rate, used as the sentinel value for
-    tests that admit no safe input."""
-
-    value: float
-    provenance: str  # "user" or "grid-estimate"
-    resolution: Optional[tuple] = None
-    margin: float = 0.0
-    raw_min: Optional[float] = None
-
-
-def _per_dim(points, ndim: int, what: str) -> tuple:
-    if isinstance(points, int):
-        counts = (points,) * ndim
-    else:
-        counts = tuple(int(k) for k in points)
-        if len(counts) != ndim:
-            raise ValueError(f"{what} needs one entry per dimension ({ndim})")
-    if any(k < 1 for k in counts):
-        raise ValueError(f"{what} entries must be >= 1")
-    return counts
-
-
 def _axis(lo: float, hi: float, k: int) -> np.ndarray:
     if k == 1:
         return np.array([0.5 * (lo + hi)])
@@ -177,52 +154,6 @@ class _BoxGrid:
 
     def _point(self, idx) -> np.ndarray:
         return np.array([axis[j] for axis, j in zip(self.axes, idx)])
-
-
-def compute_floor(scn: ContinuousScenario, state_points=9, test_points=5) -> SatisfactionFloor:
-    """Satisfaction floor for the scenario.
-
-    A pinned scenario floor wins.  Otherwise the reach-barrier rate is
-    minimized over a deterministic grid of states and test vectors crossed
-    with the input polytope's vertices (exact in u by linearity), and the
-    result is lowered by a 10% absolute margin to absorb grid slack.
-    """
-    if scn.floor is not None:
-        return SatisfactionFloor(float(scn.floor), "user")
-
-    s_counts = _per_dim(state_points, scn.state_lower.size, "state grid")
-    verts = polytope_vertices(scn.input_polytope)
-    if verts.shape[0] == 0:
-        raise ValueError("input polytope has no vertices; cannot estimate a floor")
-
-    space = scn.test_space
-    fixed_tests = None
-    if isinstance(space, BoxSpace):
-        t_counts = _per_dim(test_points, space.dim, "test grid")
-        fixed_tests = list(_BoxGrid(space.lower, space.upper, t_counts))
-    elif isinstance(space, FiniteSpace):
-        t_counts = (len(space),)
-        fixed_tests = list(space.points)
-    else:
-        t_counts = None  # mapped: realized per state below
-
-    vmin = np.inf
-    for x in _BoxGrid(scn.state_lower, scn.state_upper, s_counts):
-        if fixed_tests is not None:
-            tests = fixed_tests
-        else:
-            realized = space.at(x, 0.0)
-            tests = (
-                list(realized.points)
-                if isinstance(realized, FiniteSpace)
-                else list(_BoxGrid(realized.lower, realized.upper,
-                                    _per_dim(test_points, realized.dim, "test grid")))
-            )
-        for d in tests:
-            drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d)
-            vmin = min(vmin, float(drift_rate + (verts @ input_row).min()))
-    value = vmin - 0.1 * abs(vmin)
-    return SatisfactionFloor(value, "grid-estimate", (s_counts, t_counts), 0.1, vmin)
 
 
 def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
@@ -342,12 +273,6 @@ def _scan(scn, x, candidates, floor, tau, evals):
     return SynthesisResult(best_d, best_val, False, best_u, evals + n)
 
 
-def _resolve_floor(scn: ContinuousScenario, floor) -> float:
-    if floor is not None:
-        return float(floor)
-    return compute_floor(scn).value
-
-
 def _refine(scn, x, space, start, floor, search, tau):
     lower, upper = space.lower, space.upper
     diam = float(np.linalg.norm(upper - lower))
@@ -383,8 +308,7 @@ def _synthesize_over(scn, x, space, floor, search, tau):
         candidates = space.points
         box = None
     elif isinstance(space, BoxSpace):
-        counts = _per_dim(search.grid_points, space.dim, "search grid")
-        candidates = _BoxGrid(space.lower, space.upper, counts)
+        candidates = _BoxGrid(space.lower, space.upper, (search.grid_points,) * space.dim)
         box = space
     else:
         raise ValueError("mapped test spaces need synthesize_constrained")
@@ -398,10 +322,15 @@ def _synthesize_over(scn, x, space, floor, search, tau):
     # the avoid sets move with d, so only the goal-side start condition is
     # meaningful to check; the probe uses the first candidate
     if float(scn.spec.reach.value(x, candidates[0])) >= 0.0:
+        # at the first frame outside this module: the caller of the public
+        # synthesizer, however many of them delegate on the way
+        frame, level = sys._getframe(), 1
+        while frame.f_globals is globals():
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "start state already satisfies the reach predicate; "
             "the synthesized test is uninteresting but still valid",
-            stacklevel=3,
+            stacklevel=level,
         )
     best = _scan(scn, x, candidates, floor, tau, 0)
     if best.in_gamma or box is None:
@@ -422,8 +351,8 @@ def synthesize(
     each compass round); the first one that blocks every safe input ends
     the search immediately (it is globally optimal, in the paper's set
     Γ).  Ties between equal difficulties keep the earliest candidate.  The
-    floor defaults to the scenario's pinned value, else a fresh grid
-    estimate.
+    floor defaults to the scenario's pinned value; with neither,
+    ``ValueError`` is raised before any callback runs.
 
     Each scan settles Γ before solving any LP it can postpone.  Phase-I
     adds no artificial variable for a polytope whose right-hand sides are
@@ -444,11 +373,9 @@ def synthesize(
     a later candidate is in Γ, and an error they raise surfaces after every
     candidate's avoid rows were built.
     """
-    x = as_vector(x, "state")
-    space = scn.test_space
-    if isinstance(space, MappedSpace):
+    if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_constrained")
-    return _synthesize_over(scn, x, space, _resolve_floor(scn, floor), search, tau)
+    return synthesize_constrained(scn, x, 0.0, floor, search, tau)
 
 
 # Synthesis against test-perturbed dynamics is the same search: dynamics
@@ -471,7 +398,8 @@ def synthesize_constrained(
     is always a member of the realized set.
     """
     x = as_vector(x, "state")
+    fl = satisfaction_floor(scn, floor)
     space = scn.test_space
     if isinstance(space, MappedSpace):
         space = space.at(x, t)
-    return _synthesize_over(scn, x, space, _resolve_floor(scn, floor), search, tau)
+    return _synthesize_over(scn, x, space, fl, search, tau)

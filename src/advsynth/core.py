@@ -36,6 +36,7 @@ __all__ = [
     "SynthesisResult",
     "MonitorResult",
     "as_vector",
+    "satisfaction_floor",
     "lie_derivatives",
     "feasibility_filter",
     "avoid_rows",
@@ -208,19 +209,17 @@ class DiscreteDynamics:
 
 @dataclass(frozen=True)
 class ReachAvoidSpec:
-    """Reach the goal barrier's zero-superlevel set by the deadline while
-    every avoid barrier stays nonnegative.
+    """Reach the goal barrier's zero-superlevel set by the deadline
+    ``t_max`` while every avoid barrier stays nonnegative.
 
-    ``margin`` is the progress margin on the reach rate; it only feeds
-    monitoring diagnostics, never the synthesizers (a constant shift of the
-    inner objective cannot move any minimizer).
+    The synthesizers read the barriers and gains; only
+    :func:`monitor_trajectory` reads the deadline.
     """
 
     reach: BarrierFunction
     avoid: tuple
     gains: tuple
     t_max: float = math.inf
-    margin: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "avoid", tuple(self.avoid))
@@ -229,8 +228,6 @@ class ReachAvoidSpec:
             raise ValueError("need one gain per avoid barrier")
         if not self.t_max > 0:
             raise ValueError("deadline must be positive")
-        if self.margin < 0:
-            raise ValueError("progress margin must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,9 +248,6 @@ class BoxSpace:
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
 
     def contains(self, d, tol: float = 1e-9) -> bool:
         d = np.asarray(d, dtype=float)
@@ -322,6 +316,17 @@ class SynthesisResult:
     inner_maximizer: Optional[object]
     evaluations: int
     early_exit: bool = False
+
+
+def satisfaction_floor(scn, floor: Optional[float] = None) -> float:
+    """The satisfaction floor of a synthesis call: the explicit ``floor``,
+    else the one pinned on the scenario.  The floor is a modelling input,
+    so with neither there is none to guess."""
+    if floor is None:
+        floor = scn.floor
+    if floor is None:
+        raise ValueError("no satisfaction floor: pass one or pin it on the scenario")
+    return float(floor)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .core import (
     MappedSpace,
     ReachAvoidSpec,
     SynthesisResult,
+    satisfaction_floor,
 )
 
 __all__ = [
@@ -127,37 +128,6 @@ def predictive_difficulty(
     return best_val, best
 
 
-def _minimize_over_points(scn, x, points, floor, n_steps, check_path, budget):
-    """Scan the tests in order for the least N-step difficulty.  The first
-    test with no safe sequence ends the scan (flagged via ``early_exit``);
-    ties keep the earliest minimizer."""
-    n = scn.horizon if n_steps is None else int(n_steps)
-    if n < 1:
-        raise ValueError("prediction horizon must be >= 1")
-    if floor is None:
-        floor = scn.floor
-    if floor is None:
-        raise ValueError("no satisfaction floor: pass one or pin it on the scenario")
-    fl = float(floor)
-    cost = len(scn.dynamics.alphabet) ** n * len(points)
-    if cost > budget:
-        raise BudgetError(
-            f"enumeration needs {cost} sequence evaluations but the budget is "
-            f"{budget}; raise the budget or shrink the horizon"
-        )
-    evals = 0
-    best_d = best_seq = None
-    best_val = float("inf")
-    for d in points:
-        val, seq = predictive_difficulty(scn, x, d, fl, n, check_path)
-        evals += 1
-        if seq is None:
-            return SynthesisResult(d, fl, True, None, evals, True)
-        if val < best_val:
-            best_val, best_d, best_seq = val, d, seq
-    return SynthesisResult(best_d, best_val, False, best_seq, evals)
-
-
 def synthesize_discrete(
     scn: DiscreteScenario,
     x,
@@ -175,7 +145,7 @@ def synthesize_discrete(
     :class:`BudgetError` before any is made."""
     if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_discrete_constrained")
-    return _minimize_over_points(scn, x, scn.test_space.points, floor, n_steps, check_path, budget)
+    return synthesize_discrete_constrained(scn, x, 0.0, floor, n_steps, check_path, budget)
 
 
 # the paper's name for the N-step synthesizer
@@ -192,10 +162,34 @@ def synthesize_discrete_constrained(
     budget: int = DEFAULT_BUDGET,
 ) -> SynthesisResult:
     """:func:`synthesize_discrete` over the admissible test set realized at
-    (x, t); the result is always drawn from that set."""
+    (x, t); the result is always drawn from that set.
+
+    The tests are scanned in order for the least N-step difficulty.  The
+    first test with no safe sequence ends the scan (flagged via
+    ``early_exit``); ties keep the earliest minimizer."""
     space = scn.test_space
     if isinstance(space, MappedSpace):
         space = space.at(x, t)
     if not isinstance(space, FiniteSpace):
         raise ValueError("discrete synthesis needs a finite realized test set")
-    return _minimize_over_points(scn, x, space.points, floor, n_steps, check_path, budget)
+    n = scn.horizon if n_steps is None else int(n_steps)
+    if n < 1:
+        raise ValueError("prediction horizon must be >= 1")
+    fl = satisfaction_floor(scn, floor)
+    cost = len(scn.dynamics.alphabet) ** n * len(space)
+    if cost > budget:
+        raise BudgetError(
+            f"enumeration needs {cost} sequence evaluations but the budget is "
+            f"{budget}; raise the budget or shrink the horizon"
+        )
+    evals = 0
+    best_d = best_seq = None
+    best_val = float("inf")
+    for d in space.points:
+        val, seq = predictive_difficulty(scn, x, d, fl, n, check_path)
+        evals += 1
+        if seq is None:
+            return SynthesisResult(d, fl, True, None, evals, True)
+        if val < best_val:
+            best_val, best_d, best_seq = val, d, seq
+    return SynthesisResult(best_d, best_val, False, best_seq, evals)

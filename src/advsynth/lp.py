@@ -29,7 +29,6 @@ LP, since a stack of one still pays the per-step bookkeeping of the stack.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,7 +48,6 @@ __all__ = [
     "objective_vector",
     "phase_one_feasible",
     "blocks_all_inputs",
-    "polytope_vertices",
 ]
 
 INFEASIBILITY_TOL = 1e-7  # Phase-I objective above this means "no point exists"
@@ -311,26 +309,3 @@ def blocks_all_inputs(feasible_inputs: Polytope) -> bool:
     maximally difficult by construction."""
     return not phase_one_feasible(feasible_inputs)
 
-
-def polytope_vertices(poly: Polytope) -> np.ndarray:
-    """All vertices of a bounded polytope by active-set enumeration.
-
-    Intended for tiny instances (dimension <= 6, tens of rows): every
-    dim-subset of rows is solved as an equality system and kept when it
-    lands inside the polytope.  Deterministic order; duplicates merged.
-    """
-    m = poly.dim
-    verts = []
-    for rows_idx in itertools.combinations(range(poly.rows), m):
-        sub = poly.A[list(rows_idx)]
-        try:
-            v = np.linalg.solve(sub, poly.b[list(rows_idx)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(v)):
-            continue
-        if poly.contains(v, 1e-9) and not any(np.allclose(v, w, atol=1e-9) for w in verts):
-            verts.append(v)
-    if not verts:
-        return np.zeros((0, m))
-    return np.array(verts)

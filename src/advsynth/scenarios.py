@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .continuous import ContinuousScenario, synthesize_constrained
+from .continuous import ContinuousScenario, SearchConfig, synthesize_constrained
 from .core import (
     BarrierFunction,
     BoxSpace,
@@ -71,7 +71,6 @@ def build_unicycle(
     kappa: float = 10.0,
     floor: float = -5.0,
     t_max: float = math.inf,
-    tau: float = 0.0,
 ) -> ContinuousScenario:
     """Planar unicycle that must enter a 0.25-radius goal disc while staying
     0.175 away from each obstacle center.
@@ -110,7 +109,6 @@ def build_unicycle(
         avoid=avoid,
         gains=tuple(ClassKappaFn(kappa) for _ in range(n_obstacles)),
         t_max=t_max,
-        margin=tau,
     )
     dynamics = ContinuousDynamics(
         f=lambda x, d: np.zeros(3),
@@ -305,9 +303,12 @@ def unit_cell_corners(x) -> tuple:
     return tuple((float(a), float(b)) for a in xs for b in ys)
 
 
-def build_quadgrid(kappa: float = 10.0, floor: float = -8.0) -> ContinuousScenario:
-    """Planar single integrator heading for the goal at [3.5, 2.5] while two
-    obstacles, both 0.3-radius, sit at grid-cell corners around it.
+def build_quadgrid(
+    kappa: float = 10.0, floor: float = -8.0, t_max: float = math.inf
+) -> ContinuousScenario:
+    """Planar single integrator that must reach the goal at [3.5, 2.5] by
+    ``t_max`` while two obstacles, both 0.3-radius, sit at grid-cell
+    corners around it.
 
     Distance (not squared) barriers, so the reach gradient is a unit vector
     everywhere off the goal center and the floor -8 safely under-runs every
@@ -343,7 +344,7 @@ def build_quadgrid(kappa: float = 10.0, floor: float = -8.0) -> ContinuousScenar
         reach=reach,
         avoid=(_avoid(0), _avoid(1)),
         gains=(ClassKappaFn(kappa), ClassKappaFn(kappa)),
-        t_max=math.inf,
+        t_max=t_max,
     )
     dynamics = ContinuousDynamics(f=lambda x, d: np.zeros(2), g=lambda x, d: np.eye(2))
 
@@ -454,26 +455,25 @@ def simulate_adversarial(
     dt: float = 0.01,
     horizon: float = 10.0,
     obstacle_speed: float = 1.0,
-    initial_obstacles=None,
+    search: SearchConfig = SearchConfig(),
 ) -> SimulationLog:
     """Forward-Euler closed loop between the controller and the adversary.
 
     The adversary re-commands obstacle targets at t = 0 and then every
-    ``synth_period``, by :func:`synthesize_constrained` over the test set
-    admissible at (x, t); obstacles pursue their targets at ``obstacle_speed``;
-    the controller reacts to the obstacles' actual positions every ``dt``.
-    The run aborts (returning the partial log with ``aborted=True``) if the
-    state goes non-finite.
+    ``synth_period``, by :func:`synthesize_constrained` with ``search`` over
+    the test set admissible at (x, t); the obstacles start on the first
+    command and pursue their targets at ``obstacle_speed``; the controller
+    reacts to the obstacles' actual positions every ``dt``.  The run aborts
+    (returning the partial log with ``aborted=True``) if the state goes
+    non-finite.
     """
     n_steps = simulation_steps(dt, synth_period, horizon)
     x = as_vector(x0, "initial state").copy()
 
-    result = synthesize_constrained(scn, x, 0.0)
+    result = synthesize_constrained(scn, x, 0.0, search=search)
     cmd = np.asarray(result.d_star, dtype=float)
     commands = [(0.0, x.copy(), cmd.copy())]
-    obstacles = (
-        cmd.copy() if initial_obstacles is None else as_vector(initial_obstacles, "obstacles").copy()
-    )
+    obstacles = cmd.copy()
 
     times = [0.0]
     states = [x.copy()]
@@ -485,7 +485,7 @@ def simulate_adversarial(
     for k in range(n_steps):
         t = k * dt
         if k > 0 and t >= next_synth - 1e-9:
-            result = synthesize_constrained(scn, x, t)
+            result = synthesize_constrained(scn, x, t, search=search)
             cmd = np.asarray(result.d_star, dtype=float)
             commands.append((t, x.copy(), cmd.copy()))
             next_synth += synth_period

@@ -93,13 +93,13 @@ def reference_synthesize_over(scn, x, space, floor, search, tau):
     first candidate in Γ, the earliest minimum kept, then compass
     refinement.  Drop-in for ``advsynth.continuous._synthesize_over``; the
     start-state warning is left out."""
-    from advsynth.continuous import BoxSpace, FiniteSpace, SynthesisResult, _per_dim, difficulty
+    from advsynth.continuous import BoxSpace, FiniteSpace, SynthesisResult, difficulty
 
     if isinstance(space, FiniteSpace):
         candidates = list(space.points)
         box = None
     elif isinstance(space, BoxSpace):
-        counts = _per_dim(search.grid_points, space.dim, "search grid")
+        counts = (search.grid_points,) * space.dim
         candidates = _reference_grid(space.lower, space.upper, counts)
         box = space
     else:

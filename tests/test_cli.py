@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import subprocess
@@ -101,6 +102,7 @@ def test_synth_writes_artifact(tmp_path, capsys):
         ("scenario = unicycle\nstep_tolerance = inf\n", "step_tolerance"),
         ("scenario = unicycle\nstep_tolerance = -1e-4\n", "step_tolerance"),
         ("scenario = unicycle\nseed = -3\n", "seed"),
+        ("scenario = unicycle\ntau = 0.7\n", "tau"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, bad, needle):
@@ -523,6 +525,54 @@ def test_simulate_zero_horizon_single_row(tmp_path, capsys):
     lines = (out_dir / "trajectory.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header + one sample
     assert json.loads(out)["samples"] == 1
+
+
+def first_command(out_dir):
+    """The test vector commanded at t = 0, from ``trajectory.csv``."""
+    with open(out_dir / "trajectory.csv", newline="") as f:
+        row = next(csv.DictReader(f))
+    return [float(v) for k, v in row.items() if k.startswith("cmd")]
+
+
+def test_simulate_follows_the_configured_search(tmp_path, capsys):
+    state = "--state=-0.5,-0.5,0"
+    coarse = write_config(tmp_path, UNICYCLE_CFG + "grid_points = 3\nrefine_iterations = 0\n")
+    rc, out, _ = run_cli(capsys, ["synth", "--config", coarse, state])
+    assert rc == 0
+    d_star = json.loads(out)["d_star"]
+    commands = []
+    for cfg, name in ((coarse, "coarse"), (write_config(tmp_path, UNICYCLE_CFG, "default.cfg"), "default")):
+        rc, _, _ = run_cli(capsys, ["simulate", "--config", cfg, state, "--horizon", "0",
+                                    "--out", str(tmp_path / name)])
+        assert rc == 0
+        commands.append(first_command(tmp_path / name))
+    assert commands[0] == d_star
+    assert commands[1] != d_star
+
+
+def test_simulate_rejects_bad_search_settings(tmp_path, capsys):
+    cfg = write_config(tmp_path, UNICYCLE_CFG + "grid_points = 0\n")
+    _, _, synth_err = run_cli(capsys, ["synth", "--config", cfg, "--state=0,0,0"])
+    out_dir = tmp_path / "sim"
+    rc, out, err = run_cli(capsys, ["simulate", "--config", cfg, "--horizon", "1", "--out", str(out_dir)])
+    assert rc == 2
+    assert "grid_points must be an integer >= 1" in err
+    assert err == synth_err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_simulate_quadgrid_meets_its_deadline_or_fails(tmp_path, capsys):
+    verdicts = []
+    for t_max in ("", "t_max = 0.5\n"):
+        cfg = write_config(tmp_path, "scenario = quadgrid\nx0 = 0.3, 1.7\n" + t_max)
+        rc, out, _ = run_cli(capsys, ["simulate", "--config", cfg, "--horizon", "15",
+                                      "--out", str(tmp_path / "sim")])
+        assert rc == 0
+        verdicts.append(json.loads(out))
+    # the goal is reached at 0.59 s: in time without a deadline, late for 0.5 s
+    assert (verdicts[0]["satisfied"], verdicts[0]["reach_time"]) == (True, 0.59)
+    assert (verdicts[1]["satisfied"], verdicts[1]["reach_time"]) == (False, None)
 
 
 def test_simulate_rejects_gridworld(tmp_path, capsys):

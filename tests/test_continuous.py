@@ -19,12 +19,14 @@ from advsynth import (
     ScenarioError,
     SearchConfig,
     build_unicycle,
-    compute_floor,
     difficulty,
     synthesize,
     synthesize_constrained,
+    synthesize_discrete,
+    synthesize_discrete_constrained,
     synthesize_perturbed,
 )
+from advsynth.core import satisfaction_floor
 from advsynth import continuous
 from conftest import reference_synthesize_over
 
@@ -56,40 +58,57 @@ def integrator_scenario(coupling=None, actuation=None, test_dim=2):
 
 
 # ---------------------------------------------------------------------------
-# floor estimation
+# satisfaction floor
+
+BLOCKED = np.array([-0.5, 0.5, np.pi / 4])  # the unicycle has no safe input here
+
+
+def counting(h, calls):
+    """``h`` with each value and gradient call recorded in ``calls``."""
+    grad = h.gradient and (lambda x, d: calls.append(d) or h.gradient(x, d))
+    return BarrierFunction(lambda x, d: calls.append(d) or h.value(x, d), grad)
+
+
+def unpinned(scn, calls):
+    """``scn`` with no pinned floor and barriers that count their calls."""
+    spec = dataclasses.replace(
+        scn.spec,
+        reach=counting(scn.spec.reach, calls),
+        avoid=tuple(counting(h, calls) for h in scn.spec.avoid),
+    )
+    return dataclasses.replace(scn, spec=spec, floor=None)
+
 
 def test_floor_pinned_value_wins(unicycle):
-    fl = compute_floor(unicycle)
-    assert fl.value == -5.0
-    assert fl.provenance == "user"
+    assert satisfaction_floor(unicycle) == -5.0
+    assert synthesize(unicycle, BLOCKED).difficulty == -5.0
+    # an explicit floor overrides the pinned one
+    assert satisfaction_floor(unicycle, -9) == -9.0
+    res = synthesize(unicycle, BLOCKED, floor=-9.0)
+    assert res.in_gamma and res.difficulty == -9.0
 
 
-def test_floor_constant_reach_is_zero(unicycle):
-    flat = BarrierFunction(value=lambda x, d: 1.0, gradient=lambda x, d: np.zeros(3))
-    scn = dataclasses.replace(
-        unicycle,
-        spec=dataclasses.replace(unicycle.spec, reach=flat),
-        floor=None,
-    )
-    fl = compute_floor(scn, state_points=3, test_points=3)
-    assert fl.raw_min == 0.0
-    assert fl.value == 0.0
-
-
-def test_floor_grid_estimate_bracket(unicycle):
-    scn = dataclasses.replace(unicycle, floor=None)
-    fl = compute_floor(scn, state_points=(9, 9, 8), test_points=5)
-    assert fl.provenance == "grid-estimate"
-    # the rate is bounded by 2 * diam * u_max ~ 1.13, so the padded estimate
-    # stays well inside [-5, 0]
-    assert -5.0 <= fl.value <= 0.0
-    assert fl.raw_min <= 0.0
-
-
-def test_floor_rejects_empty_grid(unicycle):
-    scn = dataclasses.replace(unicycle, floor=None)
-    with pytest.raises(ValueError):
-        compute_floor(scn, state_points=0)
+@pytest.mark.parametrize("family", ["continuous", "discrete"])
+def test_missing_floor_raises_before_any_callback(unicycle, gridworld79, family):
+    calls = []
+    if family == "continuous":
+        scn, x = unpinned(unicycle, calls), BLOCKED
+        entries = [synthesize, lambda scn, x, **kw: synthesize_constrained(scn, x, 0.0, **kw)]
+    else:
+        scn, x = unpinned(gridworld79, calls), (3, 5)
+        entries = [synthesize_discrete,
+                   lambda scn, x, **kw: synthesize_discrete_constrained(scn, x, 0.0, **kw)]
+    for entry in entries:
+        with pytest.raises(ValueError, match="^no satisfaction floor: pass one or pin it on the scenario$"):
+            entry(scn, x)
+        assert not calls
+    for entry in entries:
+        # an explicit floor is enough, and the barriers then run
+        res = entry(scn, x, floor=-9.0)
+        assert calls
+        pinned = entry(dataclasses.replace(scn, floor=-9.0), x)
+        assert (res.difficulty, res.in_gamma) == (pinned.difficulty, pinned.in_gamma)
+        assert res.difficulty == (-9.0 if family == "continuous" else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +182,13 @@ def test_synthesize_difficulty_recomputes(unicycle):
 
 
 def test_synthesize_warns_inside_goal(unicycle):
-    with pytest.warns(UserWarning):
-        synthesize(unicycle, np.array([0.5, 0.5, 0.0]), search=SearchConfig(grid_points=3, refine_iterations=0))
+    x, search = np.array([0.5, 0.5, 0.0]), SearchConfig(grid_points=3, refine_iterations=0)
+    # the warning names the caller's line, whichever entry point it used
+    for run in (lambda: synthesize(unicycle, x, search=search),
+                lambda: synthesize_constrained(unicycle, x, 0.0, search=search)):
+        with pytest.warns(UserWarning, match="already satisfies the reach predicate") as caught:
+            run()
+        assert [w.filename for w in caught] == [__file__]
 
 
 def test_synthesize_existence_sweep(unicycle):

@@ -212,5 +212,3 @@ def test_reach_avoid_spec_validation(unicycle):
         ReachAvoidSpec(reach=unicycle.spec.reach, avoid=unicycle.spec.avoid, gains=())
     with pytest.raises(ValueError):
         ReachAvoidSpec(reach=unicycle.spec.reach, avoid=(), gains=(), t_max=0.0)
-    with pytest.raises(ValueError):
-        ReachAvoidSpec(reach=unicycle.spec.reach, avoid=(), gains=(), margin=-1.0)
