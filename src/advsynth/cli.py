@@ -544,22 +544,26 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
         x0 = np.array(_DEFAULT_X0[cfg.scenario])
     if not (horizon >= 0 and math.isfinite(horizon)):
         raise ConfigError("--horizon must be finite and nonnegative")
-    with _rejected("'dt' / 'synth_period'"):
-        simulation_steps(cfg.dt, cfg.synth_period, horizon)
+    with _rejected("'dt' / 'synth_period' / 'obstacle_speed'"):
+        simulation_steps(cfg.dt, cfg.synth_period, horizon, cfg.obstacle_speed)
     search = _search(cfg)
 
     t0 = time.perf_counter()
     try:
-        log = simulate_adversarial(
-            scn,
-            x0,
-            greedy_safe_controller,
-            synth_period=cfg.synth_period,
-            dt=cfg.dt,
-            horizon=horizon,
-            obstacle_speed=cfg.obstacle_speed,
-            search=search,
-        )
+        with warnings.catch_warnings():
+            # once the loop reaches the goal, every later adversary solve
+            # starts inside it; that is expected in a closed loop
+            warnings.simplefilter("ignore")
+            log = simulate_adversarial(
+                scn,
+                x0,
+                greedy_safe_controller,
+                synth_period=cfg.synth_period,
+                dt=cfg.dt,
+                horizon=horizon,
+                obstacle_speed=cfg.obstacle_speed,
+                search=search,
+            )
     except BudgetError as exc:
         raise ConfigError(f"bad value for the search settings: {exc}") from exc
     elapsed = time.perf_counter() - t0

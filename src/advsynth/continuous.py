@@ -27,6 +27,7 @@ from .core import (
     BudgetError,
     ContinuousDynamics,
     FiniteSpace,
+    LieCache,
     MappedSpace,
     Polytope,
     ReachAvoidSpec,
@@ -170,10 +171,14 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     return _best_rate(scn, x, d, poly, floor, tau)
 
 
-def _best_rate(scn, x, d, poly, floor, tau):
+def _best_rate(scn, x, d, poly, floor, tau, cache=None):
     """The inner maximization of :func:`difficulty` over the safe-input
-    polytope ``poly`` already assembled at (x, d)."""
-    drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d)
+    polytope ``poly`` already assembled at (x, d), with the reach rate
+    from ``cache`` when one is given."""
+    if cache is None:
+        drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d)
+    else:
+        drift_rate, input_row = cache.reach(d)
     out = solve_lp(LpProblem(input_row, poly))
     if out.status == INFEASIBLE:
         return float(floor), None
@@ -182,15 +187,14 @@ def _best_rate(scn, x, d, poly, floor, tau):
     return drift_rate + out.value - tau, out.point
 
 
-def _solve_held(scn, x, candidates, held, held_A, held_b, tau):
+def _solve_held(candidates, held, held_A, held_b, tau, inputs, cache):
     """``(d, value, maximizer)`` of the held candidates ``held`` (indices in
     candidate order) from one :func:`solve_lp_batch` of their stored rows.
 
-    Their reach rates are taken one by one, in order.  When one raises, an
-    unbounded program ahead of it is reported first, as a one-by-one scan
-    would."""
-    inputs = scn.input_polytope
-    rates, rows = [], []
+    Their reach rates are taken one by one, in order, from ``cache``.
+    When one raises, an unbounded program ahead of it is reported first,
+    as a one-by-one scan would."""
+    ds, rates, rows = [], [], []
 
     def solve(k):
         if k == 0:
@@ -205,33 +209,35 @@ def _solve_held(scn, x, candidates, held, held_A, held_b, tau):
         return outs
 
     for i in held:
+        d = candidates[i]
         try:
-            rate, row = lie_derivatives(
-                scn.spec.reach, scn.dynamics, x, np.asarray(candidates[i], dtype=float)
-            )
+            rate, row = cache.reach(np.asarray(d, dtype=float))
             rows.append(objective_vector(row, inputs.dim))
         except Exception:
             solve(len(rates))
             raise
+        ds.append(d)
         rates.append(rate)
     outs = solve(len(held))
-    return [(candidates[i], rate + out.value - tau, out.point)
-            for i, rate, out in zip(held, rates, outs)]
+    return [(d, rate + out.value - tau, out.point) for d, rate, out in zip(ds, rates, outs)]
 
 
-def _scan(scn, x, candidates, floor, tau, evals):
+def _scan(scn, x, candidates, floor, tau, evals, cache):
     """Hardest of ``candidates`` (a sequence, walked once in order and then
     indexed), Γ first.
 
-    Each candidate's avoid rows are built and validated as it comes.  A
-    candidate with a negative right-hand side among its avoid and actuator
-    rows is evaluated on the spot, and the first one found in Γ is returned
-    with ``early_exit``.  The others cannot be in Γ (see :func:`synthesize`):
-    their rows are held, and after the scan their LPs are solved by
-    :func:`solve_lp_batch` in blocks of at most ``_HELD_BLOCK``
-    candidates, with the same bits as one :func:`solve_lp` each.  Every
-    value is folded in candidate order with the earliest minimum kept.
-    ``evals`` counts earlier candidates of the same search.
+    Each candidate's avoid rows are taken from ``cache``, the call's
+    :class:`core.LieCache`, and validated as it comes; a declared row is
+    built only the first time its coordinates occur, so the callbacks run
+    fewer times than candidates.  A candidate with a negative right-hand
+    side among its avoid and actuator rows is evaluated on the spot, and
+    the first one found in Γ is returned with ``early_exit``.  The others
+    cannot be in Γ (see :func:`synthesize`): their rows are held, and
+    after the scan their LPs are solved by :func:`solve_lp_batch` in
+    blocks of at most ``_HELD_BLOCK`` candidates, with the same bits as
+    one :func:`solve_lp` each.  Every value is folded in candidate order
+    with the earliest minimum kept.  ``evals`` counts earlier candidates
+    of the same search.
 
     Memory is the held rows plus one block of tableaux.  The held rows
     take ``8 * len(candidates) * barriers * (inputs + 1)`` bytes: about
@@ -240,7 +246,7 @@ def _scan(scn, x, candidates, floor, tau, evals):
     twice over (the tableaux and the running ones' working copy), where
     ``rows`` counts the avoid and actuator rows: about 0.3 MB for that
     grid.  Candidates are not copied; a held one is looked up again by its
-    index.
+    index.  The cache adds at most one entry per barrier and candidate.
     """
     spec, dyn, inputs = scn.spec, scn.dynamics, scn.input_polytope
     can_hold = not (inputs.b < 0).any()
@@ -250,12 +256,12 @@ def _scan(scn, x, candidates, floor, tau, evals):
     solved = {}
     for i, d in enumerate(candidates):
         dv = np.asarray(d, dtype=float)
-        A, b = avoid_rows(spec, dyn, x, dv, inputs.dim)
+        A, b = avoid_rows(spec, dyn, x, dv, inputs.dim, cache)
         if can_hold and not (b < 0).any():
             held_A[i] = A
             held_b[i] = b
             continue
-        val, u = _best_rate(scn, x, dv, stack_rows(A, b, inputs), floor, tau)
+        val, u = _best_rate(scn, x, dv, stack_rows(A, b, inputs), floor, tau, cache)
         if u is None:
             return SynthesisResult(d, float(floor), True, None, evals + i + 1, True)
         solved[i] = (d, val, u)
@@ -265,7 +271,7 @@ def _scan(scn, x, candidates, floor, tau, evals):
     for start in range(0, n, _HELD_BLOCK):
         block = range(start, min(start + _HELD_BLOCK, n))
         held = [i for i in block if i not in solved]
-        solved.update(zip(held, _solve_held(scn, x, candidates, held, held_A, held_b, tau)))
+        solved.update(zip(held, _solve_held(candidates, held, held_A, held_b, tau, inputs, cache)))
         for i in block:
             d, val, u = solved.pop(i)
             if val < best_val:
@@ -273,7 +279,7 @@ def _scan(scn, x, candidates, floor, tau, evals):
     return SynthesisResult(best_d, best_val, False, best_u, evals + n)
 
 
-def _refine(scn, x, space, start, floor, search, tau):
+def _refine(scn, x, space, start, floor, search, tau, cache):
     lower, upper = space.lower, space.upper
     diam = float(np.linalg.norm(upper - lower))
     span = upper - lower
@@ -292,7 +298,7 @@ def _refine(scn, x, space, start, floor, search, tau):
                 cand[i] = float(np.clip(cand[i] + sign * step[i], lower[i], upper[i]))
                 if cand[i] != d_cur[i]:
                     candidates.append(cand)
-        best = _scan(scn, x, candidates, floor, tau, evals)
+        best = _scan(scn, x, candidates, floor, tau, evals, cache)
         if best.in_gamma:
             return best
         evals = best.evaluations
@@ -307,9 +313,11 @@ def _synthesize_over(scn, x, space, floor, search, tau):
     if isinstance(space, FiniteSpace):
         candidates = space.points
         box = None
+        test_dim = np.asarray(candidates[0]).size
     elif isinstance(space, BoxSpace):
         candidates = _BoxGrid(space.lower, space.upper, (search.grid_points,) * space.dim)
         box = space
+        test_dim = space.dim
     else:
         raise ValueError("mapped test spaces need synthesize_constrained")
     # the grid is lazy, so nothing sized by the count exists yet
@@ -318,6 +326,8 @@ def _synthesize_over(scn, x, space, floor, search, tau):
             f"search would scan {len(candidates)} candidate tests but the budget is "
             f"{DEFAULT_BUDGET}; lower grid_points or the test dimension"
         )
+    # shared by the grid scan and every compass round, dropped on return
+    cache = LieCache(scn.spec, scn.dynamics, x, test_dim, scn.input_polytope.dim)
 
     # the avoid sets move with d, so only the goal-side start condition is
     # meaningful to check; the probe uses the first candidate
@@ -332,10 +342,10 @@ def _synthesize_over(scn, x, space, floor, search, tau):
             "the synthesized test is uninteresting but still valid",
             stacklevel=level,
         )
-    best = _scan(scn, x, candidates, floor, tau, 0)
+    best = _scan(scn, x, candidates, floor, tau, 0, cache)
     if best.in_gamma or box is None:
         return best
-    return _refine(scn, x, box, best, floor, search, tau)
+    return _refine(scn, x, box, best, floor, search, tau, cache)
 
 
 def synthesize(
@@ -372,6 +382,16 @@ def synthesize(
     postponed candidate run only after the scan, so they are skipped when
     a later candidate is in Γ, and an error they raise surfaces after every
     candidate's avoid rows were built.
+
+    Another, for scenarios that declare which test coordinates their
+    callbacks read (``reads`` on the barriers and the dynamics): each
+    declared avoid row and the reach rate are built once per distinct
+    value of those coordinates within the call, and f and g once when
+    they read none, so the callbacks run fewer times than candidates.
+    The kept pieces live until the call returns; :class:`core.LieCache`
+    states their memory bound.  Undeclared scenarios make every call.
+    A declaration out of range of the test dimension raises
+    ``ValueError`` before any callback runs.
     """
     if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_constrained")

@@ -91,6 +91,7 @@ def build_unicycle(
     reach = BarrierFunction(
         value=lambda x, d: goal_r2 - float((x[0] - g[0]) ** 2 + (x[1] - g[1]) ** 2),
         gradient=lambda x, d: np.array([-2.0 * (x[0] - g[0]), -2.0 * (x[1] - g[1]), 0.0]),
+        reads=(),
     )
 
     def _avoid(j: int) -> BarrierFunction:
@@ -101,6 +102,7 @@ def build_unicycle(
             gradient=lambda x, d, j=j: np.array(
                 [2.0 * (x[0] - d[2 * j]), 2.0 * (x[1] - d[2 * j + 1]), 0.0]
             ),
+            reads=(2 * j, 2 * j + 1),
         )
 
     avoid = tuple(_avoid(j) for j in range(n_obstacles))
@@ -115,6 +117,7 @@ def build_unicycle(
         g=lambda x, d: np.array(
             [[math.cos(x[2]), 0.0], [math.sin(x[2]), 0.0], [0.0, 1.0]]
         ),
+        reads=(),
     )
 
     def _wrap(x: np.ndarray) -> np.ndarray:
@@ -328,6 +331,7 @@ def build_quadgrid(
     reach = BarrierFunction(
         value=lambda x, d: radius - float(np.hypot(x[0] - g[0], x[1] - g[1])),
         gradient=lambda x, d: -_unit(np.array([x[0] - g[0], x[1] - g[1]])),
+        reads=(),
     )
 
     def _avoid(j: int) -> BarrierFunction:
@@ -338,6 +342,7 @@ def build_quadgrid(
             gradient=lambda x, d, j=j: _unit(
                 np.array([x[0] - d[2 * j], x[1] - d[2 * j + 1]])
             ),
+            reads=(2 * j, 2 * j + 1),
         )
 
     spec = ReachAvoidSpec(
@@ -346,7 +351,9 @@ def build_quadgrid(
         gains=(ClassKappaFn(kappa), ClassKappaFn(kappa)),
         t_max=t_max,
     )
-    dynamics = ContinuousDynamics(f=lambda x, d: np.zeros(2), g=lambda x, d: np.eye(2))
+    dynamics = ContinuousDynamics(
+        f=lambda x, d: np.zeros(2), g=lambda x, d: np.eye(2), reads=()
+    )
 
     def _corner_tests(x, t: float) -> FiniteSpace:
         corners = unit_cell_corners(x)
@@ -436,14 +443,19 @@ def _pursue(actual: np.ndarray, target: np.ndarray, max_step: float) -> np.ndarr
     return out
 
 
-def simulation_steps(dt: float, synth_period: float, horizon: float) -> int:
-    """Euler steps of a closed-loop run, after checking its timing."""
+def simulation_steps(
+    dt: float, synth_period: float, horizon: float, obstacle_speed: float = 1.0
+) -> int:
+    """Euler steps of a closed-loop run, after checking its timing and the
+    obstacles' pursuit speed."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be a positive finite number")
     if synth_period < dt:
         raise ValueError("synth_period must be at least dt")
     if not (horizon >= 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and nonnegative")
+    if not obstacle_speed >= 0:
+        raise ValueError("obstacle_speed must be a nonnegative number")
     return int(round(horizon / dt))
 
 
@@ -465,9 +477,10 @@ def simulate_adversarial(
     command and pursue their targets at ``obstacle_speed``; the controller
     reacts to the obstacles' actual positions every ``dt``.  The run aborts
     (returning the partial log with ``aborted=True``) if the state goes
-    non-finite.
+    non-finite.  A negative or NaN ``obstacle_speed`` raises ``ValueError``
+    before the first command.
     """
-    n_steps = simulation_steps(dt, synth_period, horizon)
+    n_steps = simulation_steps(dt, synth_period, horizon, obstacle_speed)
     x = as_vector(x0, "initial state").copy()
 
     result = synthesize_constrained(scn, x, 0.0, search=search)

@@ -1,0 +1,70 @@
+"""Pinned artifact bytes.
+
+Each case runs one CLI command in process and compares the sha256 of every
+artifact it writes to a pinned value.  The values were recorded by running
+these same commands on the code before declared test dependence (per-
+synthesis row reuse) was added, so a change that moves any bit of a
+``trials``, ``sweep`` or ``simulate`` artifact fails here.  An intended
+change of output bytes must re-pin the affected values and say why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from advsynth.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+
+# (id, arguments before --out, {artifact file name: sha256})
+CASES = [
+    (
+        "trials-unicycle-gamma",
+        ["trials", "--config", "bench/configs/unicycle-gamma.cfg", "--count", "20", "--seed", "7"],
+        {"trials.json": "5aeec4fcbbbe829f6577df4599af858fa17471c90aadfbc6fe8fd0dcbcf76249"},
+    ),
+    (
+        "trials-unicycle-refine",
+        ["trials", "--config", "bench/configs/unicycle-refine.cfg", "--count", "20", "--seed", "7"],
+        {"trials.json": "2fb2bd91162346af61b69ce8da1dff3c95b76768677011222cc1a072b5aec3f9"},
+    ),
+    (
+        "trials-gridworld-cold",
+        ["trials", "--config", "bench/configs/gridworld-cold.cfg", "--count", "20", "--seed", "7"],
+        {"trials.json": "c748b8015f468cd12428c9cb07e74f010e9a39debb538eb8756d0e9621268117"},
+    ),
+    (
+        "trials-quadgrid-loop",
+        ["trials", "--config", "bench/configs/quadgrid-loop.cfg", "--count", "10", "--seed", "7"],
+        {"trials.json": "ceb722834cc7d891e00b7c5484f2ed9f439fca807e52e72eba224132652904d8"},
+    ),
+    (
+        "simulate-quadgrid",
+        ["simulate", "--config", "configs/quadgrid.cfg", "--horizon", "2"],
+        {
+            "trajectory.csv": "a682751e5bd22593900ead2cb1525fafcb82f245a686c4892557dd917021853c",
+            "min_barrier.csv": "9752542b28aa548b8d54d5e37611cf4d2555fff7a7ed9dfa9df0bcd272e12ffa",
+            "monitor.json": "b01378f598c39fb80c06c4dd5faaa7e7c3ac7f3a041c290d71857d1095327ed8",
+        },
+    ),
+    (
+        "sweep-unicycle",
+        # two obstacles on a 3-point grid: the synthesis scans and refines
+        ["sweep", "--config", "bench/configs/unicycle-refine.cfg", "--state=0.2,0.6,2",
+         "--axes", "0:-1:1:5,1:-1:1:5"],
+        {"sweep.csv": "b6754289fd0406cea414b92402090e43d17a6ccb11e91be0cb6c3daf1f87900c", "sweep_overlay.json": "0406ca4fe9264338e7407df43f9cfa19a977aa5f5b807d9c0ecca04eabb3ff10"},
+    ),
+]
+
+
+def _digests(args, out_dir: Path, files) -> dict:
+    args = [str(REPO / a) if a.startswith(("bench/", "configs/")) else a for a in args]
+    assert main(args + ["--out", str(out_dir)]) == 0
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in files}
+
+
+@pytest.mark.parametrize("args,pinned", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_artifact_bytes_are_pinned(tmp_path, capsys, args, pinned):
+    assert _digests(args, tmp_path, pinned) == pinned
+    capsys.readouterr()

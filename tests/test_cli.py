@@ -205,7 +205,8 @@ def test_state_length_mismatch_exits_2(tmp_path, capsys, text, command, needle):
 
 @pytest.mark.parametrize(
     "extra,needle",
-    [("dt = 0\n", "dt"), ("synth_period = 0.001\n", "synth_period"), ("x0 = inf, 0\n", "x0")],
+    [("dt = 0\n", "dt"), ("synth_period = 0.001\n", "synth_period"), ("x0 = inf, 0\n", "x0"),
+     ("obstacle_speed = -1\n", "obstacle_speed")],
 )
 def test_simulate_bad_config_exits_2(tmp_path, capsys, extra, needle):
     cfg = write_config(tmp_path, "scenario = quadgrid\n" + extra)
@@ -573,6 +574,21 @@ def test_simulate_quadgrid_meets_its_deadline_or_fails(tmp_path, capsys):
     # the goal is reached at 0.59 s: in time without a deadline, late for 0.5 s
     assert (verdicts[0]["satisfied"], verdicts[0]["reach_time"]) == (True, 0.59)
     assert (verdicts[1]["satisfied"], verdicts[1]["reach_time"]) == (False, None)
+
+
+def test_simulate_prints_no_start_state_warning(tmp_path):
+    # the loop reaches the goal at 0.59 s, so every later adversary solve
+    # starts inside it
+    proc = subprocess.run(
+        [sys.executable, "-m", "advsynth", "simulate", "--config", str(REPO / "configs/quadgrid.cfg"),
+         "--state=0.3,1.7", "--horizon", "15", "--out", str(tmp_path / "sim")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["reach_time"] == 0.59
+    assert "UserWarning" not in proc.stderr
+    assert proc.stderr.startswith("simulate wall time: ")
 
 
 def test_simulate_rejects_gridworld(tmp_path, capsys):

@@ -27,7 +27,7 @@ from advsynth import (
     synthesize_perturbed,
 )
 from advsynth.core import satisfaction_floor
-from advsynth import continuous
+from advsynth import continuous, core
 from conftest import reference_synthesize_over
 
 COARSE = SearchConfig(grid_points=9, refine_iterations=10)
@@ -684,3 +684,149 @@ def test_box_grid_indexing_matches_iteration():
 def test_search_config_rejects_out_of_range_values(kwargs):
     with pytest.raises(ValueError):
         SearchConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# declared test dependence: rows built once per synthesis
+
+def recounted(scn, counts, undeclared=False):
+    """``scn`` with every barrier and dynamics callback counted in
+    ``counts`` under its name; ``undeclared`` also drops every ``reads``."""
+    strip = {"reads": None} if undeclared else {}
+
+    def wrap(fn, key):
+        def call(x, d):
+            counts[key] = counts.get(key, 0) + 1
+            return fn(x, d)
+        return call
+
+    def barrier(h, name):
+        return dataclasses.replace(h, value=wrap(h.value, name + ".value"),
+                                   gradient=wrap(h.gradient, name + ".gradient"), **strip)
+
+    spec = dataclasses.replace(
+        scn.spec,
+        reach=barrier(scn.spec.reach, "reach"),
+        avoid=tuple(barrier(h, "avoid") for h in scn.spec.avoid),
+    )
+    dyn = dataclasses.replace(
+        scn.dynamics, f=wrap(scn.dynamics.f, "f"), g=wrap(scn.dynamics.g, "g"), **strip
+    )
+    return dataclasses.replace(scn, spec=spec, dynamics=dyn)
+
+
+CALLBACKS = ("reach.value", "reach.gradient", "avoid.value", "avoid.gradient", "f", "g")
+
+# (evaluations, in_gamma, calls of each of CALLBACKS) of a 3-point, 40-round
+# synthesis at each of seeded_states(build_unicycle(n_obstacles=2), 11, 12),
+# recorded before any scenario declared what it reads
+UNDECLARED_CALLS = [(129, False, 1, 129, 258, 258, 387, 387)] + [
+    (91, True, 1, 90, 182, 182, 272, 272)] * 2 + [(129, False, 1, 129, 258, 258, 387, 387)] * 9
+
+
+def test_undeclared_scenarios_make_every_call():
+    counts = {}
+    scn = recounted(build_unicycle(n_obstacles=2), counts, undeclared=True)
+    got = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 11, 12):
+            counts.clear()
+            res = synthesize(scn, x, search=SearchConfig(grid_points=3))
+            got.append((res.evaluations, res.in_gamma) + tuple(counts[k] for k in CALLBACKS))
+    assert got == UNDECLARED_CALLS
+
+
+def lie_counted(monkeypatch):
+    """A list that gains one entry per call through ``core.lie_derivatives``."""
+    calls = []
+    real = core.lie_derivatives
+    monkeypatch.setattr(core, "lie_derivatives", lambda *a: calls.append(a[0]) or real(*a))
+    return calls
+
+
+def test_declared_rows_are_built_once_per_distinct_read(monkeypatch):
+    # at most of these states no grid test is in Γ, so the whole 3^4 grid is
+    # scanned: 9 distinct rows per obstacle and one reach rate, with f and g
+    # evaluated once
+    counts = {}
+    lie_calls = lie_counted(monkeypatch)
+    scn = recounted(build_unicycle(n_obstacles=2), counts)
+    search = SearchConfig(grid_points=3, refine_iterations=0)
+    full_scans = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 11, 12):
+            counts.clear()
+            del lie_calls[:]
+            res = synthesize(scn, x, search=search)
+            if not res.in_gamma:
+                full_scans += 1
+                assert res.evaluations == 81
+                assert len(lie_calls) == 2 * 9 + 1
+                assert counts["f"] == counts["g"] == counts["reach.gradient"] == 1
+                assert counts["avoid.value"] == counts["avoid.gradient"] == 2 * 9
+            got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+            assert_same_result(got, want)
+    assert full_scans >= 10
+
+
+@pytest.mark.parametrize("refine_iterations", [40, 0])
+def test_declared_unicycle_matches_reference(monkeypatch, refine_iterations):
+    # two obstacles on a 3-point grid, with and without compass rounds
+    scn = build_unicycle(n_obstacles=2)
+    search = SearchConfig(grid_points=3, refine_iterations=refine_iterations)
+    lie_calls = lie_counted(monkeypatch)
+    cached = evaluations = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 23, 20):
+            del lie_calls[:]
+            got = synthesize(scn, x, search=search)
+            cached += len(lie_calls)
+            evaluations += got.evaluations
+            _, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+            assert_same_result(got, want)
+    # a one-by-one scan builds two avoid rows per candidate
+    assert 4 * cached < 2 * evaluations
+
+
+def test_declared_quadgrid_matches_reference_on_corner_sets(quadgrid, monkeypatch):
+    lie_calls = lie_counted(monkeypatch)
+    states = seeded_states(quadgrid, 29, 40) + [np.array([1.0, 2.0]), np.array([2.5, 0.5])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in states:
+            del lie_calls[:]
+            got = synthesize_constrained(quadgrid, x, 0.0)
+            # each obstacle takes one of at most four corners
+            assert len(lie_calls) <= 2 * 4 + 1
+            _, want = both_scans(monkeypatch, lambda: synthesize_constrained(quadgrid, x, 0.0))
+            assert_same_result(got, want)
+
+
+def counted_reads(h, calls, reads):
+    return BarrierFunction(lambda x, d: calls.append(d) or h.value(x, d),
+                           lambda x, d: calls.append(d) or h.gradient(x, d), reads)
+
+
+@pytest.mark.parametrize("where", ["reach", "avoid", "dynamics"])
+def test_reads_beyond_the_test_dimension_raise_before_any_callback(unicycle, quadgrid, where):
+    for scn, x, dim in ((unicycle, np.array([0.9, 0.9, 0.0]), 2), (quadgrid, np.zeros(2), 4)):
+        calls = []
+        spec, base = scn.spec, scn.dynamics
+        reach = counted_reads(spec.reach, calls, (dim,) if where == "reach" else ())
+        avoid = tuple(counted_reads(h, calls, (dim - 1, dim + 3) if where == "avoid" else h.reads)
+                      for h in spec.avoid)
+        dyn = ContinuousDynamics(
+            lambda x, d: calls.append(d) or base.f(x, d),
+            lambda x, d: calls.append(d) or base.g(x, d),
+            reads=(0, dim) if where == "dynamics" else (),
+        )
+        bad = dataclasses.replace(
+            scn, spec=dataclasses.replace(spec, reach=reach, avoid=avoid), dynamics=dyn
+        )
+        with pytest.raises(ValueError, match=f"^reads index {dim + 3 * (where == 'avoid')} "
+                                             f"is out of range for test dimension {dim}$"):
+            synthesize_constrained(bad, x, 0.0)
+        assert not calls

@@ -207,6 +207,28 @@ def test_test_space_invariants():
         bad.at(np.zeros(2), 0.0)
 
 
+@pytest.mark.parametrize(
+    "reads",
+    [(-1,), (0, -2), (True,), (0, False), (1.0,), (np.float64(2.0),), ("0",), (1, 1), (0, 2, 0), 3],
+    ids=["negative", "negative-later", "true", "false", "float", "numpy-float", "string",
+         "repeated", "repeated-apart", "not-a-sequence"],
+)
+def test_reads_rejects_bad_declarations(reads):
+    with pytest.raises(ValueError, match="reads"):
+        BarrierFunction(lambda x, d: 0.0, reads=reads)
+    with pytest.raises(ValueError, match="reads"):
+        ContinuousDynamics(f=lambda x, d: np.zeros(2), g=lambda x, d: np.eye(2), reads=reads)
+
+
+def test_reads_keeps_integer_declarations():
+    h = BarrierFunction(lambda x, d: 0.0, reads=[np.int64(3), 0])
+    assert h.reads == (3, 0) and all(type(i) is int for i in h.reads)
+    assert BarrierFunction(lambda x, d: 0.0).reads is None
+    assert BarrierFunction(lambda x, d: 0.0, reads=()).reads == ()
+    dyn = ContinuousDynamics(f=lambda x, d: np.zeros(2), g=lambda x, d: np.eye(2))
+    assert dyn.reads is None
+
+
 def test_reach_avoid_spec_validation(unicycle):
     with pytest.raises(ValueError):
         ReachAvoidSpec(reach=unicycle.spec.reach, avoid=unicycle.spec.avoid, gains=())

@@ -452,6 +452,48 @@ def test_simulation_validates_arguments(quadgrid):
         )
 
 
+@pytest.mark.parametrize("speed", [-1.0, -1e-12, math.nan])
+def test_simulation_rejects_negative_or_nan_speed(quadgrid, speed):
+    with pytest.raises(ValueError, match="obstacle_speed"):
+        simulate_adversarial(quadgrid, np.array([0.3, 1.7]), greedy_safe_controller,
+                             synth_period=0.5, horizon=2.0, obstacle_speed=speed)
+
+
+# every shipped continuous scenario, with a box to draw its tests from
+DECLARED = {
+    "unicycle-1": (lambda: build_unicycle(n_obstacles=1), 2),
+    "unicycle-2": (lambda: build_unicycle(n_obstacles=2), 4),
+    "unicycle-3": (lambda: build_unicycle(n_obstacles=3), 6),
+    "quadgrid": (build_quadgrid, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(DECLARED))
+def test_declared_reads_cover_every_coordinate_read(name):
+    # a coordinate a callback's declaration leaves out may take any value,
+    # NaN included, without moving a bit of what the callback returns
+    build, dim = DECLARED[name]
+    scn = build()
+    dyn = scn.dynamics
+    assert dyn.C is None
+    callbacks = [(h.value, h.reads) for h in (scn.spec.reach,) + scn.spec.avoid]
+    callbacks += [(h.gradient, h.reads) for h in (scn.spec.reach,) + scn.spec.avoid]
+    callbacks += [(dyn.f, dyn.reads), (dyn.g, dyn.reads)]
+    assert all(reads is not None for _, reads in callbacks)
+    rng = np.random.default_rng(31)
+    lo, hi = np.minimum(scn.state_lower, -1.0), np.maximum(scn.state_upper, 1.0)
+    for _ in range(25):
+        x = rng.uniform(scn.state_lower, scn.state_upper)
+        d = rng.uniform(lo.min(), hi.max(), dim)
+        for fn, reads in callbacks:
+            want = np.asarray(fn(x, d), dtype=float).tobytes()
+            for i in set(range(dim)) - set(reads):
+                for v in (rng.uniform(lo.min(), hi.max()), x[0], math.nan):
+                    moved = d.copy()
+                    moved[i] = v
+                    assert np.asarray(fn(x, moved), dtype=float).tobytes() == want
+
+
 def test_gridworld_goal_leads_enumeration():
     scn = build_gridworld((4, 7))
     assert scn.test_space.points[0] == (4, 7)
