@@ -208,11 +208,14 @@ def _solve_held(candidates, held, held_A, held_b, tau, inputs, cache):
             raise ScenarioError(_UNBOUNDED)
         return outs
 
+    checked = None  # a kept reach row is one object, so it is checked once
     for i in held:
         d = candidates[i]
         try:
             rate, row = cache.reach(np.asarray(d, dtype=float))
-            rows.append(objective_vector(row, inputs.dim))
+            if row is not checked:
+                row = checked = objective_vector(row, inputs.dim)
+            rows.append(row)
         except Exception:
             solve(len(rates))
             raise
