@@ -57,6 +57,7 @@ from .scenarios import (
     build_quadgrid,
     build_unicycle,
     greedy_safe_controller,
+    grid_cell,
     grid_step,
     simulate_adversarial,
     solve_reward,

@@ -26,7 +26,7 @@ import numpy as np
 
 # ``synthesize`` stays bound here because bench/spans.py wraps it by name
 from .continuous import SearchConfig, difficulty, synthesize, synthesize_constrained
-from .core import DEFAULT_BUDGET, BoxSpace, BudgetError, MappedSpace, ScenarioError, as_vector
+from .core import BoxSpace, BudgetError, MappedSpace, ScenarioError, as_vector
 from .discrete import (
     DiscreteScenario,
     predictive_difficulty,
@@ -37,6 +37,7 @@ from .scenarios import (
     build_quadgrid,
     build_unicycle,
     greedy_safe_controller,
+    grid_cell,
     simulate_adversarial,
     simulation_steps,
 )
@@ -119,22 +120,26 @@ _KEYS = {
 
 @dataclass
 class RunConfig:
+    """A parsed config.  A key left unset stays None and is not passed on,
+    so the library's default applies; only ``check_path``, ``seed``,
+    ``synth_period`` and ``dt`` have defaults of the CLI's own."""
+
     scenario: str
     goal: Optional[tuple] = None
-    obstacle_count: int = 1
-    kappa: float = 10.0
+    obstacle_count: Optional[int] = None
+    kappa: Optional[float] = None
     m: Optional[float] = None
-    t_max: float = math.inf
-    horizon_n: int = 1
+    t_max: Optional[float] = None
+    horizon_n: Optional[int] = None
     check_path: bool = False
-    budget: int = DEFAULT_BUDGET
-    grid_points: int = 25
-    refine_iterations: int = 40
-    step_tolerance: float = 1e-4
+    budget: Optional[int] = None
+    grid_points: Optional[int] = None
+    refine_iterations: Optional[int] = None
+    step_tolerance: Optional[float] = None
     seed: int = 0
     synth_period: float = 0.5
     dt: float = 0.01
-    obstacle_speed: float = 1.0
+    obstacle_speed: Optional[float] = None
     x0: Optional[tuple] = None
     d_fixed: Optional[tuple] = None
     echo: dict = field(default_factory=dict)
@@ -181,17 +186,6 @@ def parse_config(path) -> RunConfig:
     return RunConfig(**values, echo=echo)
 
 
-def _grid_cells(values, what: str) -> tuple:
-    cells = []
-    for v in values:
-        if abs(v - round(v)) > 1e-9:
-            raise ConfigError(f"{what} must be integer grid cells, got {v}")
-        cells.append(int(round(v)))
-    if len(cells) != 2 or not all(0 <= c <= 9 for c in cells):
-        raise ConfigError(f"{what} must be a pair of cells in 0..9")
-    return tuple(cells)
-
-
 @contextmanager
 def _rejected(what: str):
     """Report a library ValueError about config values as a ConfigError."""
@@ -201,44 +195,30 @@ def _rejected(what: str):
         raise ConfigError(f"bad value for {what}: {exc}") from exc
 
 
-# config keys each scenario builder reads
-_BUILDER_KEYS = {
-    "unicycle": ("goal", "obstacle_count", "kappa", "m", "t_max"),
-    "gridworld": ("goal", "m", "horizon_n"),
-    "quadgrid": ("kappa", "m", "t_max"),
+def _given(cfg: RunConfig, *keys) -> dict:
+    """The keys among ``keys`` that the config sets, with their values."""
+    return {k: getattr(cfg, k) for k in keys if getattr(cfg, k) is not None}
+
+
+# each scenario's builder, and the keyword each config key it reads sets
+_BUILDERS = {
+    "unicycle": (build_unicycle, {"goal": "goal", "obstacle_count": "n_obstacles",
+                                  "kappa": "kappa", "m": "floor", "t_max": "t_max"}),
+    "gridworld": (build_gridworld, {"goal": "goal", "m": "floor", "horizon_n": "horizon"}),
+    "quadgrid": (build_quadgrid, {"kappa": "kappa", "m": "floor", "t_max": "t_max"}),
 }
 
 
 def make_scenario(cfg: RunConfig):
-    keys = [k for k in _BUILDER_KEYS[cfg.scenario] if k in cfg.echo]
+    builder, keywords = _BUILDERS[cfg.scenario]
+    keys = [k for k in keywords if k in cfg.echo]
     with _rejected(", ".join(f"'{k}'" for k in keys) or f"scenario '{cfg.scenario}'"):
-        return _build_scenario(cfg)
-
-
-def _build_scenario(cfg: RunConfig):
-    # an unset 'm' leaves the builder's pinned floor
-    floor = {} if cfg.m is None else {"floor": cfg.m}
-    if cfg.scenario == "unicycle":
-        return build_unicycle(
-            goal=cfg.goal if cfg.goal is not None else (0.5, 0.5),
-            n_obstacles=cfg.obstacle_count,
-            kappa=cfg.kappa,
-            t_max=cfg.t_max,
-            **floor,
-        )
-    if cfg.scenario == "gridworld":
-        goal = _grid_cells(cfg.goal if cfg.goal is not None else (7, 9), "goal")
-        return build_gridworld(goal, horizon=cfg.horizon_n, **floor)
-    return build_quadgrid(kappa=cfg.kappa, t_max=cfg.t_max, **floor)
+        return builder(**{keywords[k]: v for k, v in _given(cfg, *keywords).items()})
 
 
 def _search(cfg: RunConfig) -> SearchConfig:
     with _rejected("the search settings"):
-        return SearchConfig(
-            grid_points=cfg.grid_points,
-            refine_iterations=cfg.refine_iterations,
-            step_tolerance=cfg.step_tolerance,
-        )
+        return SearchConfig(**_given(cfg, "grid_points", "refine_iterations", "step_tolerance"))
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +240,17 @@ def _jsonable(obj):
     return obj
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
-
-
 def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return f"{float(v):.17g}"
 
 
-def _emit(text: str, out_dir: Optional[Path], name: str) -> None:
-    """Print a JSON artifact, and write it to ``out_dir / name`` when given."""
+def _emit(cfg: RunConfig, payload: dict, out_dir: Optional[Path], name: str) -> None:
+    """Print ``payload`` with the run's scenario, seed and config echo as a
+    JSON artifact, and write it to ``out_dir / name`` when given."""
+    payload = {**payload, "scenario": cfg.scenario, "seed": cfg.seed, "config": dict(cfg.echo)}
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / name).write_text(text)
@@ -289,7 +268,8 @@ def _parse_state(cfg: RunConfig, scn, text: str):
     except ValueError as exc:
         raise ConfigError(f"bad --state: {exc}") from exc
     if cfg.scenario == "gridworld":
-        return _grid_cells(values, "--state")
+        with _rejected("--state"):
+            return grid_cell(values, "the state")
     return _state_vector(scn, values, "--state")
 
 
@@ -310,7 +290,7 @@ def _synthesize(cfg: RunConfig, scn, x):
     scenario family.  Discrete scenarios plan over their own horizon."""
     try:
         if isinstance(scn, DiscreteScenario):
-            return synthesize_discrete(scn, x, check_path=cfg.check_path, budget=cfg.budget)
+            return synthesize_discrete(scn, x, check_path=cfg.check_path, **_given(cfg, "budget"))
         return synthesize_constrained(scn, x, 0.0, search=_search(cfg))
     except BudgetError as exc:
         what = "'budget'" if isinstance(scn, DiscreteScenario) else "the search settings"
@@ -320,22 +300,19 @@ def _synthesize(cfg: RunConfig, scn, x):
 def _synthesis_payload(cfg: RunConfig, scn, x) -> dict:
     res = _synthesize(cfg, scn, x)
     return {
-        "scenario": cfg.scenario,
         "state": _jsonable(x),
         "d_star": _jsonable(res.d_star),
         "difficulty": res.difficulty,
         "in_gamma": res.in_gamma,
         "early_exit": res.early_exit,
         "evaluations": res.evaluations,
-        "seed": cfg.seed,
-        "config": dict(cfg.echo),
     }
 
 
 def cmd_synth(cfg: RunConfig, state_text: str, out_dir: Optional[Path]) -> int:
     scn = make_scenario(cfg)
     x = _parse_state(cfg, scn, state_text)
-    _emit(_dump_json(_synthesis_payload(cfg, scn, x)), out_dir, "synth.json")
+    _emit(cfg, _synthesis_payload(cfg, scn, x), out_dir, "synth.json")
     return 0
 
 
@@ -366,6 +343,8 @@ def _parse_axes(spec_text: str) -> list:
             f"sweep needs exactly 2 axes (got {len(axes)}); "
             "pass --axes component:lo:hi:count,component:lo:hi:count"
         )
+    if axes[0][0] == axes[1][0]:
+        raise ConfigError(f"sweep axes must be two different components, got {axes[0][0]} twice")
     return axes
 
 
@@ -399,14 +378,14 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
     if isinstance(scn, DiscreteScenario):
         if not {c1, c2} == {0, 1}:
             raise ConfigError("gridworld sweeps must cover components 0 and 1")
-        cells1 = [_grid_cells((v, 0), "axis value")[0] for v in a1]
-        cells2 = [_grid_cells((v, 0), "axis value")[0] for v in a2]
+        with _rejected("--axes"):
+            cells = {(i, j): grid_cell((a1[i], a2[j]) if c1 == 0 else (a2[j], a1[i]),
+                                       "a sweep cell")
+                     for i in range(n1) for j in range(n2)}
 
         def cell_value(i, j):
-            d = [0, 0]
-            d[c1], d[c2] = cells1[i], cells2[j]
             return predictive_difficulty(
-                scn, x, tuple(d), scn.floor, scn.horizon, cfg.check_path
+                scn, x, cells[i, j], scn.floor, scn.horizon, cfg.check_path
             )[0]
     else:
         p = _test_dim(scn, x)
@@ -446,7 +425,6 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
     imin, jmin = np.unravel_index(int(np.argmin(values)), values.shape)
     d_star = payload["d_star"]
     overlay = {
-        "scenario": cfg.scenario,
         "state": payload["state"],
         "axes": [list(a) for a in axes],
         "d_star": d_star,
@@ -464,10 +442,8 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
             "the synthesizer may refine between cells, so its difficulty can "
             "undercut the minimum cell by up to one grid step"
         ),
-        "seed": cfg.seed,
-        "config": dict(cfg.echo),
     }
-    _emit(_dump_json(overlay), out_dir, "sweep_overlay.json")
+    _emit(cfg, overlay, out_dir, "sweep_overlay.json")
     return 0
 
 
@@ -513,7 +489,6 @@ def cmd_trials(cfg: RunConfig, count: int, out_dir: Optional[Path]) -> int:
     # aggregates recomputed from the per-trial rows, never tracked separately
     difficulties = [r["difficulty"] for r in rows]
     summary = {
-        "scenario": cfg.scenario,
         "count": len(rows),
         "optimum_rule": "d_star == goal" if redraw_goal else "difficulty == floor",
         "fraction_attaining_optimum": sum(1 for r in rows if r["optimal"]) / len(rows),
@@ -521,10 +496,8 @@ def cmd_trials(cfg: RunConfig, count: int, out_dir: Optional[Path]) -> int:
         "difficulty_max": max(difficulties),
         "difficulty_mean": sum(difficulties) / len(difficulties),
         "per_trial": rows,
-        "seed": cfg.seed,
-        "config": dict(cfg.echo),
     }
-    _emit(_dump_json(summary), out_dir, "trials.json")
+    _emit(cfg, summary, out_dir, "trials.json")
     print(f"trials wall time: {elapsed:.2f} s", file=sys.stderr)
     return 0
 
@@ -542,10 +515,9 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
         x0 = _state_vector(scn, cfg.x0, "'x0'")
     else:
         x0 = np.array(_DEFAULT_X0[cfg.scenario])
-    if not (horizon >= 0 and math.isfinite(horizon)):
-        raise ConfigError("--horizon must be finite and nonnegative")
-    with _rejected("'dt' / 'synth_period' / 'obstacle_speed'"):
-        simulation_steps(cfg.dt, cfg.synth_period, horizon, cfg.obstacle_speed)
+    speed = _given(cfg, "obstacle_speed")
+    with _rejected("--horizon / 'dt' / 'synth_period' / 'obstacle_speed'"):
+        simulation_steps(cfg.dt, cfg.synth_period, horizon, **speed)
     search = _search(cfg)
 
     t0 = time.perf_counter()
@@ -561,8 +533,8 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
                 synth_period=cfg.synth_period,
                 dt=cfg.dt,
                 horizon=horizon,
-                obstacle_speed=cfg.obstacle_speed,
                 search=search,
+                **speed,
             )
     except BudgetError as exc:
         raise ConfigError(f"bad value for the search settings: {exc}") from exc
@@ -602,7 +574,6 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
         [(float(t), log.obstacles[k]) for k, t in enumerate(log.times)],
     )
     payload = {
-        "scenario": cfg.scenario,
         "satisfied": verdict.satisfied,
         "reach_time": verdict.reach_time,
         "min_avoid_value": verdict.min_avoid_value,
@@ -612,10 +583,8 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
         "horizon": horizon,
         "dt": cfg.dt,
         "synth_period": cfg.synth_period,
-        "seed": cfg.seed,
-        "config": dict(cfg.echo),
     }
-    _emit(_dump_json(payload), out_dir, "monitor.json")
+    _emit(cfg, payload, out_dir, "monitor.json")
     print(f"simulate wall time: {elapsed:.2f} s", file=sys.stderr)
     if log.aborted:
         print("integration aborted on non-finite state; logs are partial", file=sys.stderr)

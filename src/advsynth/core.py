@@ -407,18 +407,6 @@ def feasibility_filter(value, point, member, fallback):
     return value if inside else fallback
 
 
-def _safe_input_row(h, gain, lie, x, d, input_dim: int):
-    """The safe-input row ``(-input_row, drift_rate + alpha(h))`` of one
-    avoid barrier from its Lie derivatives ``lie``."""
-    drift_rate, input_row = lie
-    if input_row.size != input_dim:
-        raise ValueError(
-            f"input row dim {input_row.size} does not match "
-            f"polytope dim {input_dim}"
-        )
-    return -input_row, drift_rate + gain(h.value(x, d))
-
-
 def _key_index(h: BarrierFunction, dyn: ContinuousDynamics, test_dim: int):
     """What selects the test coordinates the Lie derivatives of ``h`` read:
     a slice, or an index array when they are not contiguous.  None when a
@@ -494,12 +482,18 @@ class LieCache:
             out = memo[key] = compute(*args)
         return out
 
-    def _avoid_row(self, j: int, d: np.ndarray) -> np.ndarray:
+    def _avoid_row(self, j: int, d: np.ndarray) -> list:
+        """Avoid barrier j's safe-input row ``-input_row`` followed by its
+        right-hand side ``drift_rate + alpha(h)``, as floats."""
         h = self._spec.avoid[j]
-        row, rhs = _safe_input_row(
-            h, self._spec.gains[j], self._lie(h, d), self._x, d, self._input_dim
-        )
-        return np.append(row, rhs)
+        drift_rate, input_row = self._lie(h, d)
+        if input_row.size != self._input_dim:
+            raise ValueError(
+                f"input row dim {input_row.size} does not match "
+                f"polytope dim {self._input_dim}"
+            )
+        rhs = drift_rate + self._spec.gains[j](h.value(self._x, d))
+        return [-v for v in input_row.tolist()] + [rhs]
 
     def reach(self, d: np.ndarray):
         """``lie_derivatives`` of the reach barrier at (x, d)."""
@@ -523,18 +517,15 @@ def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: i
     Returns ``(A, b)`` with one row per avoid barrier, ``A`` of shape
     (barriers, input_dim), such that ``A @ u <= b`` holds exactly when every
     avoid barrier's rate is at least ``-alpha(h)``.  Non-finite coefficients
-    raise here, with the message :class:`Polytope` would give.  With a
-    ``cache`` of the same (spec, dyn, x), the rows come from it.
+    raise here, with the message :class:`Polytope` would give.  The rows
+    come from ``cache``, a :class:`LieCache` of the same (spec, dyn, x),
+    or else from a one-shot one, so a ``reads`` index out of range of
+    ``d`` raises ``ValueError``.
     """
-    if cache is not None:
-        return cache.avoid_rows(d)
-    pieces = [_safe_input_row(h, gain, lie_derivatives(h, dyn, x, d), x, d, input_dim)
-              for h, gain in zip(spec.avoid, spec.gains)]
-    A = np.asarray([row for row, _ in pieces], dtype=float).reshape(len(pieces), input_dim)
-    b = np.asarray([rhs for _, rhs in pieces], dtype=float)
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("polytope coefficients must be finite")
-    return A, b
+    d = np.asarray(d, dtype=float)
+    if cache is None:
+        cache = LieCache(spec, dyn, x, d.size, input_dim)
+    return cache.avoid_rows(d)
 
 
 def stack_rows(A: np.ndarray, b: np.ndarray, input_polytope: Polytope) -> Polytope:

@@ -42,6 +42,7 @@ __all__ = [
     "RewardGrid",
     "SimulationLog",
     "build_unicycle",
+    "grid_cell",
     "solve_reward",
     "build_gridworld",
     "unit_cell_corners",
@@ -177,7 +178,10 @@ def _integral(v) -> int:
     return i
 
 
-def _cell(c, what: str = "cell") -> tuple:
+def grid_cell(c, what: str = "cell") -> tuple:
+    """``c`` as a pair of ints in ``0..GRID_N - 1``.  Each entry must equal an integer
+    exactly (``7.0`` passes, ``7.0000000001`` does not); otherwise
+    ``ValueError`` names ``what``."""
     # fast path: the barriers look up already-validated cells on every
     # evaluation; bool and numpy integers take the checked path below
     if type(c) is tuple and len(c) == 2:
@@ -246,12 +250,12 @@ def solve_reward(goal, obstacle) -> RewardGrid:
     per pair, up to ``GRID_N ** 4`` entries: all 100 goals times 100
     obstacles, so no pair is ever evicted or solved twice.  Each entry holds
     two 10x10 float grids, about 2.2 KB with overhead, so the worst case is
-    about 21 MB.  Cached grids are shared and read-only.  Cells are pairs of
-    integral values in 0..9."""
-    return _solve_reward_cached(_cell(goal, "goal"), _cell(obstacle, "obstacle"))
+    about 21 MB.  Cached grids are shared and read-only.  Both cells go
+    through :func:`grid_cell`."""
+    return _solve_reward_cached(grid_cell(goal, "goal"), grid_cell(obstacle, "obstacle"))
 
 
-def build_gridworld(goal, floor: float = -15.0, horizon: int = 1) -> DiscreteScenario:
+def build_gridworld(goal=(7, 9), floor: float = -15.0, horizon: int = 1) -> DiscreteScenario:
     """10x10 grid agent that must reach the goal cell while never stepping
     onto the obstacle cell; the test vector is the obstacle cell.
 
@@ -266,7 +270,7 @@ def build_gridworld(goal, floor: float = -15.0, horizon: int = 1) -> DiscreteSce
     can tie it exactly, and ties resolve to the earliest candidate; leading
     with the goal keeps the reported test the obstacle-on-goal one.
     """
-    g = _cell(goal, "goal")
+    g = grid_cell(goal, "goal")
     reach = BarrierFunction(
         value=lambda x, d: float(solve_reward(g, d).modified[x[0], x[1]]) - 10.0
     )

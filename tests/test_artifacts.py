@@ -2,10 +2,13 @@
 
 Each case runs one CLI command in process and compares the sha256 of every
 artifact it writes to a pinned value.  The values were recorded by running
-these same commands on the code before declared test dependence (per-
-synthesis row reuse) was added, so a change that moves any bit of a
-``trials``, ``sweep`` or ``simulate`` artifact fails here.  An intended
-change of output bytes must re-pin the affected values and say why.
+these same commands with one BLAS thread (see conftest.py) on earlier code:
+the first six before declared test dependence (per-synthesis row reuse) was
+added, the gridworld ``synth``/``sweep`` and unicycle ``simulate`` cases
+before the CLI stopped restating library defaults.  So a change that moves
+any bit of a ``synth``, ``trials``, ``sweep`` or ``simulate`` artifact fails
+here.  An intended change of output bytes must re-pin the affected values
+and say why.
 """
 
 import hashlib
@@ -54,6 +57,29 @@ CASES = [
         ["sweep", "--config", "bench/configs/unicycle-refine.cfg", "--state=0.2,0.6,2",
          "--axes", "0:-1:1:5,1:-1:1:5"],
         {"sweep.csv": "b6754289fd0406cea414b92402090e43d17a6ccb11e91be0cb6c3daf1f87900c", "sweep_overlay.json": "0406ca4fe9264338e7407df43f9cfa19a977aa5f5b807d9c0ecca04eabb3ff10"},
+    ),
+    (
+        "synth-gridworld",
+        ["synth", "--config", "bench/configs/gridworld-cold.cfg", "--state", "3,5"],
+        {"synth.json": "5b0c7500fc6f4733be0d3a7fd919774f412626eec1efa328ca8dfb873c10e600"},
+    ),
+    (
+        "sweep-gridworld",
+        ["sweep", "--config", "bench/configs/gridworld-cold.cfg", "--state", "3,5",
+         "--axes", "0:0:9:10,1:0:9:10"],
+        {
+            "sweep.csv": "5421f15814c593e4df208ef039c7355c786a7e7214fb1e7116ce5c6763c7ba48",
+            "sweep_overlay.json": "5d57324fa75a0bf5d4ef483eda0787efe23045fac471bed6428cb765ec823977",
+        },
+    ),
+    (
+        "simulate-unicycle",
+        ["simulate", "--config", "configs/unicycle.cfg", "--horizon", "2"],
+        {
+            "trajectory.csv": "528756be0dce37a2f5d9d9177ce0d20cd81372fa260361c25a2b3f05cb805917",
+            "min_barrier.csv": "928645c9f2c876493a8896ff8c81a857b757a38787972bdef27fd28bb4d0631e",
+            "monitor.json": "c4bfc967ddbaec5d573daeb93ccd4191432262efbf191a06de771ebca5a476f3",
+        },
     ),
 ]
 

@@ -169,9 +169,18 @@ SWEEP = ["sweep", "--state=0.1,0.2,0.3", "--axes", "0:-1:1:3,1:-1:1:3"]
          "'d_fixed' needs 4 components"),
         (UNICYCLE_CFG, SWEEP[:3] + ["0:nan:1:3,1:-1:1:3"], "bounds must be finite"),
         (UNICYCLE_CFG, SWEEP[:3] + ["0:-inf:1:3,1:-1:1:3"], "bounds must be finite"),
+        (UNICYCLE_CFG, SWEEP[:3] + ["0:-1:1:3,0:-1:1:3"], "two different components"),
+        (QUAD_CFG + "d_fixed = 0, 0, 0, 0\n",
+         ["sweep", "--state=0.5,0.5", "--axes", "1:0:1:2,1:0:1:2"], "two different components"),
+        (GRID_CFG, ["sweep", "--state", "3,5", "--axes", "0:0:9:10,0:0:9:10"],
+         "two different components"),
+        (QUAD_CFG, ["simulate", "--horizon=-1"], "--horizon"),
+        (QUAD_CFG, ["simulate", "--horizon=inf"], "--horizon"),
     ],
     ids=["seed-flag", "seed-key", "unicycle-d-fixed-short", "unicycle-d-fixed-long",
-         "unicycle-d-fixed-inf", "quadgrid-d-fixed-short", "axes-nan", "axes-minus-inf"],
+         "unicycle-d-fixed-inf", "quadgrid-d-fixed-short", "axes-nan", "axes-minus-inf",
+         "unicycle-axes-same-component", "quadgrid-axes-same-component",
+         "gridworld-axes-same-component", "horizon-negative", "horizon-inf"],
 )
 def test_bad_seed_anchor_or_axis_exits_2(tmp_path, capsys, text, command, needle):
     cfg = write_config(tmp_path, text)
@@ -229,6 +238,28 @@ def test_gridworld_non_integer_goal_rejected(tmp_path, capsys):
     rc, _, err = run_cli(capsys, ["synth", "--config", cfg, "--state", "3,5"])
     assert rc == 2
     assert "goal" in err
+
+
+@pytest.mark.parametrize(
+    "text,command,needle",
+    [
+        (GRID_CFG.replace("goal = 7, 9", "goal = 7.0000000001, 9"),
+         ["synth", "--state", "3,5"], "'goal'"),
+        (GRID_CFG, ["synth", "--state", "3.0000000001,5"], "--state"),
+        (GRID_CFG, ["sweep", "--state", "3,5", "--axes", "0:0.0000000001:9:10,1:0:9:10"],
+         "--axes"),
+    ],
+    ids=["goal", "state", "axes"],
+)
+def test_gridworld_cells_must_be_exact_integers(tmp_path, capsys, text, command, needle):
+    cfg = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(capsys, [command[0], "--config", cfg, "--out", str(out_dir)] + command[1:])
+    assert rc == 2
+    assert needle in err
+    assert "must be a pair of integers in 0..9" in err
+    assert out == ""
+    assert not out_dir.exists()
 
 
 def test_synth_deterministic_output(tmp_path, capsys):

@@ -20,6 +20,7 @@ from advsynth import (
     SearchConfig,
     build_unicycle,
     difficulty,
+    greedy_safe_controller,
     synthesize,
     synthesize_constrained,
     synthesize_discrete,
@@ -826,7 +827,51 @@ def test_reads_beyond_the_test_dimension_raise_before_any_callback(unicycle, qua
         bad = dataclasses.replace(
             scn, spec=dataclasses.replace(spec, reach=reach, avoid=avoid), dynamics=dyn
         )
-        with pytest.raises(ValueError, match=f"^reads index {dim + 3 * (where == 'avoid')} "
-                                             f"is out of range for test dimension {dim}$"):
+        message = (f"^reads index {dim + 3 * (where == 'avoid')} "
+                   f"is out of range for test dimension {dim}$")
+        with pytest.raises(ValueError, match=message):
             synthesize_constrained(bad, x, 0.0)
+        # one difficulty evaluation and the controller build their rows the same way
+        with pytest.raises(ValueError, match=message):
+            difficulty(bad, x, np.zeros(dim), -5.0)
+        with pytest.raises(ValueError, match=message):
+            greedy_safe_controller(bad, x, np.zeros(dim))
         assert not calls
+
+
+def test_compass_moves_have_the_bits_of_np_clip(monkeypatch):
+    """Every compass candidate equals, byte for byte, the one the reference
+    refinement builds with ``np.clip``.  The cases move onto the box bounds,
+    and the second box has signed-zero bounds."""
+    rounds, evaluated = [], []
+    real_scan, real_difficulty = continuous._scan, continuous.difficulty
+
+    def scan(scn, x, candidates, *rest):
+        if isinstance(candidates, list):
+            rounds.extend(np.asarray(c).tobytes() for c in candidates)
+        return real_scan(scn, x, candidates, *rest)
+
+    def evaluate(scn, x, d, *rest):
+        evaluated.append(np.asarray(d, dtype=float).tobytes())
+        return real_difficulty(scn, x, d, *rest)
+
+    monkeypatch.setattr(continuous, "_scan", scan)
+    monkeypatch.setattr(continuous, "difficulty", evaluate)
+    two = build_unicycle(n_obstacles=2)
+    zeros = dataclasses.replace(
+        build_unicycle(), test_space=BoxSpace(np.array([-0.0, -1.0]), np.array([1.0, -0.0]))
+    )
+    search = SearchConfig(grid_points=3, refine_iterations=40)
+    moves = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for scn in (two, zeros):
+            grid = 3 ** scn.test_space.dim
+            for x in seeded_states(scn, 11, 30):
+                del rounds[:], evaluated[:]
+                got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+                assert_same_result(got, want)
+                # the reference stops at a blocking test, the scan after its round
+                assert evaluated[grid:] == rounds[:len(evaluated[grid:])]
+                moves += len(rounds)
+    assert moves > 1000
