@@ -35,7 +35,6 @@ from .core import (
     SynthesisResult,
     TestSpace,
     as_vector,
-    avoid_rows,
     feasible_input_polytope,
     lie_derivatives,
     satisfaction_floor,
@@ -137,8 +136,8 @@ def _axis(lo: float, hi: float, k: int) -> np.ndarray:
 
 class _BoxGrid:
     """The points of a box grid in ``np.ndindex`` order, as a lazy sequence:
-    iterating walks the grid and indexing rebuilds one point, with the same
-    bits, so no point is stored."""
+    iterating walks the grid, and indexing or :meth:`block` rebuilds points
+    with the same bits, so no point is stored."""
 
     def __init__(self, lower: np.ndarray, upper: np.ndarray, counts: tuple):
         self.axes = [_axis(lower[i], upper[i], counts[i]) for i in range(lower.size)]
@@ -155,6 +154,19 @@ class _BoxGrid:
 
     def _point(self, idx) -> np.ndarray:
         return np.array([axis[j] for axis, j in zip(self.axes, idx)])
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Points ``start`` to ``stop - 1`` as the rows of one array."""
+        idx = np.unravel_index(np.arange(start, stop), self.shape)
+        cols = [axis[j] for axis, j in zip(self.axes, idx)]
+        return np.array(cols, dtype=float).reshape(len(cols), stop - start).T
+
+
+def _points(candidates, start: int, stop: int) -> np.ndarray:
+    """Candidates ``start`` to ``stop - 1`` as the rows of one float array."""
+    if isinstance(candidates, _BoxGrid):
+        return candidates.block(start, stop)
+    return np.array([np.asarray(candidates[i], dtype=float) for i in range(start, stop)])
 
 
 def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
@@ -226,48 +238,54 @@ def _solve_held(candidates, held, held_A, held_b, tau, inputs, cache):
 
 
 def _scan(scn, x, candidates, floor, tau, evals, cache):
-    """Hardest of ``candidates`` (a sequence, walked once in order and then
-    indexed), Γ first.
+    """Hardest of ``candidates`` (a sequence, indexed), Γ first.
 
-    Each candidate's avoid rows are taken from ``cache``, the call's
-    :class:`core.LieCache`, and validated as it comes; a declared row is
-    built only the first time its coordinates occur, so the callbacks run
-    fewer times than candidates.  A candidate with a negative right-hand
-    side among its avoid and actuator rows is evaluated on the spot, and
-    the first one found in Γ is returned with ``early_exit``.  The others
-    cannot be in Γ (see :func:`synthesize`): their rows are held, and
-    after the scan their LPs are solved by :func:`solve_lp_batch` in
-    blocks of at most ``_HELD_BLOCK`` candidates, with the same bits as
-    one :func:`solve_lp` each.  Every value is folded in candidate order
-    with the earliest minimum kept.  ``evals`` counts earlier candidates
-    of the same search.
+    The candidates' avoid rows come from ``cache``, the call's
+    :class:`core.LieCache`, a block at a time: ``_HELD_BLOCK`` candidates
+    per :meth:`~core.LieCache.avoid_block` when it is ``batched``, else
+    one, whose declared rows are built only the first time their
+    coordinates occur.  So the callbacks run fewer times than candidates.
+    A candidate with a negative right-hand side among its avoid and
+    actuator rows is evaluated on the spot, in candidate order, and the
+    first one found in Γ is returned with ``early_exit``; a block's later
+    candidates then had their rows built for nothing.  The others cannot
+    be in Γ (see :func:`synthesize`): their rows are held, and after the
+    scan their LPs are solved by :func:`solve_lp_batch` in blocks of at
+    most ``_HELD_BLOCK`` candidates, with the same bits as one
+    :func:`solve_lp` each.  Every value is folded in candidate order with
+    the earliest minimum kept.  ``evals`` counts earlier candidates of the
+    same search.
 
-    Memory is the held rows plus one block of tableaux.  The held rows
-    take ``8 * len(candidates) * barriers * (inputs + 1)`` bytes: about
-    19 MB for a 25^4 grid with two avoid barriers and two inputs.  A block
-    takes ``8 * _HELD_BLOCK * (rows + 1) * (2 * inputs + rows + 1)`` bytes
-    twice over (the tableaux and the running ones' working copy), where
-    ``rows`` counts the avoid and actuator rows: about 0.3 MB for that
-    grid.  Candidates are not copied; a held one is looked up again by its
-    index.  The cache adds at most one entry per barrier and candidate.
+    Memory is the held rows plus one block of rows and of tableaux.  The
+    held rows take ``8 * len(candidates) * barriers * (inputs + 1)``
+    bytes: about 19 MB for a 25^4 grid with two avoid barriers and two
+    inputs.  A block of tableaux takes ``8 * _HELD_BLOCK * (rows + 1) *
+    (2 * inputs + rows + 1)`` bytes twice over (the tableaux and the
+    running ones' working copy), where ``rows`` counts the avoid and
+    actuator rows: about 0.3 MB for that grid.  Candidates are not
+    copied; one is looked up again by its index.  The cache adds at most
+    one entry per barrier and candidate.
     """
-    spec, dyn, inputs = scn.spec, scn.dynamics, scn.input_polytope
+    inputs = scn.input_polytope
     can_hold = not (inputs.b < 0).any()
-    n = len(candidates)
-    held_A = np.empty((n, len(spec.avoid), inputs.dim))
-    held_b = np.empty((n, len(spec.avoid)))
+    n, size = len(candidates), _HELD_BLOCK if cache.batched else 1
+    held_A = np.empty((n, len(scn.spec.avoid), inputs.dim))
+    held_b = np.empty((n, len(scn.spec.avoid)))
     solved = {}
-    for i, d in enumerate(candidates):
-        dv = np.asarray(d, dtype=float)
-        A, b = avoid_rows(spec, dyn, x, dv, inputs.dim, cache)
-        if can_hold and not (b < 0).any():
-            held_A[i] = A
-            held_b[i] = b
-            continue
-        val, u = _best_rate(scn, x, dv, stack_rows(A, b, inputs), floor, tau, cache)
-        if u is None:
-            return SynthesisResult(d, float(floor), True, None, evals + i + 1, True)
-        solved[i] = (d, val, u)
+    i = 0
+    while i < n:
+        D = _points(candidates, i, min(i + size, n))
+        A, b = cache.avoid_block(D)
+        k = len(b)
+        held_A[i:i + k], held_b[i:i + k] = A, b
+        spot = (b < 0).any(axis=1) if can_hold else np.ones(k, dtype=bool)
+        for j in np.flatnonzero(spot).tolist():
+            val, u = _best_rate(scn, x, D[j], stack_rows(A[j], b[j], inputs), floor, tau, cache)
+            d = candidates[i + j]
+            if u is None:
+                return SynthesisResult(d, float(floor), True, None, evals + i + j + 1, True)
+            solved[i + j] = (d, val, u)
+        i += k
 
     best_d = best_u = None
     best_val = np.inf
@@ -394,6 +412,10 @@ def synthesize(
     they read none, so the callbacks run fewer times than candidates.
     The kept pieces live until the call returns; :class:`core.LieCache`
     states their memory bound.  Undeclared scenarios make every call.
+    When every avoid barrier has a ``batch`` and f and g read no test
+    coordinate, the rows are built ``_HELD_BLOCK`` candidates at a time
+    instead, so ``batch`` also runs for the candidates of a block that
+    follow a test in Γ.
     A declaration out of range of the test dimension raises
     ``ValueError`` before any callback runs.
     """

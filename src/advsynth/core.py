@@ -151,11 +151,19 @@ class BarrierFunction:
     declared barrier's row once per distinct value of those coordinates,
     so a declaration that leaves out a coordinate the callbacks read gives
     wrong results.
+
+    ``batch(x, D)``, optional, returns the values (K,) and gradients
+    (K, n) at the K tests in the rows of D.  It must be pure and give the
+    bits of ``value`` and ``gradient`` at each test.  Continuous synthesis
+    builds an avoid barrier's rows a block of tests at a time with it
+    when every avoid barrier has one and f and g read no test coordinate
+    (see :meth:`LieCache.avoid_block`).
     """
 
     value: Callable[[object, object], float]
     gradient: Optional[Callable[[object, object], np.ndarray]] = None
     reads: Optional[tuple] = None
+    batch: Optional[Callable[[object, np.ndarray], tuple]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "reads", _reads(self.reads))
@@ -424,6 +432,37 @@ def _key_index(h: BarrierFunction, dyn: ContinuousDynamics, test_dim: int):
     return np.array(reads)
 
 
+def _check_reads(spec: ReachAvoidSpec, dyn: ContinuousDynamics, test_dim: int) -> None:
+    """Raise ``ValueError`` for a declared index at or beyond ``test_dim``."""
+    for reads in [h.reads for h in (spec.reach,) + spec.avoid] + [dyn.reads]:
+        for i in reads or ():
+            if i >= test_dim:
+                raise ValueError(
+                    f"reads index {i} is out of range for test dimension {test_dim}"
+                )
+
+
+def _safe_input_row(spec: ReachAvoidSpec, j: int, x, d, lie, input_dim: int) -> list:
+    """Avoid barrier j's safe-input row ``-input_row`` followed by its
+    right-hand side ``drift_rate + alpha(h)``, as floats, from its Lie
+    derivatives ``lie``."""
+    drift_rate, input_row = lie
+    if input_row.size != input_dim:
+        raise ValueError(
+            f"input row dim {input_row.size} does not match polytope dim {input_dim}"
+        )
+    rhs = drift_rate + spec.gains[j](spec.avoid[j].value(x, d))
+    return [-v for v in input_row.tolist()] + [rhs]
+
+
+def _finite_rows(rows: list, input_dim: int):
+    """``(A, b)`` views of the rows built by :func:`_safe_input_row`."""
+    Ab = np.array(rows).reshape(len(rows), input_dim + 1)
+    if not np.isfinite(Ab).all():
+        raise ValueError("polytope coefficients must be finite")
+    return Ab[:, :input_dim], Ab[:, input_dim]
+
+
 class LieCache:
     """The Lie-derivative pieces of one synthesis call at a fixed state x.
 
@@ -450,24 +489,26 @@ class LieCache:
 
     def __init__(self, spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, test_dim: int,
                  input_dim: int):
-        barriers = (spec.reach,) + spec.avoid
-        for reads in [h.reads for h in barriers] + [dyn.reads]:
-            for i in reads or ():
-                if i >= test_dim:
-                    raise ValueError(
-                        f"reads index {i} is out of range for test dimension {test_dim}"
-                    )
+        _check_reads(spec, dyn, test_dim)
         self._spec, self._dyn, self._x, self._input_dim = spec, dyn, x, input_dim
         self._fixed = dyn.reads == () and dyn.C is None
         self._fg = None
+        # avoid_block takes whole blocks from the barriers' batch callbacks
+        self.batched = self._fixed and all(h.batch is not None for h in spec.avoid)
+        barriers = (spec.reach,) + spec.avoid
         self._keys = [_key_index(h, dyn, test_dim) for h in barriers]
         self._memo = [{} for _ in barriers]
 
-    def _lie(self, h: BarrierFunction, d):
+    def _f_g(self, d):
+        """``(drift, g)`` evaluated once when the dynamics read no test
+        coordinate, else None."""
         if self._fixed and self._fg is None:
             self._fg = (self._dyn.drift(self._x, d),
                         np.asarray(self._dyn.g(self._x, d), dtype=float))
-        return lie_derivatives(h, self._dyn, self._x, d, self._fg)
+        return self._fg
+
+    def _lie(self, h: BarrierFunction, d):
+        return lie_derivatives(h, self._dyn, self._x, d, self._f_g(d))
 
     def _get(self, k: int, d: np.ndarray, compute, *args):
         """``compute(*args)``, kept for piece k (0 the reach rate, 1 + j
@@ -483,17 +524,8 @@ class LieCache:
         return out
 
     def _avoid_row(self, j: int, d: np.ndarray) -> list:
-        """Avoid barrier j's safe-input row ``-input_row`` followed by its
-        right-hand side ``drift_rate + alpha(h)``, as floats."""
-        h = self._spec.avoid[j]
-        drift_rate, input_row = self._lie(h, d)
-        if input_row.size != self._input_dim:
-            raise ValueError(
-                f"input row dim {input_row.size} does not match "
-                f"polytope dim {self._input_dim}"
-            )
-        rhs = drift_rate + self._spec.gains[j](h.value(self._x, d))
-        return [-v for v in input_row.tolist()] + [rhs]
+        lie = self._lie(self._spec.avoid[j], d)
+        return _safe_input_row(self._spec, j, self._x, d, lie, self._input_dim)
 
     def reach(self, d: np.ndarray):
         """``lie_derivatives`` of the reach barrier at (x, d)."""
@@ -502,12 +534,54 @@ class LieCache:
     def avoid_rows(self, d: np.ndarray):
         """:func:`avoid_rows` at (x, d); ``A`` and ``b`` are views of one
         array that holds each row with its right-hand side."""
-        n, dim = len(self._spec.avoid), self._input_dim
-        Ab = np.array([self._get(j + 1, d, self._avoid_row, j, d) for j in range(n)])
-        Ab = Ab.reshape(n, dim + 1)
-        if not np.isfinite(Ab).all():
-            raise ValueError("polytope coefficients must be finite")
-        return Ab[:, :dim], Ab[:, dim]
+        n = len(self._spec.avoid)
+        return _finite_rows([self._get(j + 1, d, self._avoid_row, j, d) for j in range(n)],
+                            self._input_dim)
+
+    def avoid_block(self, D: np.ndarray):
+        """:meth:`avoid_rows` of each test in the rows of ``D``, stacked to
+        shapes (k, barriers, inputs) and (k, barriers), for the leading k
+        tests whose rows are valid; the first test's error is raised, so
+        a caller that resumes at test k raises where a one-by-one scan
+        would.  Without :attr:`batched`, ``D`` holds one test.  With it,
+        each barrier's ``batch`` and one product ``grads @ [G | f]`` give
+        every row, with the per-test bits on the unicycle's shapes (three
+        states, two inputs; a BLAS may sum others in another order)."""
+        if not self.batched:
+            A, b = self.avoid_rows(D[0])
+            return A[None], b[None]
+        K, dim, x = len(D), self._input_dim, self._x
+        f, G = self._f_g(D[0])
+        if G.ndim != 2 or G.shape[0] != f.size:
+            raise ValueError(
+                f"actuation matrix shape {G.shape} does not match gradient dim {f.size}"
+            )
+        if G.shape[1] != dim:
+            raise ValueError(f"input row dim {G.shape[1]} does not match polytope dim {dim}")
+        Gf = np.column_stack([G, f])
+        Ab = np.empty((K, len(self._spec.avoid), dim + 1))
+        bad_grad = np.zeros(K, dtype=bool)
+        for j, (h, alpha) in enumerate(zip(self._spec.avoid, self._spec.gains)):
+            values, grads = (np.asarray(a, dtype=float) for a in h.batch(x, D))
+            if values.shape != (K,) or grads.shape != (K, f.size):
+                raise ValueError(
+                    f"batch of avoid barrier {j} gave shapes {values.shape} and "
+                    f"{grads.shape} for {K} tests and state dim {f.size}"
+                )
+            bad_grad |= ~np.isfinite(grads).all(axis=1)
+            rates = grads @ Gf
+            if isinstance(alpha, ClassKappaFn) and alpha.form is None:
+                kappa = alpha.gain * values
+            else:
+                kappa = [alpha(v) for v in values.tolist()]
+            Ab[:, j, :dim] = -rates[:, :dim]
+            Ab[:, j, dim] = rates[:, dim] + kappa
+        bad = bad_grad | ~np.isfinite(Ab.reshape(K, -1)).all(axis=1)
+        k = int(bad.argmax()) if bad.any() else K
+        if k == 0:
+            raise ValueError("barrier gradient contains non-finite entries" if bad_grad[0]
+                             else "polytope coefficients must be finite")
+        return Ab[:k, :, :dim], Ab[:k, :, dim]
 
 
 def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: int,
@@ -519,13 +593,18 @@ def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: i
     avoid barrier's rate is at least ``-alpha(h)``.  Non-finite coefficients
     raise here, with the message :class:`Polytope` would give.  The rows
     come from ``cache``, a :class:`LieCache` of the same (spec, dyn, x),
-    or else from a one-shot one, so a ``reads`` index out of range of
-    ``d`` raises ``ValueError``.
+    or else are built directly, with f and g evaluated once; a ``reads``
+    index out of range of ``d`` then raises ``ValueError`` before any
+    callback runs.
     """
     d = np.asarray(d, dtype=float)
-    if cache is None:
-        cache = LieCache(spec, dyn, x, d.size, input_dim)
-    return cache.avoid_rows(d)
+    if cache is not None:
+        return cache.avoid_rows(d)
+    _check_reads(spec, dyn, d.size)
+    fg = (dyn.drift(x, d), np.asarray(dyn.g(x, d), dtype=float)) if spec.avoid else None
+    return _finite_rows([_safe_input_row(spec, j, x, d, lie_derivatives(h, dyn, x, d, fg),
+                                         input_dim)
+                         for j, h in enumerate(spec.avoid)], input_dim)
 
 
 def stack_rows(A: np.ndarray, b: np.ndarray, input_polytope: Polytope) -> Polytope:

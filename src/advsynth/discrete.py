@@ -94,11 +94,13 @@ def feasible_sequences(
 
 
 def _sequence_ok(spec, dyn, x, d, seq, check_path):
+    """Every avoid value is >= 0 (so NaN fails) at the terminal state, or
+    with ``check_path`` at each state after x."""
     if check_path:
         s = x
         for u in seq:
             s = dyn.step(s, u)
-            if any(float(h.value(s, d)) < 0.0 for h in spec.avoid):
+            if not all(float(h.value(s, d)) >= 0.0 for h in spec.avoid):
                 return False
         return True
     terminal = rollout(dyn, x, seq)

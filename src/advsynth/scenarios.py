@@ -66,6 +66,19 @@ _GRID_MOVES = {
 # ---------------------------------------------------------------------------
 # unicycle
 
+def _scalar_squares(a: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each entry with the bits of a numpy float64 scalar's
+    ``**``, which is C ``pow``: an array's ``a * a``, ``a ** 2`` and
+    ``np.power`` differ from it in the last bit now and then.  Python
+    floats' ``**`` is C ``pow`` too, but raises where the scalar
+    overflows to inf, so that case takes the scalars themselves."""
+    try:
+        return (a.astype(object) ** 2).astype(float)
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return np.array([v ** 2 for v in a])
+
+
 def build_unicycle(
     goal=(0.5, 0.5),
     n_obstacles: int = 1,
@@ -95,6 +108,11 @@ def build_unicycle(
         reads=(),
     )
 
+    def _batch(x, D, j):
+        dx, dy = x[0] - D[:, 2 * j], x[1] - D[:, 2 * j + 1]
+        values = _scalar_squares(dx) + _scalar_squares(dy) - obs_r2
+        return values, np.column_stack([2.0 * dx, 2.0 * dy, np.zeros(len(D))])
+
     def _avoid(j: int) -> BarrierFunction:
         return BarrierFunction(
             value=lambda x, d, j=j: float(
@@ -104,6 +122,7 @@ def build_unicycle(
                 [2.0 * (x[0] - d[2 * j]), 2.0 * (x[1] - d[2 * j + 1]), 0.0]
             ),
             reads=(2 * j, 2 * j + 1),
+            batch=lambda x, D, j=j: _batch(x, D, j),
         )
 
     avoid = tuple(_avoid(j) for j in range(n_obstacles))

@@ -28,6 +28,12 @@ CASES = [
         {"trials.json": "5aeec4fcbbbe829f6577df4599af858fa17471c90aadfbc6fe8fd0dcbcf76249"},
     ),
     (
+        # every trial reaches Γ partway through the grid scan
+        "trials-unicycle-gamma-200",
+        ["trials", "--config", "bench/configs/unicycle-gamma.cfg", "--count", "200", "--seed", "7"],
+        {"trials.json": "e8383369de25ba00286b25015e16912a1e1a3d4b6d1368780d2730571e3e60e1"},
+    ),
+    (
         "trials-unicycle-refine",
         ["trials", "--config", "bench/configs/unicycle-refine.cfg", "--count", "20", "--seed", "7"],
         {"trials.json": "2fb2bd91162346af61b69ce8da1dff3c95b76768677011222cc1a072b5aec3f9"},

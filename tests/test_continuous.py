@@ -516,37 +516,83 @@ def test_scan_raises_avoid_row_errors_at_the_same_candidate(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_block_scan_raises_avoid_row_errors_where_a_one_by_one_scan_does(monkeypatch):
+    # the barrier's batch gives NaN at candidate 47 of the 81-point grid,
+    # one block.  From the first state no earlier candidate is in Γ, so
+    # the scan raises there; from the second the first candidate is in Γ
+    # and the scan returns it, although its block holds the NaN row.
+    base = build_unicycle()
+    h = base.spec.avoid[0]
+    bad = np.array([0.25, -0.5])
+
+    def value(x, d):
+        return float("nan") if np.array_equal(d, bad) else h.value(x, d)
+
+    def batch(x, D):
+        values, grads = h.batch(x, D)
+        values[(D == bad).all(axis=1)] = np.nan
+        return values, grads
+
+    spec = dataclasses.replace(base.spec, avoid=(dataclasses.replace(h, value=value, batch=batch),))
+    scn = dataclasses.replace(base, spec=spec)
+    raises, gamma = np.array([0.9, 0.9, 0.0]), np.array([-0.9, -0.9, 0.0])
+    for scan in (continuous._synthesize_over, reference_synthesize_over):
+        with monkeypatch.context() as m:
+            m.setattr(continuous, "_synthesize_over", scan)
+            with pytest.raises(ValueError, match="polytope coefficients must be finite"):
+                synthesize(scn, raises, search=COARSE)
+    got, want = both_scans(monkeypatch, lambda: synthesize(scn, gamma, search=COARSE))
+    assert_same_result(got, want)
+    assert got.in_gamma and got.evaluations == 1
+
+
+def without_batch(scn):
+    """``scn`` with every avoid barrier's ``batch`` dropped, so its scans
+    build rows one candidate at a time."""
+    avoid = tuple(dataclasses.replace(h, batch=None) for h in scn.spec.avoid)
+    return dataclasses.replace(scn, spec=dataclasses.replace(scn.spec, avoid=avoid))
+
+
 def test_held_candidates_skip_the_scalar_solver(monkeypatch):
     # the scalar simplex sees only candidates with a negative avoid rhs;
-    # every other one goes through the batched kernel
-    scn = build_unicycle(n_obstacles=2)
+    # every other one goes through the batched kernel, whether the rows
+    # come in blocks or one candidate at a time
+    two = build_unicycle(n_obstacles=2)
+    # built before solve_lp is counted: construction checks the inputs by LP
+    scenarios = (two, without_batch(two))
     search = SearchConfig(grid_points=3)
-    rhs, scalar, batched = [], [], []
-    held = 0
-    real_rows, real_lp, real_batch = continuous.avoid_rows, continuous.solve_lp, continuous.solve_lp_batch
+    rhs, scalar, batched_lps = [], [], []
+    real_block, real_lp, real_batch = core.LieCache.avoid_block, continuous.solve_lp, continuous.solve_lp_batch
 
-    def rows(*args):
-        A, b = real_rows(*args)
-        rhs.append(b)
+    def avoid_block(cache, D):
+        A, b = real_block(cache, D)
+        rhs.extend(b)
         return A, b
 
-    monkeypatch.setattr(continuous, "avoid_rows", rows)
+    monkeypatch.setattr(core.LieCache, "avoid_block", avoid_block)
     monkeypatch.setattr(continuous, "solve_lp", lambda p: scalar.append(p) or real_lp(p))
     monkeypatch.setattr(
-        continuous, "solve_lp_batch", lambda C, A, b: batched.append(len(C)) or real_batch(C, A, b)
+        continuous, "solve_lp_batch",
+        lambda C, A, b: batched_lps.append(len(C)) or real_batch(C, A, b)
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for x in seeded_states(scn, 11, 30):
-            res = synthesize(scn, x, search=search)
-            assert len(rhs) == res.evaluations
-            on_the_spot = sum(1 for b in rhs if (b < 0).any())
-            assert len(scalar) == on_the_spot
-            if not res.in_gamma:
-                assert sum(batched) == res.evaluations - on_the_spot
-            held += sum(batched)
-            del rhs[:], scalar[:], batched[:]
-    assert held > 1000
+    for scn in scenarios:
+        held = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for x in seeded_states(scn, 11, 30):
+                res = synthesize(scn, x, search=search)
+                if res.in_gamma:
+                    # a block's rows may run past a Γ exit, never short of it
+                    assert len(rhs) >= res.evaluations
+                else:
+                    assert len(rhs) == res.evaluations
+                on_the_spot = sum(1 for b in rhs[:res.evaluations] if (b < 0).any())
+                assert len(scalar) == on_the_spot
+                if not res.in_gamma:
+                    assert sum(batched_lps) == res.evaluations - on_the_spot
+                held += sum(batched_lps)
+                del rhs[:], scalar[:], batched_lps[:]
+        assert held > 1000
 
 
 def test_scan_matches_reference_across_held_blocks(monkeypatch):
@@ -702,8 +748,10 @@ def recounted(scn, counts, undeclared=False):
         return call
 
     def barrier(h, name):
+        batch = h.batch and wrap(h.batch, name + ".batch")
         return dataclasses.replace(h, value=wrap(h.value, name + ".value"),
-                                   gradient=wrap(h.gradient, name + ".gradient"), **strip)
+                                   gradient=wrap(h.gradient, name + ".gradient"),
+                                   batch=batch, **strip)
 
     spec = dataclasses.replace(
         scn.spec,
@@ -748,28 +796,36 @@ def lie_counted(monkeypatch):
 
 def test_declared_rows_are_built_once_per_distinct_read(monkeypatch):
     # at most of these states no grid test is in Γ, so the whole 3^4 grid is
-    # scanned: 9 distinct rows per obstacle and one reach rate, with f and g
-    # evaluated once
+    # scanned, with f and g evaluated once and one reach rate.  One by one:
+    # 9 distinct rows per obstacle.  In blocks: one batch call per obstacle
+    # gives all 81 rows, and only the reach rate is a Lie derivative.
     counts = {}
     lie_calls = lie_counted(monkeypatch)
-    scn = recounted(build_unicycle(n_obstacles=2), counts)
+    two = build_unicycle(n_obstacles=2)
     search = SearchConfig(grid_points=3, refine_iterations=0)
-    full_scans = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for x in seeded_states(scn, 11, 12):
-            counts.clear()
-            del lie_calls[:]
-            res = synthesize(scn, x, search=search)
-            if not res.in_gamma:
-                full_scans += 1
-                assert res.evaluations == 81
-                assert len(lie_calls) == 2 * 9 + 1
-                assert counts["f"] == counts["g"] == counts["reach.gradient"] == 1
-                assert counts["avoid.value"] == counts["avoid.gradient"] == 2 * 9
-            got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
-            assert_same_result(got, want)
-    assert full_scans >= 10
+    for batched, scn in ((True, two), (False, without_batch(two))):
+        scn = recounted(scn, counts)
+        full_scans = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for x in seeded_states(scn, 11, 12):
+                counts.clear()
+                del lie_calls[:]
+                res = synthesize(scn, x, search=search)
+                if not res.in_gamma:
+                    full_scans += 1
+                    assert res.evaluations == 81
+                    assert counts["f"] == counts["g"] == counts["reach.gradient"] == 1
+                    if batched:
+                        assert len(lie_calls) == 1
+                        assert counts["avoid.batch"] == 2
+                        assert "avoid.value" not in counts and "avoid.gradient" not in counts
+                    else:
+                        assert len(lie_calls) == 2 * 9 + 1
+                        assert counts["avoid.value"] == counts["avoid.gradient"] == 2 * 9
+                got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+                assert_same_result(got, want)
+        assert full_scans >= 10
 
 
 @pytest.mark.parametrize("refine_iterations", [40, 0])

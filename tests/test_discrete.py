@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from advsynth import (
     BarrierFunction,
     BudgetError,
+    ClassKappaFn,
     DiscreteDynamics,
     DiscreteScenario,
     FiniteSpace,
@@ -31,8 +32,6 @@ cells = st.tuples(st.integers(0, 9), st.integers(0, 9))
 def blocked_scenario(floor=-3.0):
     """Every action violates the single avoid barrier: the fallback branch
     is the only possible outcome."""
-    from advsynth import ClassKappaFn
-
     dyn = DiscreteDynamics(step=lambda x, u: x, alphabet=("a", "b"))
     spec = ReachAvoidSpec(
         reach=BarrierFunction(value=lambda x, d: 0.0),
@@ -219,6 +218,20 @@ def test_feasible_sequences_terminal_only(gridworld79):
     assert ("right", "left") in near
     strict = feasible_sequences(spec, dyn, (3, 5), (4, 5), 2, check_path=True)
     assert ("right", "left") not in strict
+
+
+def test_check_path_rejects_a_nan_avoid_value_as_the_terminal_rule_does():
+    # "go" reaches state 1, whose avoid value is NaN: not >= 0, so neither
+    # rule may keep it
+    dyn = DiscreteDynamics(step=lambda x, u: 1 if u == "go" else x, alphabet=("go", "stay"))
+    spec = ReachAvoidSpec(
+        reach=BarrierFunction(value=lambda x, d: 0.0),
+        avoid=(BarrierFunction(value=lambda x, d: float("nan") if x == 1 else 1.0),),
+        gains=(ClassKappaFn(1.0),),
+    )
+    for check_path in (False, True):
+        assert feasible_sequences(spec, dyn, 0, (), 1, check_path) == (("stay",),)
+    assert feasible_sequences(spec, dyn, 0, (), 2, check_path=True) == (("stay", "stay"),)
 
 
 def test_feasible_sequences_no_avoid(gridworld79):
