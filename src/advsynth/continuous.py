@@ -136,8 +136,9 @@ def _axis(lo: float, hi: float, k: int) -> np.ndarray:
 
 class _BoxGrid:
     """The points of a box grid in ``np.ndindex`` order, as a lazy sequence:
-    iterating walks the grid, and indexing or :meth:`block` rebuilds points
-    with the same bits, so no point is stored."""
+    iterating walks the grid, and indexing rebuilds points with the same
+    bits, so no point is stored.  A slice gives its points as the rows of
+    one array."""
 
     def __init__(self, lower: np.ndarray, upper: np.ndarray, counts: tuple):
         self.axes = [_axis(lower[i], upper[i], counts[i]) for i in range(lower.size)]
@@ -149,24 +150,16 @@ class _BoxGrid:
     def __iter__(self):
         return map(self._point, np.ndindex(*self.shape))
 
-    def __getitem__(self, i: int) -> np.ndarray:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            rows = np.arange(*i.indices(len(self)))
+            idx = np.unravel_index(rows, self.shape)
+            cols = [axis[j] for axis, j in zip(self.axes, idx)]
+            return np.array(cols, dtype=float).reshape(len(cols), rows.size).T
         return self._point(np.unravel_index(i, self.shape))
 
     def _point(self, idx) -> np.ndarray:
         return np.array([axis[j] for axis, j in zip(self.axes, idx)])
-
-    def block(self, start: int, stop: int) -> np.ndarray:
-        """Points ``start`` to ``stop - 1`` as the rows of one array."""
-        idx = np.unravel_index(np.arange(start, stop), self.shape)
-        cols = [axis[j] for axis, j in zip(self.axes, idx)]
-        return np.array(cols, dtype=float).reshape(len(cols), stop - start).T
-
-
-def _points(candidates, start: int, stop: int) -> np.ndarray:
-    """Candidates ``start`` to ``stop - 1`` as the rows of one float array."""
-    if isinstance(candidates, _BoxGrid):
-        return candidates.block(start, stop)
-    return np.array([np.asarray(candidates[i], dtype=float) for i in range(start, stop)])
 
 
 def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
@@ -274,7 +267,7 @@ def _scan(scn, x, candidates, floor, tau, evals, cache):
     solved = {}
     i = 0
     while i < n:
-        D = _points(candidates, i, min(i + size, n))
+        D = np.asarray(candidates[i:i + size], dtype=float)
         A, b = cache.avoid_block(D)
         k = len(b)
         held_A[i:i + k], held_b[i:i + k] = A, b

@@ -157,7 +157,11 @@ class BarrierFunction:
     bits of ``value`` and ``gradient`` at each test.  Continuous synthesis
     builds an avoid barrier's rows a block of tests at a time with it
     when every avoid barrier has one and f and g read no test coordinate
-    (see :meth:`LieCache.avoid_block`).
+    (see :meth:`LieCache.avoid_block`).  The block's rows then come from
+    one matrix product, whose bits match the per-test rows' only where
+    ``tests/test_block_rows.py`` checks them (the shipped unicycle); a
+    custom ``batch`` may move a scenario's results in the last bits
+    unless the same check passes for its shapes.
     """
 
     value: Callable[[object, object], float]
@@ -545,8 +549,12 @@ class LieCache:
         a caller that resumes at test k raises where a one-by-one scan
         would.  Without :attr:`batched`, ``D`` holds one test.  With it,
         each barrier's ``batch`` and one product ``grads @ [G | f]`` give
-        every row, with the per-test bits on the unicycle's shapes (three
-        states, two inputs; a BLAS may sum others in another order)."""
+        every row.  That product is a different BLAS call from the
+        per-test ``grad @ G``, so the rows keep the per-test bits only
+        where ``tests/test_block_rows.py`` shows it: the shipped unicycle
+        (three states, two inputs) on the BLAS that test runs against.
+        Other shapes may sum in another order and differ in the last
+        bits."""
         if not self.batched:
             A, b = self.avoid_rows(D[0])
             return A[None], b[None]
@@ -570,11 +578,11 @@ class LieCache:
                 )
             bad_grad |= ~np.isfinite(grads).all(axis=1)
             rates = grads @ Gf
+            Ab[:, j, :dim] = -rates[:, :dim]
             if isinstance(alpha, ClassKappaFn) and alpha.form is None:
-                kappa = alpha.gain * values
+                kappa = alpha.gain * values  # gain * float(v)'s bits, one call per block
             else:
                 kappa = [alpha(v) for v in values.tolist()]
-            Ab[:, j, :dim] = -rates[:, :dim]
             Ab[:, j, dim] = rates[:, dim] + kappa
         bad = bad_grad | ~np.isfinite(Ab.reshape(K, -1)).all(axis=1)
         k = int(bad.argmax()) if bad.any() else K

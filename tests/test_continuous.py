@@ -559,7 +559,7 @@ def test_held_candidates_skip_the_scalar_solver(monkeypatch):
     # come in blocks or one candidate at a time
     two = build_unicycle(n_obstacles=2)
     # built before solve_lp is counted: construction checks the inputs by LP
-    scenarios = (two, without_batch(two))
+    scenarios = ((True, two), (False, without_batch(two)))
     search = SearchConfig(grid_points=3)
     rhs, scalar, batched_lps = [], [], []
     real_block, real_lp, real_batch = core.LieCache.avoid_block, continuous.solve_lp, continuous.solve_lp_batch
@@ -575,15 +575,16 @@ def test_held_candidates_skip_the_scalar_solver(monkeypatch):
         continuous, "solve_lp_batch",
         lambda C, A, b: batched_lps.append(len(C)) or real_batch(C, A, b)
     )
-    for scn in scenarios:
+    for batched, scn in scenarios:
         held = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for x in seeded_states(scn, 11, 30):
                 res = synthesize(scn, x, search=search)
-                if res.in_gamma:
-                    # a block's rows may run past a Γ exit, never short of it
-                    assert len(rhs) >= res.evaluations
+                if res.in_gamma and batched:
+                    # a block's rows may run past a Γ exit to the end of
+                    # its block, never short of it
+                    assert 0 <= len(rhs) - res.evaluations < continuous._HELD_BLOCK
                 else:
                     assert len(rhs) == res.evaluations
                 on_the_spot = sum(1 for b in rhs[:res.evaluations] if (b < 0).any())
@@ -715,6 +716,11 @@ def test_box_grid_indexing_matches_iteration():
     assert len(points) == len(grid) == 12
     for i, p in enumerate(points):
         assert np.array_equal(grid[i], p)
+    # a slice gives the same points as the rows of one array, bit for bit
+    for start, stop in ((0, 12), (3, 4), (5, 9), (10, 40), (12, 13)):
+        block = grid[start:stop]
+        want = np.array(points[start:stop]).reshape(-1, 3)
+        assert block.shape == want.shape and block.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
