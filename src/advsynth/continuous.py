@@ -12,11 +12,13 @@ Finite test sets are enumerated exhaustively instead.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,6 +74,8 @@ class SearchConfig:
     midpoint), then compass refinement from the best grid point with step
     halving.  Refinement stops after ``refine_iterations`` rounds or once
     the largest step falls below ``step_tolerance`` times the box diameter.
+    The remaining rounds are planned ahead and scanned together, with the
+    results of one round at a time (see :func:`synthesize`).
     """
 
     grid_points: int = 25
@@ -192,30 +196,27 @@ def _best_rate(scn, x, d, poly, floor, tau, cache=None):
     return drift_rate + out.value - tau, out.point
 
 
-def _solve_held(candidates, held, held_A, held_b, tau, inputs, cache):
-    """``(d, value, maximizer)`` of the held candidates ``held`` (indices in
-    candidate order) from one :func:`solve_lp_batch` of their stored rows.
+def _solve_held(points, held_A, held_b, tau, inputs, cache):
+    """``(value, maximizer)`` of each held test in ``points`` from one
+    :func:`solve_lp_batch` of its stored rows ``held_A``, ``held_b``.
 
     Their reach rates are taken one by one, in order, from ``cache``.
     When one raises, an unbounded program ahead of it is reported first,
     as a one-by-one scan would."""
-    ds, rates, rows = [], [], []
+    rates, rows = [], []
 
     def solve(k):
         if k == 0:
             return []
-        A = np.concatenate(
-            [held_A[held[:k]], np.broadcast_to(inputs.A, (k,) + inputs.A.shape)], axis=1
-        )
-        b = np.concatenate([held_b[held[:k]], np.broadcast_to(inputs.b, (k, inputs.rows))], axis=1)
+        A = np.concatenate([held_A[:k], np.broadcast_to(inputs.A, (k,) + inputs.A.shape)], axis=1)
+        b = np.concatenate([held_b[:k], np.broadcast_to(inputs.b, (k, inputs.rows))], axis=1)
         outs = solve_lp_batch(np.reshape(rows, (k, inputs.dim)), A, b)
         if any(out.status == UNBOUNDED for out in outs):
             raise ScenarioError(_UNBOUNDED)
         return outs
 
     checked = None  # a kept reach row is one object, so it is checked once
-    for i in held:
-        d = candidates[i]
+    for d in points:
         try:
             rate, row = cache.reach(np.asarray(d, dtype=float))
             if row is not checked:
@@ -224,14 +225,25 @@ def _solve_held(candidates, held, held_A, held_b, tau, inputs, cache):
         except Exception:
             solve(len(rates))
             raise
-        ds.append(d)
         rates.append(rate)
-    outs = solve(len(held))
-    return [(d, rate + out.value - tau, out.point) for d, rate, out in zip(ds, rates, outs)]
+    outs = solve(len(points))
+    return [(rate + out.value - tau, out.point) for rate, out in zip(rates, outs)]
 
 
-def _scan(scn, x, candidates, floor, tau, evals, cache):
-    """Hardest of ``candidates`` (a sequence, indexed), Γ first.
+def _scan(scn, x, candidates, ends, floor, tau, evals, cache, bar=-np.inf):
+    """Hardest candidate of each group of ``candidates`` (a sequence,
+    indexed), Γ first: ``(gamma, bests)``.
+
+    The groups are consecutive runs of candidates ending at the indices
+    ``ends``: the coarse grid or a finite set is one group, a compass plan
+    one group per round.  ``bests`` holds ``(d, value, maximizer)`` of the
+    hardest candidate of each group folded, the earliest kept on ties and
+    ``(None, inf, None)`` for an empty group.  Groups are folded in order,
+    and the scan ends after the first whose hardest value is below
+    ``bar``.  ``gamma`` is the first candidate in Γ as a
+    :class:`SynthesisResult` with ``early_exit``, else None; the groups
+    before its own are all folded then.  ``evals`` counts earlier
+    candidates of the same search.
 
     The candidates' avoid rows come from ``cache``, the call's
     :class:`core.LieCache`, a block at a time: ``_HELD_BLOCK`` candidates
@@ -239,15 +251,16 @@ def _scan(scn, x, candidates, floor, tau, evals, cache):
     one, whose declared rows are built only the first time their
     coordinates occur.  So the callbacks run fewer times than candidates.
     A candidate with a negative right-hand side among its avoid and
-    actuator rows is evaluated on the spot, in candidate order, and the
-    first one found in Γ is returned with ``early_exit``; a block's later
-    candidates then had their rows built for nothing.  The others cannot
-    be in Γ (see :func:`synthesize`): their rows are held, and after the
-    scan their LPs are solved by :func:`solve_lp_batch` in blocks of at
+    actuator rows is evaluated on the spot, in candidate order, once the
+    groups before its own are folded, and the first one found in Γ ends
+    the scan; a block's later candidates then had their rows built for
+    nothing.  So every LP solved on the spot is one a scan of one group at
+    a time would solve.  The others cannot be in Γ (see
+    :func:`synthesize`): their rows are held, and their LPs are solved
+    when their group is folded, by :func:`solve_lp_batch` in blocks of at
     most ``_HELD_BLOCK`` candidates, with the same bits as one
-    :func:`solve_lp` each.  Every value is folded in candidate order with
-    the earliest minimum kept.  ``evals`` counts earlier candidates of the
-    same search.
+    :func:`solve_lp` each.  A block may run into groups past one that ends
+    the scan.
 
     Memory is the held rows plus one block of rows and of tableaux.  The
     held rows take ``8 * len(candidates) * barriers * (inputs + 1)``
@@ -256,71 +269,123 @@ def _scan(scn, x, candidates, floor, tau, evals, cache):
     (2 * inputs + rows + 1)`` bytes twice over (the tableaux and the
     running ones' working copy), where ``rows`` counts the avoid and
     actuator rows: about 0.3 MB for that grid.  Candidates are not
-    copied; one is looked up again by its index.  The cache adds at most
-    one entry per barrier and candidate.
+    copied; a block's held points are taken again from one slice.  The
+    cache adds at most one entry per barrier and candidate.
     """
     inputs = scn.input_polytope
     can_hold = not (inputs.b < 0).any()
     n, size = len(candidates), _HELD_BLOCK if cache.batched else 1
     held_A = np.empty((n, len(scn.spec.avoid), inputs.dim))
     held_b = np.empty((n, len(scn.spec.avoid)))
-    solved = {}
+    solved, bests = {}, []
+
+    def fold(stop):
+        """Fold the groups that end at or before candidate ``stop``; True
+        once one has a value below ``bar``."""
+        lo = ends[len(bests) - 1] if bests else 0
+        last = bisect.bisect_right(ends, stop)
+        top, solved_to = ends[last - 1] if last else 0, lo
+        for end in ends[len(bests):last]:
+            best_d = best_u = None
+            best_val = np.inf
+            for i in range(lo, end):
+                if i == solved_to:
+                    solved_to = min(i + _HELD_BLOCK, top)
+                    block = candidates[i:solved_to]
+                    held = [j for j in range(i, solved_to) if j not in solved]
+                    points = [block[j - i] for j in held]
+                    outs = _solve_held(points, held_A[held], held_b[held], tau, inputs, cache)
+                    solved.update((j, (d,) + out) for j, d, out in zip(held, points, outs))
+                d, val, u = solved.pop(i)
+                if val < best_val:
+                    best_val, best_d, best_u = val, d, u
+            bests.append((best_d, best_val, best_u))
+            lo = end
+            if best_d is not None and best_val < bar:
+                return True
+        return False
+
     i = 0
     while i < n:
-        D = np.asarray(candidates[i:i + size], dtype=float)
+        block = candidates[i:i + size]
+        D = np.asarray(block, dtype=float)
         A, b = cache.avoid_block(D)
         k = len(b)
         held_A[i:i + k], held_b[i:i + k] = A, b
         spot = (b < 0).any(axis=1) if can_hold else np.ones(k, dtype=bool)
         for j in np.flatnonzero(spot).tolist():
+            if fold(i + j):
+                return None, bests
             val, u = _best_rate(scn, x, D[j], stack_rows(A[j], b[j], inputs), floor, tau, cache)
-            d = candidates[i + j]
             if u is None:
-                return SynthesisResult(d, float(floor), True, None, evals + i + j + 1, True)
-            solved[i + j] = (d, val, u)
+                return SynthesisResult(block[j], float(floor), True, None, evals + i + j + 1,
+                                       True), bests
+            solved[i + j] = (block[j], val, u)
         i += k
+    fold(n)
+    return None, bests
 
-    best_d = best_u = None
-    best_val = np.inf
-    for start in range(0, n, _HELD_BLOCK):
-        block = range(start, min(start + _HELD_BLOCK, n))
-        held = [i for i in block if i not in solved]
-        solved.update(zip(held, _solve_held(candidates, held, held_A, held_b, tau, inputs, cache)))
-        for i in block:
-            d, val, u = solved.pop(i)
-            if val < best_val:
-                best_val, best_d, best_u = val, d, u
-    return SynthesisResult(best_d, best_val, False, best_u, evals + n)
+
+def _compass(d_cur, step, lower, upper):
+    """One compass round's moves from ``d_cur``: each coordinate with a
+    nonzero step, down then up, clipped to the box.  A move the clip
+    cancels is left out."""
+    candidates = []
+    for i in range(d_cur.size):
+        if step[i] == 0.0:
+            continue
+        for sign in (-1.0, 1.0):
+            cand = d_cur.copy()
+            # np.clip's bits, signed zeros included, at a fraction of its cost
+            cand[i] = min(max(cand[i] + sign * step[i], lower[i]), upper[i])
+            if cand[i] != d_cur[i]:
+                candidates.append(cand)
+    return candidates
 
 
 def _refine(scn, x, space, start, floor, search, tau, cache):
+    """Compass refinement from ``start``, the grid scan's result: a round's
+    hardest move replaces the current test when it is strictly harder,
+    else the step halves.  Rounds are planned ahead and scanned together
+    as :func:`synthesize` describes."""
     lower, upper = space.lower, space.upper
-    diam = float(np.linalg.norm(upper - lower))
+    limit = search.step_tolerance * float(np.linalg.norm(upper - lower))
     span = upper - lower
     step = np.where(span > 0, span / max(search.grid_points - 1, 1), 0.0)
     d_cur = np.asarray(start.d_star, dtype=float).copy()
     val_cur, u_cur, evals = start.difficulty, start.inner_maximizer, start.evaluations
-    for _ in range(search.refine_iterations):
-        if step.size == 0 or step.max() <= search.step_tolerance * diam:
+    # width: the most rounds the next plan may hold.  The first plan holds
+    # every remaining round; a plan whose round k improves wasted the rest,
+    # so the next holds k + 1, and one with no improving round twice as many
+    rounds = width = search.refine_iterations
+    while True:
+        plan, s = [], step
+        while len(plan) < min(rounds, width) and not (s.size == 0 or s.max() <= limit):
+            plan.append(_compass(d_cur, s, lower, upper))
+            s = s * 0.5
+        if not plan:
             break
-        candidates = []
-        for i in range(d_cur.size):
-            if step[i] == 0.0:
-                continue
-            for sign in (-1.0, 1.0):
-                cand = d_cur.copy()
-                # np.clip's bits, signed zeros included, at a fraction of its cost
-                cand[i] = min(max(cand[i] + sign * step[i], lower[i]), upper[i])
-                if cand[i] != d_cur[i]:
-                    candidates.append(cand)
-        best = _scan(scn, x, candidates, floor, tau, evals, cache)
-        if best.in_gamma:
-            return best
-        evals = best.evaluations
-        if best.d_star is not None and best.difficulty < val_cur:
-            d_cur, val_cur, u_cur = best.d_star, best.difficulty, best.inner_maximizer
-        else:
+        flat = [c for r in plan for c in r]
+        try:
+            gamma, bests = _scan(scn, x, flat, list(accumulate(map(len, plan))),
+                                 floor, tau, evals, cache, val_cur)
+        except Exception:
+            # a planned round the loop may never reach can raise: plan one
+            # round at a time until a lone round raises where the loop would
+            if len(plan) == 1:
+                raise
+            width = 1
+            continue
+        width = 2 * len(plan)
+        for k, (moves, (d, val, u)) in enumerate(zip(plan, bests)):
+            rounds, evals = rounds - 1, evals + len(moves)
+            if d is not None and val < val_cur:
+                d_cur, val_cur, u_cur, width = d, val, u, k + 1
+                break
             step = step * 0.5
+        else:
+            if gamma is not None:
+                return gamma
     return SynthesisResult(d_cur, val_cur, False, u_cur, evals)
 
 
@@ -357,8 +422,12 @@ def _synthesize_over(scn, x, space, floor, search, tau):
             "the synthesized test is uninteresting but still valid",
             stacklevel=level,
         )
-    best = _scan(scn, x, candidates, floor, tau, 0, cache)
-    if best.in_gamma or box is None:
+    gamma, bests = _scan(scn, x, candidates, [len(candidates)], floor, tau, 0, cache)
+    if gamma is not None:
+        return gamma
+    (d, val, u), = bests
+    best = SynthesisResult(d, val, False, u, len(candidates))
+    if box is None:
         return best
     return _refine(scn, x, box, best, floor, search, tau, cache)
 
@@ -411,6 +480,23 @@ def synthesize(
     follow a test in Γ.
     A declaration out of range of the test dimension raises
     ``ValueError`` before any callback runs.
+
+    Compass rounds are planned ahead: rounds are built as if none
+    improves, each at half the step of the one before, and a plan is
+    scanned as one (one row block and one batch of held LPs for up to
+    ``_HELD_BLOCK`` candidates), its rounds folded in order.  The first
+    plan holds every remaining round.  The first round that improves
+    moves the test and keeps its step, the later ones are dropped, and the
+    next plan holds at most as many rounds as were used (k + 1 after an
+    improvement in round k), or twice as many after a plan with none.  A
+    test in Γ ends the search only when no earlier round improves, and a
+    round's candidates are solved on the spot only once every earlier
+    round is folded.  After a plan raises, plans start again at one
+    round, so an error surfaces where a search of one round at a time
+    raises it.  Results, ``evaluations`` and the LPs solved on the spot
+    are those of that search.  The one extra cost: the callbacks, avoid
+    rows and the reach rates of held candidates, may run for planned
+    rounds that an improving round drops.
     """
     if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_constrained")

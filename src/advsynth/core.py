@@ -40,6 +40,7 @@ __all__ = [
     "satisfaction_floor",
     "lie_derivatives",
     "feasibility_filter",
+    "dynamics_at",
     "avoid_rows",
     "stack_rows",
     "feasible_input_polytope",
@@ -592,8 +593,17 @@ class LieCache:
         return Ab[:k, :, :dim], Ab[:k, :, dim]
 
 
+def dynamics_at(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d) -> tuple:
+    """``(dyn.drift(x, d), g(x, d))``, evaluated once for every row built at
+    (x, d): the ``fg`` that :func:`lie_derivatives` and :func:`avoid_rows`
+    take.  A ``reads`` index out of range of ``d`` raises ``ValueError``
+    first, before any callback runs."""
+    _check_reads(spec, dyn, d.size)
+    return dyn.drift(x, d), np.asarray(dyn.g(x, d), dtype=float)
+
+
 def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: int,
-               cache: Optional[LieCache] = None):
+               cache: Optional[LieCache] = None, fg: Optional[tuple] = None):
     """Safe-input rows of the avoid barriers at (x, d).
 
     Returns ``(A, b)`` with one row per avoid barrier, ``A`` of shape
@@ -603,13 +613,15 @@ def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: i
     come from ``cache``, a :class:`LieCache` of the same (spec, dyn, x),
     or else are built directly, with f and g evaluated once; a ``reads``
     index out of range of ``d`` then raises ``ValueError`` before any
-    callback runs.
+    callback runs.  ``fg`` passes f and g already evaluated by
+    :func:`dynamics_at`, which has made that check.
     """
     d = np.asarray(d, dtype=float)
     if cache is not None:
         return cache.avoid_rows(d)
-    _check_reads(spec, dyn, d.size)
-    fg = (dyn.drift(x, d), np.asarray(dyn.g(x, d), dtype=float)) if spec.avoid else None
+    if fg is None:
+        _check_reads(spec, dyn, d.size)
+        fg = (dyn.drift(x, d), np.asarray(dyn.g(x, d), dtype=float)) if spec.avoid else None
     return _finite_rows([_safe_input_row(spec, j, x, d, lie_derivatives(h, dyn, x, d, fg),
                                          input_dim)
                          for j, h in enumerate(spec.avoid)], input_dim)
@@ -630,15 +642,16 @@ def feasible_input_polytope(
     x,
     d,
     input_polytope: Polytope,
+    fg: Optional[tuple] = None,
 ) -> Polytope:
     """Inputs keeping every avoid barrier's rate above its -alpha(h) bound,
     intersected with the actuator polytope: :func:`avoid_rows` stacked by
-    :func:`stack_rows`.
+    :func:`stack_rows`, with ``fg`` passed on.
 
     The result may be empty; emptiness is meaningful (the test admits no
     safe input).
     """
-    A, b = avoid_rows(spec, dyn, x, d, input_polytope.dim)
+    A, b = avoid_rows(spec, dyn, x, d, input_polytope.dim, fg=fg)
     return stack_rows(A, b, input_polytope)
 
 

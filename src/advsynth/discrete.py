@@ -11,6 +11,7 @@ already optimal).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -117,12 +118,15 @@ def predictive_difficulty(
 ):
     """Max N-step reach increment over the :func:`feasible_sequences`, or
     ``(floor, None)`` when none exist.  Ties resolve to the last sequence in
-    product order."""
+    product order.  A non-finite increment raises ``ValueError``."""
     base = float(scn.spec.reach.value(x, d))
     best_val = -float("inf")
     best = None
     for seq in feasible_sequences(scn.spec, scn.dynamics, x, d, n_steps, check_path):
         v = float(scn.spec.reach.value(rollout(scn.dynamics, x, seq), d)) - base
+        if not math.isfinite(v):
+            # a NaN increment never wins, which would report a safe test as Γ
+            raise ValueError("reach barrier values must be finite")
         if v >= best_val:
             best_val, best = v, seq
     if best is None:

@@ -30,6 +30,7 @@ from .core import (
     ReachAvoidSpec,
     ScenarioError,
     as_vector,
+    dynamics_at,
     feasible_input_polytope,
     lie_derivatives,
 )
@@ -252,7 +253,7 @@ def _solve_reward_cached(goal: tuple, obstacle: tuple) -> RewardGrid:
         rhs[k] = value
     base = np.linalg.solve(A, rhs).reshape(GRID_N, GRID_N)
     residual = np.abs(A @ base.reshape(-1) - rhs).max()
-    if residual > 1e-9:
+    if not residual <= 1e-9:  # so a NaN residual fails too
         raise ScenarioError(f"reward solve residual {residual:.3e} exceeds 1e-9")
     modified = base.copy()
     modified[goal] = 10.1
@@ -406,9 +407,12 @@ def build_quadgrid(
 def greedy_safe_controller(scn: ContinuousScenario, x, d) -> np.ndarray:
     """Baseline system-under-test: maximize the reach-barrier rate over the
     safe inputs; when no input is safe, fall back to the input maximizing
-    the least avoid-row slack over the actuator polytope."""
-    poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope)
-    drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d)
+    the least avoid-row slack over the actuator polytope.  f and g are
+    evaluated once, for the avoid rows and the reach row alike."""
+    d = np.asarray(d, dtype=float)
+    fg = dynamics_at(scn.spec, scn.dynamics, x, d)
+    poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
+    drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg)
     out = solve_lp(LpProblem(input_row, poly))
     if out.status == OPTIMAL:
         return out.point

@@ -906,18 +906,18 @@ def test_compass_moves_have_the_bits_of_np_clip(monkeypatch):
     refinement builds with ``np.clip``.  The cases move onto the box bounds,
     and the second box has signed-zero bounds."""
     rounds, evaluated = [], []
-    real_scan, real_difficulty = continuous._scan, continuous.difficulty
+    real_compass, real_difficulty = continuous._compass, continuous.difficulty
 
-    def scan(scn, x, candidates, *rest):
-        if isinstance(candidates, list):
-            rounds.extend(np.asarray(c).tobytes() for c in candidates)
-        return real_scan(scn, x, candidates, *rest)
+    def compass(*args):
+        moves = real_compass(*args)
+        rounds.extend(np.asarray(c).tobytes() for c in moves)
+        return moves
 
     def evaluate(scn, x, d, *rest):
         evaluated.append(np.asarray(d, dtype=float).tobytes())
         return real_difficulty(scn, x, d, *rest)
 
-    monkeypatch.setattr(continuous, "_scan", scan)
+    monkeypatch.setattr(continuous, "_compass", compass)
     monkeypatch.setattr(continuous, "difficulty", evaluate)
     two = build_unicycle(n_obstacles=2)
     zeros = dataclasses.replace(
@@ -933,7 +933,133 @@ def test_compass_moves_have_the_bits_of_np_clip(monkeypatch):
                 del rounds[:], evaluated[:]
                 got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
                 assert_same_result(got, want)
-                # the reference stops at a blocking test, the scan after its round
+                # the reference stops at a blocking test, the plan runs past it
                 assert evaluated[grid:] == rounds[:len(evaluated[grid:])]
                 moves += len(rounds)
     assert moves > 1000
+
+
+# ---------------------------------------------------------------------------
+# compass rounds planned ahead, against the one-round-at-a-time reference
+
+def target_scenario(target, trap=None, raises=None, batch=True):
+    """A planar integrator whose difficulty at test d is |d - target|_1 on
+    the box [-1, 1]^2, so compass rounds move towards an off-grid target.
+    Its one avoid barrier blocks every input at the test ``trap`` and
+    raises ``LookupError`` at ``raises``; ``batch`` gives it block rows."""
+    target = np.asarray(target, dtype=float)
+    east = np.array([1.0, 0.0])
+
+    def value(d):
+        if raises is not None and np.array_equal(d, raises):
+            raise LookupError("avoid callback failed")
+        return -10.0 if trap is not None and np.array_equal(d, trap) else 1.0
+
+    def block(x, D):
+        return np.array([value(d) for d in D]), np.tile(east, (len(D), 1))
+
+    avoid = BarrierFunction(lambda x, d: value(d), lambda x, d: east, reads=(0, 1),
+                            batch=block if batch else None)
+    reach = BarrierFunction(lambda x, d: -1.0, lambda x, d: np.asarray(d, dtype=float) - target,
+                            reads=(0, 1))
+    return ContinuousScenario(
+        dynamics=ContinuousDynamics(lambda x, d: np.zeros(2), lambda x, d: np.eye(2), reads=()),
+        spec=ReachAvoidSpec(reach=reach, avoid=(avoid,), gains=(ClassKappaFn(1.0),)),
+        input_polytope=Polytope.box([-1.0, -1.0], [1.0, 1.0]),
+        test_space=BoxSpace(-np.ones(2), np.ones(2)),
+        state_lower=-np.ones(2),
+        state_upper=np.ones(2),
+        floor=-1.0,
+        name="target",
+    )
+
+
+# From the 5-point grid's best test (0.5, 0), the first plan's rounds move
+# by 0.5, 0.25, 0.125, ...  Towards (0.3, -0.2) its second round improves,
+# so its third, which holds (0.375, 0), is dropped, and the reference never
+# evaluates that test.  Towards (0.5, 0) no round improves.
+PLANNED_CASES = {
+    "improving-round": ((0.3, -0.2), None, None),
+    "gamma-in-a-later-planned-round": ((0.5, 0.0), (0.375, 0.0), None),
+    "gamma-after-an-improving-round": ((0.3, -0.2), (0.25, -0.25), None),
+    "gamma-in-a-dropped-round": ((0.3, -0.2), (0.375, 0.0), None),
+    "raise-in-a-dropped-round": ((0.3, -0.2), None, (0.375, 0.0)),
+    "raise-where-the-reference-raises": ((0.5, 0.0), None, (0.375, 0.0)),
+}
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["blocks", "one-by-one"])
+@pytest.mark.parametrize("case", sorted(PLANNED_CASES))
+def test_planned_rounds_match_one_round_at_a_time(monkeypatch, case, batch):
+    target, trap, raises = PLANNED_CASES[case]
+    scn = target_scenario(target, trap, raises, batch)
+    search = SearchConfig(grid_points=5, refine_iterations=40)
+    x = np.zeros(2)
+    planned, evaluated, scalar = set(), set(), []
+    real_compass, real_difficulty, real_lp = continuous._compass, continuous.difficulty, continuous.solve_lp
+
+    def compass(*args):
+        moves = real_compass(*args)
+        planned.update(tuple(c) for c in moves)
+        return moves
+
+    def evaluate(scn, x, d, *rest):
+        evaluated.add(tuple(d))
+        return real_difficulty(scn, x, d, *rest)
+
+    monkeypatch.setattr(continuous, "_compass", compass)
+    monkeypatch.setattr(continuous, "difficulty", evaluate)
+    if case == "raise-where-the-reference-raises":
+        for scan in (continuous._synthesize_over, reference_synthesize_over):
+            with monkeypatch.context() as m:
+                m.setattr(continuous, "_synthesize_over", scan)
+                with pytest.raises(LookupError, match="avoid callback failed"):
+                    synthesize(scn, x, search=search)
+        return
+    monkeypatch.setattr(continuous, "solve_lp", lambda p: scalar.append(p) or real_lp(p))
+    got = synthesize(scn, x, search=search)
+    on_the_spot = len(scalar)
+    _, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+    assert_same_result(got, want)
+    assert np.asarray(got.d_star).tobytes() == np.asarray(want.d_star).tobytes()
+    assert want.in_gamma == (trap is not None and "dropped" not in case)
+    assert want.evaluations > 25 + 4  # every case reaches the compass rounds
+    # only the trap has a negative right-hand side, and the planned scan
+    # solves it on the spot only where the reference evaluates it
+    assert on_the_spot == (trap in evaluated)
+    if "dropped" in case:
+        point = (0.375, 0.0)
+        assert point in planned and point not in evaluated
+
+
+def test_planned_rounds_match_reference_without_batch(monkeypatch):
+    # blocks of one on the two-obstacle unicycle: rows one candidate at a
+    # time, a plan's held LPs still in one batch
+    scn = without_batch(build_unicycle(n_obstacles=2))
+    search = SearchConfig(grid_points=3, refine_iterations=40)
+    refined = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 31, 16):
+            got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
+            assert_same_result(got, want)
+            refined += want.evaluations > 3 ** 4
+    assert refined
+
+
+def test_plans_after_an_improving_round_stay_short(monkeypatch):
+    # with no step tolerance every synthesis runs all 40 rounds, about half
+    # of them improving; beyond the first plan (at most 40 rounds) dropped
+    # rounds number at most twice the 40 used.  Replanning every remaining
+    # round after each improvement planned 339 to 430 here.
+    planned = []
+    real_compass = continuous._compass
+    monkeypatch.setattr(continuous, "_compass",
+                        lambda *args: planned.append(args) or real_compass(*args))
+    search = SearchConfig(grid_points=5, refine_iterations=40, step_tolerance=0.0)
+    for target in [(0.3, -0.2), (-0.61, 0.37), (0.123, 0.877)]:
+        del planned[:]
+        got, want = both_scans(monkeypatch, lambda: synthesize(target_scenario(target), np.zeros(2),
+                                                                search=search))
+        assert_same_result(got, want)
+        assert len(planned) <= 40 + 40 + 2 * 40

@@ -234,6 +234,24 @@ def test_check_path_rejects_a_nan_avoid_value_as_the_terminal_rule_does():
     assert feasible_sequences(spec, dyn, 0, (), 2, check_path=True) == (("stay", "stay"),)
 
 
+def test_nan_reach_value_raises_instead_of_reporting_gamma():
+    # both actions are safe at both tests, but the reach value is NaN at
+    # test 1, so every increment there is NaN and none would be kept
+    dyn = DiscreteDynamics(step=lambda x, u: x + u, alphabet=(0, 1))
+    spec = ReachAvoidSpec(
+        reach=BarrierFunction(value=lambda x, d: float("nan") if d == (1,) else float(x)),
+        avoid=(BarrierFunction(value=lambda x, d: 1.0),),
+        gains=(ClassKappaFn(1.0),),
+    )
+    scn = DiscreteScenario(dynamics=dyn, spec=spec, test_space=FiniteSpace(((0,), (1,))),
+                           floor=-9.0)
+    assert predictive_difficulty(scn, 0, (0,), -9.0, 1) == (1.0, (1,))
+    with pytest.raises(ValueError, match="reach barrier values must be finite"):
+        predictive_difficulty(scn, 0, (1,), -9.0, 1)
+    with pytest.raises(ValueError, match="reach barrier values must be finite"):
+        synthesize_discrete(scn, 0)
+
+
 def test_feasible_sequences_no_avoid(gridworld79):
     spec = ReachAvoidSpec(reach=gridworld79.spec.reach, avoid=(), gains=())
     assert len(feasible_sequences(spec, gridworld79.dynamics, (3, 5), (4, 5), 2)) == 25

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from advsynth import (
     MappedSpace,
     ReachAvoidSpec,
+    ScenarioError,
     blocks_all_inputs,
     build_gridworld,
     build_quadgrid,
@@ -122,6 +123,18 @@ def test_reward_interior_harmonic_identity():
     for (i, j) in [(3, 3), (6, 2), (2, 7)]:
         mean4 = 0.25 * (v[i - 1, j] + v[i + 1, j] + v[i, j - 1] + v[i, j + 1])
         assert v[i, j] == pytest.approx(mean4, abs=1e-9)
+
+
+def test_reward_solve_rejects_a_nan_grid_and_caches_nothing(monkeypatch):
+    # a NaN residual is not > 1e-9, so only a check written as
+    # "not <= 1e-9" rejects it
+    scenarios._solve_reward_cached.cache_clear()
+    monkeypatch.setattr(scenarios.np.linalg, "solve", lambda A, b: np.full_like(b, np.nan))
+    with pytest.raises(ScenarioError, match="residual nan exceeds"):
+        solve_reward((7, 9), (5, 5))
+    assert scenarios._solve_reward_cached.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert np.isfinite(solve_reward((7, 9), (5, 5)).base).all()
 
 
 def test_reward_memoized_identity():
@@ -330,6 +343,28 @@ def test_greedy_max_slack_matches_row_by_row_program(unicycle, quadgrid, which, 
 def test_greedy_zero_gradient_feasible(unicycle):
     u = greedy_safe_controller(unicycle, np.array([0.5, 0.5, 0.0]), np.array([-0.9, -0.9]))
     assert unicycle.input_polytope.contains(u)
+
+
+@pytest.mark.parametrize("which", ["unicycle", "quadgrid"])
+def test_greedy_evaluates_f_and_g_once_per_call(unicycle, quadgrid, which):
+    # the avoid rows and the reach row share one evaluation of the dynamics
+    scn = unicycle if which == "unicycle" else quadgrid
+    calls = []
+    dyn = dataclasses.replace(
+        scn.dynamics,
+        f=lambda x, d: calls.append("f") or scn.dynamics.f(x, d),
+        g=lambda x, d: calls.append("g") or scn.dynamics.g(x, d),
+    )
+    counted = dataclasses.replace(scn, dynamics=dyn)
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        x = rng.uniform(scn.state_lower, scn.state_upper)
+        space = scn.test_space.at(x, 0.0) if which == "quadgrid" else scn.test_space
+        d = np.asarray(space.points[0]) if which == "quadgrid" else rng.uniform(space.lower, space.upper)
+        del calls[:]
+        u = greedy_safe_controller(counted, x, d)
+        assert sorted(calls) == ["f", "g"]
+        assert np.array_equal(u, greedy_safe_controller(scn, x, d))
 
 
 # ---------------------------------------------------------------------------
