@@ -74,8 +74,6 @@ class SearchConfig:
     midpoint), then compass refinement from the best grid point with step
     halving.  Refinement stops after ``refine_iterations`` rounds or once
     the largest step falls below ``step_tolerance`` times the box diameter.
-    The remaining rounds are planned ahead and scanned together, with the
-    results of one round at a time (see :func:`synthesize`).
     """
 
     grid_points: int = 25
@@ -99,8 +97,7 @@ class ContinuousScenario:
     The state box and test space must be compact and the input polytope
     bounded (checked at construction with one LP per axis direction), which
     is what guarantees the synthesizer always returns a test.  ``floor`` is
-    the satisfaction floor, the difficulty of a test that admits no safe
-    input; synthesis needs it unless the call passes one.
+    the satisfaction floor (see :func:`core.satisfaction_floor`).
     """
 
     dynamics: ContinuousDynamics
@@ -120,6 +117,8 @@ class ContinuousScenario:
             raise ValueError("state box needs lower <= upper elementwise")
         object.__setattr__(self, "state_lower", lo)
         object.__setattr__(self, "state_upper", hi)
+        if self.floor is not None:
+            satisfaction_floor(self)
         for i in range(self.input_polytope.dim):
             for sign in (1.0, -1.0):
                 e = np.zeros(self.input_polytope.dim)
@@ -139,10 +138,9 @@ def _axis(lo: float, hi: float, k: int) -> np.ndarray:
 
 
 class _BoxGrid:
-    """The points of a box grid in ``np.ndindex`` order, as a lazy sequence:
-    iterating walks the grid, and indexing rebuilds points with the same
-    bits, so no point is stored.  A slice gives its points as the rows of
-    one array."""
+    """The points of a box grid in ``np.ndindex`` order, as a lazy sequence
+    that stores no point: a slice gives its points as the rows of one
+    array, and an index the one row of its slice."""
 
     def __init__(self, lower: np.ndarray, upper: np.ndarray, counts: tuple):
         self.axes = [_axis(lower[i], upper[i], counts[i]) for i in range(lower.size)]
@@ -151,19 +149,14 @@ class _BoxGrid:
     def __len__(self) -> int:
         return math.prod(self.shape)
 
-    def __iter__(self):
-        return map(self._point, np.ndindex(*self.shape))
-
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            rows = np.arange(*i.indices(len(self)))
-            idx = np.unravel_index(rows, self.shape)
-            cols = [axis[j] for axis, j in zip(self.axes, idx)]
-            return np.array(cols, dtype=float).reshape(len(cols), rows.size).T
-        return self._point(np.unravel_index(i, self.shape))
-
-    def _point(self, idx) -> np.ndarray:
-        return np.array([axis[j] for axis, j in zip(self.axes, idx)])
+        if not isinstance(i, slice):
+            i = range(len(self))[i]  # IndexError out of range, which ends iteration
+            return self[i:i + 1][0]
+        rows = np.arange(*i.indices(len(self)))
+        idx = np.unravel_index(rows, self.shape)
+        cols = [axis[j] for axis, j in zip(self.axes, idx)]
+        return np.array(cols, dtype=float).reshape(len(cols), rows.size).T
 
 
 def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
@@ -177,17 +170,14 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     """
     d = np.asarray(d, dtype=float)
     poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope)
-    return _best_rate(scn, x, d, poly, floor, tau)
+    return _best_rate(lie_derivatives(scn.spec.reach, scn.dynamics, x, d), poly, floor, tau)
 
 
-def _best_rate(scn, x, d, poly, floor, tau, cache=None):
+def _best_rate(reach, poly, floor, tau):
     """The inner maximization of :func:`difficulty` over the safe-input
-    polytope ``poly`` already assembled at (x, d), with the reach rate
-    from ``cache`` when one is given."""
-    if cache is None:
-        drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d)
-    else:
-        drift_rate, input_row = cache.reach(d)
+    polytope ``poly``, with ``reach`` the reach barrier's
+    ``(drift_rate, input_row)`` at the same (x, d)."""
+    drift_rate, input_row = reach
     out = solve_lp(LpProblem(input_row, poly))
     if out.status == INFEASIBLE:
         return float(floor), None
@@ -234,43 +224,35 @@ def _scan(scn, x, candidates, ends, floor, tau, evals, cache, bar=-np.inf):
     """Hardest candidate of each group of ``candidates`` (a sequence,
     indexed), Γ first: ``(gamma, bests)``.
 
-    The groups are consecutive runs of candidates ending at the indices
-    ``ends``: the coarse grid or a finite set is one group, a compass plan
-    one group per round.  ``bests`` holds ``(d, value, maximizer)`` of the
-    hardest candidate of each group folded, the earliest kept on ties and
-    ``(None, inf, None)`` for an empty group.  Groups are folded in order,
-    and the scan ends after the first whose hardest value is below
-    ``bar``.  ``gamma`` is the first candidate in Γ as a
-    :class:`SynthesisResult` with ``early_exit``, else None; the groups
-    before its own are all folded then.  ``evals`` counts earlier
-    candidates of the same search.
+    Groups are consecutive runs of candidates ending at the indices
+    ``ends`` (the coarse grid or a finite set is one, a compass plan has
+    one per round), folded in order: ``bests`` holds ``(d, value,
+    maximizer)`` of each folded group's hardest candidate, the earliest on
+    ties and ``(None, inf, None)`` for an empty group, and the scan ends
+    after the first group whose value is below ``bar``.  ``gamma`` is the
+    first candidate in Γ as a :class:`SynthesisResult` with
+    ``early_exit`` (the groups before its own all folded), else None.
+    ``evals`` counts earlier candidates of the same search.
 
-    The candidates' avoid rows come from ``cache``, the call's
-    :class:`core.LieCache`, a block at a time: ``_HELD_BLOCK`` candidates
-    per :meth:`~core.LieCache.avoid_block` when it is ``batched``, else
-    one, whose declared rows are built only the first time their
-    coordinates occur.  So the callbacks run fewer times than candidates.
-    A candidate with a negative right-hand side among its avoid and
-    actuator rows is evaluated on the spot, in candidate order, once the
-    groups before its own are folded, and the first one found in Γ ends
-    the scan; a block's later candidates then had their rows built for
-    nothing.  So every LP solved on the spot is one a scan of one group at
-    a time would solve.  The others cannot be in Γ (see
-    :func:`synthesize`): their rows are held, and their LPs are solved
-    when their group is folded, by :func:`solve_lp_batch` in blocks of at
-    most ``_HELD_BLOCK`` candidates, with the same bits as one
-    :func:`solve_lp` each.  A block may run into groups past one that ends
-    the scan.
+    Avoid rows come from ``cache.avoid_block``, ``_HELD_BLOCK`` candidates
+    at a time when it is ``batched`` (so also for candidates after a test
+    in Γ), else one.  Phase-I adds no artificial variable for a polytope
+    whose right-hand sides are all >= 0: u = 0 is in it, so such a
+    candidate is not in Γ.  Its rows are held, and its reach rate and LP
+    wait until its group is folded (so they are skipped after a test in
+    Γ, and their errors surface after later candidates' rows are built),
+    then go through :func:`solve_lp_batch` (the pivots and bits of one
+    :func:`solve_lp` each) in blocks of at most ``_HELD_BLOCK``.  Every
+    other candidate is solved on the spot, in order, once the groups
+    before its own are folded, so each LP solved on the spot is one a
+    scan of one group at a time would solve.
 
-    Memory is the held rows plus one block of rows and of tableaux.  The
-    held rows take ``8 * len(candidates) * barriers * (inputs + 1)``
-    bytes: about 19 MB for a 25^4 grid with two avoid barriers and two
-    inputs.  A block of tableaux takes ``8 * _HELD_BLOCK * (rows + 1) *
-    (2 * inputs + rows + 1)`` bytes twice over (the tableaux and the
-    running ones' working copy), where ``rows`` counts the avoid and
-    actuator rows: about 0.3 MB for that grid.  Candidates are not
-    copied; a block's held points are taken again from one slice.  The
-    cache adds at most one entry per barrier and candidate.
+    Memory: ``8 * len(candidates) * barriers * (inputs + 1)`` bytes of
+    held rows (about 19 MB for a 25^4 grid, two avoid barriers and two
+    inputs), one block of rows, and one block of tableaux twice over (with
+    the running ones' copy), ``8 * _HELD_BLOCK * (rows + 1) * (2 * inputs
+    + rows + 1)`` bytes, ``rows`` counting avoid and actuator rows (about
+    0.3 MB there).
     """
     inputs = scn.input_polytope
     can_hold = not (inputs.b < 0).any()
@@ -316,7 +298,7 @@ def _scan(scn, x, candidates, ends, floor, tau, evals, cache, bar=-np.inf):
         for j in np.flatnonzero(spot).tolist():
             if fold(i + j):
                 return None, bests
-            val, u = _best_rate(scn, x, D[j], stack_rows(A[j], b[j], inputs), floor, tau, cache)
+            val, u = _best_rate(cache.reach(D[j]), stack_rows(A[j], b[j], inputs), floor, tau)
             if u is None:
                 return SynthesisResult(block[j], float(floor), True, None, evals + i + j + 1,
                                        True), bests
@@ -346,8 +328,16 @@ def _compass(d_cur, step, lower, upper):
 def _refine(scn, x, space, start, floor, search, tau, cache):
     """Compass refinement from ``start``, the grid scan's result: a round's
     hardest move replaces the current test when it is strictly harder,
-    else the step halves.  Rounds are planned ahead and scanned together
-    as :func:`synthesize` describes."""
+    else the step halves.
+
+    Rounds are planned ahead as if none improves, each at half the step
+    of the one before, and a plan is scanned as one, its rounds folded in
+    order.  The first round that improves moves the test and keeps its
+    step, and the later ones are dropped; a test in Γ counts only when no
+    earlier round improves.  So results, ``evaluations`` and the LPs solved
+    on the spot are those of a search of one round at a time, which raises
+    where this one does (see the replanning below).
+    """
     lower, upper = space.lower, space.upper
     limit = search.step_tolerance * float(np.linalg.norm(upper - lower))
     span = upper - lower
@@ -391,13 +381,10 @@ def _refine(scn, x, space, start, floor, search, tau, cache):
 
 def _synthesize_over(scn, x, space, floor, search, tau):
     if isinstance(space, FiniteSpace):
-        candidates = space.points
-        box = None
-        test_dim = np.asarray(candidates[0]).size
+        candidates, box = space.points, None
     elif isinstance(space, BoxSpace):
         candidates = _BoxGrid(space.lower, space.upper, (search.grid_points,) * space.dim)
         box = space
-        test_dim = space.dim
     else:
         raise ValueError("mapped test spaces need synthesize_constrained")
     # the grid is lazy, so nothing sized by the count exists yet
@@ -407,7 +394,8 @@ def _synthesize_over(scn, x, space, floor, search, tau):
             f"{DEFAULT_BUDGET}; lower grid_points or the test dimension"
         )
     # shared by the grid scan and every compass round, dropped on return
-    cache = LieCache(scn.spec, scn.dynamics, x, test_dim, scn.input_polytope.dim)
+    cache = LieCache(scn.spec, scn.dynamics, x, np.asarray(candidates[0]).size,
+                     scn.input_polytope.dim)
 
     # the avoid sets move with d, so only the goal-side start condition is
     # meaningful to check; the probe uses the first candidate
@@ -439,64 +427,20 @@ def synthesize(
     search: SearchConfig = SearchConfig(),
     tau: float = 0.0,
 ) -> SynthesisResult:
-    """Hardest admissible test at state x.
+    """Hardest admissible test at state x, searched as the module docstring
+    and :class:`SearchConfig` say; the first test in the paper's set Γ
+    ends the search.  Ties keep the earliest candidate, and
+    ``evaluations`` counts candidates examined, not LPs solved.  Before
+    any callback runs, a floor :func:`core.satisfaction_floor` rejects or
+    a ``reads`` index out of range raises ``ValueError``, and a search of
+    more than ``DEFAULT_BUDGET`` candidates :class:`BudgetError`.
 
-    Candidates are scanned in deterministic order (the coarse grid, then
-    each compass round); the first one that blocks every safe input ends
-    the search immediately (it is globally optimal, in the paper's set
-    Γ).  Ties between equal difficulties keep the earliest candidate.  The
-    floor defaults to the scenario's pinned value; with neither,
-    ``ValueError`` is raised before any callback runs.
-
-    Each scan settles Γ before solving any LP it can postpone.  Phase-I
-    adds no artificial variable for a polytope whose right-hand sides are
-    all >= 0: u = 0 is in it, so it is never empty.  A candidate whose
-    avoid rows and actuator rows all have a nonnegative right-hand side is
-    therefore not in Γ, and its reach-barrier rate and LP wait until the
-    scan ends without a blocking test.  Every other candidate is solved on
-    the spot.  Every reported value still comes from the simplex, on the
-    same polytope with the same bits, so results equal a one-by-one scan;
-    the postponed LPs are solved together by a batched Phase-II kernel
-    that makes the same pivots as the scalar one.  A box grid of more than
-    ``DEFAULT_BUDGET`` points, or a larger finite test set, raises
-    :class:`BudgetError` before any candidate is examined.
-    ``evaluations`` counts candidates examined, not LPs solved.
-
-    One difference from a one-by-one scan: the reach-barrier callbacks of a
-    postponed candidate run only after the scan, so they are skipped when
-    a later candidate is in Γ, and an error they raise surfaces after every
-    candidate's avoid rows were built.
-
-    Another, for scenarios that declare which test coordinates their
-    callbacks read (``reads`` on the barriers and the dynamics): each
-    declared avoid row and the reach rate are built once per distinct
-    value of those coordinates within the call, and f and g once when
-    they read none, so the callbacks run fewer times than candidates.
-    The kept pieces live until the call returns; :class:`core.LieCache`
-    states their memory bound.  Undeclared scenarios make every call.
-    When every avoid barrier has a ``batch`` and f and g read no test
-    coordinate, the rows are built ``_HELD_BLOCK`` candidates at a time
-    instead, so ``batch`` also runs for the candidates of a block that
-    follow a test in Γ.
-    A declaration out of range of the test dimension raises
-    ``ValueError`` before any callback runs.
-
-    Compass rounds are planned ahead: rounds are built as if none
-    improves, each at half the step of the one before, and a plan is
-    scanned as one (one row block and one batch of held LPs for up to
-    ``_HELD_BLOCK`` candidates), its rounds folded in order.  The first
-    plan holds every remaining round.  The first round that improves
-    moves the test and keeps its step, the later ones are dropped, and the
-    next plan holds at most as many rounds as were used (k + 1 after an
-    improvement in round k), or twice as many after a plan with none.  A
-    test in Γ ends the search only when no earlier round improves, and a
-    round's candidates are solved on the spot only once every earlier
-    round is folded.  After a plan raises, plans start again at one
-    round, so an error surfaces where a search of one round at a time
-    raises it.  Results, ``evaluations`` and the LPs solved on the spot
-    are those of that search.  The one extra cost: the callbacks, avoid
-    rows and the reach rates of held candidates, may run for planned
-    rounds that an improving round drops.
+    Results and ``evaluations`` equal those of a scan of one candidate at
+    a time, but the callbacks may run fewer or more times than there, and
+    an error may surface later: :class:`core.LieCache` builds f, g and
+    the reach rate once where it can, :func:`_scan` puts off held
+    candidates' reach rates and builds rows in blocks, and :func:`_refine`
+    may build rows for planned rounds that an improving round drops.
     """
     if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_constrained")

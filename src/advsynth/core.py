@@ -148,21 +148,16 @@ class BarrierFunction:
     for.  Discrete scenarios leave ``gradient`` as None.
 
     ``reads`` declares the test coordinates ``value`` and ``gradient``
-    read; None means all of them.  Continuous synthesis computes a
-    declared barrier's row once per distinct value of those coordinates,
-    so a declaration that leaves out a coordinate the callbacks read gives
-    wrong results.
+    read; None means all of them.  Only an empty declaration changes what
+    synthesis computes (see :class:`LieCache`), and it must be true: one
+    that leaves out a coordinate the callbacks read gives wrong results.
 
     ``batch(x, D)``, optional, returns the values (K,) and gradients
     (K, n) at the K tests in the rows of D.  It must be pure and give the
-    bits of ``value`` and ``gradient`` at each test.  Continuous synthesis
-    builds an avoid barrier's rows a block of tests at a time with it
-    when every avoid barrier has one and f and g read no test coordinate
-    (see :meth:`LieCache.avoid_block`).  The block's rows then come from
-    one matrix product, whose bits match the per-test rows' only where
-    ``tests/test_block_rows.py`` checks them (the shipped unicycle); a
-    custom ``batch`` may move a scenario's results in the last bits
-    unless the same check passes for its shapes.
+    bits of ``value`` and ``gradient`` at each test.  The rows
+    :meth:`LieCache.avoid_block` builds from it keep the per-test bits
+    only where ``tests/test_block_rows.py`` checks them (the shipped
+    scenarios); run that check for a custom ``batch``'s shapes.
     """
 
     value: Callable[[object, object], float]
@@ -365,12 +360,17 @@ class SynthesisResult:
 def satisfaction_floor(scn, floor: Optional[float] = None) -> float:
     """The satisfaction floor of a synthesis call: the explicit ``floor``,
     else the one pinned on the scenario.  The floor is a modelling input,
-    so with neither there is none to guess."""
+    so with neither there is none to guess.  It must be finite: it is the
+    difficulty of a test in Γ, the hardest, and an infinite or NaN one
+    would rank that test with the easiest."""
     if floor is None:
         floor = scn.floor
     if floor is None:
         raise ValueError("no satisfaction floor: pass one or pin it on the scenario")
-    return float(floor)
+    floor = float(floor)
+    if not math.isfinite(floor):
+        raise ValueError(f"satisfaction floor must be finite, got {floor}")
+    return floor
 
 
 @dataclass(frozen=True)
@@ -420,23 +420,6 @@ def feasibility_filter(value, point, member, fallback):
     return value if inside else fallback
 
 
-def _key_index(h: BarrierFunction, dyn: ContinuousDynamics, test_dim: int):
-    """What selects the test coordinates the Lie derivatives of ``h`` read:
-    a slice, or an index array when they are not contiguous.  None when a
-    declaration is missing, the dynamics carry a coupling C, or the row
-    reads every coordinate: grid points never repeat, so such a row would
-    seldom be found again."""
-    if h.reads is None or dyn.reads is None or dyn.C is not None:
-        return None
-    reads = sorted(set(h.reads + dyn.reads))
-    if len(reads) >= test_dim:
-        return None
-    lo = reads[0] if reads else 0
-    if reads == list(range(lo, lo + len(reads))):
-        return slice(lo, lo + len(reads))
-    return np.array(reads)
-
-
 def _check_reads(spec: ReachAvoidSpec, dyn: ContinuousDynamics, test_dim: int) -> None:
     """Raise ``ValueError`` for a declared index at or beyond ``test_dim``."""
     for reads in [h.reads for h in (spec.reach,) + spec.avoid] + [dyn.reads]:
@@ -447,21 +430,19 @@ def _check_reads(spec: ReachAvoidSpec, dyn: ContinuousDynamics, test_dim: int) -
                 )
 
 
-def _safe_input_row(spec: ReachAvoidSpec, j: int, x, d, lie, input_dim: int) -> list:
-    """Avoid barrier j's safe-input row ``-input_row`` followed by its
-    right-hand side ``drift_rate + alpha(h)``, as floats, from its Lie
-    derivatives ``lie``."""
-    drift_rate, input_row = lie
-    if input_row.size != input_dim:
-        raise ValueError(
-            f"input row dim {input_row.size} does not match polytope dim {input_dim}"
-        )
-    rhs = drift_rate + spec.gains[j](spec.avoid[j].value(x, d))
-    return [-v for v in input_row.tolist()] + [rhs]
-
-
-def _finite_rows(rows: list, input_dim: int):
-    """``(A, b)`` views of the rows built by :func:`_safe_input_row`."""
+def _rows_at(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: int, fg):
+    """:func:`avoid_rows` at (x, d), each barrier's Lie derivatives taken
+    with ``fg`` (None: f and g evaluated per barrier).  ``A`` and ``b``
+    are views of one array that holds each row with its right-hand side."""
+    rows = []
+    for j, h in enumerate(spec.avoid):
+        drift_rate, input_row = lie_derivatives(h, dyn, x, d, fg)
+        if input_row.size != input_dim:
+            raise ValueError(
+                f"input row dim {input_row.size} does not match polytope dim {input_dim}"
+            )
+        rhs = drift_rate + spec.gains[j](h.value(x, d))
+        rows.append([-v for v in input_row.tolist()] + [rhs])
     Ab = np.array(rows).reshape(len(rows), input_dim + 1)
     if not np.isfinite(Ab).all():
         raise ValueError("polytope coefficients must be finite")
@@ -471,25 +452,15 @@ def _finite_rows(rows: list, input_dim: int):
 class LieCache:
     """The Lie-derivative pieces of one synthesis call at a fixed state x.
 
-    The reach barrier's ``(drift_rate, input_row)`` and each avoid
-    barrier's safe-input row are kept by the bytes of the test coordinates
-    they read, as declared by the barrier's and the dynamics' ``reads``,
-    and computed once per distinct value.  When the dynamics read no
-    coordinate, f and g are evaluated once.  A piece whose declarations
-    are missing, or that reads every coordinate, is computed afresh for
-    every test, so an undeclared scenario makes the calls it would make
-    without the cache.  Misses go through :func:`lie_derivatives`; when
-    the declarations hold, a kept piece is the float a fresh call returns.
-
-    Memory: one entry per barrier and distinct value of the coordinates
-    it reads, so never more than one per barrier and candidate examined;
-    an entry takes about 300 bytes with two inputs.  On a grid with g
-    points per axis, a barrier that reads r coordinates keeps at most g^r
-    grid entries: 625 per obstacle for the two-obstacle unicycle on a
-    25^4 grid, about 0.4 MB in all, against 19 MB of held rows.
-
-    Every declared index must lie below ``test_dim``; one that does not
-    raises ``ValueError`` here, before any callback runs.
+    When the dynamics read no test coordinate (``reads=()`` and no ``C``),
+    f and g are evaluated once, and so is the reach rate when the reach
+    barrier reads none either; otherwise each is built afresh per test,
+    so an undeclared scenario makes every call.  Avoid rows come a block
+    of tests at a time from the barriers' ``batch`` when f and g are
+    evaluated once and every avoid barrier has one (:attr:`batched`),
+    else one test at a time through :func:`lie_derivatives`.  Every
+    declared index must lie below ``test_dim``; one that does not raises
+    ``ValueError`` here, before any callback runs.
     """
 
     def __init__(self, spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, test_dim: int,
@@ -497,67 +468,34 @@ class LieCache:
         _check_reads(spec, dyn, test_dim)
         self._spec, self._dyn, self._x, self._input_dim = spec, dyn, x, input_dim
         self._fixed = dyn.reads == () and dyn.C is None
-        self._fg = None
-        # avoid_block takes whole blocks from the barriers' batch callbacks
+        self._fg = self._reach = None
+        self._keep_reach = self._fixed and spec.reach.reads == ()
         self.batched = self._fixed and all(h.batch is not None for h in spec.avoid)
-        barriers = (spec.reach,) + spec.avoid
-        self._keys = [_key_index(h, dyn, test_dim) for h in barriers]
-        self._memo = [{} for _ in barriers]
 
     def _f_g(self, d):
-        """``(drift, g)`` evaluated once when the dynamics read no test
-        coordinate, else None."""
         if self._fixed and self._fg is None:
-            self._fg = (self._dyn.drift(self._x, d),
-                        np.asarray(self._dyn.g(self._x, d), dtype=float))
+            self._fg = dynamics_at(self._spec, self._dyn, self._x, d)
         return self._fg
-
-    def _lie(self, h: BarrierFunction, d):
-        return lie_derivatives(h, self._dyn, self._x, d, self._f_g(d))
-
-    def _get(self, k: int, d: np.ndarray, compute, *args):
-        """``compute(*args)``, kept for piece k (0 the reach rate, 1 + j
-        avoid row j) by the coordinates of d it reads."""
-        ix = self._keys[k]
-        if ix is None:
-            return compute(*args)
-        key = d[ix].tobytes()
-        memo = self._memo[k]
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = compute(*args)
-        return out
-
-    def _avoid_row(self, j: int, d: np.ndarray) -> list:
-        lie = self._lie(self._spec.avoid[j], d)
-        return _safe_input_row(self._spec, j, self._x, d, lie, self._input_dim)
 
     def reach(self, d: np.ndarray):
         """``lie_derivatives`` of the reach barrier at (x, d)."""
-        return self._get(0, d, self._lie, self._spec.reach, d)
-
-    def avoid_rows(self, d: np.ndarray):
-        """:func:`avoid_rows` at (x, d); ``A`` and ``b`` are views of one
-        array that holds each row with its right-hand side."""
-        n = len(self._spec.avoid)
-        return _finite_rows([self._get(j + 1, d, self._avoid_row, j, d) for j in range(n)],
-                            self._input_dim)
+        if self._reach is not None:
+            return self._reach
+        out = lie_derivatives(self._spec.reach, self._dyn, self._x, d, self._f_g(d))
+        if self._keep_reach:
+            self._reach = out
+        return out
 
     def avoid_block(self, D: np.ndarray):
-        """:meth:`avoid_rows` of each test in the rows of ``D``, stacked to
-        shapes (k, barriers, inputs) and (k, barriers), for the leading k
-        tests whose rows are valid; the first test's error is raised, so
-        a caller that resumes at test k raises where a one-by-one scan
-        would.  Without :attr:`batched`, ``D`` holds one test.  With it,
-        each barrier's ``batch`` and one product ``grads @ [G | f]`` give
-        every row.  That product is a different BLAS call from the
-        per-test ``grad @ G``, so the rows keep the per-test bits only
-        where ``tests/test_block_rows.py`` shows it: the shipped unicycle
-        (three states, two inputs) on the BLAS that test runs against.
-        Other shapes may sum in another order and differ in the last
-        bits."""
+        """:func:`avoid_rows` of each test in the rows of ``D`` (one test
+        without :attr:`batched`), stacked to shapes (k, barriers, inputs)
+        and (k, barriers), for the leading k tests whose rows are valid;
+        the first test's error is raised, so a caller that resumes at test
+        k raises where a one-by-one scan would.  A block takes one product
+        ``grads @ [G | f]`` per barrier."""
         if not self.batched:
-            A, b = self.avoid_rows(D[0])
+            A, b = _rows_at(self._spec, self._dyn, self._x, D[0], self._input_dim,
+                            self._f_g(D[0]))
             return A[None], b[None]
         K, dim, x = len(D), self._input_dim, self._x
         f, G = self._f_g(D[0])
@@ -603,28 +541,20 @@ def dynamics_at(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d) -> tuple:
 
 
 def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: int,
-               cache: Optional[LieCache] = None, fg: Optional[tuple] = None):
+               fg: Optional[tuple] = None):
     """Safe-input rows of the avoid barriers at (x, d).
 
     Returns ``(A, b)`` with one row per avoid barrier, ``A`` of shape
     (barriers, input_dim), such that ``A @ u <= b`` holds exactly when every
     avoid barrier's rate is at least ``-alpha(h)``.  Non-finite coefficients
-    raise here, with the message :class:`Polytope` would give.  The rows
-    come from ``cache``, a :class:`LieCache` of the same (spec, dyn, x),
-    or else are built directly, with f and g evaluated once; a ``reads``
-    index out of range of ``d`` then raises ``ValueError`` before any
-    callback runs.  ``fg`` passes f and g already evaluated by
-    :func:`dynamics_at`, which has made that check.
+    raise here, with the message :class:`Polytope` would give.  f and g are
+    evaluated once, as by :func:`dynamics_at`, unless ``fg`` passes them.
     """
     d = np.asarray(d, dtype=float)
-    if cache is not None:
-        return cache.avoid_rows(d)
     if fg is None:
         _check_reads(spec, dyn, d.size)
         fg = (dyn.drift(x, d), np.asarray(dyn.g(x, d), dtype=float)) if spec.avoid else None
-    return _finite_rows([_safe_input_row(spec, j, x, d, lie_derivatives(h, dyn, x, d, fg),
-                                         input_dim)
-                         for j, h in enumerate(spec.avoid)], input_dim)
+    return _rows_at(spec, dyn, x, d, input_dim, fg)
 
 
 def stack_rows(A: np.ndarray, b: np.ndarray, input_polytope: Polytope) -> Polytope:

@@ -4,8 +4,6 @@ Everything here is exact enumeration: the finite action alphabet and finite
 test set make the minimax solvable by exhaustive search over an N-step
 prediction horizon, one step being N = 1.  One difficulty loop
 (:func:`predictive_difficulty`) and one test scan serve every synthesizer.
-A test with no safe action sequence ends the scan immediately (it is
-already optimal).
 """
 
 from __future__ import annotations
@@ -52,6 +50,8 @@ class DiscreteScenario:
             raise ValueError("prediction horizon must be >= 1")
         if not isinstance(self.test_space, (FiniteSpace, MappedSpace)):
             raise ValueError("discrete scenarios need a finite or mapped test space")
+        if self.floor is not None:
+            satisfaction_floor(self)
 
 
 def rollout(dyn: DiscreteDynamics, x, inputs):

@@ -14,17 +14,9 @@ Feasibility of a polytope is decided by the Phase-I program alone, against
 the single tolerance ``INFEASIBILITY_TOL``, so the empty/nonempty verdict
 used to partition test vectors is crisp and reproducible.
 
-Phase-II has two paths with the same pivots and the same bits.
-:func:`solve_lp` runs one program on one tableau; it serves every single
-solve (the controller LP, Phase-I, candidates solved on the spot) and is
-the oracle.  :func:`solve_lp_batch` runs many programs whose right-hand
-sides are all >= 0 on a stack of tableaux, one vectorized pivot step at a
-time; the continuous scan sends the LPs it postpones there.  Both are kept
-because each is the faster one in its own place (2-core Xeon VM, one BLAS
-thread): on 200 unicycle trials with two obstacles on a 3-point grid the
-batch cut wall time from about 5.1 s to 3.2 s, while a one-program batch
-takes about 1.5 times as long as :func:`solve_lp` on a quadgrid controller
-LP, since a stack of one still pays the per-step bookkeeping of the stack.
+Phase-II has two paths: :func:`solve_lp` serves single solves and is the
+oracle, and :func:`solve_lp_batch` the LPs the continuous scan holds.  The
+README's design notes say why both are kept.
 """
 
 from __future__ import annotations

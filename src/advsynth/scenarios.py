@@ -262,16 +262,11 @@ def _solve_reward_cached(goal: tuple, obstacle: tuple) -> RewardGrid:
 
 
 def solve_reward(goal, obstacle) -> RewardGrid:
-    """Value matrices for a goal/obstacle pair.
-
-    Each pair copies the shared averaging operator, pins the goal row to +10
-    and the obstacle row to -10, solves the 100-cell system and checks its
-    residual against that pinned matrix (at most 1e-9).  Results are cached
-    per pair, up to ``GRID_N ** 4`` entries: all 100 goals times 100
-    obstacles, so no pair is ever evicted or solved twice.  Each entry holds
-    two 10x10 float grids, about 2.2 KB with overhead, so the worst case is
-    about 21 MB.  Cached grids are shared and read-only.  Both cells go
-    through :func:`grid_cell`."""
+    """Value matrices for a goal/obstacle pair, both cells checked by
+    :func:`grid_cell`.  Results are cached per pair, up to ``GRID_N ** 4``
+    entries: all 100 goals times 100 obstacles, so no pair is ever evicted
+    or solved twice.  Each entry holds two 10x10 float grids, about 2.2 KB
+    with overhead, so the worst case is about 21 MB."""
     return _solve_reward_cached(grid_cell(goal, "goal"), grid_cell(obstacle, "obstacle"))
 
 
@@ -358,6 +353,13 @@ def build_quadgrid(
         reads=(),
     )
 
+    def _batch(x, D, j):
+        offsets = np.column_stack([x[0] - D[:, 2 * j], x[1] - D[:, 2 * j + 1]])
+        norms = np.hypot(offsets[:, 0], offsets[:, 1])
+        grads = np.zeros_like(offsets)
+        np.divide(offsets, norms[:, None], out=grads, where=norms[:, None] != 0.0)
+        return norms - radius, grads
+
     def _avoid(j: int) -> BarrierFunction:
         return BarrierFunction(
             value=lambda x, d, j=j: float(
@@ -367,6 +369,7 @@ def build_quadgrid(
                 np.array([x[0] - d[2 * j], x[1] - d[2 * j + 1]])
             ),
             reads=(2 * j, 2 * j + 1),
+            batch=lambda x, D, j=j: _batch(x, D, j),
         )
 
     spec = ReachAvoidSpec(

@@ -58,6 +58,27 @@ CASES = [
         },
     ),
     (
+        # both obstacles on the agent: their gradients are zero
+        "simulate-quadgrid-on-agent",
+        ["simulate", "--config", "bench/configs/quadgrid-loop.cfg", "--horizon", "10",
+         "--state=1,1"],
+        {
+            "min_barrier.csv": "765492f1199b14f3f86f4ab7a926cc0a9a48c91a1a3ca283f2b5a299c4dcc664",
+            "monitor.json": "b5015763457411353a7474fbf11836cc2db54bb2d3f171cb5aae45d797177c5c",
+            "trajectory.csv": "68fb552e9ddca383a758f90def446ff4cedff7b3d263b3eec93aadfb0bd9c138",
+        },
+    ),
+    (
+        "simulate-quadgrid-off-grid",
+        ["simulate", "--config", "bench/configs/quadgrid-loop.cfg", "--horizon", "10",
+         "--state=2.2,1.9"],
+        {
+            "min_barrier.csv": "484ce3777684816d7dc3a46770f58eb8aeceee4f8f722fc4c6ec3cd5a62384f7",
+            "monitor.json": "ff737e262fc601bbe4c17c3cc7e06f046c27e65f30eaeb47c6a481c91d2b6060",
+            "trajectory.csv": "cd5c212c15f48e63dda318dbe624096bd9c34ce2c5e956173756b9d67e167c6c",
+        },
+    ),
+    (
         "sweep-unicycle",
         # two obstacles on a 3-point grid: the synthesis scans and refines
         ["sweep", "--config", "bench/configs/unicycle-refine.cfg", "--state=0.2,0.6,2",

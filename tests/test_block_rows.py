@@ -3,9 +3,9 @@
 ``LieCache.avoid_block`` builds a block of tests' avoid rows from the
 barriers' ``batch`` callbacks with one matrix product per barrier; the
 continuous scan relies on those rows having the bits of ``avoid_rows`` at
-each test.  The differential check runs in process with one BLAS thread
-(see conftest.py) and again in a fresh interpreter with the default
-thread count.
+each test.  The differential check covers both shipped continuous
+scenarios, in process with one BLAS thread (see conftest.py) and again in
+a fresh interpreter with the default thread count.
 """
 
 import dataclasses
@@ -18,19 +18,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advsynth import ClassKappaFn, ContinuousDynamics, build_unicycle
+from advsynth import ClassKappaFn, ContinuousDynamics, build_quadgrid, build_unicycle
 from advsynth.core import LieCache, avoid_rows
-from advsynth.scenarios import _scalar_squares
+from advsynth.scenarios import _scalar_squares, unit_cell_corners
 
 HERE = Path(__file__).resolve().parent
 
 
-def _variants(obstacles: int, rng):
-    """The shipped unicycle, one with a constant nonzero drift (so the
-    drift column of the product is not all zeros) and one whose gains have
-    a nonlinear form (so alpha runs per test)."""
-    scn = build_unicycle(n_obstacles=obstacles)
-    f0 = rng.normal(size=3) * 10.0 ** rng.integers(-3, 3, size=3)
+def _variants(scn, rng):
+    """The shipped dynamics and gains, a constant nonzero drift (so the
+    drift column of the product is not all zeros), and gains with a
+    nonlinear form (so alpha runs per test)."""
+    n = scn.state_lower.size
+    f0 = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3, size=n)
     drift = ContinuousDynamics(lambda x, d: f0, scn.dynamics.g, reads=())
     cubic = tuple(ClassKappaFn(7.5, form=lambda r: r * abs(r) + r) for _ in scn.spec.gains)
     return [
@@ -40,57 +40,97 @@ def _variants(obstacles: int, rng):
     ]
 
 
-def block_row_mismatches(seed: int, pairs: int):
-    """``(checked, mismatched)``: (x, d) pairs whose block row differs in
-    any byte, signed zeros included, from ``avoid_rows`` at that test.
+def _meet(rng, x, D):
+    """Put some obstacles on the agent and, now and then, the agent on an
+    obstacle center."""
+    obstacles = D.shape[1] // 2
+    for k in np.flatnonzero(rng.random(len(D)) < 0.1):
+        j = rng.integers(obstacles)
+        D[k, 2 * j:2 * j + 2] = x[:2]
+    if rng.random() < 0.3:
+        k, j = rng.integers(len(D)), rng.integers(obstacles)
+        x[:2] = D[k, 2 * j:2 * j + 2]
 
-    Each block draws its tests uniformly from the box, with some
-    coordinates moved onto a face of it and some obstacles put on the
-    agent; some states are put on an obstacle center.  One to three
-    obstacles, each with the three variants of :func:`_variants`."""
+
+def _unicycle_tests(rng):
+    """One to three obstacles, drawn uniformly from the box with some
+    coordinates moved onto a face of it; some headings axis-aligned."""
+    obstacles = int(rng.integers(1, 4))
+    D = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 300)), 2 * obstacles))
+    face = rng.random(D.shape) < 0.15
+    D[face] = rng.choice([-1.0, 1.0], size=int(face.sum()))
+    x = np.array([*rng.uniform(-1.2, 1.2, size=2), rng.uniform(0.0, 2.0 * math.pi)])
+    if rng.random() < 0.2:
+        x[2] = rng.choice([0.0, math.pi / 2, math.pi])
+    _meet(rng, x, D)
+    return build_unicycle(n_obstacles=obstacles), x, D
+
+
+def _quadgrid_tests(rng):
+    """States in the state box, some on integer coordinates; tests from the
+    corners of the agent's unit cell (its admissible set), or drawn around
+    it with some coordinates on integers."""
+    scn = build_quadgrid()
+    x = rng.uniform(scn.state_lower, scn.state_upper)
+    if rng.random() < 0.3:
+        x = np.round(x)
+    K = int(rng.integers(1, 300))
+    if rng.random() < 0.5:
+        corners = np.array(unit_cell_corners(x))
+        D = corners[rng.integers(len(corners), size=(K, 2))].reshape(K, 4)
+    else:
+        D = rng.uniform(-2.0, 5.0, size=(K, 4))
+        on_grid = rng.random(D.shape) < 0.3
+        D[on_grid] = np.round(D[on_grid])
+    _meet(rng, x, D)
+    return scn, x, D
+
+
+TESTS = {"unicycle": _unicycle_tests, "quadgrid": _quadgrid_tests}
+# (x, d) pairs checked per scenario: quadgrid has one shape (two states,
+# two inputs, two obstacles), the unicycle three
+PAIRS = {"unicycle": 100_000, "quadgrid": 50_000}
+
+
+def block_row_mismatches(scenario: str, seed: int, pairs: int):
+    """``(checked, mismatched)``: (x, d) pairs of a shipped scenario whose
+    block row differs in any byte, signed zeros included, from
+    ``avoid_rows`` at that test, each block of tests with the three
+    variants of :func:`_variants`."""
     rng = np.random.default_rng(seed)
     checked = mismatched = 0
     while checked < pairs:
-        obstacles = int(rng.integers(1, 4))
-        for spec, dyn in _variants(obstacles, rng):
-            K = int(rng.integers(1, 300))
-            D = rng.uniform(-1.0, 1.0, size=(K, 2 * obstacles))
-            face = rng.random(D.shape) < 0.15
-            D[face] = rng.choice([-1.0, 1.0], size=int(face.sum()))
-            x = np.array([*rng.uniform(-1.2, 1.2, size=2), rng.uniform(0.0, 2.0 * math.pi)])
-            if rng.random() < 0.2:
-                x[2] = rng.choice([0.0, math.pi / 2, math.pi])
-            for k in np.flatnonzero(rng.random(K) < 0.1):
-                j = rng.integers(obstacles)
-                D[k, 2 * j:2 * j + 2] = x[:2]
-            if rng.random() < 0.3:
-                k, j = rng.integers(K), rng.integers(obstacles)
-                x[:2] = D[k, 2 * j:2 * j + 2]
+        scn, x, D = TESTS[scenario](rng)
+        for spec, dyn in _variants(scn, rng):
             A, b = LieCache(spec, dyn, x, D.shape[1], 2).avoid_block(D)
-            assert len(b) == K
-            for k in range(K):
+            assert len(b) == len(D)
+            for k in range(len(D)):
                 A1, b1 = avoid_rows(spec, dyn, x, D[k], 2)
                 mismatched += A[k].tobytes() != A1.tobytes() or b[k].tobytes() != b1.tobytes()
-            checked += K
+            checked += len(D)
     return checked, mismatched
 
 
 def test_block_rows_have_the_bits_of_scalar_rows():
-    checked, mismatched = block_row_mismatches(2024, 100_000)
-    assert checked >= 100_000
-    assert mismatched == 0
+    for scenario, pairs in sorted(PAIRS.items()):
+        checked, mismatched = block_row_mismatches(scenario, 2024, pairs)
+        assert checked >= pairs, scenario
+        assert mismatched == 0, scenario
 
 
 def test_block_rows_have_the_bits_of_scalar_rows_with_default_blas_threads():
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join([str(HERE), str(HERE.parent / "src")])
-    code = ("from test_block_rows import block_row_mismatches; "
-            "print(*block_row_mismatches(2025, 100_000))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    checked, mismatched = map(int, out.stdout.split())
-    assert checked >= 100_000
-    assert mismatched == 0
+    code = ("from test_block_rows import PAIRS, block_row_mismatches\n"
+            "for s, n in sorted(PAIRS.items()): print(*block_row_mismatches(s, 2025, n))")
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert len(lines) == len(PAIRS)
+    for line, (scenario, pairs) in zip(lines, sorted(PAIRS.items())):
+        checked, mismatched = map(int, line.split())
+        assert checked >= pairs, scenario
+        assert mismatched == 0, scenario
 
 
 def test_scalar_squares_have_the_bits_of_float64_power():
@@ -172,3 +212,6 @@ def test_blocks_need_a_batch_on_every_avoid_barrier_and_fixed_dynamics():
     assert not batched(scn.spec, undeclared)
     coupled = dataclasses.replace(scn.dynamics, C=np.zeros((3, 4)))
     assert not batched(scn.spec, coupled)
+    # every shipped continuous scenario builds its rows in blocks
+    quad = build_quadgrid()
+    assert LieCache(quad.spec, quad.dynamics, np.zeros(2), 4, 2).batched

@@ -103,6 +103,9 @@ def test_synth_writes_artifact(tmp_path, capsys):
         ("scenario = unicycle\nstep_tolerance = -1e-4\n", "step_tolerance"),
         ("scenario = unicycle\nseed = -3\n", "seed"),
         ("scenario = unicycle\ntau = 0.7\n", "tau"),
+        # an infinite floor would report the easiest test as the hardest
+        ("scenario = unicycle\nm = inf\n", "'m'"),
+        ("scenario = gridworld\nm = -inf\n", "'m'"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, bad, needle):

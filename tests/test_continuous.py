@@ -112,6 +112,20 @@ def test_missing_floor_raises_before_any_callback(unicycle, gridworld79, family)
         assert res.difficulty == (-9.0 if family == "continuous" else 0.0)
 
 
+@pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+def test_non_finite_floor_is_rejected(unicycle, gridworld79, floor):
+    message = "^satisfaction floor must be finite, got "
+    for scn in (unicycle, gridworld79):
+        with pytest.raises(ValueError, match=message):
+            satisfaction_floor(scn, floor)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(scn, floor=floor)
+    with pytest.raises(ValueError, match=message):
+        synthesize(unicycle, BLOCKED, floor=floor)
+    with pytest.raises(ValueError, match=message):
+        synthesize_discrete(gridworld79, (3, 5), floor=floor)
+
+
 # ---------------------------------------------------------------------------
 # difficulty
 
@@ -716,6 +730,9 @@ def test_box_grid_indexing_matches_iteration():
     assert len(points) == len(grid) == 12
     for i, p in enumerate(points):
         assert np.array_equal(grid[i], p)
+    assert np.array_equal(grid[-1], points[-1])
+    with pytest.raises(IndexError):
+        grid[12]
     # a slice gives the same points as the rows of one array, bit for bit
     for start, stop in ((0, 12), (3, 4), (5, 9), (10, 40), (12, 13)):
         block = grid[start:stop]
@@ -740,7 +757,7 @@ def test_search_config_rejects_out_of_range_values(kwargs):
 
 
 # ---------------------------------------------------------------------------
-# declared test dependence: rows built once per synthesis
+# declared test dependence: f, g and the reach rate built once per synthesis
 
 def recounted(scn, counts, undeclared=False):
     """``scn`` with every barrier and dynamics callback counted in
@@ -800,11 +817,11 @@ def lie_counted(monkeypatch):
     return calls
 
 
-def test_declared_rows_are_built_once_per_distinct_read(monkeypatch):
+def test_f_g_and_reach_rate_are_built_once_per_synthesis(monkeypatch):
     # at most of these states no grid test is in Γ, so the whole 3^4 grid is
-    # scanned, with f and g evaluated once and one reach rate.  One by one:
-    # 9 distinct rows per obstacle.  In blocks: one batch call per obstacle
-    # gives all 81 rows, and only the reach rate is a Lie derivative.
+    # scanned, with f and g evaluated once and one reach rate.  In blocks:
+    # one batch call per obstacle gives all 81 rows, and only the reach
+    # rate is a Lie derivative.  One by one: both rows of every test.
     counts = {}
     lie_calls = lie_counted(monkeypatch)
     two = build_unicycle(n_obstacles=2)
@@ -827,8 +844,8 @@ def test_declared_rows_are_built_once_per_distinct_read(monkeypatch):
                         assert counts["avoid.batch"] == 2
                         assert "avoid.value" not in counts and "avoid.gradient" not in counts
                     else:
-                        assert len(lie_calls) == 2 * 9 + 1
-                        assert counts["avoid.value"] == counts["avoid.gradient"] == 2 * 9
+                        assert len(lie_calls) == 2 * 81 + 1
+                        assert counts["avoid.value"] == counts["avoid.gradient"] == 2 * 81
                 got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
                 assert_same_result(got, want)
         assert full_scans >= 10
@@ -862,8 +879,8 @@ def test_declared_quadgrid_matches_reference_on_corner_sets(quadgrid, monkeypatc
         for x in states:
             del lie_calls[:]
             got = synthesize_constrained(quadgrid, x, 0.0)
-            # each obstacle takes one of at most four corners
-            assert len(lie_calls) <= 2 * 4 + 1
+            # block rows: the reach rate is the one Lie derivative
+            assert len(lie_calls) == 1
             _, want = both_scans(monkeypatch, lambda: synthesize_constrained(quadgrid, x, 0.0))
             assert_same_result(got, want)
 
