@@ -26,7 +26,7 @@ import numpy as np
 
 # ``synthesize`` stays bound here because bench/spans.py wraps it by name
 from .continuous import SearchConfig, difficulty, synthesize, synthesize_constrained
-from .core import BoxSpace, BudgetError, MappedSpace, ScenarioError, as_vector
+from .core import DEFAULT_BUDGET, BoxSpace, BudgetError, MappedSpace, ScenarioError, as_vector
 from .discrete import (
     DiscreteScenario,
     predictive_difficulty,
@@ -370,6 +370,9 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
     x = _parse_state(cfg, scn, state_text)
     axes = _parse_axes(axes_text)
     (c1, lo1, hi1, n1), (c2, lo2, hi2, n2) = axes
+    if n1 * n2 > DEFAULT_BUDGET:
+        raise ConfigError(f"sweep would evaluate {n1 * n2} cells but the budget is "
+                          f"{DEFAULT_BUDGET}; lower the axis counts")
     a1 = _axis_values(lo1, hi1, n1)
     a2 = _axis_values(lo2, hi2, n2)
 

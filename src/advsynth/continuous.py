@@ -37,6 +37,7 @@ from .core import (
     SynthesisResult,
     TestSpace,
     as_vector,
+    dynamics_at,
     feasible_input_polytope,
     lie_derivatives,
     satisfaction_floor,
@@ -166,11 +167,12 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     Returns ``(value, maximizer)``; the maximizer is None exactly on the
     floor branch.  ``tau`` shifts the non-floor objective down by a progress
     margin; since it is a constant shift it can never change which test
-    minimizes the measure.
+    minimizes the measure.  f and g are evaluated once for all rows.
     """
     d = np.asarray(d, dtype=float)
-    poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope)
-    return _best_rate(lie_derivatives(scn.spec.reach, scn.dynamics, x, d), poly, floor, tau)
+    fg = dynamics_at(scn.dynamics, x, d)
+    poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
+    return _best_rate(lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg), poly, floor, tau)
 
 
 def _best_rate(reach, poly, floor, tau):
@@ -394,8 +396,7 @@ def _synthesize_over(scn, x, space, floor, search, tau):
             f"{DEFAULT_BUDGET}; lower grid_points or the test dimension"
         )
     # shared by the grid scan and every compass round, dropped on return
-    cache = LieCache(scn.spec, scn.dynamics, x, np.asarray(candidates[0]).size,
-                     scn.input_polytope.dim)
+    cache = LieCache(scn.spec, scn.dynamics, x, scn.input_polytope.dim)
 
     # the avoid sets move with d, so only the goal-side start condition is
     # meaningful to check; the probe uses the first candidate
@@ -431,14 +432,14 @@ def synthesize(
     and :class:`SearchConfig` say; the first test in the paper's set Γ
     ends the search.  Ties keep the earliest candidate, and
     ``evaluations`` counts candidates examined, not LPs solved.  Before
-    any callback runs, a floor :func:`core.satisfaction_floor` rejects or
-    a ``reads`` index out of range raises ``ValueError``, and a search of
-    more than ``DEFAULT_BUDGET`` candidates :class:`BudgetError`.
+    any callback runs, a floor :func:`core.satisfaction_floor` rejects
+    raises ``ValueError``, and a search of more than ``DEFAULT_BUDGET``
+    candidates :class:`BudgetError`.
 
     Results and ``evaluations`` equal those of a scan of one candidate at
     a time, but the callbacks may run fewer or more times than there, and
     an error may surface later: :class:`core.LieCache` builds f, g and
-    the reach rate once where it can, :func:`_scan` puts off held
+    the reach rate once where ``reads`` allows it, :func:`_scan` puts off held
     candidates' reach rates and builds rows in blocks, and :func:`_refine`
     may build rows for planned rounds that an improving round drops.
     """

@@ -14,7 +14,6 @@ construction and safe to share between concurrent evaluations.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -124,20 +123,9 @@ class Polytope:
         return Polytope(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]))
 
 
-def _reads(reads) -> Optional[tuple]:
-    """A ``reads`` declaration as a tuple of distinct nonnegative ints."""
-    if reads is None:
-        return None
-    try:
-        reads = tuple(reads)
-    except TypeError:
-        raise ValueError(f"reads must be a sequence of indices, got {reads!r}") from None
-    for i in reads:
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral) or i < 0:
-            raise ValueError(f"reads entries must be nonnegative integers, got {i!r}")
-    if len(set(reads)) != len(reads):
-        raise ValueError(f"reads entries must be distinct, got {reads}")
-    return tuple(int(i) for i in reads)
+def _check_declaration(reads) -> None:
+    if not (reads is None or (isinstance(reads, tuple) and not reads)):
+        raise ValueError(f"reads must be None (no claim) or () (no test coordinate), got {reads!r}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +135,10 @@ class BarrierFunction:
     The zero-superlevel set in x encodes the predicate the barrier stands
     for.  Discrete scenarios leave ``gradient`` as None.
 
-    ``reads`` declares the test coordinates ``value`` and ``gradient``
-    read; None means all of them.  Only an empty declaration changes what
-    synthesis computes (see :class:`LieCache`), and it must be true: one
-    that leaves out a coordinate the callbacks read gives wrong results.
+    ``reads=()`` declares that ``value`` and ``gradient`` read no test
+    coordinate; None makes no claim, and any other value raises
+    ``ValueError``.  Only the reach barrier's is used (see :class:`LieCache`),
+    and it must be true: a false one gives wrong results.
 
     ``batch(x, D)``, optional, returns the values (K,) and gradients
     (K, n) at the K tests in the rows of D.  It must be pure and give the
@@ -166,7 +154,7 @@ class BarrierFunction:
     batch: Optional[Callable[[object, np.ndarray], tuple]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "reads", _reads(self.reads))
+        _check_declaration(self.reads)
 
 
 @dataclass(frozen=True)
@@ -198,9 +186,8 @@ class ContinuousDynamics:
     f and g always receive the active test vector so dynamics perturbations
     (actuator failures, drift offsets) are expressible; nominal scenarios
     simply ignore it.  C couples the test vector additively and defaults to
-    zero (None).  ``reads`` declares the test coordinates f and g read,
-    as :class:`BarrierFunction` does; a non-None C reads every coordinate
-    whatever the declaration.
+    zero (None).  ``reads`` declares, as on :class:`BarrierFunction`, that f
+    and g read no test coordinate; a non-None C reads every one anyway.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -209,7 +196,7 @@ class ContinuousDynamics:
     reads: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "reads", _reads(self.reads))
+        _check_declaration(self.reads)
         if self.C is not None:
             C = np.asarray(self.C, dtype=float)
             if C.ndim != 2 or not np.all(np.isfinite(C)):
@@ -420,16 +407,6 @@ def feasibility_filter(value, point, member, fallback):
     return value if inside else fallback
 
 
-def _check_reads(spec: ReachAvoidSpec, dyn: ContinuousDynamics, test_dim: int) -> None:
-    """Raise ``ValueError`` for a declared index at or beyond ``test_dim``."""
-    for reads in [h.reads for h in (spec.reach,) + spec.avoid] + [dyn.reads]:
-        for i in reads or ():
-            if i >= test_dim:
-                raise ValueError(
-                    f"reads index {i} is out of range for test dimension {test_dim}"
-                )
-
-
 def _rows_at(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: int, fg):
     """:func:`avoid_rows` at (x, d), each barrier's Lie derivatives taken
     with ``fg`` (None: f and g evaluated per barrier).  ``A`` and ``b``
@@ -452,20 +429,16 @@ def _rows_at(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: int
 class LieCache:
     """The Lie-derivative pieces of one synthesis call at a fixed state x.
 
-    When the dynamics read no test coordinate (``reads=()`` and no ``C``),
-    f and g are evaluated once, and so is the reach rate when the reach
-    barrier reads none either; otherwise each is built afresh per test,
-    so an undeclared scenario makes every call.  Avoid rows come a block
-    of tests at a time from the barriers' ``batch`` when f and g are
-    evaluated once and every avoid barrier has one (:attr:`batched`),
-    else one test at a time through :func:`lie_derivatives`.  Every
-    declared index must lie below ``test_dim``; one that does not raises
-    ``ValueError`` here, before any callback runs.
+    f and g are evaluated once when the dynamics declare ``reads=()`` (see
+    :class:`BarrierFunction`) and have no ``C``, and so is the reach rate
+    when the reach barrier declares it too; otherwise each is built afresh
+    per test.  Avoid rows come a block of tests at a time from the
+    barriers' ``batch`` when f and g are evaluated once and every avoid
+    barrier has one (:attr:`batched`), else one test at a time through
+    :func:`lie_derivatives`.
     """
 
-    def __init__(self, spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, test_dim: int,
-                 input_dim: int):
-        _check_reads(spec, dyn, test_dim)
+    def __init__(self, spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, input_dim: int):
         self._spec, self._dyn, self._x, self._input_dim = spec, dyn, x, input_dim
         self._fixed = dyn.reads == () and dyn.C is None
         self._fg = self._reach = None
@@ -474,7 +447,7 @@ class LieCache:
 
     def _f_g(self, d):
         if self._fixed and self._fg is None:
-            self._fg = dynamics_at(self._spec, self._dyn, self._x, d)
+            self._fg = dynamics_at(self._dyn, self._x, d)
         return self._fg
 
     def reach(self, d: np.ndarray):
@@ -531,12 +504,10 @@ class LieCache:
         return Ab[:k, :, :dim], Ab[:k, :, dim]
 
 
-def dynamics_at(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d) -> tuple:
+def dynamics_at(dyn: ContinuousDynamics, x, d) -> tuple:
     """``(dyn.drift(x, d), g(x, d))``, evaluated once for every row built at
     (x, d): the ``fg`` that :func:`lie_derivatives` and :func:`avoid_rows`
-    take.  A ``reads`` index out of range of ``d`` raises ``ValueError``
-    first, before any callback runs."""
-    _check_reads(spec, dyn, d.size)
+    take; synthesis reuses it across tests as :class:`LieCache` says."""
     return dyn.drift(x, d), np.asarray(dyn.g(x, d), dtype=float)
 
 
@@ -551,9 +522,8 @@ def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: i
     evaluated once, as by :func:`dynamics_at`, unless ``fg`` passes them.
     """
     d = np.asarray(d, dtype=float)
-    if fg is None:
-        _check_reads(spec, dyn, d.size)
-        fg = (dyn.drift(x, d), np.asarray(dyn.g(x, d), dtype=float)) if spec.avoid else None
+    if fg is None and spec.avoid:
+        fg = dynamics_at(dyn, x, d)
     return _rows_at(spec, dyn, x, d, input_dim, fg)
 
 

@@ -122,7 +122,6 @@ def build_unicycle(
             gradient=lambda x, d, j=j: np.array(
                 [2.0 * (x[0] - d[2 * j]), 2.0 * (x[1] - d[2 * j + 1]), 0.0]
             ),
-            reads=(2 * j, 2 * j + 1),
             batch=lambda x, D, j=j: _batch(x, D, j),
         )
 
@@ -368,7 +367,6 @@ def build_quadgrid(
             gradient=lambda x, d, j=j: _unit(
                 np.array([x[0] - d[2 * j], x[1] - d[2 * j + 1]])
             ),
-            reads=(2 * j, 2 * j + 1),
             batch=lambda x, D, j=j: _batch(x, D, j),
         )
 
@@ -413,7 +411,7 @@ def greedy_safe_controller(scn: ContinuousScenario, x, d) -> np.ndarray:
     the least avoid-row slack over the actuator polytope.  f and g are
     evaluated once, for the avoid rows and the reach row alike."""
     d = np.asarray(d, dtype=float)
-    fg = dynamics_at(scn.spec, scn.dynamics, x, d)
+    fg = dynamics_at(scn.dynamics, x, d)
     poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
     drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg)
     out = solve_lp(LpProblem(input_row, poly))

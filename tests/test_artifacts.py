@@ -5,7 +5,8 @@ artifact it writes to a pinned value.  The values were recorded by running
 these same commands with one BLAS thread (see conftest.py) on earlier code:
 the first six before declared test dependence (per-synthesis row reuse) was
 added, the gridworld ``synth``/``sweep`` and unicycle ``simulate`` cases
-before the CLI stopped restating library defaults.  So a change that moves
+before the CLI stopped restating library defaults, the README
+"Experiments" commands before ``reads`` lost its index form.  So a change that moves
 any bit of a ``synth``, ``trials``, ``sweep`` or ``simulate`` artifact fails
 here.  An intended change of output bytes must re-pin the affected values
 and say why.
@@ -106,6 +107,53 @@ CASES = [
             "trajectory.csv": "528756be0dce37a2f5d9d9177ce0d20cd81372fa260361c25a2b3f05cb805917",
             "min_barrier.csv": "928645c9f2c876493a8896ff8c81a857b757a38787972bdef27fd28bb4d0631e",
             "monitor.json": "c4bfc967ddbaec5d573daeb93ccd4191432262efbf191a06de771ebca5a476f3",
+        },
+    ),
+]
+
+# The README "Experiments" commands: the paper's figures.
+_UNICYCLE_SWEEPS = [
+    ("a", "-0.5,0.5,0",
+     "30660614d6c16e60b06aa4f0d1dd609c673e0ce0fc4841272345aa1822b0b1ad",
+     "4a0f2505f863ac1fbfad88625af2f0de0a6452f45c13a48879afaa9dc8d80b90"),
+    ("b", "0.5,-0.5,0",
+     "e01f3b1daddbc85e35445682b41201ad2276f189e14b8ecd12f4634d3f83d337",
+     "2cb438e348082cbd5b9b765f5884e940fd62fca9a6f36ede72dcfd531341a0e7"),
+    ("c", "0,0,0",
+     "bd3a3f6f96a45e2b6b38d456f5a02fbf9721fc2ebe9618fd9da74d99aae0eba4",
+     "f438cc3bd6534be9bcbca9118089d8723a7364bcbc5549b79904a4dabbb06338"),
+]
+_GRIDWORLD_SWEEPS = [
+    ("7-9",
+     "5421f15814c593e4df208ef039c7355c786a7e7214fb1e7116ce5c6763c7ba48",
+     "0631ac01ca8546b3e36f9168e74fa4b1cbe75f75f9596d546f9720fae30427f8"),
+    ("5-2",
+     "de78ef743c201ad1f9612a85b201daf0ec153e190b89b1a4c641dbb5d3290443",
+     "523d42b96f4299ea4d44950a3a8211edc08b0f7d335f54144e34f59d24d64be3"),
+    ("0-7",
+     "74f32218a09f758b6048b253d5da168990bd1f7c63f5c48a817b2af6f164aac6",
+     "a26b1b85715297df8b082e63299a8641bf3789c289d5cf0794e8b8cbb7378e88"),
+]
+CASES += [
+    (f"readme-unicycle-state-{name}",
+     ["sweep", "--config", "configs/unicycle.cfg", f"--state={state}",
+      "--axes", "0:-1:1:50,1:-1:1:50"],
+     {"sweep.csv": csv, "sweep_overlay.json": overlay})
+    for name, state, csv, overlay in _UNICYCLE_SWEEPS
+] + [
+    (f"readme-gridworld-goal-{goal}",
+     ["sweep", "--config", f"configs/gridworld-goal-{goal}.cfg", "--state", "3,5",
+      "--axes", "0:0:9:10,1:0:9:10"],
+     {"sweep.csv": csv, "sweep_overlay.json": overlay})
+    for goal, csv, overlay in _GRIDWORLD_SWEEPS
+] + [
+    (
+        "readme-quadgrid",
+        ["simulate", "--config", "configs/quadgrid.cfg", "--horizon", "15"],
+        {
+            "min_barrier.csv": "71dc43e9027bc6e40ea988069114727393c506c1e588481ad1819a5ccd2973a3",
+            "monitor.json": "e038d81259f627a97472c479c0af1335c1f27c4113ccdf469db6969606f15a3d",
+            "trajectory.csv": "9528cd0a3a16c336d7613e76019efadec1cf8ad45c362c3942f6e79f1fbf157c",
         },
     ),
 ]

@@ -102,7 +102,7 @@ def block_row_mismatches(scenario: str, seed: int, pairs: int):
     while checked < pairs:
         scn, x, D = TESTS[scenario](rng)
         for spec, dyn in _variants(scn, rng):
-            A, b = LieCache(spec, dyn, x, D.shape[1], 2).avoid_block(D)
+            A, b = LieCache(spec, dyn, x, 2).avoid_block(D)
             assert len(b) == len(D)
             for k in range(len(D)):
                 A1, b1 = avoid_rows(spec, dyn, x, D[k], 2)
@@ -171,10 +171,10 @@ def test_block_stops_before_the_first_invalid_test(where, message):
     x = np.array([0.1, -0.3, 1.0])
     D = np.random.default_rng(3).uniform(-1.0, 1.0, size=(12, 4))
     spec = dataclasses.replace(scn.spec, avoid=(h0, _with_nan(h1, D[[5, 9]], where)))
-    cache = LieCache(spec, scn.dynamics, x, 4, 2)
+    cache = LieCache(spec, scn.dynamics, x, 2)
     A, b = cache.avoid_block(D)
     assert A.shape == (5, 2, 2) and b.shape == (5, 2)
-    want_A, want_b = LieCache(scn.spec, scn.dynamics, x, 4, 2).avoid_block(D[:5])
+    want_A, want_b = LieCache(scn.spec, scn.dynamics, x, 2).avoid_block(D[:5])
     assert A.tobytes() == want_A.tobytes() and b.tobytes() == want_b.tobytes()
     with pytest.raises(ValueError, match=message):
         cache.avoid_block(D[5:])
@@ -190,7 +190,7 @@ def test_block_rejects_batch_shapes_that_do_not_match(returned):
     h = scn.spec.avoid[0]
     bad = dataclasses.replace(h, batch=lambda x, D: returned(*h.batch(x, D)))
     spec = dataclasses.replace(scn.spec, avoid=(bad,))
-    cache = LieCache(spec, scn.dynamics, np.zeros(3), 2, 2)
+    cache = LieCache(spec, scn.dynamics, np.zeros(3), 2)
     with pytest.raises(ValueError, match="batch of avoid barrier 0 gave shapes"):
         cache.avoid_block(np.zeros((3, 2)))
 
@@ -201,17 +201,15 @@ def test_blocks_need_a_batch_on_every_avoid_barrier_and_fixed_dynamics():
     x = np.zeros(3)
 
     def batched(spec, dyn):
-        return LieCache(spec, dyn, x, 4, 2).batched
+        return LieCache(spec, dyn, x, 2).batched
 
     assert batched(scn.spec, scn.dynamics)
     one_missing = dataclasses.replace(scn.spec, avoid=(h0, dataclasses.replace(h1, batch=None)))
     assert not batched(one_missing, scn.dynamics)
-    reads_test = dataclasses.replace(scn.dynamics, reads=(0,))
-    assert not batched(scn.spec, reads_test)
     undeclared = dataclasses.replace(scn.dynamics, reads=None)
     assert not batched(scn.spec, undeclared)
     coupled = dataclasses.replace(scn.dynamics, C=np.zeros((3, 4)))
     assert not batched(scn.spec, coupled)
     # every shipped continuous scenario builds its rows in blocks
     quad = build_quadgrid()
-    assert LieCache(quad.spec, quad.dynamics, np.zeros(2), 4, 2).batched
+    assert LieCache(quad.spec, quad.dynamics, np.zeros(2), 2).batched

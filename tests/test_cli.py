@@ -18,6 +18,7 @@ from advsynth import (
 )
 from advsynth import cli
 from advsynth.cli import main, make_scenario, parse_config
+from advsynth.core import DEFAULT_BUDGET
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -158,6 +159,32 @@ def test_continuous_budget_overflow_exits_2(tmp_path, capsys, command):
 
 UNICYCLE_2_CFG = "scenario = unicycle\nobstacle_count = 2\ngrid_points = 3\n"
 SWEEP = ["sweep", "--state=0.1,0.2,0.3", "--axes", "0:-1:1:3,1:-1:1:3"]
+
+
+@pytest.mark.parametrize("config,state,axes", [
+    ("configs/unicycle.cfg", "0,0,0", "0:-1:1:4000,1:-1:1:2501"),
+    ("configs/gridworld-goal-7-9.cfg", "3,5", "0:0:9:4000,1:0:9:2501"),
+])
+def test_sweep_over_the_budget_exits_2_before_any_work(tmp_path, capsys, config, state, axes):
+    # 4000 x 2501 cells would be hours of difficulty evaluations
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(capsys, ["sweep", "--config", str(REPO / config), f"--state={state}",
+                                    "--axes", axes, "--out", str(out_dir)])
+    assert rc == 2
+    assert f"sweep would evaluate 10004000 cells but the budget is {DEFAULT_BUDGET}" in err
+    assert out == "" and not out_dir.exists()
+
+
+def test_sweep_budget_admits_exactly_its_cell_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 12)
+    cfg = str(REPO / "configs/unicycle.cfg")
+    args = ["sweep", "--config", cfg, "--state=0,0,0", "--out", str(tmp_path / "out")]
+    rc, _, err = run_cli(capsys, args + ["--axes", "0:-1:1:3,1:-1:1:5"])
+    assert rc == 2 and "sweep would evaluate 15 cells but the budget is 12" in err
+    assert not (tmp_path / "out").exists()
+    rc, _, _ = run_cli(capsys, args + ["--axes", "0:-1:1:3,1:-1:1:4"])
+    assert rc == 0
+    assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize(

@@ -809,6 +809,23 @@ def test_undeclared_scenarios_make_every_call():
     assert got == UNDECLARED_CALLS
 
 
+@pytest.mark.parametrize("undeclared", [False, True], ids=["declared", "undeclared"])
+def test_difficulty_evaluates_f_and_g_once(quadgrid, undeclared):
+    # one evaluation serves the avoid rows and the reach row alike
+    counts = {}
+    for scn, x, d in ((build_unicycle(n_obstacles=2), np.array([0.3, -0.2, 1.0]),
+                       np.array([0.5, 0.1, -0.4, 0.2])),
+                      (quadgrid, np.array([1.2, 0.7]), np.array([1.0, 1.0, 2.0, 1.0]))):
+        scn = recounted(scn, counts, undeclared)
+        counts.clear()
+        want = difficulty(scn, x, d, -5.0)
+        assert (counts["f"], counts["g"]) == (1, 1)
+        assert counts["reach.gradient"] == 1 and counts["avoid.gradient"] == 2
+        got = greedy_safe_controller(scn, x, d)
+        assert (counts["f"], counts["g"]) == (2, 2)
+        assert want[1] is not None and np.array_equal(got, want[1])
+
+
 def lie_counted(monkeypatch):
     """A list that gains one entry per call through ``core.lie_derivatives``."""
     calls = []
@@ -885,39 +902,6 @@ def test_declared_quadgrid_matches_reference_on_corner_sets(quadgrid, monkeypatc
             assert_same_result(got, want)
 
 
-def counted_reads(h, calls, reads):
-    return BarrierFunction(lambda x, d: calls.append(d) or h.value(x, d),
-                           lambda x, d: calls.append(d) or h.gradient(x, d), reads)
-
-
-@pytest.mark.parametrize("where", ["reach", "avoid", "dynamics"])
-def test_reads_beyond_the_test_dimension_raise_before_any_callback(unicycle, quadgrid, where):
-    for scn, x, dim in ((unicycle, np.array([0.9, 0.9, 0.0]), 2), (quadgrid, np.zeros(2), 4)):
-        calls = []
-        spec, base = scn.spec, scn.dynamics
-        reach = counted_reads(spec.reach, calls, (dim,) if where == "reach" else ())
-        avoid = tuple(counted_reads(h, calls, (dim - 1, dim + 3) if where == "avoid" else h.reads)
-                      for h in spec.avoid)
-        dyn = ContinuousDynamics(
-            lambda x, d: calls.append(d) or base.f(x, d),
-            lambda x, d: calls.append(d) or base.g(x, d),
-            reads=(0, dim) if where == "dynamics" else (),
-        )
-        bad = dataclasses.replace(
-            scn, spec=dataclasses.replace(spec, reach=reach, avoid=avoid), dynamics=dyn
-        )
-        message = (f"^reads index {dim + 3 * (where == 'avoid')} "
-                   f"is out of range for test dimension {dim}$")
-        with pytest.raises(ValueError, match=message):
-            synthesize_constrained(bad, x, 0.0)
-        # one difficulty evaluation and the controller build their rows the same way
-        with pytest.raises(ValueError, match=message):
-            difficulty(bad, x, np.zeros(dim), -5.0)
-        with pytest.raises(ValueError, match=message):
-            greedy_safe_controller(bad, x, np.zeros(dim))
-        assert not calls
-
-
 def test_compass_moves_have_the_bits_of_np_clip(monkeypatch):
     """Every compass candidate equals, byte for byte, the one the reference
     refinement builds with ``np.clip``.  The cases move onto the box bounds,
@@ -975,10 +959,9 @@ def target_scenario(target, trap=None, raises=None, batch=True):
     def block(x, D):
         return np.array([value(d) for d in D]), np.tile(east, (len(D), 1))
 
-    avoid = BarrierFunction(lambda x, d: value(d), lambda x, d: east, reads=(0, 1),
+    avoid = BarrierFunction(lambda x, d: value(d), lambda x, d: east,
                             batch=block if batch else None)
-    reach = BarrierFunction(lambda x, d: -1.0, lambda x, d: np.asarray(d, dtype=float) - target,
-                            reads=(0, 1))
+    reach = BarrierFunction(lambda x, d: -1.0, lambda x, d: np.asarray(d, dtype=float) - target)
     return ContinuousScenario(
         dynamics=ContinuousDynamics(lambda x, d: np.zeros(2), lambda x, d: np.eye(2), reads=()),
         spec=ReachAvoidSpec(reach=reach, avoid=(avoid,), gains=(ClassKappaFn(1.0),)),

@@ -505,24 +505,24 @@ DECLARED = {
 
 @pytest.mark.parametrize("name", list(DECLARED))
 def test_declared_reads_cover_every_coordinate_read(name):
-    # a coordinate a callback's declaration leaves out may take any value,
-    # NaN included, without moving a bit of what the callback returns
+    # the reach barrier and the dynamics declare reads=(): every test
+    # coordinate may take any value, NaN included, without moving a bit of
+    # what their callbacks return.  Avoid barriers declare nothing.
     build, dim = DECLARED[name]
     scn = build()
-    dyn = scn.dynamics
+    dyn, reach = scn.dynamics, scn.spec.reach
     assert dyn.C is None
-    callbacks = [(h.value, h.reads) for h in (scn.spec.reach,) + scn.spec.avoid]
-    callbacks += [(h.gradient, h.reads) for h in (scn.spec.reach,) + scn.spec.avoid]
-    callbacks += [(dyn.f, dyn.reads), (dyn.g, dyn.reads)]
-    assert all(reads is not None for _, reads in callbacks)
+    assert reach.reads == () and dyn.reads == ()
+    assert all(h.reads is None for h in scn.spec.avoid)
+    callbacks = [reach.value, reach.gradient, dyn.f, dyn.g]
     rng = np.random.default_rng(31)
     lo, hi = np.minimum(scn.state_lower, -1.0), np.maximum(scn.state_upper, 1.0)
     for _ in range(25):
         x = rng.uniform(scn.state_lower, scn.state_upper)
         d = rng.uniform(lo.min(), hi.max(), dim)
-        for fn, reads in callbacks:
+        for fn in callbacks:
             want = np.asarray(fn(x, d), dtype=float).tobytes()
-            for i in set(range(dim)) - set(reads):
+            for i in range(dim):
                 for v in (rng.uniform(lo.min(), hi.max()), x[0], math.nan):
                     moved = d.copy()
                     moved[i] = v
