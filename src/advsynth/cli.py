@@ -348,12 +348,6 @@ def _parse_axes(spec_text: str) -> list:
     return axes
 
 
-def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
-    if count == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, count)
-
-
 def _test_dim(scn, x) -> int:
     """Length of the test vectors of a continuous scenario: the box's, or
     that of the set a mapped space realizes at (x, t = 0)."""
@@ -373,8 +367,8 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
     if n1 * n2 > DEFAULT_BUDGET:
         raise ConfigError(f"sweep would evaluate {n1 * n2} cells but the budget is "
                           f"{DEFAULT_BUDGET}; lower the axis counts")
-    a1 = _axis_values(lo1, hi1, n1)
-    a2 = _axis_values(lo2, hi2, n2)
+    a1 = np.linspace(lo1, hi1, n1)
+    a2 = np.linspace(lo2, hi2, n2)
 
     # each cell is one difficulty evaluation of the synthesizer's family,
     # at the horizon it plans over

@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-import sys
 import warnings
 from dataclasses import dataclass
 from itertools import accumulate
@@ -118,6 +117,8 @@ class ContinuousScenario:
             raise ValueError("state box needs lower <= upper elementwise")
         object.__setattr__(self, "state_lower", lo)
         object.__setattr__(self, "state_upper", hi)
+        if not isinstance(self.test_space, (BoxSpace, FiniteSpace, MappedSpace)):
+            raise ValueError("continuous scenarios need a box, finite or mapped test space")
         if self.floor is not None:
             satisfaction_floor(self)
         for i in range(self.input_polytope.dim):
@@ -172,10 +173,11 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     d = np.asarray(d, dtype=float)
     fg = dynamics_at(scn.dynamics, x, d)
     poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
-    return _best_rate(lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg), poly, floor, tau)
+    value, u = _best_rate(lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg), poly, floor)
+    return (value, u) if u is None else (value - tau, u)
 
 
-def _best_rate(reach, poly, floor, tau):
+def _best_rate(reach, poly, floor):
     """The inner maximization of :func:`difficulty` over the safe-input
     polytope ``poly``, with ``reach`` the reach barrier's
     ``(drift_rate, input_row)`` at the same (x, d)."""
@@ -185,10 +187,10 @@ def _best_rate(reach, poly, floor, tau):
         return float(floor), None
     if out.status == UNBOUNDED:
         raise ScenarioError(_UNBOUNDED)
-    return drift_rate + out.value - tau, out.point
+    return drift_rate + out.value, out.point
 
 
-def _solve_held(points, held_A, held_b, tau, inputs, cache):
+def _solve_held(points, held_A, held_b, inputs, cache):
     """``(value, maximizer)`` of each held test in ``points`` from one
     :func:`solve_lp_batch` of its stored rows ``held_A``, ``held_b``.
 
@@ -219,10 +221,10 @@ def _solve_held(points, held_A, held_b, tau, inputs, cache):
             raise
         rates.append(rate)
     outs = solve(len(points))
-    return [(rate + out.value - tau, out.point) for rate, out in zip(rates, outs)]
+    return [(rate + out.value, out.point) for rate, out in zip(rates, outs)]
 
 
-def _scan(scn, x, candidates, ends, floor, tau, evals, cache, bar=-np.inf):
+def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     """Hardest candidate of each group of ``candidates`` (a sequence,
     indexed), Γ first: ``(gamma, bests)``.
 
@@ -232,8 +234,8 @@ def _scan(scn, x, candidates, ends, floor, tau, evals, cache, bar=-np.inf):
     maximizer)`` of each folded group's hardest candidate, the earliest on
     ties and ``(None, inf, None)`` for an empty group, and the scan ends
     after the first group whose value is below ``bar``.  ``gamma`` is the
-    first candidate in Γ as a :class:`SynthesisResult` with
-    ``early_exit`` (the groups before its own all folded), else None.
+    first candidate in Γ as a :class:`SynthesisResult` (the groups
+    before its own all folded), else None.
     ``evals`` counts earlier candidates of the same search.
 
     Avoid rows come from ``cache.avoid_block``, ``_HELD_BLOCK`` candidates
@@ -278,7 +280,7 @@ def _scan(scn, x, candidates, ends, floor, tau, evals, cache, bar=-np.inf):
                     block = candidates[i:solved_to]
                     held = [j for j in range(i, solved_to) if j not in solved]
                     points = [block[j - i] for j in held]
-                    outs = _solve_held(points, held_A[held], held_b[held], tau, inputs, cache)
+                    outs = _solve_held(points, held_A[held], held_b[held], inputs, cache)
                     solved.update((j, (d,) + out) for j, d, out in zip(held, points, outs))
                 d, val, u = solved.pop(i)
                 if val < best_val:
@@ -300,10 +302,10 @@ def _scan(scn, x, candidates, ends, floor, tau, evals, cache, bar=-np.inf):
         for j in np.flatnonzero(spot).tolist():
             if fold(i + j):
                 return None, bests
-            val, u = _best_rate(cache.reach(D[j]), stack_rows(A[j], b[j], inputs), floor, tau)
+            val, u = _best_rate(cache.reach(D[j]), stack_rows(A[j], b[j], inputs), floor)
             if u is None:
-                return SynthesisResult(block[j], float(floor), True, None, evals + i + j + 1,
-                                       True), bests
+                return SynthesisResult(block[j], float(floor), True, None,
+                                       evals + i + j + 1), bests
             solved[i + j] = (block[j], val, u)
         i += k
     fold(n)
@@ -327,7 +329,7 @@ def _compass(d_cur, step, lower, upper):
     return candidates
 
 
-def _refine(scn, x, space, start, floor, search, tau, cache):
+def _refine(scn, space, start, floor, search, cache):
     """Compass refinement from ``start``, the grid scan's result: a round's
     hardest move replaces the current test when it is strictly harder,
     else the step halves.
@@ -359,8 +361,8 @@ def _refine(scn, x, space, start, floor, search, tau, cache):
             break
         flat = [c for r in plan for c in r]
         try:
-            gamma, bests = _scan(scn, x, flat, list(accumulate(map(len, plan))),
-                                 floor, tau, evals, cache, val_cur)
+            gamma, bests = _scan(scn, flat, list(accumulate(map(len, plan))),
+                                 floor, evals, cache, val_cur)
         except Exception:
             # a planned round the loop may never reach can raise: plan one
             # round at a time until a lone round raises where the loop would
@@ -381,14 +383,11 @@ def _refine(scn, x, space, start, floor, search, tau, cache):
     return SynthesisResult(d_cur, val_cur, False, u_cur, evals)
 
 
-def _synthesize_over(scn, x, space, floor, search, tau):
+def _synthesize_over(scn, x, space, floor, search):
     if isinstance(space, FiniteSpace):
-        candidates, box = space.points, None
-    elif isinstance(space, BoxSpace):
-        candidates = _BoxGrid(space.lower, space.upper, (search.grid_points,) * space.dim)
-        box = space
+        candidates = space.points
     else:
-        raise ValueError("mapped test spaces need synthesize_constrained")
+        candidates = _BoxGrid(space.lower, space.upper, (search.grid_points,) * space.dim)
     # the grid is lazy, so nothing sized by the count exists yet
     if len(candidates) > DEFAULT_BUDGET:
         raise BudgetError(
@@ -401,39 +400,39 @@ def _synthesize_over(scn, x, space, floor, search, tau):
     # the avoid sets move with d, so only the goal-side start condition is
     # meaningful to check; the probe uses the first candidate
     if float(scn.spec.reach.value(x, candidates[0])) >= 0.0:
-        # at the first frame outside this module: the caller of the public
-        # synthesizer, however many of them delegate on the way
-        frame, level = sys._getframe(), 1
-        while frame.f_globals is globals():
-            frame, level = frame.f_back, level + 1
         warnings.warn(
             "start state already satisfies the reach predicate; "
             "the synthesized test is uninteresting but still valid",
-            stacklevel=level,
+            stacklevel=3,  # the caller of the public synthesizer
         )
-    gamma, bests = _scan(scn, x, candidates, [len(candidates)], floor, tau, 0, cache)
+    gamma, bests = _scan(scn, candidates, [len(candidates)], floor, 0, cache)
     if gamma is not None:
         return gamma
     (d, val, u), = bests
     best = SynthesisResult(d, val, False, u, len(candidates))
-    if box is None:
+    if isinstance(space, FiniteSpace):
         return best
-    return _refine(scn, x, box, best, floor, search, tau, cache)
+    return _refine(scn, space, best, floor, search, cache)
+
+
+def _checked(scn: ContinuousScenario, x) -> tuple:
+    """The state as a vector of the scenario's dimension, and the floor."""
+    x = as_vector(x, "state")
+    if x.size != scn.state_lower.size:
+        raise ValueError(f"state needs {scn.state_lower.size} components, got {x.size}")
+    return x, satisfaction_floor(scn)
 
 
 def synthesize(
-    scn: ContinuousScenario,
-    x,
-    floor: Optional[float] = None,
-    search: SearchConfig = SearchConfig(),
-    tau: float = 0.0,
+    scn: ContinuousScenario, x, search: SearchConfig = SearchConfig()
 ) -> SynthesisResult:
     """Hardest admissible test at state x, searched as the module docstring
     and :class:`SearchConfig` say; the first test in the paper's set Γ
     ends the search.  Ties keep the earliest candidate, and
     ``evaluations`` counts candidates examined, not LPs solved.  Before
-    any callback runs, a floor :func:`core.satisfaction_floor` rejects
-    raises ``ValueError``, and a search of more than ``DEFAULT_BUDGET``
+    any callback runs, a state of the wrong size or a scenario without a
+    valid floor (see :func:`core.satisfaction_floor`) raises
+    ``ValueError``, and a search of more than ``DEFAULT_BUDGET``
     candidates :class:`BudgetError`.
 
     Results and ``evaluations`` equal those of a scan of one candidate at
@@ -445,7 +444,8 @@ def synthesize(
     """
     if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_constrained")
-    return synthesize_constrained(scn, x, 0.0, floor, search, tau)
+    x, floor = _checked(scn, x)
+    return _synthesize_over(scn, x, scn.test_space, floor, search)
 
 
 # Synthesis against test-perturbed dynamics is the same search: dynamics
@@ -455,21 +455,13 @@ synthesize_perturbed = synthesize
 
 
 def synthesize_constrained(
-    scn: ContinuousScenario,
-    x,
-    t: float,
-    floor: Optional[float] = None,
-    search: SearchConfig = SearchConfig(),
-    tau: float = 0.0,
+    scn: ContinuousScenario, x, t: float, search: SearchConfig = SearchConfig()
 ) -> SynthesisResult:
-    """Synthesis over the admissible test set realized at (x, t).
-
-    With a constant map this coincides with :func:`synthesize`; the result
-    is always a member of the realized set.
-    """
-    x = as_vector(x, "state")
-    fl = satisfaction_floor(scn, floor)
+    """:func:`synthesize` over the admissible test set realized at (x, t),
+    with its checks made before the map runs; the result is a member of
+    that set."""
+    x, floor = _checked(scn, x)
     space = scn.test_space
     if isinstance(space, MappedSpace):
         space = space.at(x, t)
-    return _synthesize_over(scn, x, space, fl, search, tau)
+    return _synthesize_over(scn, x, space, floor, search)

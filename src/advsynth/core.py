@@ -159,23 +159,21 @@ class BarrierFunction:
 
 @dataclass(frozen=True)
 class ClassKappaFn:
-    """Strictly increasing gain with alpha(0) = 0.
+    """Linear class-K gain alpha(r) = gain * r, the gain positive and finite.
 
-    Linear form gain * r by default; pass ``form`` for another monotone
-    shape.  alpha(h) enters only the right-hand side of a safe-input row,
-    so every form keeps the rows linear in u.
+    Any other strictly increasing alpha with alpha(0) = 0 is a plain
+    callable in :attr:`ReachAvoidSpec.gains`: alpha(h) enters only the
+    right-hand side of a safe-input row, so every gain keeps the rows
+    linear in u.
     """
 
     gain: float
-    form: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not (self.gain > 0 and math.isfinite(self.gain)):
             raise ValueError("gain must be a positive finite number")
 
     def __call__(self, r: float) -> float:
-        if self.form is not None:
-            return float(self.form(r))
         return self.gain * float(r)
 
 
@@ -332,8 +330,9 @@ class SynthesisResult:
 
     ``in_gamma`` marks a test under which no safe input exists, the hardest
     possible outcome; ``difficulty`` then equals the satisfaction floor and
-    ``inner_maximizer`` is None.  ``early_exit`` records that the search
-    stopped at the first such test, which is already globally optimal.
+    ``inner_maximizer`` is None.  Every search stops at its first such
+    test, which is already globally optimal, so :attr:`early_exit` is
+    ``in_gamma``.
     """
 
     d_star: object
@@ -341,20 +340,20 @@ class SynthesisResult:
     in_gamma: bool
     inner_maximizer: Optional[object]
     evaluations: int
-    early_exit: bool = False
+
+    @property
+    def early_exit(self) -> bool:
+        return self.in_gamma
 
 
-def satisfaction_floor(scn, floor: Optional[float] = None) -> float:
-    """The satisfaction floor of a synthesis call: the explicit ``floor``,
-    else the one pinned on the scenario.  The floor is a modelling input,
-    so with neither there is none to guess.  It must be finite: it is the
-    difficulty of a test in Γ, the hardest, and an infinite or NaN one
-    would rank that test with the easiest."""
-    if floor is None:
-        floor = scn.floor
-    if floor is None:
-        raise ValueError("no satisfaction floor: pass one or pin it on the scenario")
-    floor = float(floor)
+def satisfaction_floor(scn) -> float:
+    """The satisfaction floor pinned on the scenario.  The floor is a
+    modelling input, so without one there is none to guess.  It must be
+    finite: it is the difficulty of a test in Γ, the hardest, and an
+    infinite or NaN one would rank that test with the easiest."""
+    if scn.floor is None:
+        raise ValueError("no satisfaction floor: pin one on the scenario")
+    floor = float(scn.floor)
     if not math.isfinite(floor):
         raise ValueError(f"satisfaction floor must be finite, got {floor}")
     return floor
@@ -407,25 +406,6 @@ def feasibility_filter(value, point, member, fallback):
     return value if inside else fallback
 
 
-def _rows_at(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: int, fg):
-    """:func:`avoid_rows` at (x, d), each barrier's Lie derivatives taken
-    with ``fg`` (None: f and g evaluated per barrier).  ``A`` and ``b``
-    are views of one array that holds each row with its right-hand side."""
-    rows = []
-    for j, h in enumerate(spec.avoid):
-        drift_rate, input_row = lie_derivatives(h, dyn, x, d, fg)
-        if input_row.size != input_dim:
-            raise ValueError(
-                f"input row dim {input_row.size} does not match polytope dim {input_dim}"
-            )
-        rhs = drift_rate + spec.gains[j](h.value(x, d))
-        rows.append([-v for v in input_row.tolist()] + [rhs])
-    Ab = np.array(rows).reshape(len(rows), input_dim + 1)
-    if not np.isfinite(Ab).all():
-        raise ValueError("polytope coefficients must be finite")
-    return Ab[:, :input_dim], Ab[:, input_dim]
-
-
 class LieCache:
     """The Lie-derivative pieces of one synthesis call at a fixed state x.
 
@@ -435,7 +415,7 @@ class LieCache:
     per test.  Avoid rows come a block of tests at a time from the
     barriers' ``batch`` when f and g are evaluated once and every avoid
     barrier has one (:attr:`batched`), else one test at a time through
-    :func:`lie_derivatives`.
+    :func:`avoid_rows`.
     """
 
     def __init__(self, spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, input_dim: int):
@@ -467,8 +447,8 @@ class LieCache:
         k raises where a one-by-one scan would.  A block takes one product
         ``grads @ [G | f]`` per barrier."""
         if not self.batched:
-            A, b = _rows_at(self._spec, self._dyn, self._x, D[0], self._input_dim,
-                            self._f_g(D[0]))
+            A, b = avoid_rows(self._spec, self._dyn, self._x, D[0], self._input_dim,
+                              self._f_g(D[0]))
             return A[None], b[None]
         K, dim, x = len(D), self._input_dim, self._x
         f, G = self._f_g(D[0])
@@ -491,7 +471,7 @@ class LieCache:
             bad_grad |= ~np.isfinite(grads).all(axis=1)
             rates = grads @ Gf
             Ab[:, j, :dim] = -rates[:, :dim]
-            if isinstance(alpha, ClassKappaFn) and alpha.form is None:
+            if isinstance(alpha, ClassKappaFn):
                 kappa = alpha.gain * values  # gain * float(v)'s bits, one call per block
             else:
                 kappa = [alpha(v) for v in values.tolist()]
@@ -524,7 +504,19 @@ def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: i
     d = np.asarray(d, dtype=float)
     if fg is None and spec.avoid:
         fg = dynamics_at(dyn, x, d)
-    return _rows_at(spec, dyn, x, d, input_dim, fg)
+    rows = []
+    for h, alpha in zip(spec.avoid, spec.gains):
+        drift_rate, input_row = lie_derivatives(h, dyn, x, d, fg)
+        if input_row.size != input_dim:
+            raise ValueError(
+                f"input row dim {input_row.size} does not match polytope dim {input_dim}"
+            )
+        rows.append([-v for v in input_row.tolist()] + [drift_rate + alpha(h.value(x, d))])
+    # one array holds each row with its right-hand side; A and b are views
+    Ab = np.array(rows).reshape(len(rows), input_dim + 1)
+    if not np.isfinite(Ab).all():
+        raise ValueError("polytope coefficients must be finite")
+    return Ab[:, :input_dim], Ab[:, input_dim]
 
 
 def stack_rows(A: np.ndarray, b: np.ndarray, input_polytope: Polytope) -> Polytope:

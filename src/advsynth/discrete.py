@@ -137,7 +137,6 @@ def predictive_difficulty(
 def synthesize_discrete(
     scn: DiscreteScenario,
     x,
-    floor: Optional[float] = None,
     n_steps: Optional[int] = None,
     check_path: bool = False,
     budget: int = DEFAULT_BUDGET,
@@ -151,7 +150,7 @@ def synthesize_discrete(
     :class:`BudgetError` before any is made."""
     if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_discrete_constrained")
-    return synthesize_discrete_constrained(scn, x, 0.0, floor, n_steps, check_path, budget)
+    return synthesize_discrete_constrained(scn, x, 0.0, n_steps, check_path, budget)
 
 
 # the paper's name for the N-step synthesizer
@@ -162,7 +161,6 @@ def synthesize_discrete_constrained(
     scn: DiscreteScenario,
     x,
     t: float,
-    floor: Optional[float] = None,
     n_steps: Optional[int] = None,
     check_path: bool = False,
     budget: int = DEFAULT_BUDGET,
@@ -171,8 +169,8 @@ def synthesize_discrete_constrained(
     (x, t); the result is always drawn from that set.
 
     The tests are scanned in order for the least N-step difficulty.  The
-    first test with no safe sequence ends the scan (flagged via
-    ``early_exit``); ties keep the earliest minimizer."""
+    first test with no safe sequence ends the scan; ties keep the earliest
+    minimizer."""
     space = scn.test_space
     if isinstance(space, MappedSpace):
         space = space.at(x, t)
@@ -181,7 +179,7 @@ def synthesize_discrete_constrained(
     n = scn.horizon if n_steps is None else int(n_steps)
     if n < 1:
         raise ValueError("prediction horizon must be >= 1")
-    fl = satisfaction_floor(scn, floor)
+    fl = satisfaction_floor(scn)
     cost = len(scn.dynamics.alphabet) ** n * len(space)
     if cost > budget:
         raise BudgetError(
@@ -195,7 +193,7 @@ def synthesize_discrete_constrained(
         val, seq = predictive_difficulty(scn, x, d, fl, n, check_path)
         evals += 1
         if seq is None:
-            return SynthesisResult(d, fl, True, None, evals, True)
+            return SynthesisResult(d, fl, True, None, evals)
         if val < best_val:
             best_val, best_d, best_seq = val, d, seq
     return SynthesisResult(best_d, best_val, False, best_seq, evals)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .continuous import ContinuousScenario, SearchConfig, synthesize_constrained
 from .core import (
+    DEFAULT_BUDGET,
     BarrierFunction,
     BoxSpace,
     ClassKappaFn,
@@ -179,15 +180,18 @@ class RewardGrid:
     ``base`` solves the averaging recursion with the goal fixed at +10 and
     the obstacle at -10; ``modified`` overrides those cells to +10.1/-10.1.
     When goal and obstacle coincide the system is inconsistent, ``base`` is
-    None and ``modified`` is identically zero.
+    None (:attr:`feasible` is False) and ``modified`` is identically zero.
 
     Grids come from a shared cache and every caller gets the same arrays, so
     both are read-only.
     """
 
-    feasible: bool
     base: Optional[np.ndarray]
     modified: np.ndarray
+
+    @property
+    def feasible(self) -> bool:
+        return self.base is not None
 
 
 def _integral(v) -> int:
@@ -242,7 +246,7 @@ def _averaging_operator() -> np.ndarray:
 @lru_cache(maxsize=GRID_N ** 4)
 def _solve_reward_cached(goal: tuple, obstacle: tuple) -> RewardGrid:
     if goal == obstacle:
-        return RewardGrid(False, None, _readonly(np.zeros((GRID_N, GRID_N))))
+        return RewardGrid(None, _readonly(np.zeros((GRID_N, GRID_N))))
     A = _averaging_operator().copy()
     rhs = np.zeros(GRID_N * GRID_N)
     for (i, j), value in ((goal, 10.0), (obstacle, -10.0)):
@@ -257,7 +261,7 @@ def _solve_reward_cached(goal: tuple, obstacle: tuple) -> RewardGrid:
     modified = base.copy()
     modified[goal] = 10.1
     modified[obstacle] = -10.1
-    return RewardGrid(True, _readonly(base), _readonly(modified))
+    return RewardGrid(_readonly(base), _readonly(modified))
 
 
 def solve_reward(goal, obstacle) -> RewardGrid:
@@ -474,17 +478,22 @@ def _pursue(actual: np.ndarray, target: np.ndarray, max_step: float) -> np.ndarr
 def simulation_steps(
     dt: float, synth_period: float, horizon: float, obstacle_speed: float = 1.0
 ) -> int:
-    """Euler steps of a closed-loop run, after checking its timing and the
-    obstacles' pursuit speed."""
+    """Euler steps of a closed-loop run, after checking its timing, the
+    obstacles' pursuit speed and that the steps fit ``DEFAULT_BUDGET``."""
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError("dt must be a positive finite number")
-    if synth_period < dt:
+    if not synth_period >= dt:  # so a NaN period fails too
         raise ValueError("synth_period must be at least dt")
     if not (horizon >= 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be finite and nonnegative")
     if not obstacle_speed >= 0:
         raise ValueError("obstacle_speed must be a nonnegative number")
-    return int(round(horizon / dt))
+    # clamped first, so a quotient that overflows to inf is rejected too
+    n_steps = int(round(min(horizon / dt, DEFAULT_BUDGET + 1)))
+    if n_steps > DEFAULT_BUDGET:
+        raise ValueError(f"the run would take {horizon / dt:.6g} Euler steps but the budget "
+                         f"is {DEFAULT_BUDGET}; shorten the horizon or raise dt")
+    return n_steps
 
 
 def simulate_adversarial(

@@ -59,7 +59,7 @@ def _reference_grid(lower, upper, counts):
         yield np.array([axes[i][idx[i]] for i in range(len(axes))])
 
 
-def _reference_refine(scn, x, space, d0, val0, u0, floor, search, tau, evals):
+def _reference_refine(scn, x, space, d0, val0, u0, floor, search, evals):
     from advsynth.continuous import SynthesisResult, difficulty
 
     lower, upper = space.lower, space.upper
@@ -81,10 +81,10 @@ def _reference_refine(scn, x, space, d0, val0, u0, floor, search, tau, evals):
                 cand[i] = float(np.clip(cand[i] + sign * step[i], lower[i], upper[i]))
                 if cand[i] == d_cur[i]:
                     continue
-                val, u = difficulty(scn, x, cand, floor, tau)
+                val, u = difficulty(scn, x, cand, floor)
                 evals += 1
                 if u is None:
-                    return SynthesisResult(cand, float(floor), True, None, evals, True)
+                    return SynthesisResult(cand, float(floor), True, None, evals)
                 if val < best_val:
                     best_val, best_cand, best_u = val, cand, u
         if best_cand is not None and best_val < val_cur:
@@ -94,7 +94,7 @@ def _reference_refine(scn, x, space, d0, val0, u0, floor, search, tau, evals):
     return SynthesisResult(d_cur, val_cur, False, u_cur, evals)
 
 
-def reference_synthesize_over(scn, x, space, floor, search, tau):
+def reference_synthesize_over(scn, x, space, floor, search):
     """The continuous scan evaluated one candidate at a time, each through
     ``difficulty``: the coarse grid (or finite set) in order, an exit at the
     first candidate in Γ, the earliest minimum kept, then compass
@@ -116,12 +116,12 @@ def reference_synthesize_over(scn, x, space, floor, search, tau):
     best_d = best_u = None
     best_val = np.inf
     for d in candidates:
-        val, u = difficulty(scn, x, d, floor, tau)
+        val, u = difficulty(scn, x, d, floor)
         evals += 1
         if u is None:
-            return SynthesisResult(d, float(floor), True, None, evals, True)
+            return SynthesisResult(d, float(floor), True, None, evals)
         if val < best_val:
             best_val, best_d, best_u = val, d, u
     if box is not None:
-        return _reference_refine(scn, x, box, best_d, best_val, best_u, floor, search, tau, evals)
+        return _reference_refine(scn, x, box, best_d, best_val, best_u, floor, search, evals)
     return SynthesisResult(best_d, best_val, False, best_u, evals)

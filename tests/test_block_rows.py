@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advsynth import ClassKappaFn, ContinuousDynamics, build_quadgrid, build_unicycle
+from advsynth import ContinuousDynamics, build_quadgrid, build_unicycle
 from advsynth.core import LieCache, avoid_rows
 from advsynth.scenarios import _scalar_squares, unit_cell_corners
 
@@ -27,12 +27,12 @@ HERE = Path(__file__).resolve().parent
 
 def _variants(scn, rng):
     """The shipped dynamics and gains, a constant nonzero drift (so the
-    drift column of the product is not all zeros), and gains with a
-    nonlinear form (so alpha runs per test)."""
+    drift column of the product is not all zeros), and nonlinear gains
+    as plain callables (so alpha runs per test)."""
     n = scn.state_lower.size
     f0 = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3, size=n)
     drift = ContinuousDynamics(lambda x, d: f0, scn.dynamics.g, reads=())
-    cubic = tuple(ClassKappaFn(7.5, form=lambda r: r * abs(r) + r) for _ in scn.spec.gains)
+    cubic = tuple((lambda r: r * abs(r) + r) for _ in scn.spec.gains)
     return [
         (scn.spec, scn.dynamics),
         (scn.spec, drift),

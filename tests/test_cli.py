@@ -187,6 +187,16 @@ def test_sweep_budget_admits_exactly_its_cell_count(tmp_path, capsys, monkeypatc
     assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 4
 
 
+def test_simulate_over_the_step_budget_exits_2_before_any_work(tmp_path, capsys):
+    # 1e9 s at dt = 0.01 would be 1e11 Euler steps and logs without bound
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(capsys, ["simulate", "--config", str(REPO / "configs/quadgrid.cfg"),
+                                    "--horizon", "1e9", "--out", str(out_dir)])
+    assert rc == 2
+    assert f"the run would take 1e+11 Euler steps but the budget is {DEFAULT_BUDGET}" in err
+    assert out == "" and not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "text,command,needle",
     [

@@ -187,8 +187,6 @@ def test_class_kappa_validation():
     k = ClassKappaFn(10.0)
     assert k(0.0) == 0.0
     assert k(-0.030625) == pytest.approx(-0.30625)
-    cubic = ClassKappaFn(1.0, form=lambda r: r ** 3)
-    assert cubic(2.0) == 8.0
 
 
 def test_test_space_invariants():

@@ -371,15 +371,16 @@ def test_greedy_evaluates_f_and_g_once_per_call(unicycle, quadgrid, which):
 # closed-loop simulation
 
 def test_simulation_static_obstacles_at_goal(quadgrid):
-    log = simulate_adversarial(
-        quadgrid,
-        np.array([3.5, 2.5]),
-        greedy_safe_controller,
-        synth_period=0.5,
-        dt=0.01,
-        horizon=0.5,
-        obstacle_speed=0.0,
-    )
+    with pytest.warns(UserWarning, match="already satisfies the reach predicate"):
+        log = simulate_adversarial(
+            quadgrid,
+            np.array([3.5, 2.5]),
+            greedy_safe_controller,
+            synth_period=0.5,
+            dt=0.01,
+            horizon=0.5,
+            obstacle_speed=0.0,
+        )
     assert not log.aborted
     assert np.all(log.min_barrier == log.min_barrier[0])
     verdict = monitor_trajectory(
@@ -392,16 +393,18 @@ def test_simulation_static_obstacles_at_goal(quadgrid):
 
 def test_simulation_zero_speed_safe_start_stays_safe(quadgrid):
     # non-integer start: every admissible corner is at least 0.5 away, so
-    # the initial obstacle placement leaves the agent safe
-    log = simulate_adversarial(
-        quadgrid,
-        np.array([0.4, 0.3]),
-        greedy_safe_controller,
-        synth_period=0.5,
-        dt=0.02,
-        horizon=2.0,
-        obstacle_speed=0.0,
-    )
+    # the initial obstacle placement leaves the agent safe; the agent
+    # reaches the goal before the last command
+    with pytest.warns(UserWarning, match="already satisfies the reach predicate"):
+        log = simulate_adversarial(
+            quadgrid,
+            np.array([0.4, 0.3]),
+            greedy_safe_controller,
+            synth_period=0.5,
+            dt=0.02,
+            horizon=2.0,
+            obstacle_speed=0.0,
+        )
     assert not log.aborted
     assert np.all(log.min_barrier >= 0.0)
 
@@ -420,14 +423,16 @@ def test_simulation_single_solve_when_period_is_horizon(quadgrid):
 
 
 def test_simulation_commands_stay_inside_map(quadgrid):
-    log = simulate_adversarial(
-        quadgrid,
-        np.array([0.2, 0.2]),
-        greedy_safe_controller,
-        synth_period=0.25,
-        dt=0.05,
-        horizon=1.5,
-    )
+    # the agent reaches the goal before the last command
+    with pytest.warns(UserWarning, match="already satisfies the reach predicate"):
+        log = simulate_adversarial(
+            quadgrid,
+            np.array([0.2, 0.2]),
+            greedy_safe_controller,
+            synth_period=0.25,
+            dt=0.05,
+            horizon=1.5,
+        )
     assert len(log.commands) >= 2
     for t, x, d in log.commands:
         assert quadgrid.test_space.at(x, t).contains(d)
@@ -485,6 +490,32 @@ def test_simulation_validates_arguments(quadgrid):
         simulate_adversarial(
             quadgrid, np.zeros(2), greedy_safe_controller, synth_period=0.5, dt=0.01, horizon=math.inf
         )
+
+
+def test_simulation_rejects_a_nan_period(quadgrid):
+    # nan < dt is False too: the adversary would command once and never again
+    with pytest.raises(ValueError, match="^synth_period must be at least dt$"):
+        scenarios.simulation_steps(0.01, math.nan, 2.0)
+
+
+def test_simulation_budget_admits_exactly_its_step_count(quadgrid, monkeypatch):
+    monkeypatch.setattr(scenarios, "DEFAULT_BUDGET", 12)
+    assert scenarios.simulation_steps(0.01, 0.5, 0.12) == 12
+    with pytest.raises(ValueError, match="^the run would take 13 Euler steps but the budget is 12;"):
+        simulate_adversarial(quadgrid, np.zeros(2), greedy_safe_controller,
+                             synth_period=0.5, dt=0.01, horizon=0.13)
+
+
+def test_simulation_rejects_a_step_count_that_overflows():
+    # 1e300 / 1e-10 is inf, which no step count can round to
+    with pytest.raises(ValueError, match="^the run would take inf Euler steps but the budget"):
+        scenarios.simulation_steps(1e-10, 0.5, 1e300)
+
+
+def test_simulation_rejects_a_state_of_the_wrong_size(quadgrid):
+    with pytest.raises(ValueError, match="^state needs 2 components, got 3$"):
+        simulate_adversarial(quadgrid, np.array([1.2, 0.7, 99.0]), greedy_safe_controller,
+                             synth_period=0.5, horizon=1.0)
 
 
 @pytest.mark.parametrize("speed", [-1.0, -1e-12, math.nan])
