@@ -18,7 +18,7 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +26,7 @@ import numpy as np
 
 # ``synthesize`` stays bound here because bench/spans.py wraps it by name
 from .continuous import SearchConfig, difficulty, synthesize, synthesize_constrained
-from .core import DEFAULT_BUDGET, BoxSpace, BudgetError, MappedSpace, ScenarioError, as_vector
+from .core import DEFAULT_BUDGET, BudgetError, MappedSpace, ScenarioError, as_vector
 from .discrete import (
     DiscreteScenario,
     predictive_difficulty,
@@ -92,57 +92,44 @@ def _parse_scenario(s: str) -> str:
     return s
 
 
-_ALL = frozenset(SCENARIO_NAMES)
-_CONT = frozenset(("unicycle", "quadgrid"))
+_CONT = ("unicycle", "quadgrid")
 
-# key -> (parser, scenarios the key applies to)
-_KEYS = {
-    "scenario": (_parse_scenario, _ALL),
-    "goal": (_parse_floats, frozenset(("unicycle", "gridworld"))),
-    "obstacle_count": (_parse_int, frozenset(("unicycle",))),
-    "kappa": (_parse_float, _CONT),
-    "m": (_parse_float, _ALL),
-    "t_max": (_parse_float, _CONT),
-    "horizon_n": (_parse_int, frozenset(("gridworld",))),
-    "check_path": (_parse_bool, frozenset(("gridworld",))),
-    "budget": (_parse_int, frozenset(("gridworld",))),
-    "grid_points": (_parse_int, frozenset(("unicycle",))),
-    "refine_iterations": (_parse_int, frozenset(("unicycle",))),
-    "step_tolerance": (_parse_float, frozenset(("unicycle",))),
-    "seed": (_parse_seed, _ALL),
-    "synth_period": (_parse_float, _CONT),
-    "dt": (_parse_float, _CONT),
-    "obstacle_speed": (_parse_float, _CONT),
-    "x0": (_parse_floats, _CONT),
-    "d_fixed": (_parse_floats, _CONT),
-}
+
+def _key(parse, *scope, default=None):
+    """A config key's field: its default, and as metadata its value parser
+    and the scenarios it applies to."""
+    return field(default=default, metadata={"parse": parse, "scope": frozenset(scope)})
 
 
 @dataclass
 class RunConfig:
-    """A parsed config.  A key left unset stays None and is not passed on,
-    so the library's default applies; only ``check_path``, ``seed``,
-    ``synth_period`` and ``dt`` have defaults of the CLI's own."""
+    """A parsed config, one field per config key.  A key left unset stays
+    None and is not passed on, so the library's default applies; only
+    ``check_path``, ``seed``, ``synth_period`` and ``dt`` have defaults of
+    the CLI's own."""
 
-    scenario: str
-    goal: Optional[tuple] = None
-    obstacle_count: Optional[int] = None
-    kappa: Optional[float] = None
-    m: Optional[float] = None
-    t_max: Optional[float] = None
-    horizon_n: Optional[int] = None
-    check_path: bool = False
-    budget: Optional[int] = None
-    grid_points: Optional[int] = None
-    refine_iterations: Optional[int] = None
-    step_tolerance: Optional[float] = None
-    seed: int = 0
-    synth_period: float = 0.5
-    dt: float = 0.01
-    obstacle_speed: Optional[float] = None
-    x0: Optional[tuple] = None
-    d_fixed: Optional[tuple] = None
+    scenario: str = _key(_parse_scenario, *SCENARIO_NAMES, default=MISSING)
+    goal: Optional[tuple] = _key(_parse_floats, "unicycle", "gridworld")
+    obstacle_count: Optional[int] = _key(_parse_int, "unicycle")
+    kappa: Optional[float] = _key(_parse_float, *_CONT)
+    m: Optional[float] = _key(_parse_float, *SCENARIO_NAMES)
+    t_max: Optional[float] = _key(_parse_float, *_CONT)
+    horizon_n: Optional[int] = _key(_parse_int, "gridworld")
+    check_path: bool = _key(_parse_bool, "gridworld", default=False)
+    grid_points: Optional[int] = _key(_parse_int, "unicycle")
+    refine_iterations: Optional[int] = _key(_parse_int, "unicycle")
+    step_tolerance: Optional[float] = _key(_parse_float, "unicycle")
+    seed: int = _key(_parse_seed, *SCENARIO_NAMES, default=0)
+    synth_period: float = _key(_parse_float, *_CONT, default=0.5)
+    dt: float = _key(_parse_float, *_CONT, default=0.01)
+    obstacle_speed: Optional[float] = _key(_parse_float, *_CONT)
+    x0: Optional[tuple] = _key(_parse_floats, *_CONT)
+    d_fixed: Optional[tuple] = _key(_parse_floats, *_CONT)
     echo: dict = field(default_factory=dict)
+
+
+# key -> {"parse": parser, "scope": scenarios the key applies to}
+_KEYS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
 
 
 def parse_config(path) -> RunConfig:
@@ -168,9 +155,8 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-        parser, _ = _KEYS[key]
         try:
-            values[key] = parser(val)
+            values[key] = _KEYS[key]["parse"](val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
         echo[key] = val
@@ -179,7 +165,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"{path}: missing required key 'scenario'")
     scenario = values["scenario"]
     for key in values:
-        if scenario not in _KEYS[key][1]:
+        if scenario not in _KEYS[key]["scope"]:
             raise ConfigError(
                 f"{path}: key '{key}' does not apply to scenario '{scenario}'"
             )
@@ -262,24 +248,15 @@ def _write_csv(path: Path, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_state(cfg: RunConfig, scn, text: str):
+def _parse_state(scn, text: str):
     try:
         values = _parse_floats(text)
     except ValueError as exc:
         raise ConfigError(f"bad --state: {exc}") from exc
-    if cfg.scenario == "gridworld":
-        with _rejected("--state"):
+    with _rejected("--state"):
+        if isinstance(scn, DiscreteScenario):
             return grid_cell(values, "the state")
-    return _state_vector(scn, values, "--state")
-
-
-def _state_vector(scn, values, what: str):
-    with _rejected(what):
-        x = as_vector(values, what)
-    n = scn.state_lower.size
-    if x.size != n:
-        raise ConfigError(f"{what} needs {n} components for scenario '{scn.name}', got {x.size}")
-    return x
+        return scn.check_state(values, "--state")
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +267,21 @@ def _synthesize(cfg: RunConfig, scn, x):
     scenario family.  Discrete scenarios plan over their own horizon."""
     try:
         if isinstance(scn, DiscreteScenario):
-            return synthesize_discrete(scn, x, check_path=cfg.check_path, **_given(cfg, "budget"))
+            return synthesize_discrete(scn, x, check_path=cfg.check_path)
         return synthesize_constrained(scn, x, 0.0, search=_search(cfg))
     except BudgetError as exc:
-        what = "'budget'" if isinstance(scn, DiscreteScenario) else "the search settings"
+        what = "'horizon_n'" if isinstance(scn, DiscreteScenario) else "the search settings"
         raise ConfigError(f"bad value for {what}: {exc}") from exc
+
+
+def _difficulty(cfg: RunConfig, scn, x, d) -> float:
+    """The difficulty of test d at x, as :func:`_synthesize`'s synthesizer
+    measures it; a discrete test must be a grid cell."""
+    if isinstance(scn, DiscreteScenario):
+        with _rejected("--axes"):
+            d = grid_cell(d, "a sweep cell")
+        return predictive_difficulty(scn, x, d, scn.floor, scn.horizon, cfg.check_path)[0]
+    return difficulty(scn, x, d, scn.floor)[0]
 
 
 def _synthesis_payload(cfg: RunConfig, scn, x) -> dict:
@@ -311,7 +298,7 @@ def _synthesis_payload(cfg: RunConfig, scn, x) -> dict:
 
 def cmd_synth(cfg: RunConfig, state_text: str, out_dir: Optional[Path]) -> int:
     scn = make_scenario(cfg)
-    x = _parse_state(cfg, scn, state_text)
+    x = _parse_state(scn, state_text)
     _emit(cfg, _synthesis_payload(cfg, scn, x), out_dir, "synth.json")
     return 0
 
@@ -348,20 +335,9 @@ def _parse_axes(spec_text: str) -> list:
     return axes
 
 
-def _test_dim(scn, x) -> int:
-    """Length of the test vectors of a continuous scenario: the box's, or
-    that of the set a mapped space realizes at (x, t = 0)."""
-    space = scn.test_space
-    if isinstance(space, MappedSpace):
-        space = space.at(x, 0.0)
-    if isinstance(space, BoxSpace):
-        return space.dim
-    return np.asarray(space.points[0]).size
-
-
 def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) -> int:
     scn = make_scenario(cfg)
-    x = _parse_state(cfg, scn, state_text)
+    x = _parse_state(scn, state_text)
     axes = _parse_axes(axes_text)
     (c1, lo1, hi1, n1), (c2, lo2, hi2, n2) = axes
     if n1 * n2 > DEFAULT_BUDGET:
@@ -370,48 +346,29 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
     a1 = np.linspace(lo1, hi1, n1)
     a2 = np.linspace(lo2, hi2, n2)
 
-    # each cell is one difficulty evaluation of the synthesizer's family,
-    # at the horizon it plans over
-    if isinstance(scn, DiscreteScenario):
-        if not {c1, c2} == {0, 1}:
-            raise ConfigError("gridworld sweeps must cover components 0 and 1")
-        with _rejected("--axes"):
-            cells = {(i, j): grid_cell((a1[i], a2[j]) if c1 == 0 else (a2[j], a1[i]),
-                                       "a sweep cell")
-                     for i in range(n1) for j in range(n2)}
-
-        def cell_value(i, j):
-            return predictive_difficulty(
-                scn, x, cells[i, j], scn.floor, scn.horizon, cfg.check_path
-            )[0]
-    else:
-        p = _test_dim(scn, x)
-        if cfg.d_fixed is not None:
-            with _rejected("'d_fixed'"):
-                base = as_vector(cfg.d_fixed, "'d_fixed'")
-            if base.size != p:
-                raise ConfigError(
-                    f"'d_fixed' needs {p} components (the test dimension), got {base.size}"
-                )
-        elif isinstance(scn.test_space, BoxSpace):
-            base = np.zeros(p)
-        else:
-            raise ConfigError("this scenario needs d_fixed to anchor unswept components")
-        for c in (c1, c2):
-            if not 0 <= c < base.size:
-                raise ConfigError(f"axis component {c} out of range for test dim {base.size}")
-
-        def cell_value(i, j):
-            d = base.copy()
-            d[c1], d[c2] = a1[i], a2[j]
-            return difficulty(scn, x, d, scn.floor)[0]
-
-    # synthesize before the cells, so a budget error leaves no partial artifact
+    # synthesize before the cells, so a budget error leaves no partial
+    # artifact; the synthesized test's length is the test dimension
     payload = _synthesis_payload(cfg, scn, x)
+    p = len(payload["d_star"])
+    if cfg.d_fixed is not None:
+        with _rejected("'d_fixed'"):
+            base = as_vector(cfg.d_fixed, "'d_fixed'")
+        if base.size != p:
+            raise ConfigError(
+                f"'d_fixed' needs {p} components (the test dimension), got {base.size}")
+    elif isinstance(scn.test_space, MappedSpace):
+        raise ConfigError("this scenario needs d_fixed to anchor unswept components")
+    else:
+        base = np.zeros(p)
+    for c in (c1, c2):
+        if not 0 <= c < p:
+            raise ConfigError(f"axis component {c} out of range for test dim {p}")
+
     values = np.zeros((n1, n2))
-    for i in range(n1):
-        for j in range(n2):
-            values[i, j] = cell_value(i, j)
+    for i, j in np.ndindex(n1, n2):
+        d = base.copy()
+        d[c1], d[c2] = a1[i], a2[j]
+        values[i, j] = _difficulty(cfg, scn, x, d)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [[""] + [_fmt(v) for v in a2]]
@@ -507,9 +464,10 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
         raise ConfigError("scenario 'gridworld' does not support simulation")
     scn = make_scenario(cfg)
     if state_text is not None:
-        x0 = _parse_state(cfg, scn, state_text)
+        x0 = _parse_state(scn, state_text)
     elif cfg.x0 is not None:
-        x0 = _state_vector(scn, cfg.x0, "'x0'")
+        with _rejected("'x0'"):
+            x0 = scn.check_state(cfg.x0, "'x0'")
     else:
         x0 = np.array(_DEFAULT_X0[cfg.scenario])
     speed = _given(cfg, "obstacle_speed")

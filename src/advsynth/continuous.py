@@ -132,6 +132,15 @@ class ContinuousScenario:
                         f"(axis {i} direction {sign:+.0f} came back {out.status})"
                     )
 
+    def check_state(self, x, name: str = "state") -> np.ndarray:
+        """``x`` as a finite vector of this scenario's state size; otherwise
+        ``ValueError`` names ``name``.  Every entry point taking a state
+        checks it here before any callback runs."""
+        x = as_vector(x, name)
+        if x.size != self.state_lower.size:
+            raise ValueError(f"{name} needs {self.state_lower.size} components, got {x.size}")
+        return x
+
 
 def _axis(lo: float, hi: float, k: int) -> np.ndarray:
     if k == 1:
@@ -170,6 +179,7 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     margin; since it is a constant shift it can never change which test
     minimizes the measure.  f and g are evaluated once for all rows.
     """
+    x = scn.check_state(x)
     d = np.asarray(d, dtype=float)
     fg = dynamics_at(scn.dynamics, x, d)
     poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
@@ -415,14 +425,6 @@ def _synthesize_over(scn, x, space, floor, search):
     return _refine(scn, space, best, floor, search, cache)
 
 
-def _checked(scn: ContinuousScenario, x) -> tuple:
-    """The state as a vector of the scenario's dimension, and the floor."""
-    x = as_vector(x, "state")
-    if x.size != scn.state_lower.size:
-        raise ValueError(f"state needs {scn.state_lower.size} components, got {x.size}")
-    return x, satisfaction_floor(scn)
-
-
 def synthesize(
     scn: ContinuousScenario, x, search: SearchConfig = SearchConfig()
 ) -> SynthesisResult:
@@ -444,7 +446,7 @@ def synthesize(
     """
     if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_constrained")
-    x, floor = _checked(scn, x)
+    x, floor = scn.check_state(x), satisfaction_floor(scn)
     return _synthesize_over(scn, x, scn.test_space, floor, search)
 
 
@@ -460,7 +462,7 @@ def synthesize_constrained(
     """:func:`synthesize` over the admissible test set realized at (x, t),
     with its checks made before the map runs; the result is a member of
     that set."""
-    x, floor = _checked(scn, x)
+    x, floor = scn.check_state(x), satisfaction_floor(scn)
     space = scn.test_space
     if isinstance(space, MappedSpace):
         space = space.at(x, t)

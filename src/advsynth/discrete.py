@@ -139,18 +139,17 @@ def synthesize_discrete(
     x,
     n_steps: Optional[int] = None,
     check_path: bool = False,
-    budget: int = DEFAULT_BUDGET,
 ) -> SynthesisResult:
     """Exact N-step minimax over the finite test set, by enumeration.
 
     N defaults to the scenario's ``horizon``, so a ``horizon > 1`` scenario
     is planned over that horizon.  ``inner_maximizer`` is the best action
     sequence under ``d_star`` (a 1-tuple at N = 1).  Enumeration that would
-    take more than ``budget`` sequence evaluations raises
+    take more than ``DEFAULT_BUDGET`` sequence evaluations raises
     :class:`BudgetError` before any is made."""
     if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_discrete_constrained")
-    return synthesize_discrete_constrained(scn, x, 0.0, n_steps, check_path, budget)
+    return synthesize_discrete_constrained(scn, x, 0.0, n_steps, check_path)
 
 
 # the paper's name for the N-step synthesizer
@@ -163,7 +162,6 @@ def synthesize_discrete_constrained(
     t: float,
     n_steps: Optional[int] = None,
     check_path: bool = False,
-    budget: int = DEFAULT_BUDGET,
 ) -> SynthesisResult:
     """:func:`synthesize_discrete` over the admissible test set realized at
     (x, t); the result is always drawn from that set.
@@ -181,11 +179,9 @@ def synthesize_discrete_constrained(
         raise ValueError("prediction horizon must be >= 1")
     fl = satisfaction_floor(scn)
     cost = len(scn.dynamics.alphabet) ** n * len(space)
-    if cost > budget:
-        raise BudgetError(
-            f"enumeration needs {cost} sequence evaluations but the budget is "
-            f"{budget}; raise the budget or shrink the horizon"
-        )
+    if cost > DEFAULT_BUDGET:
+        raise BudgetError(f"enumeration needs {cost} sequence evaluations but the budget is "
+                          f"{DEFAULT_BUDGET}; shrink the horizon")
     evals = 0
     best_d = best_seq = None
     best_val = float("inf")

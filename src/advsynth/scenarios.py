@@ -414,6 +414,7 @@ def greedy_safe_controller(scn: ContinuousScenario, x, d) -> np.ndarray:
     safe inputs; when no input is safe, fall back to the input maximizing
     the least avoid-row slack over the actuator polytope.  f and g are
     evaluated once, for the avoid rows and the reach row alike."""
+    x = scn.check_state(x)
     d = np.asarray(d, dtype=float)
     fg = dynamics_at(scn.dynamics, x, d)
     poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
@@ -518,7 +519,7 @@ def simulate_adversarial(
     before the first command.
     """
     n_steps = simulation_steps(dt, synth_period, horizon, obstacle_speed)
-    x = as_vector(x0, "initial state").copy()
+    x = scn.check_state(x0).copy()
 
     result = synthesize_constrained(scn, x, 0.0, search=search)
     cmd = np.asarray(result.d_star, dtype=float)

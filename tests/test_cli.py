@@ -16,7 +16,7 @@ from advsynth import (
     predictive_difficulty,
     synthesize_predictive,
 )
-from advsynth import cli
+from advsynth import cli, discrete
 from advsynth.cli import main, make_scenario, parse_config
 from advsynth.core import DEFAULT_BUDGET
 
@@ -104,6 +104,8 @@ def test_synth_writes_artifact(tmp_path, capsys):
         ("scenario = unicycle\nstep_tolerance = -1e-4\n", "step_tolerance"),
         ("scenario = unicycle\nseed = -3\n", "seed"),
         ("scenario = unicycle\ntau = 0.7\n", "tau"),
+        # the discrete enumeration has DEFAULT_BUDGET, as every other search
+        ("scenario = gridworld\nbudget = 10\n", "unknown key 'budget'"),
         # an infinite floor would report the easiest test as the hardest
         ("scenario = unicycle\nm = inf\n", "'m'"),
         ("scenario = gridworld\nm = -inf\n", "'m'"),
@@ -125,12 +127,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, bad, needle):
     ],
     ids=["synth", "trials", "sweep"],
 )
-def test_budget_overflow_exits_2(tmp_path, capsys, command):
-    cfg = write_config(tmp_path, GRID_CFG + "horizon_n = 2\nbudget = 10\n")
+def test_budget_overflow_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(discrete, "DEFAULT_BUDGET", 10)
+    cfg = write_config(tmp_path, GRID_CFG + "horizon_n = 2\n")
     args = [a.replace("OUT", str(tmp_path / "out")) for a in command]
     rc, out, err = run_cli(capsys, [args[0], "--config", cfg] + args[1:])
     assert rc == 2
-    assert "'budget'" in err
+    assert "'horizon_n'" in err
     assert "needs 2500 sequence evaluations but the budget is 10" in err
     assert out == ""
     assert not (tmp_path / "out").exists()
@@ -214,13 +217,16 @@ def test_simulate_over_the_step_budget_exits_2_before_any_work(tmp_path, capsys)
          ["sweep", "--state=0.5,0.5", "--axes", "1:0:1:2,1:0:1:2"], "two different components"),
         (GRID_CFG, ["sweep", "--state", "3,5", "--axes", "0:0:9:10,0:0:9:10"],
          "two different components"),
+        (GRID_CFG, ["sweep", "--state", "3,5", "--axes", "0:0:9:10,2:0:9:10"],
+         "axis component 2 out of range for test dim 2"),
         (QUAD_CFG, ["simulate", "--horizon=-1"], "--horizon"),
         (QUAD_CFG, ["simulate", "--horizon=inf"], "--horizon"),
     ],
     ids=["seed-flag", "seed-key", "unicycle-d-fixed-short", "unicycle-d-fixed-long",
          "unicycle-d-fixed-inf", "quadgrid-d-fixed-short", "axes-nan", "axes-minus-inf",
          "unicycle-axes-same-component", "quadgrid-axes-same-component",
-         "gridworld-axes-same-component", "horizon-negative", "horizon-inf"],
+         "gridworld-axes-same-component", "gridworld-axes-component-2", "horizon-negative",
+         "horizon-inf"],
 )
 def test_bad_seed_anchor_or_axis_exits_2(tmp_path, capsys, text, command, needle):
     cfg = write_config(tmp_path, text)
@@ -250,6 +256,20 @@ def test_state_length_mismatch_exits_2(tmp_path, capsys, text, command, needle):
     assert needle in err
     assert out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("scenario,x0", [("quadgrid", [0.0, 0.0]),
+                                         ("unicycle", [-0.5, -0.5, 0.0])])
+def test_simulate_starts_at_the_documented_default(tmp_path, capsys, scenario, x0):
+    # with neither --state nor x0, the README's default start
+    cfg = write_config(tmp_path, f"scenario = {scenario}\n")
+    out_dir = tmp_path / "out"
+    rc, _, _ = run_cli(capsys, ["simulate", "--config", cfg, "--horizon", "0", "--out", str(out_dir)])
+    assert rc == 0
+    rows = list(csv.reader((out_dir / "trajectory.csv").read_text().splitlines()))
+    n = len(x0)
+    assert rows[0][1:n + 1] == [f"x{i}" for i in range(n)]
+    assert [float(v) for v in rows[1][1:n + 1]] == x0
 
 
 @pytest.mark.parametrize(

@@ -375,6 +375,27 @@ def test_state_of_the_wrong_size_raises_before_any_callback(unicycle, quadgrid):
         assert not calls
 
 
+@pytest.mark.parametrize("entry", ["difficulty", "controller"])
+def test_difficulty_and_controller_reject_a_bad_state_before_any_callback(quadgrid, entry):
+    counts = {}
+    for base, x, d in ((build_unicycle(n_obstacles=2), np.array([0.3, -0.2, 1.0]),
+                        np.array([0.5, 0.1, -0.4, 0.2])),
+                       (quadgrid, np.array([1.2, 0.7]), np.array([1.0, 1.0, 2.0, 1.0]))):
+        scn = recounted(base, counts)
+        call = {"difficulty": lambda x: difficulty(scn, x, d, -5.0),
+                "controller": lambda x: greedy_safe_controller(scn, x, d)}[entry]
+        n = x.size
+        for bad, message in ((x[:-1], f"^state needs {n} components, got {n - 1}$"),
+                             (np.append(x, 99.0), f"^state needs {n} components, got {n + 1}$"),
+                             (np.r_[np.inf, x[1:]], "^state contains non-finite entries$")):
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+        assert not counts
+        call(x)  # a state of the scenario's size runs the callbacks
+        assert counts
+        counts.clear()
+
+
 # ---------------------------------------------------------------------------
 # Γ-first scan against the one-by-one reference scan (conftest.py)
 

@@ -25,6 +25,7 @@ from advsynth import (
     synthesize_discrete_constrained,
     synthesize_predictive,
 )
+from advsynth import discrete
 
 cells = st.tuples(st.integers(0, 9), st.integers(0, 9))
 
@@ -303,9 +304,10 @@ def test_predictive_matches_triple_loop(gridworld79):
         assert res.difficulty == best
 
 
-def test_predictive_budget_rejected(gridworld79):
+def test_predictive_budget_rejected(gridworld79, monkeypatch):
+    monkeypatch.setattr(discrete, "DEFAULT_BUDGET", 100)
     with pytest.raises(BudgetError, match="needs 2500 sequence evaluations but the budget is 100"):
-        synthesize_predictive(gridworld79, (3, 5), n_steps=2, budget=100)
+        synthesize_predictive(gridworld79, (3, 5), n_steps=2)
     assert issubclass(BudgetError, ValueError)
 
 
@@ -322,7 +324,7 @@ def test_one_step_difficulty_is_predictive_at_n1(gridworld79):
     assert predictive_difficulty(blocked, (0,), (0,), floor=-3.0, n_steps=1) == (-3.0, None)
 
 
-def test_synthesize_discrete_plans_over_scenario_horizon():
+def test_synthesize_discrete_plans_over_scenario_horizon(monkeypatch):
     # with the goal left out of the tests, one and two steps disagree
     cells = ((4, 4), (2, 6), (3, 6))
     one = dataclasses.replace(build_gridworld((7, 9)), test_space=FiniteSpace(cells))
@@ -336,8 +338,9 @@ def test_synthesize_discrete_plans_over_scenario_horizon():
         assert len(got.inner_maximizer) == 2
         assert len(synthesize_discrete(one, x).inner_maximizer) == 1
     assert synthesize_discrete(two, (3, 5)).difficulty != synthesize_discrete(one, (3, 5)).difficulty
+    monkeypatch.setattr(discrete, "DEFAULT_BUDGET", 10)
     with pytest.raises(BudgetError):
-        synthesize_discrete(two, (3, 5), budget=10)
+        synthesize_discrete(two, (3, 5))
 
 
 def test_floor_property_over_evaluations(gridworld79):

@@ -1,7 +1,10 @@
-"""The README's library quick start runs and says what is true."""
+"""The README's library quick start runs and says what is true, and its
+config key list is the CLI's."""
 
 import re
 from pathlib import Path
+
+from advsynth import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +30,9 @@ def test_quick_start_blocks_state_their_results():
     res = scope["res"]
     assert res.d_star == (7, 9)
     assert isinstance(res.inner_maximizer, tuple) and len(res.inner_maximizer) == 1
+
+
+def test_config_key_list_is_the_cli_key_table():
+    text = README.read_text()
+    listed = re.search(r"Config keys \(scoped\s+per scenario\):(.*?)\.\n", text, flags=re.S)
+    assert set(re.findall(r"`(\w+)`", listed.group(1))) == set(cli._KEYS) - {"scenario"}
