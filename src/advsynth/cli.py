@@ -26,7 +26,7 @@ import numpy as np
 
 # ``synthesize`` stays bound here because bench/spans.py wraps it by name
 from .continuous import SearchConfig, difficulty, synthesize, synthesize_constrained
-from .core import DEFAULT_BUDGET, BudgetError, MappedSpace, ScenarioError, as_vector
+from .core import DEFAULT_BUDGET, BudgetError, MappedSpace, ScenarioError, as_vector, monitor_trajectory
 from .discrete import (
     DiscreteScenario,
     predictive_difficulty,
@@ -41,7 +41,6 @@ from .scenarios import (
     simulate_adversarial,
     simulation_steps,
 )
-from .core import monitor_trajectory
 
 __all__ = ["main", "main_entry", "ConfigError", "parse_config"]
 

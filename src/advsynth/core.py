@@ -43,6 +43,7 @@ __all__ = [
     "avoid_rows",
     "stack_rows",
     "feasible_input_polytope",
+    "least",
     "monitor_trajectory",
 ]
 
@@ -547,6 +548,12 @@ def feasible_input_polytope(
     return stack_rows(A, b, input_polytope)
 
 
+def least(a: float, b: float) -> float:
+    """``min(a, b)``, except that a NaN in either place is the result
+    (``min`` keeps or drops a NaN by its place)."""
+    return b if b < a or b != b else a
+
+
 def monitor_trajectory(
     spec: ReachAvoidSpec,
     trajectory: Sequence,
@@ -562,7 +569,8 @@ def monitor_trajectory(
 
     Satisfied means every avoid barrier stayed nonnegative at every sample
     and the reach barrier was nonnegative at some sample no later than the
-    deadline.  ``min_avoid_value`` is +inf when there are no avoid barriers.
+    deadline.  ``min_avoid_value`` folds every avoid value with :func:`least`,
+    so a NaN anywhere shows as NaN and fails the verdict.
     """
     trajectory = list(trajectory)
     if not trajectory:
@@ -585,8 +593,8 @@ def monitor_trajectory(
             j += 1
         d = d_sequence[j][1]
         for h in spec.avoid:
-            min_avoid = min(min_avoid, float(h.value(x, d)))
+            min_avoid = least(min_avoid, float(h.value(x, d)))
         if reach_time is None and t <= spec.t_max and float(spec.reach.value(x, d)) >= 0.0:
             reach_time = float(t)
     satisfied = (min_avoid >= 0.0) and (reach_time is not None)
-    return MonitorResult(satisfied, reach_time, float(min_avoid))
+    return MonitorResult(satisfied, reach_time, min_avoid)

@@ -8,6 +8,7 @@ prediction horizon, one step being N = 1.  One difficulty loop
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,9 +57,7 @@ class DiscreteScenario:
 
 def rollout(dyn: DiscreteDynamics, x, inputs):
     """Terminal state after applying the input sequence in order."""
-    for u in inputs:
-        x = dyn.step(x, u)
-    return x
+    return functools.reduce(dyn.step, inputs, x)
 
 
 def one_step_difficulty(scn: DiscreteScenario, x, d, floor: float):
@@ -66,6 +65,20 @@ def one_step_difficulty(scn: DiscreteScenario, x, d, floor: float):
     from its 1-tuple (None when no action is safe)."""
     val, seq = predictive_difficulty(scn, x, d, floor, 1)
     return val, None if seq is None else seq[0]
+
+
+def _walks(spec: ReachAvoidSpec, dyn: DiscreteDynamics, x, d, n_steps: int, check_path: bool):
+    """Each action sequence of length ``n_steps``, in product order, walked
+    once from x and yielded with its terminal state when every avoid value
+    is >= 0 (so NaN fails) there, or with ``check_path`` at each state
+    after x."""
+    if n_steps < 1:
+        raise ValueError("sequence length must be >= 1")
+    for seq in itertools.product(dyn.alphabet, repeat=n_steps):
+        path = tuple(itertools.accumulate(seq, dyn.step, initial=x))
+        screened = path[1:] if check_path else path[-1:]
+        if all(float(h.value(s, d)) >= 0.0 for s in screened for h in spec.avoid):
+            yield seq, path[-1]
 
 
 def feasible_sequences(
@@ -85,27 +98,7 @@ def feasible_sequences(
     violating states on the way; ``check_path=True`` opts into the stricter
     variant that also screens every intermediate state.
     """
-    if n_steps < 1:
-        raise ValueError("sequence length must be >= 1")
-    out = []
-    for seq in itertools.product(dyn.alphabet, repeat=n_steps):
-        if _sequence_ok(spec, dyn, x, d, seq, check_path):
-            out.append(seq)
-    return tuple(out)
-
-
-def _sequence_ok(spec, dyn, x, d, seq, check_path):
-    """Every avoid value is >= 0 (so NaN fails) at the terminal state, or
-    with ``check_path`` at each state after x."""
-    if check_path:
-        s = x
-        for u in seq:
-            s = dyn.step(s, u)
-            if not all(float(h.value(s, d)) >= 0.0 for h in spec.avoid):
-                return False
-        return True
-    terminal = rollout(dyn, x, seq)
-    return all(float(h.value(terminal, d)) >= 0.0 for h in spec.avoid)
+    return tuple(seq for seq, _ in _walks(spec, dyn, x, d, n_steps, check_path))
 
 
 def predictive_difficulty(
@@ -117,13 +110,15 @@ def predictive_difficulty(
     check_path: bool = False,
 ):
     """Max N-step reach increment over the :func:`feasible_sequences`, or
-    ``(floor, None)`` when none exist.  Ties resolve to the last sequence in
-    product order.  A non-finite increment raises ``ValueError``."""
+    ``(floor, None)`` when none exist.  Each sequence is walked once, its
+    terminal state scored as it is screened.  Ties resolve to the last
+    sequence in product order.  A non-finite increment raises
+    ``ValueError``."""
     base = float(scn.spec.reach.value(x, d))
     best_val = -float("inf")
     best = None
-    for seq in feasible_sequences(scn.spec, scn.dynamics, x, d, n_steps, check_path):
-        v = float(scn.spec.reach.value(rollout(scn.dynamics, x, seq), d)) - base
+    for seq, terminal in _walks(scn.spec, scn.dynamics, x, d, n_steps, check_path):
+        v = float(scn.spec.reach.value(terminal, d)) - base
         if not math.isfinite(v):
             # a NaN increment never wins, which would report a safe test as Γ
             raise ValueError("reach barrier values must be finite")
@@ -175,8 +170,6 @@ def synthesize_discrete_constrained(
     if not isinstance(space, FiniteSpace):
         raise ValueError("discrete synthesis needs a finite realized test set")
     n = scn.horizon if n_steps is None else int(n_steps)
-    if n < 1:
-        raise ValueError("prediction horizon must be >= 1")
     fl = satisfaction_floor(scn)
     cost = len(scn.dynamics.alphabet) ** n * len(space)
     if cost > DEFAULT_BUDGET:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, Optional
 
@@ -33,6 +33,7 @@ from .core import (
     as_vector,
     dynamics_at,
     feasible_input_polytope,
+    least,
     lie_derivatives,
 )
 from .discrete import DiscreteScenario
@@ -55,7 +56,6 @@ __all__ = [
 ]
 
 GRID_N = 10
-GRID_ACTIONS = ("left", "right", "up", "down", "stay")
 _GRID_MOVES = {
     "left": (-1, 0),
     "right": (1, 0),
@@ -63,6 +63,7 @@ _GRID_MOVES = {
     "down": (0, -1),
     "stay": (0, 0),
 }
+GRID_ACTIONS = tuple(_GRID_MOVES)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +164,28 @@ def build_unicycle(
 # ---------------------------------------------------------------------------
 # grid world
 
+# every grid cell, keyed by itself
+_CELLS = {c: c for c in product(range(GRID_N), range(GRID_N))}
+
+
+def grid_cell(c, what: str = "cell") -> tuple:
+    """``c`` as a pair of ints in ``0..GRID_N - 1``: ``_CELLS[tuple(c)]``.
+    Equal numbers hash alike, so any spelling of a cell's two integers
+    finds it (``(7.0, 9.0)``, numpy ints, an array); anything else
+    (``7.0000000001``, NaN, a wrong length) raises ``ValueError`` naming
+    ``what``."""
+    try:
+        return _CELLS[tuple(c)]
+    except (KeyError, TypeError):
+        raise ValueError(f"{what} must be a pair of integers in 0..{GRID_N - 1}") from None
+
+
 def grid_step(x, u):
-    """One grid move; actions that would leave the grid keep the agent in
-    place, as does "stay"."""
+    """One grid move from the cell x (checked by :func:`grid_cell`); actions
+    that would leave the grid keep the agent in place, as does "stay"."""
+    x = grid_cell(x, "state")
     dx, dy = _GRID_MOVES[u]
-    nx, ny = x[0] + dx, x[1] + dy
-    if 0 <= nx < GRID_N and 0 <= ny < GRID_N:
-        return (nx, ny)
-    return (x[0], x[1])
+    return _CELLS.get((x[0] + dx, x[1] + dy), x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,32 +209,6 @@ class RewardGrid:
         return self.base is not None
 
 
-def _integral(v) -> int:
-    i = int(v)
-    if i != v:
-        raise ValueError(v)
-    return i
-
-
-def grid_cell(c, what: str = "cell") -> tuple:
-    """``c`` as a pair of ints in ``0..GRID_N - 1``.  Each entry must equal an integer
-    exactly (``7.0`` passes, ``7.0000000001`` does not); otherwise
-    ``ValueError`` names ``what``."""
-    # fast path: the barriers look up already-validated cells on every
-    # evaluation; bool and numpy integers take the checked path below
-    if type(c) is tuple and len(c) == 2:
-        i, j = c
-        if type(i) is int and type(j) is int and 0 <= i < GRID_N and 0 <= j < GRID_N:
-            return c
-    try:
-        c = tuple(_integral(v) for v in c)
-    except (TypeError, ValueError, OverflowError):
-        c = ()
-    if len(c) != 2 or not all(0 <= v < GRID_N for v in c):
-        raise ValueError(f"{what} must be a pair of integers in 0..{GRID_N - 1}")
-    return c
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -234,7 +223,7 @@ def _averaging_operator() -> np.ndarray:
     the same bits (1.0 - 0.2 - 0.2 is not 1.0 - 0.4)."""
     n2 = GRID_N * GRID_N
     A = np.zeros((n2, n2))
-    for i, j in product(range(GRID_N), range(GRID_N)):
+    for i, j in _CELLS:
         k = i * GRID_N + j
         A[k, k] += 1.0
         for u in GRID_ACTIONS:
@@ -290,10 +279,10 @@ def build_gridworld(goal=(7, 9), floor: float = -15.0, horizon: int = 1) -> Disc
     """
     g = grid_cell(goal, "goal")
     reach = BarrierFunction(
-        value=lambda x, d: float(solve_reward(g, d).modified[x[0], x[1]]) - 10.0
+        value=lambda x, d: float(solve_reward(g, d).modified[grid_cell(x, "state")]) - 10.0
     )
     avoid = BarrierFunction(
-        value=lambda x, d: float(solve_reward(g, d).modified[x[0], x[1]]) + 10.0
+        value=lambda x, d: float(solve_reward(g, d).modified[grid_cell(x, "state")]) + 10.0
     )
     spec = ReachAvoidSpec(
         reach=reach,
@@ -304,8 +293,7 @@ def build_gridworld(goal=(7, 9), floor: float = -15.0, horizon: int = 1) -> Disc
         t_max=math.inf,
     )
     dynamics = DiscreteDynamics(step=grid_step, alphabet=GRID_ACTIONS)
-    rest = sorted(c for c in product(range(GRID_N), range(GRID_N)) if c != g)
-    cells = (g,) + tuple(rest)
+    cells = (g,) + tuple(c for c in _CELLS if c != g)
     return DiscreteScenario(
         dynamics=dynamics,
         spec=spec,
@@ -456,9 +444,7 @@ class SimulationLog:
 
 
 def _min_avoid(scn: ContinuousScenario, x, d) -> float:
-    if not scn.spec.avoid:
-        return math.inf
-    return min(float(h.value(x, d)) for h in scn.spec.avoid)
+    return reduce(least, (float(h.value(x, d)) for h in scn.spec.avoid), math.inf)
 
 
 def _pursue(actual: np.ndarray, target: np.ndarray, max_step: float) -> np.ndarray:

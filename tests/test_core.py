@@ -181,6 +181,23 @@ def test_monitor_no_avoid_barriers(unicycle):
     assert out.satisfied and out.min_avoid_value == math.inf
 
 
+@pytest.mark.parametrize(
+    "values", [(math.nan,), (math.nan, -1.0), (-1.0, math.nan), (2.0, math.nan, 1.0)]
+)
+def test_monitor_a_nan_avoid_value_fails_and_shows_whatever_the_order(unicycle, values):
+    # one constant avoid barrier per value; the run sits on the goal
+    spec = ReachAvoidSpec(
+        reach=unicycle.spec.reach,
+        avoid=tuple(BarrierFunction(value=lambda x, d, v=v: v) for v in values),
+        gains=tuple(ClassKappaFn(1.0) for _ in values),
+    )
+    traj = [(0.0, np.array([0.5, 0.5, 0.0])), (1.0, np.array([0.5, 0.5, 0.0]))]
+    out = monitor_trajectory(spec, traj, [(0.0, np.zeros(2))])
+    assert not out.satisfied
+    assert out.reach_time == 0.0
+    assert math.isnan(out.min_avoid_value)
+
+
 def test_class_kappa_validation():
     with pytest.raises(ValueError):
         ClassKappaFn(0.0)

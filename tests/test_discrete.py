@@ -253,6 +253,37 @@ def test_nan_reach_value_raises_instead_of_reporting_gamma():
         synthesize_discrete(scn, 0)
 
 
+@pytest.mark.parametrize("state", [(3, 5, 1), (3,), (12, 5), (-1, 5)])
+def test_gridworld_entry_points_reject_a_state_that_is_not_a_cell(gridworld79, state):
+    spec, dyn = gridworld79.spec, gridworld79.dynamics
+    calls = [
+        lambda: synthesize_discrete(gridworld79, state),
+        lambda: predictive_difficulty(gridworld79, state, (5, 5), -15.0, 1),
+        lambda: feasible_sequences(spec, dyn, state, (5, 5), 1),
+        lambda: rollout(dyn, state, ("stay",)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="state must be a pair of integers in 0..9"):
+            call()
+
+
+def test_predictive_difficulty_walks_each_sequence_once(gridworld79):
+    steps = []
+
+    def counted(x, u):
+        steps.append(u)
+        return grid_step(x, u)
+
+    scn = dataclasses.replace(
+        gridworld79, dynamics=DiscreteDynamics(step=counted, alphabet=gridworld79.dynamics.alphabet)
+    )
+    # a far obstacle, one next to the agent, and the agent's own cell
+    for d in [(0, 0), (4, 5), (3, 5)]:
+        steps.clear()
+        predictive_difficulty(scn, (3, 5), d, -15.0, 2)
+        assert len(steps) == 25 * 2
+
+
 def test_feasible_sequences_no_avoid(gridworld79):
     spec = ReachAvoidSpec(reach=gridworld79.spec.reach, avoid=(), gains=())
     assert len(feasible_sequences(spec, gridworld79.dynamics, (3, 5), (4, 5), 2)) == 25

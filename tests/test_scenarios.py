@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advsynth import (
+    BarrierFunction,
+    ClassKappaFn,
     MappedSpace,
     ReachAvoidSpec,
     ScenarioError,
@@ -16,6 +18,7 @@ from advsynth import (
     build_unicycle,
     feasible_input_polytope,
     greedy_safe_controller,
+    grid_cell,
     grid_step,
     monitor_trajectory,
     simulate_adversarial,
@@ -154,6 +157,42 @@ def test_reward_rejects_bad_cells():
     ]:
         with pytest.raises(ValueError, match="pair of integers"):
             solve_reward(goal, obstacle)
+
+
+def _spellings(i):
+    """An int and the float and numpy spellings of it."""
+    return st.sampled_from([i, float(i), np.int64(i), np.float64(i)])
+
+
+_ENTRY = st.one_of(
+    st.integers(-3, 12).flatmap(_spellings),
+    st.floats(-3.0, 12.0).filter(lambda v: v != int(v)),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@given(entries=st.lists(_ENTRY, min_size=0, max_size=4), as_array=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_grid_cell_is_the_int_pair_exactly_for_integers_in_range(entries, as_array):
+    c = np.array(entries, dtype=float) if as_array else tuple(entries)
+    if len(entries) == 2 and all(float(v).is_integer() and 0 <= v <= 9 for v in entries):
+        got = grid_cell(c)
+        assert got == tuple(int(v) for v in entries)
+        assert all(type(v) is int for v in got)
+    else:
+        with pytest.raises(ValueError, match="cell must be a pair of integers in 0..9"):
+            grid_cell(c)
+
+
+@pytest.mark.parametrize("values", [(math.nan, -1.0), (-1.0, math.nan)])
+def test_min_avoid_shows_a_nan_whatever_the_barrier_order(quadgrid, values):
+    spec = ReachAvoidSpec(
+        reach=quadgrid.spec.reach,
+        avoid=tuple(BarrierFunction(value=lambda x, d, v=v: v) for v in values),
+        gains=(ClassKappaFn(1.0), ClassKappaFn(1.0)),
+    )
+    scn = dataclasses.replace(quadgrid, spec=spec)
+    assert math.isnan(scenarios._min_avoid(scn, np.zeros(2), np.zeros(4)))
 
 
 def _reference_reward(goal, obstacle):
