@@ -26,7 +26,15 @@ import numpy as np
 
 # ``synthesize`` stays bound here because bench/spans.py wraps it by name
 from .continuous import SearchConfig, difficulty, synthesize, synthesize_constrained
-from .core import DEFAULT_BUDGET, BudgetError, MappedSpace, ScenarioError, as_vector, monitor_trajectory
+from .core import (
+    DEFAULT_BUDGET,
+    BoxSpace,
+    BudgetError,
+    MappedSpace,
+    ScenarioError,
+    as_vector,
+    monitor_trajectory,
+)
 from .discrete import (
     DiscreteScenario,
     predictive_difficulty,
@@ -275,10 +283,8 @@ def _synthesize(cfg: RunConfig, scn, x):
 
 def _difficulty(cfg: RunConfig, scn, x, d) -> float:
     """The difficulty of test d at x, as :func:`_synthesize`'s synthesizer
-    measures it; a discrete test must be a grid cell."""
+    measures it."""
     if isinstance(scn, DiscreteScenario):
-        with _rejected("--axes"):
-            d = grid_cell(d, "a sweep cell")
         return predictive_difficulty(scn, x, d, scn.floor, scn.horizon, cfg.check_path)[0]
     return difficulty(scn, x, d, scn.floor)[0]
 
@@ -334,6 +340,28 @@ def _parse_axes(spec_text: str) -> list:
     return axes
 
 
+def _test_dim(scn, x) -> int:
+    """The length of the scenario's test vectors, read from its test space
+    realized at (x, 0), as the synthesizers realize it."""
+    space = scn.test_space
+    if isinstance(space, MappedSpace):
+        space = space.at(x, 0.0)
+    if isinstance(space, BoxSpace):
+        return space.dim
+    return np.asarray(space.points[0]).size
+
+
+def _sweep_test(scn, base, c1: int, c2: int, v1: float, v2: float):
+    """The test vector of one sweep cell: ``base`` with components c1 and
+    c2 set; a discrete one must be a grid cell."""
+    d = base.copy()
+    d[c1], d[c2] = v1, v2
+    if isinstance(scn, DiscreteScenario):
+        with _rejected("--axes"):
+            return grid_cell(d, "a sweep cell")
+    return d
+
+
 def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) -> int:
     scn = make_scenario(cfg)
     x = _parse_state(scn, state_text)
@@ -345,10 +373,9 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
     a1 = np.linspace(lo1, hi1, n1)
     a2 = np.linspace(lo2, hi2, n2)
 
-    # synthesize before the cells, so a budget error leaves no partial
-    # artifact; the synthesized test's length is the test dimension
-    payload = _synthesis_payload(cfg, scn, x)
-    p = len(payload["d_star"])
+    # every check comes before the synthesis, so a bad request exits before
+    # any search, and a budget error leaves no partial artifact
+    p = _test_dim(scn, x)
     if cfg.d_fixed is not None:
         with _rejected("'d_fixed'"):
             base = as_vector(cfg.d_fixed, "'d_fixed'")
@@ -362,12 +389,16 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
     for c in (c1, c2):
         if not 0 <= c < p:
             raise ConfigError(f"axis component {c} out of range for test dim {p}")
+    if isinstance(scn, DiscreteScenario):
+        # a cell is a grid cell when each coordinate is, so the first row
+        # and column of cells check every axis value
+        for v1, v2 in [(v, a2[0]) for v in a1] + [(a1[0], v) for v in a2]:
+            _sweep_test(scn, base, c1, c2, v1, v2)
+    payload = _synthesis_payload(cfg, scn, x)
 
     values = np.zeros((n1, n2))
     for i, j in np.ndindex(n1, n2):
-        d = base.copy()
-        d[c1], d[c2] = a1[i], a2[j]
-        values[i, j] = _difficulty(cfg, scn, x, d)
+        values[i, j] = _difficulty(cfg, scn, x, _sweep_test(scn, base, c1, c2, a1[i], a2[j]))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [[""] + [_fmt(v) for v in a2]]

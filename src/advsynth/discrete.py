@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import (
     DEFAULT_BUDGET,
@@ -39,12 +39,25 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DiscreteScenario:
+    """A finite-alphabet system, its spec and its test set.
+
+    ``lower_bound(x, d)``, when given, certifies two facts about test d at
+    state x for every prediction horizon N and either screening rule of
+    :func:`feasible_sequences`: some action sequence is safe, and the
+    N-step difficulty is at least the returned float.  ``-math.inf`` means
+    no bound.  The scan of :func:`synthesize_discrete_constrained` uses it
+    to skip tests that cannot beat its best; nothing else reads it.  The
+    bound holds only for the ``dynamics`` and ``spec`` it was declared
+    with, and ``dataclasses.replace`` keeps it: a caller who swaps either
+    must pass a bound for the new pair, or ``lower_bound=None``."""
+
     dynamics: DiscreteDynamics
     spec: ReachAvoidSpec
     test_space: Union[FiniteSpace, MappedSpace]
     horizon: int = 1
     floor: Optional[float] = None
     name: str = "discrete"
+    lower_bound: Optional[Callable] = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -163,7 +176,11 @@ def synthesize_discrete_constrained(
 
     The tests are scanned in order for the least N-step difficulty.  The
     first test with no safe sequence ends the scan; ties keep the earliest
-    minimizer."""
+    minimizer.  A test whose ``scn.lower_bound`` is >= the best difficulty
+    so far is skipped unevaluated: it has a safe sequence, so it is not in
+    Γ, and it can at best tie, which keeps the earlier test.  So the result
+    is that of the full scan.  A NaN bound never skips.  ``evaluations``
+    counts every test the scan reaches, skipped ones included."""
     space = scn.test_space
     if isinstance(space, MappedSpace):
         space = space.at(x, t)
@@ -179,8 +196,10 @@ def synthesize_discrete_constrained(
     best_d = best_seq = None
     best_val = float("inf")
     for d in space.points:
-        val, seq = predictive_difficulty(scn, x, d, fl, n, check_path)
         evals += 1
+        if scn.lower_bound is not None and scn.lower_bound(x, d) >= best_val:
+            continue
+        val, seq = predictive_difficulty(scn, x, d, fl, n, check_path)
         if seq is None:
             return SynthesisResult(d, fl, True, None, evals)
         if val < best_val:

@@ -276,6 +276,15 @@ def build_gridworld(goal=(7, 9), floor: float = -15.0, horizon: int = 1) -> Disc
     sealed off by a nearby obstacle under a symmetric goal/obstacle layout)
     can tie it exactly, and ties resolve to the earliest candidate; leading
     with the goal keeps the reported test the obstacle-on-goal one.
+
+    Every obstacle cell d other than the agent's has ``lower_bound`` 0.0.
+    The all-``stay`` sequence never leaves x, and the avoid value at any
+    cell but the obstacle is at least 1.3456 over all goal/obstacle pairs
+    (10 when the obstacle is on the goal), so that sequence is safe under
+    either screening rule and its reach increment is exactly 0.0.  The goal
+    leads the scan at difficulty 0.0, so every test the bound skips could
+    only tie the goal, never beat it.  The agent's own cell gets no bound
+    (``-inf``): it makes the avoid value at x negative.
     """
     g = grid_cell(goal, "goal")
     reach = BarrierFunction(
@@ -301,6 +310,7 @@ def build_gridworld(goal=(7, 9), floor: float = -15.0, horizon: int = 1) -> Disc
         horizon=horizon,
         floor=floor,
         name="gridworld",
+        lower_bound=lambda x, d: -math.inf if grid_cell(d) == grid_cell(x, "state") else 0.0,
     )
 
 

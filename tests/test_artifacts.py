@@ -6,7 +6,9 @@ these same commands with one BLAS thread (see conftest.py) on earlier code:
 the first six before declared test dependence (per-synthesis row reuse) was
 added, the gridworld ``synth``/``sweep`` and unicycle ``simulate`` cases
 before the CLI stopped restating library defaults, the README
-"Experiments" commands before ``reads`` lost its index form.  So a change that moves
+"Experiments" commands before ``reads`` lost its index form, the 200-trial
+and two-step gridworld trials before the discrete scan skipped bounded
+tests.  So a change that moves
 any bit of a ``synth``, ``trials``, ``sweep`` or ``simulate`` artifact fails
 here.  An intended change of output bytes must re-pin the affected values
 and say why.
@@ -43,6 +45,17 @@ CASES = [
         "trials-gridworld-cold",
         ["trials", "--config", "bench/configs/gridworld-cold.cfg", "--count", "20", "--seed", "7"],
         {"trials.json": "c748b8015f468cd12428c9cb07e74f010e9a39debb538eb8756d0e9621268117"},
+    ),
+    (
+        # 200 random goal/state pairs, each scan skipping bounded tests
+        "trials-gridworld-cold-200",
+        ["trials", "--config", "bench/configs/gridworld-cold.cfg", "--count", "200", "--seed", "7"],
+        {"trials.json": "24fe030f598ddd7754b242b9e414bc9376ce67630a5284f50ddc58d27487e7cd"},
+    ),
+    (
+        "trials-gridworld-h2-path",
+        ["trials", "--config", "configs/gridworld-h2-path.cfg", "--count", "100", "--seed", "7"],
+        {"trials.json": "9fa7fff452fea738b86a4d86cd64ce1094a3161ed037a0a702f38cb91047707e"},
     ),
     (
         "trials-quadgrid-loop",

@@ -239,6 +239,43 @@ def test_bad_seed_anchor_or_axis_exits_2(tmp_path, capsys, text, command, needle
 
 
 @pytest.mark.parametrize(
+    "text,axes,state,needle",
+    [
+        # at horizon_n = 5 a full synthesis would take seconds
+        (GRID_CFG + "horizon_n = 5\n", "0:0:10:11,1:0:9:10", "3,5", "a sweep cell"),
+        (GRID_CFG, "1:0:9:10,0:0:9:19", "3,5", "a sweep cell"),
+        (GRID_CFG, "0:0:9:10,2:0:9:10", "3,5", "axis component 2 out of range for test dim 2"),
+        (UNICYCLE_2_CFG + "d_fixed = 0, 0\n", "0:-1:1:3,1:-1:1:3", "0.1,0.2,0.3",
+         "'d_fixed' needs 4 components"),
+        (UNICYCLE_CFG, "0:-1:1:3,2:-1:1:3", "0.1,0.2,0.3",
+         "axis component 2 out of range for test dim 2"),
+        (QUAD_CFG + "d_fixed = 0, 0\n", "0:0:1:2,1:0:1:2", "0.5,0.5",
+         "'d_fixed' needs 4 components"),
+        (QUAD_CFG + "d_fixed = 0, 0, 0, 0\n", "0:0:1:2,4:0:1:2", "0.5,0.5",
+         "axis component 4 out of range for test dim 4"),
+        (QUAD_CFG, "0:0:1:2,1:0:1:2", "0.5,0.5", "needs d_fixed"),
+    ],
+    ids=["gridworld-axis-value", "gridworld-second-axis-value", "gridworld-component",
+         "unicycle-d-fixed", "unicycle-component", "quadgrid-d-fixed", "quadgrid-component",
+         "quadgrid-no-d-fixed"],
+)
+def test_bad_sweep_request_exits_2_before_any_search(tmp_path, capsys, monkeypatch, text, axes,
+                                                     state, needle):
+    def no_search(*args, **kwargs):
+        raise AssertionError("sweep searched before checking its request")
+
+    monkeypatch.setattr(cli, "synthesize_discrete", no_search)
+    monkeypatch.setattr(cli, "synthesize_constrained", no_search)
+    cfg = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(capsys, ["sweep", "--config", cfg, f"--state={state}", "--axes", axes,
+                                    "--out", str(out_dir)])
+    assert rc == 2
+    assert needle in err
+    assert out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "text,command,needle",
     [
         (QUAD_CFG, ["synth", "--state=1,2,3"], "--state needs 2 components"),

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -395,6 +396,89 @@ def test_stay_bound_and_global_minimum(gridworld79):
         assert ("stay",) in safe_actions(gridworld79, x, d)
         val, _ = one_step_difficulty(gridworld79, x, d, floor=-15.0)
         assert val >= 0.0
+
+
+def random_pairs(rng, count):
+    """``count`` (goal, state) pairs of random cells; the two may coincide."""
+    return [tuple(tuple(int(v) for v in rng.integers(0, 10, 2)) for _ in range(2))
+            for _ in range(count)]
+
+
+def test_gridworld_lower_bound_is_sound():
+    # on sampled tests other than the agent's cell, at N = 1 and 2 and under
+    # both screening rules: some sequence is safe, and the difficulty is at
+    # least the declared bound
+    rng = np.random.default_rng(41)
+    sampled = near_bound = 0
+    while sampled < 200:
+        (goal, x), = random_pairs(rng, 1)
+        d = tuple(int(v) for v in rng.integers(0, 10, 2))
+        if d == x:
+            continue
+        sampled += 1
+        scn = build_gridworld(goal)
+        bound = scn.lower_bound(x, d)
+        for n_steps, check_path in itertools.product((1, 2), (False, True)):
+            val, seq = predictive_difficulty(scn, x, d, scn.floor, n_steps, check_path)
+            assert seq is not None
+            assert val >= bound
+            near_bound += 0.0 <= val < 0.1
+    # tests within 0.1 of the bound, so a bound raised to 0.1 fails above
+    assert near_bound > 0
+    assert build_gridworld((7, 9)).lower_bound((3, 5), (3.0, 5.0)) == -math.inf
+
+
+def result_fields(res):
+    return tuple(getattr(res, f.name) for f in dataclasses.fields(res))
+
+
+def assert_pruning_exact(scn, x, *args):
+    """The scan with ``scn``'s lower bound gives the result of the full scan
+    on every field."""
+    full = dataclasses.replace(scn, lower_bound=None)
+    assert (result_fields(synthesize_discrete_constrained(scn, x, 0.0, *args))
+            == result_fields(synthesize_discrete_constrained(full, x, 0.0, *args)))
+
+
+def test_bounded_scan_matches_the_full_scan():
+    rng = np.random.default_rng(43)
+    for goal, x in random_pairs(rng, 200):
+        assert_pruning_exact(build_gridworld(goal), x)
+    for goal, x in random_pairs(rng, 30):
+        for check_path in (False, True):
+            assert_pruning_exact(build_gridworld(goal, horizon=2), x, 2, check_path)
+
+
+def test_bounded_scan_matches_the_full_scan_without_the_goal():
+    # the tests of test_constrained_excluding_goal: no test reaches 0.0
+    # first, so the bound of 0.0 finds nothing to skip
+    rng = np.random.default_rng(47)
+    for goal, x in [((7, 9), (3, 5))] + random_pairs(rng, 20):
+        scn = build_gridworld(goal)
+        allowed = FiniteSpace(tuple(c for c in scn.test_space.points if c != goal))
+        mapped = dataclasses.replace(scn, test_space=MappedSpace(lambda x, t: allowed))
+        assert_pruning_exact(mapped, x)
+        assert_pruning_exact(mapped, x, 2, True)
+
+
+def test_bounded_tests_are_counted_but_not_evaluated(gridworld79, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return predictive_difficulty(*args)
+
+    monkeypatch.setattr(discrete, "predictive_difficulty", counted)
+    bounded = synthesize_discrete(gridworld79, (3, 5))
+    # the goal leads at 0.0 and every other test but the agent's cell is
+    # bounded by 0.0
+    assert calls == [(7, 9), (3, 5)]
+    assert bounded.evaluations == 100
+    for no_bound in (None, lambda x, d: math.nan):
+        calls.clear()
+        res = synthesize_discrete(dataclasses.replace(gridworld79, lower_bound=no_bound), (3, 5))
+        assert len(calls) == 100
+        assert result_fields(res) == result_fields(bounded)
 
 
 def test_monotone_feasibility(gridworld79):

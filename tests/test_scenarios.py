@@ -260,6 +260,23 @@ def test_reward_cache_holds_every_pair():
     assert cached.cache_info().misses == info.misses
 
 
+
+def test_avoid_value_is_positive_off_the_obstacle_for_every_pair():
+    # the premise of the gridworld's lower bound of 0.0: an agent anywhere
+    # but on the obstacle may stay put, over all 10^4 goal/obstacle pairs
+    least = math.inf
+    for goal in scenarios._CELLS:
+        for obstacle in scenarios._CELLS:
+            avoid = solve_reward(goal, obstacle).modified + 10.0
+            if goal == obstacle:
+                assert (avoid == 10.0).all()
+            off = np.ones(avoid.shape, dtype=bool)
+            off[obstacle] = False
+            least = min(least, float(avoid[off].min()))
+    # reached with the goal at (0, 0) and the obstacle at (8, 8)
+    assert least >= 0.0 and round(least, 4) == 1.3456
+    scenarios._solve_reward_cached.cache_clear()  # later tests start cold
+
 # ---------------------------------------------------------------------------
 # gridworld barriers
 
