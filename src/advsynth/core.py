@@ -62,12 +62,19 @@ class BudgetError(ValueError):
 DEFAULT_BUDGET = 10_000_000
 
 
+def _finite(arr: np.ndarray) -> bool:
+    """True when every entry of the float array is finite.  The arrays
+    checked per solve hold a few entries, where a pass over Python floats
+    costs a fraction of numpy's reduction call."""
+    return all(map(math.isfinite, arr.ravel().tolist()))
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array, rejecting NaN/inf entries."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -515,7 +522,7 @@ def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: i
         rows.append([-v for v in input_row.tolist()] + [drift_rate + alpha(h.value(x, d))])
     # one array holds each row with its right-hand side; A and b are views
     Ab = np.array(rows).reshape(len(rows), input_dim + 1)
-    if not np.isfinite(Ab).all():
+    if not _finite(Ab):
         raise ValueError("polytope coefficients must be finite")
     return Ab[:, :input_dim], Ab[:, input_dim]
 
@@ -523,10 +530,18 @@ def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: i
 def stack_rows(A: np.ndarray, b: np.ndarray, input_polytope: Polytope) -> Polytope:
     """The avoid rows ``A u <= b`` stacked ahead of the actuator rows, so
     dropping them recovers the actuator polytope exactly.  With no avoid
-    rows the actuator polytope itself is returned."""
+    rows the actuator polytope itself is returned.
+
+    The rows are not checked again: ``A`` and ``b`` must be float rows of
+    the polytope's width that were checked finite where they were built,
+    as :func:`avoid_rows` and :meth:`LieCache.avoid_block` check theirs,
+    and the actuator rows were checked when ``input_polytope`` was made."""
     if b.size == 0:
         return input_polytope
-    return Polytope(np.vstack([A, input_polytope.A]), np.concatenate([b, input_polytope.b]))
+    poly = object.__new__(Polytope)
+    object.__setattr__(poly, "A", np.concatenate([A, input_polytope.A]))
+    object.__setattr__(poly, "b", np.concatenate([b, input_polytope.b]))
+    return poly
 
 
 def feasible_input_polytope(

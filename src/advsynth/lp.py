@@ -17,6 +17,18 @@ used to partition test vectors is crisp and reproducible.
 Phase-II has two paths: :func:`solve_lp` serves single solves and is the
 oracle, and :func:`solve_lp_batch` the LPs the continuous scan holds.  The
 README's design notes say why both are kept.
+
+The two paths keep their tableaux differently, each for its size.  A
+single solve here is a tableau of about 7 rows by 11 columns in two or
+three pivots, where a numpy call costs more than its arithmetic, so
+:func:`solve_lp` and :func:`phase_one_feasible` keep theirs as lists of
+Python floats.  Each entry gets the float operations, in the order, that
+a numpy row update would give it, so every outcome has the bits the numpy
+tableau gave (``tests/conftest.py`` keeps that kernel as the reference);
+only the returned value is still computed by numpy, as ``c @ u``.  Lists
+lose from about 14 rows on (two inputs, a box and 10 obstacles); the
+shipped configs build 6 rows.  :func:`solve_lp_batch` stays on numpy: it
+pivots K tableaux in one step, so the stack shares each call's cost.
 """
 
 from __future__ import annotations
@@ -80,30 +92,42 @@ class LpOutcome:
     point: Optional[np.ndarray] = None
 
 
-def _pivot(T: np.ndarray, r: int, c: int) -> None:
-    T[r] = T[r] / T[r, c]
-    col = T[:, c].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    T[:, c] = 0.0
-    T[r, c] = 1.0
+def _pivot(T: list, r: int, c: int) -> None:
+    """Pivot the list tableau ``T`` on entry (r, c) with numpy's row update,
+    entry by entry: normalize row r, set every row to ``row - m *
+    pivot_row`` (row r with m = 0.0, which turns its -0.0 into +0.0, and
+    rows with m = 0 too), then make column c a unit vector."""
+    p = T[r][c]
+    prow = [v / p for v in T[r]]
+    for i, row in enumerate(T):
+        if i == r:
+            row = T[i] = [a - 0.0 * a for a in prow]
+        else:
+            m = row[c]
+            row = T[i] = [a - m * v for a, v in zip(row, prow)]
+        row[c] = 0.0
+    T[r][c] = 1.0
 
 
-def _bland(T: np.ndarray, basis: list, width: int) -> str:
+def _bland(T: list, basis: list, width: int) -> str:
     """Minimize in place.  Objective row last, right-hand side column last;
     only the first ``width`` columns may enter."""
     for _ in range(_MAX_PIVOTS):
-        improving = np.nonzero(T[-1, :width] < -_RC_TOL)[0]
-        if improving.size == 0:
+        obj = T[-1]
+        for j in range(width):
+            if obj[j] < -_RC_TOL:
+                break
+        else:
             return OPTIMAL
-        j = int(improving[0])
-        col = T[:-1, j]
-        pos = np.nonzero(col > _PIVOT_TOL)[0]
-        if pos.size == 0:
+        rows, ratios = [], []
+        for i in range(len(T) - 1):
+            if T[i][j] > _PIVOT_TOL:
+                rows.append(i)
+                ratios.append(T[i][-1] / T[i][j])
+        if not rows:
             return UNBOUNDED
-        ratios = T[:-1, -1][pos] / col[pos]
-        tied = pos[ratios <= ratios.min() + 1e-12]
-        r = int(min(tied, key=lambda i: basis[i]))
+        top = min(ratios) + 1e-12
+        r = min((i for i, q in zip(rows, ratios) if q <= top), key=basis.__getitem__)
         _pivot(T, r, j)
         basis[r] = j
     raise RuntimeError("simplex pivot cap exceeded")
@@ -113,54 +137,54 @@ def _phase_one(A: np.ndarray, b: np.ndarray):
     """Feasibility tableau for {u : A u <= b} with u free (split u+ - u-).
 
     Returns (feasible, T, basis, width) where ``width`` counts the
-    structural columns (u+, u-, slacks) preceding the artificials.
+    structural columns (u+, u-, slacks) preceding the artificials.  A row
+    with b < 0 is negated and gets an artificial column.
     """
     r, n = A.shape
-    flip = b < 0
-    As = np.where(flip[:, None], -A, A)
-    bs = np.where(flip, -b, b)
-    n_art = int(flip.sum())
+    b = b.tolist()
+    n_art = sum(v < 0 for v in b)
     width = 2 * n + r
-    T = np.zeros((r + 1, width + n_art + 1))
-    T[:r, :n] = As
-    T[:r, n:2 * n] = -As
-    T[np.arange(r), 2 * n + np.arange(r)] = np.where(flip, -1.0, 1.0)
-    T[:r, -1] = bs
-
-    basis = []
-    art = width
-    for i in range(r):
-        if flip[i]:
-            T[i, art] = 1.0
+    T, basis, art, zeros = [], [], width, [0.0] * (r + n_art)
+    for i, (a, v) in enumerate(zip(A.tolist(), b)):
+        if v < 0:
+            a = [-x for x in a]
+            row = a + [-x for x in a] + zeros + [-v]
+            row[2 * n + i] = -1.0
+            row[art] = 1.0
             basis.append(art)
             art += 1
         else:
+            row = a + [-x for x in a] + zeros + [v]
+            row[2 * n + i] = 1.0
             basis.append(2 * n + i)
+        T.append(row)
+    obj = [0.0] * width + [1.0] * n_art + [0.0]
+    for row, bi in zip(T, basis):
+        if bi >= width:
+            obj = [p - q for p, q in zip(obj, row)]
+    T.append(obj)
     if n_art:
-        T[-1, width:width + n_art] = 1.0
-        for i in range(r):
-            if basis[i] >= width:
-                T[-1] -= T[i]
         _bland(T, basis, width + n_art)
-    feasible = -T[-1, -1] <= INFEASIBILITY_TOL
+    feasible = -T[-1][-1] <= INFEASIBILITY_TOL
     return feasible, T, basis, width
 
 
-def _drop_artificials(T: np.ndarray, basis: list, width: int):
+def _drop_artificials(T: list, basis: list, width: int):
     """Pivot zero-level artificials out of the basis (dropping redundant
     rows) and strip the artificial columns."""
+    if len(T[-1]) == width + 1:
+        return T, basis
     keep = []
     for i in range(len(basis)):
         if basis[i] < width:
             keep.append(i)
             continue
-        structural = np.nonzero(np.abs(T[i, :width]) > _PIVOT_TOL)[0]
-        if structural.size:
-            _pivot(T, i, int(structural[0]))
-            basis[i] = int(structural[0])
+        k = next((k for k in range(width) if abs(T[i][k]) > _PIVOT_TOL), None)
+        if k is not None:
+            _pivot(T, i, k)
+            basis[i] = k
             keep.append(i)
-    cols = np.concatenate([np.arange(width), [T.shape[1] - 1]])
-    return np.ascontiguousarray(T[keep + [T.shape[0] - 1]][:, cols]), [basis[i] for i in keep]
+    return [T[i][:width] + T[i][-1:] for i in keep + [len(T) - 1]], [basis[i] for i in keep]
 
 
 def solve_lp(problem: LpProblem) -> LpOutcome:
@@ -184,22 +208,21 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
         return LpOutcome(INFEASIBLE)
     T, basis = _drop_artificials(T, basis, width)
 
-    f = np.zeros(width)
-    f[:n] = -c
-    f[n:2 * n] = c
-    T[-1, :width] = f
-    T[-1, -1] = 0.0
-    for i, bi in enumerate(basis):
+    cs = c.tolist()
+    f = [-v for v in cs] + cs + [0.0] * (width - 2 * n)
+    obj = f + [0.0]
+    for row, bi in zip(T, basis):
         if f[bi] != 0.0:
-            T[-1] -= f[bi] * T[i]
+            obj = [p - f[bi] * q for p, q in zip(obj, row)]
+    T[-1] = obj
     status = _bland(T, basis, width)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 
-    z = np.zeros(width)
-    for i, bi in enumerate(basis):
-        z[bi] = T[i, -1]
-    u = z[:n] - z[n:2 * n]
+    z = [0.0] * width
+    for row, bi in zip(T, basis):
+        z[bi] = row[-1]
+    u = np.array([p - q for p, q in zip(z[:n], z[n:2 * n])])
     return LpOutcome(OPTIMAL, float(c @ u), u)
 
 

@@ -125,3 +125,145 @@ def reference_synthesize_over(scn, x, space, floor, search):
     if box is not None:
         return _reference_refine(scn, x, box, best_d, best_val, best_u, floor, search, evals)
     return SynthesisResult(best_d, best_val, False, best_u, evals)
+
+
+# ---------------------------------------------------------------------------
+# numpy reference for the scalar simplex kernel in advsynth.lp
+
+def _reference_pivot(T, r, c):
+    T[r] = T[r] / T[r, c]
+    col = T[:, c].copy()
+    col[r] = 0.0
+    T -= np.outer(col, T[r])
+    T[:, c] = 0.0
+    T[r, c] = 1.0
+
+
+def _reference_bland(T, basis, width):
+    from advsynth import lp
+
+    for _ in range(lp._MAX_PIVOTS):
+        improving = np.nonzero(T[-1, :width] < -lp._RC_TOL)[0]
+        if improving.size == 0:
+            return lp.OPTIMAL
+        j = int(improving[0])
+        col = T[:-1, j]
+        pos = np.nonzero(col > lp._PIVOT_TOL)[0]
+        if pos.size == 0:
+            return lp.UNBOUNDED
+        ratios = T[:-1, -1][pos] / col[pos]
+        tied = pos[ratios <= ratios.min() + 1e-12]
+        r = int(min(tied, key=lambda i: basis[i]))
+        _reference_pivot(T, r, j)
+        basis[r] = j
+    raise RuntimeError("simplex pivot cap exceeded")
+
+
+def reference_phase_one(A, b):
+    """``advsynth.lp._phase_one`` on a numpy tableau."""
+    from advsynth.lp import INFEASIBILITY_TOL
+
+    r, n = A.shape
+    flip = b < 0
+    As = np.where(flip[:, None], -A, A)
+    bs = np.where(flip, -b, b)
+    n_art = int(flip.sum())
+    width = 2 * n + r
+    T = np.zeros((r + 1, width + n_art + 1))
+    T[:r, :n] = As
+    T[:r, n:2 * n] = -As
+    T[np.arange(r), 2 * n + np.arange(r)] = np.where(flip, -1.0, 1.0)
+    T[:r, -1] = bs
+
+    basis = []
+    art = width
+    for i in range(r):
+        if flip[i]:
+            T[i, art] = 1.0
+            basis.append(art)
+            art += 1
+        else:
+            basis.append(2 * n + i)
+    if n_art:
+        T[-1, width:width + n_art] = 1.0
+        for i in range(r):
+            if basis[i] >= width:
+                T[-1] -= T[i]
+        _reference_bland(T, basis, width + n_art)
+    feasible = -T[-1, -1] <= INFEASIBILITY_TOL
+    return feasible, T, basis, width
+
+
+def reference_drop_artificials(T, basis, width):
+    """``advsynth.lp._drop_artificials`` on a numpy tableau."""
+    from advsynth.lp import _PIVOT_TOL
+
+    keep = []
+    for i in range(len(basis)):
+        if basis[i] < width:
+            keep.append(i)
+            continue
+        structural = np.nonzero(np.abs(T[i, :width]) > _PIVOT_TOL)[0]
+        if structural.size:
+            _reference_pivot(T, i, int(structural[0]))
+            basis[i] = int(structural[0])
+            keep.append(i)
+    cols = np.concatenate([np.arange(width), [T.shape[1] - 1]])
+    return np.ascontiguousarray(T[keep + [T.shape[0] - 1]][:, cols]), [basis[i] for i in keep]
+
+
+def reference_solve_lp(problem):
+    """``advsynth.lp.solve_lp`` on a numpy tableau: the kernel the list
+    tableau replaced, kept to check that every status, value and point
+    keeps its bits."""
+    from advsynth.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome
+
+    c = problem.objective
+    poly = problem.constraints
+    n = c.size
+    if poly.rows == 0:
+        if np.any(np.abs(c) > 0.0):
+            return LpOutcome(UNBOUNDED)
+        return LpOutcome(OPTIMAL, 0.0, np.zeros(n))
+
+    feasible, T, basis, width = reference_phase_one(poly.A, poly.b)
+    if not feasible:
+        return LpOutcome(INFEASIBLE)
+    T, basis = reference_drop_artificials(T, basis, width)
+
+    f = np.zeros(width)
+    f[:n] = -c
+    f[n:2 * n] = c
+    T[-1, :width] = f
+    T[-1, -1] = 0.0
+    for i, bi in enumerate(basis):
+        if f[bi] != 0.0:
+            T[-1] -= f[bi] * T[i]
+    status = _reference_bland(T, basis, width)
+    if status == UNBOUNDED:
+        return LpOutcome(UNBOUNDED)
+
+    z = np.zeros(width)
+    for i, bi in enumerate(basis):
+        z[bi] = T[i, -1]
+    u = z[:n] - z[n:2 * n]
+    return LpOutcome(OPTIMAL, float(c @ u), u)
+
+
+def reference_phase_one_feasible(poly):
+    """``advsynth.lp.phase_one_feasible`` on the numpy reference tableau."""
+    if poly.rows == 0:
+        return True
+    return reference_phase_one(poly.A, poly.b)[0]
+
+
+def assert_same_outcome(got, want):
+    """Equal status, and equal bytes of the value and of the point."""
+    assert got.status == want.status
+    if want.value is None:
+        assert got.value is None and got.point is None
+    else:
+        assert type(got.value) is float
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        assert got.point.dtype == want.point.dtype and got.point.shape == want.point.shape
+        assert got.point.tobytes() == want.point.tobytes()

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +20,14 @@ from advsynth import (
     feasible_input_polytope,
     lie_derivatives,
     monitor_trajectory,
+    SearchConfig,
+    build_quadgrid,
+    build_unicycle,
+    continuous,
+    core,
+    greedy_safe_controller,
     phase_one_feasible,
+    synthesize,
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -111,6 +120,50 @@ def test_feasible_polytope_row_layout(unicycle):
     # dropping the avoid rows recovers the actuator polytope exactly
     assert np.array_equal(poly.A[n_avoid:], unicycle.input_polytope.A)
     assert np.array_equal(poly.b[n_avoid:], unicycle.input_polytope.b)
+
+
+def test_stacked_rows_are_the_checked_polytope(monkeypatch):
+    # stack_rows does not run Polytope's checks again; on the controller's
+    # rows (both obstacles on the agent first, so the fallback runs) and on
+    # the scan's candidates solved on the spot it gives Polytope's bits
+    stack, calls = core.stack_rows, Counter()
+
+    def compared(A, b, inputs):
+        got = stack(A, b, inputs)
+        want = Polytope(np.vstack([A, inputs.A]), np.concatenate([b, inputs.b]))
+        for g, w in ((got.A, want.A), (got.b, want.b)):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        calls[caller] += 1
+        return got
+
+    monkeypatch.setattr(core, "stack_rows", compared)
+    monkeypatch.setattr(continuous, "stack_rows", compared)
+    rng = np.random.default_rng(8)
+    caller, quad = "controller", build_quadgrid()
+    greedy_safe_controller(quad, [1.0, 1.0], [1.0, 1.0, 1.0, 1.0])
+    for x in rng.uniform(quad.state_lower, quad.state_upper, (20, 2)):
+        greedy_safe_controller(quad, x, rng.uniform(-1.0, 4.0, 4))
+    caller, unicycle = "scan", build_unicycle(n_obstacles=2)
+    for x in rng.uniform(unicycle.state_lower, unicycle.state_upper, (30, 3)):
+        synthesize(unicycle, x, search=SearchConfig(grid_points=3, refine_iterations=2))
+    assert calls["controller"] == 21 and calls["scan"] >= 5
+
+
+@pytest.mark.parametrize("where,message", [
+    ("value", "polytope coefficients must be finite"),
+    ("gradient", "barrier gradient contains non-finite entries"),
+])
+def test_non_finite_avoid_rows_are_rejected_where_they_are_built(unicycle, where, message):
+    h = unicycle.spec.avoid[0]
+    bad = dataclasses.replace(
+        h,
+        value=(lambda x, d: math.nan) if where == "value" else h.value,
+        gradient=(lambda x, d: np.array([math.inf, 0.0, 0.0])) if where == "gradient" else h.gradient,
+    )
+    spec = dataclasses.replace(unicycle.spec, avoid=(bad,))
+    x, d = np.array([0.2, -0.1, 1.0]), np.array([0.4, 0.4])
+    with pytest.raises(ValueError, match=message):
+        feasible_input_polytope(spec, unicycle.dynamics, x, d, unicycle.input_polytope)
 
 
 def _unicycle_traj_spec(unicycle):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,10 +12,20 @@ from advsynth import (
     LpProblem,
     Polytope,
     blocks_all_inputs,
+    continuous,
+    lp,
     phase_one_feasible,
+    scenarios,
     solve_lp,
 )
 from advsynth.lp import solve_lp_batch
+from conftest import (
+    reference_drop_artificials,
+    reference_phase_one,
+    assert_same_outcome,
+    reference_phase_one_feasible,
+    reference_solve_lp,
+)
 
 
 def brute_force_vertices(poly):
@@ -248,3 +259,178 @@ def test_batch_rejects_negative_right_hand_sides():
     b = np.array([[1.0, 1.0], [1.0, -0.5]])
     with pytest.raises(ValueError, match=">= 0"):
         solve_lp_batch(np.ones((2, 1)), np.broadcast_to(box.A, (2, 2, 1)), b)
+
+
+# ---------------------------------------------------------------------------
+# the list kernel against its numpy reference (conftest.py), bit for bit
+
+def random_program(rng):
+    """One program for the kernel differential: 1-4 variables and 1-12
+    random rows of mixed scales, then, each with its own chance, rounded
+    coefficients (ties and degenerate vertices), right-hand sides all >= 0
+    (as the scan holds them), zero and -0.0 right-hand sides, a zero
+    objective and a box under the rows.  Returns the program and whether
+    it was rounded."""
+    n, r = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+    A = rng.normal(size=(r, n)) * 10.0 ** rng.integers(-3, 4, size=(r, 1))
+    b = rng.normal(size=r) * 10.0 ** rng.integers(-3, 2, size=r)
+    if rng.random() < 0.5:
+        b = np.abs(b)
+    c = rng.normal(size=n)
+    rounded = bool(rng.random() < 0.4)
+    if rounded:
+        A, b, c = np.round(3 * A), np.round(2 * b), np.round(2 * c)
+    b[rng.random(r) < 0.2] = 0.0
+    b[rng.random(r) < 0.1] = -0.0
+    if rng.random() < 0.1:
+        c[:] = 0.0
+    if rng.random() < 0.5:
+        eye = np.eye(n)
+        A, b = np.vstack([A, eye, -eye]), np.concatenate([b, np.ones(2 * n)])
+    return LpProblem(c, Polytope(A, b)), rounded
+
+
+def test_list_kernel_matches_the_numpy_reference():
+    rng = np.random.default_rng(2610)
+    seen = Counter()
+    for _ in range(20_000):
+        problem, rounded = random_program(rng)
+        want = reference_solve_lp(problem)
+        assert_same_outcome(solve_lp(problem), want)
+        # the reference's Phase-I verdict is its status: every program has rows
+        poly = problem.constraints
+        assert phase_one_feasible(poly) == (want.status != INFEASIBLE)
+        if (poly.b < 0).any():
+            # Phase-I pivots: the whole tableau keeps its bits, -0.0 included
+            got, want_p1 = lp._phase_one(poly.A, poly.b), reference_phase_one(poly.A, poly.b)
+            assert got[0] == want_p1[0] and got[2:] == want_p1[2:]
+            assert np.array(got[1]).tobytes() == want_p1[1].tobytes()
+        seen[want.status] += 1
+        seen["rounded"] += rounded
+        seen["signed rhs"] += bool(np.signbit(poly.b).any())
+    assert seen["rounded"] >= 6_000 and seen["signed rhs"] >= 2_000
+    assert min(seen[OPTIMAL], seen[INFEASIBLE], seen[UNBOUNDED]) >= 2_000
+
+
+@pytest.mark.parametrize("case", ["simulate-quadgrid-on-agent", "simulate-unicycle"])
+def test_pinned_simulations_solve_every_lp_as_the_reference(monkeypatch, tmp_path, capsys, case):
+    # every LP the controller and the adversary solve in a pinned run,
+    # the max-slack fallback's included
+    from test_artifacts import CASES, _digests
+
+    args, pinned = next(c[1:] for c in CASES if c[0] == case)
+    solved = []
+
+    def capture(problem):
+        out = solve_lp(problem)
+        solved.append((problem, out))
+        return out
+
+    monkeypatch.setattr(scenarios, "solve_lp", capture)
+    monkeypatch.setattr(continuous, "solve_lp", capture)
+    assert _digests(args, tmp_path, pinned) == pinned
+    capsys.readouterr()
+    for problem, out in solved:
+        assert_same_outcome(out, reference_solve_lp(problem))
+        poly = problem.constraints
+        assert phase_one_feasible(poly) == reference_phase_one_feasible(poly)
+    statuses = Counter(out.status for _, out in solved)
+    assert statuses[OPTIMAL] >= 200
+    if case == "simulate-quadgrid-on-agent":
+        assert statuses[INFEASIBLE] >= 1  # the run reaches the fallback
+
+
+def test_pivot_cap_stops_both_kernels(monkeypatch):
+    # the box corner (1, 1) takes one Phase-II pivot per coordinate.  The
+    # cap counts pricing passes, and the pass that finds no entering
+    # column is one: two pivots need a cap of 3.
+    box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+    c = np.ones(2)
+    for cap in (1, 2):
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", cap)
+        with pytest.raises(RuntimeError, match="^simplex pivot cap exceeded$"):
+            solve_lp(LpProblem(c, box))
+        with pytest.raises(RuntimeError, match="^simplex pivot cap exceeded$"):
+            solve_lp_batch(c[None], box.A[None], box.b[None])
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 3)
+    (batched,) = solve_lp_batch(c[None], box.A[None], box.b[None])
+    assert solve_lp(LpProblem(c, box)).value == batched.value == 2.0
+
+
+def test_drop_artificials_pivots_out_and_drops_as_the_reference(monkeypatch):
+    # u = 1 through u <= 1 and -u <= -1 (plus 0 u <= 1): Phase-I ends with
+    # the last row's artificial basic at level zero, and a structural
+    # column takes its place
+    poly = Polytope(np.array([[0.0], [1.0], [-1.0]]), np.array([1.0, 1.0, -1.0]))
+    feasible, T, basis, width = lp._phase_one(poly.A, poly.b)
+    assert feasible and [bi >= width for bi in basis] == [False, False, True]
+    pivot, pivots = lp._pivot, []
+
+    def counted(T, r, c):
+        pivots.append(r)
+        pivot(T, r, c)
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_pivot", counted)
+        T, basis = lp._drop_artificials(T, basis, width)
+    assert pivots == [2] and len(basis) == 3 and max(basis) < width
+    for objective in ([1.0], [-1.0], [0.0]):
+        problem = LpProblem(np.array(objective), poly)
+        assert_same_outcome(solve_lp(problem), reference_solve_lp(problem))
+    assert solve_lp(LpProblem(np.ones(1), poly)).value == 1.0
+
+    # Phase-I never leaves an artificial basic in a row with no structural
+    # entry (its own slack column is the negative of its column), so the
+    # redundant-row branch is reached by a tableau built to need it: row 1
+    # is all zero but its artificial, and is dropped with it
+    rows = [[1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 2.0],
+            [0.0, -0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+            [-0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.5],
+            [0.5, -0.5, 0.0, 0.0, 0.0, 0.0, -0.0]]
+    got, got_basis = lp._drop_artificials([row[:] for row in rows], [0, 5, 4], 5)
+    want, want_basis = reference_drop_artificials(np.array(rows), [0, 5, 4], 5)
+    assert got_basis == want_basis == [0, 4]
+    assert np.array(got).shape == want.shape == (3, 6)
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: scipy's HiGHS, where scipy is installed
+
+def margin_program(rng, margin=1e-3):
+    """A bounded program whose verdict is at least ``margin`` from a
+    tangency: the box [-1, 1]^n, random rows with slack >= margin at an
+    interior point p, and, in about a third of the programs, a row pair
+    that leaves a gap of at least ``margin`` between two parallel
+    half-spaces (so no point exists)."""
+    n = int(rng.integers(1, 5))
+    p = rng.uniform(-0.5, 0.5, size=n)
+    A = rng.normal(size=(int(rng.integers(0, 8)), n))
+    b = A @ p + np.linalg.norm(A, axis=1) * rng.uniform(margin, 1.0, size=len(A))
+    infeasible = rng.random() < 0.35
+    if infeasible:
+        a = rng.normal(size=n)
+        t = float(rng.uniform(-1.0, 1.0))
+        gap = np.linalg.norm(a) * rng.uniform(margin, 0.5)
+        A, b = np.vstack([A, a, -a]), np.concatenate([b, [t, -t - gap]])
+    poly = Polytope(A.reshape(-1, n), b).stack(Polytope.box(-np.ones(n), np.ones(n)))
+    return LpProblem(rng.normal(size=n), poly), infeasible
+
+
+def test_solve_lp_agrees_with_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(4)
+    seen = Counter()
+    for _ in range(400):
+        problem, infeasible = margin_program(rng)
+        poly = problem.constraints
+        ref = optimize.linprog(-problem.objective, A_ub=poly.A, b_ub=poly.b,
+                               bounds=(None, None), method="highs")
+        out = solve_lp(problem)
+        assert ref.status == (2 if infeasible else 0)
+        assert out.status == (INFEASIBLE if infeasible else OPTIMAL)
+        if not infeasible:
+            value = -ref.fun
+            assert abs(out.value - value) <= 1e-7 * (1.0 + abs(value))
+        seen[out.status] += 1
+    assert seen[OPTIMAL] >= 200 and seen[INFEASIBLE] >= 100
