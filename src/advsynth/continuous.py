@@ -107,7 +107,6 @@ class ContinuousScenario:
     state_lower: np.ndarray
     state_upper: np.ndarray
     floor: Optional[float] = None
-    name: str = "continuous"
     normalize_state: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -450,9 +449,9 @@ def synthesize(
     return _synthesize_over(scn, x, scn.test_space, floor, search)
 
 
-# Synthesis against test-perturbed dynamics is the same search: dynamics
-# callbacks always receive the candidate test vector, so with a zero coupling
-# matrix and d-independent f, g it reduces to the nominal synthesizer exactly.
+# Synthesis against test-perturbed dynamics is the same search: f and g
+# always receive the candidate test vector, so with d-independent f and g it
+# reduces to the nominal synthesizer exactly.
 synthesize_perturbed = synthesize
 
 

@@ -118,11 +118,11 @@ class Polytope:
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def contains(self, u, tol: float = 1e-8) -> bool:
+    def contains(self, u) -> bool:
         if self.rows == 0:
             return True
         u = np.asarray(u, dtype=float)
-        return bool(np.all(self.A @ u <= self.b + tol))
+        return bool(np.all(self.A @ u <= self.b + 1e-8))
 
     def stack(self, other: "Polytope") -> "Polytope":
         """Intersection, expressed by stacking the inequality rows."""
@@ -187,43 +187,26 @@ class ClassKappaFn:
 
 @dataclass(frozen=True)
 class ContinuousDynamics:
-    """Control-affine dynamics xdot = f(x, d) + g(x, d) u (+ C d).
+    """Control-affine dynamics xdot = f(x, d) + g(x, d) u.
 
-    f and g always receive the active test vector so dynamics perturbations
-    (actuator failures, drift offsets) are expressible; nominal scenarios
-    simply ignore it.  C couples the test vector additively and defaults to
-    zero (None).  ``reads`` declares, as on :class:`BarrierFunction`, that f
-    and g read no test coordinate; a non-None C reads every one anyway.
+    f and g always receive the active test vector, so dynamics perturbations
+    (actuator failures, drift offsets) are written into them; nominal
+    scenarios simply ignore it.  An additive coupling C d is part of f:
+    ``f=lambda x, d: f0(x, d) + C @ np.asarray(d, dtype=float)``.
+    ``reads`` declares, as on :class:`BarrierFunction`, that f and g read no
+    test coordinate.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    C: Optional[np.ndarray] = None
     reads: Optional[tuple] = None
 
     def __post_init__(self):
         _check_declaration(self.reads)
-        if self.C is not None:
-            C = np.asarray(self.C, dtype=float)
-            if C.ndim != 2 or not np.all(np.isfinite(C)):
-                raise ValueError("perturbation matrix must be a finite 2-D array")
-            object.__setattr__(self, "C", C)
-
-    def drift(self, x, d) -> np.ndarray:
-        """f(x, d) plus the additive test coupling."""
-        fx = as_vector(self.f(x, d), "drift f(x, d)")
-        if self.C is None:
-            return fx
-        d = np.asarray(d, dtype=float)
-        if self.C.shape != (fx.size, d.size):
-            raise ValueError(
-                f"perturbation matrix shape {self.C.shape} does not match "
-                f"state dim {fx.size} and test dim {d.size}"
-            )
-        return fx + self.C @ d
 
     def xdot(self, x, u, d) -> np.ndarray:
-        return self.drift(x, d) + np.asarray(self.g(x, d), dtype=float) @ np.asarray(u, dtype=float)
+        f, G = dynamics_at(self, x, d)
+        return f + G @ np.asarray(u, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -281,9 +264,9 @@ class BoxSpace:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, d, tol: float = 1e-9) -> bool:
+    def contains(self, d) -> bool:
         d = np.asarray(d, dtype=float)
-        return bool(np.all(d >= self.lower - tol) and np.all(d <= self.upper + tol))
+        return bool(np.all(d >= self.lower - 1e-9) and np.all(d <= self.upper + 1e-9))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,24 +361,17 @@ def lie_derivatives(h: BarrierFunction, dyn: ContinuousDynamics, x, d, fg=None):
     """Rate decomposition of h along the dynamics.
 
     Returns ``(drift_rate, input_row)`` so that the barrier rate under input
-    u is ``drift_rate + input_row @ u``.  The drift part includes any
-    additive test coupling C d.  ``fg`` passes ``(dyn.drift(x, d),
-    dyn.g(x, d))`` already evaluated, in place of calling f and g.
+    u is ``drift_rate + input_row @ u``.  ``fg`` passes
+    :func:`dynamics_at`'s checked ``(f, G)`` already evaluated, in place of
+    calling it.
     """
     if h.gradient is None:
         raise ValueError("barrier has no gradient; Lie derivatives undefined")
     grad = as_vector(h.gradient(x, d), "barrier gradient")
-    drift_vec = dyn.drift(x, d) if fg is None else fg[0]
-    if drift_vec.size != grad.size:
-        raise ValueError(
-            f"gradient dim {grad.size} does not match drift dim {drift_vec.size}"
-        )
-    G = np.asarray(dyn.g(x, d), dtype=float) if fg is None else fg[1]
-    if G.ndim != 2 or G.shape[0] != grad.size:
-        raise ValueError(
-            f"actuation matrix shape {G.shape} does not match gradient dim {grad.size}"
-        )
-    return float(grad @ drift_vec), grad @ G
+    f, G = dynamics_at(dyn, x, d) if fg is None else fg
+    if f.size != grad.size:
+        raise ValueError(f"gradient dim {grad.size} does not match drift dim {f.size}")
+    return float(grad @ f), grad @ G
 
 
 def feasibility_filter(value, point, member, fallback):
@@ -418,7 +394,7 @@ class LieCache:
     """The Lie-derivative pieces of one synthesis call at a fixed state x.
 
     f and g are evaluated once when the dynamics declare ``reads=()`` (see
-    :class:`BarrierFunction`) and have no ``C``, and so is the reach rate
+    :class:`BarrierFunction`), and so is the reach rate
     when the reach barrier declares it too; otherwise each is built afresh
     per test.  Avoid rows come a block of tests at a time from the
     barriers' ``batch`` when f and g are evaluated once and every avoid
@@ -428,7 +404,7 @@ class LieCache:
 
     def __init__(self, spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, input_dim: int):
         self._spec, self._dyn, self._x, self._input_dim = spec, dyn, x, input_dim
-        self._fixed = dyn.reads == () and dyn.C is None
+        self._fixed = dyn.reads == ()
         self._fg = self._reach = None
         self._keep_reach = self._fixed and spec.reach.reads == ()
         self.batched = self._fixed and all(h.batch is not None for h in spec.avoid)
@@ -460,10 +436,6 @@ class LieCache:
             return A[None], b[None]
         K, dim, x = len(D), self._input_dim, self._x
         f, G = self._f_g(D[0])
-        if G.ndim != 2 or G.shape[0] != f.size:
-            raise ValueError(
-                f"actuation matrix shape {G.shape} does not match gradient dim {f.size}"
-            )
         if G.shape[1] != dim:
             raise ValueError(f"input row dim {G.shape[1]} does not match polytope dim {dim}")
         Gf = np.column_stack([G, f])
@@ -493,10 +465,16 @@ class LieCache:
 
 
 def dynamics_at(dyn: ContinuousDynamics, x, d) -> tuple:
-    """``(dyn.drift(x, d), g(x, d))``, evaluated once for every row built at
-    (x, d): the ``fg`` that :func:`lie_derivatives` and :func:`avoid_rows`
-    take; synthesis reuses it across tests as :class:`LieCache` says."""
-    return dyn.drift(x, d), np.asarray(dyn.g(x, d), dtype=float)
+    """``(f(x, d), G)`` with ``G = g(x, d)``: the one place f and g are
+    evaluated and checked.  f must give a finite vector and G a 2-D array
+    with one row per entry of f.  Every row built at (x, d) shares it as
+    the ``fg`` that :func:`lie_derivatives` and :func:`avoid_rows` take;
+    synthesis reuses it across tests as :class:`LieCache` says."""
+    f = as_vector(dyn.f(x, d), "drift f(x, d)")
+    G = np.asarray(dyn.g(x, d), dtype=float)
+    if G.ndim != 2 or G.shape[0] != f.size:
+        raise ValueError(f"actuation matrix shape {G.shape} does not match state dim {f.size}")
+    return f, G
 
 
 def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -56,16 +57,22 @@ class DiscreteScenario:
     test_space: Union[FiniteSpace, MappedSpace]
     horizon: int = 1
     floor: Optional[float] = None
-    name: str = "discrete"
     lower_bound: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("prediction horizon must be >= 1")
+        _check_horizon(self.horizon)
         if not isinstance(self.test_space, (FiniteSpace, MappedSpace)):
             raise ValueError("discrete scenarios need a finite or mapped test space")
         if self.floor is not None:
             satisfaction_floor(self)
+
+
+def _check_horizon(n_steps) -> int:
+    """``n_steps`` when it is an integer >= 1, the one rule for a
+    prediction horizon; otherwise ``ValueError``."""
+    if not (isinstance(n_steps, numbers.Integral) and n_steps >= 1):
+        raise ValueError(f"prediction horizon must be an integer >= 1, got {n_steps!r}")
+    return n_steps
 
 
 def rollout(dyn: DiscreteDynamics, x, inputs):
@@ -85,8 +92,7 @@ def _walks(spec: ReachAvoidSpec, dyn: DiscreteDynamics, x, d, n_steps: int, chec
     once from x and yielded with its terminal state when every avoid value
     is >= 0 (so NaN fails) there, or with ``check_path`` at each state
     after x."""
-    if n_steps < 1:
-        raise ValueError("sequence length must be >= 1")
+    _check_horizon(n_steps)
     for seq in itertools.product(dyn.alphabet, repeat=n_steps):
         path = tuple(itertools.accumulate(seq, dyn.step, initial=x))
         screened = path[1:] if check_path else path[-1:]
@@ -181,12 +187,12 @@ def synthesize_discrete_constrained(
     Γ, and it can at best tie, which keeps the earlier test.  So the result
     is that of the full scan.  A NaN bound never skips.  ``evaluations``
     counts every test the scan reaches, skipped ones included."""
+    n = scn.horizon if n_steps is None else _check_horizon(n_steps)
     space = scn.test_space
     if isinstance(space, MappedSpace):
         space = space.at(x, t)
     if not isinstance(space, FiniteSpace):
         raise ValueError("discrete synthesis needs a finite realized test set")
-    n = scn.horizon if n_steps is None else int(n_steps)
     fl = satisfaction_floor(scn)
     cost = len(scn.dynamics.alphabet) ** n * len(space)
     if cost > DEFAULT_BUDGET:

@@ -33,6 +33,7 @@ pivots K tableaux in one step, so the stack shares each call's cost.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +58,7 @@ __all__ = [
 INFEASIBILITY_TOL = 1e-7  # Phase-I objective above this means "no point exists"
 _RC_TOL = 1e-9            # reduced-cost threshold for optimality
 _PIVOT_TOL = 1e-10        # smallest usable pivot magnitude
-_MAX_PIVOTS = 20_000      # defensive cap; Bland's rule precludes cycling
+_MAX_PIVOTS = 20_000      # pivots per phase; Bland's rule precludes cycling
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -112,7 +113,7 @@ def _pivot(T: list, r: int, c: int) -> None:
 def _bland(T: list, basis: list, width: int) -> str:
     """Minimize in place.  Objective row last, right-hand side column last;
     only the first ``width`` columns may enter."""
-    for _ in range(_MAX_PIVOTS):
+    for pivots in itertools.count():
         obj = T[-1]
         for j in range(width):
             if obj[j] < -_RC_TOL:
@@ -126,11 +127,12 @@ def _bland(T: list, basis: list, width: int) -> str:
                 ratios.append(T[i][-1] / T[i][j])
         if not rows:
             return UNBOUNDED
+        if pivots == _MAX_PIVOTS:
+            raise RuntimeError("simplex pivot cap exceeded")
         top = min(ratios) + 1e-12
         r = min((i for i, q in zip(rows, ratios) if q <= top), key=basis.__getitem__)
         _pivot(T, r, j)
         basis[r] = j
-    raise RuntimeError("simplex pivot cap exceeded")
 
 
 def _phase_one(A: np.ndarray, b: np.ndarray):
@@ -170,21 +172,19 @@ def _phase_one(A: np.ndarray, b: np.ndarray):
 
 
 def _drop_artificials(T: list, basis: list, width: int):
-    """Pivot zero-level artificials out of the basis (dropping redundant
-    rows) and strip the artificial columns."""
+    """Pivot zero-level artificials out of the basis and strip the
+    artificial columns.  No row is ever redundant: every pivot keeps a
+    negated row's artificial column the exact negative of its slack column,
+    so a row whose basic variable is an artificial holds -1 in that slack
+    column, a structural entry to pivot on."""
     if len(T[-1]) == width + 1:
         return T, basis
-    keep = []
-    for i in range(len(basis)):
-        if basis[i] < width:
-            keep.append(i)
-            continue
-        k = next((k for k in range(width) if abs(T[i][k]) > _PIVOT_TOL), None)
-        if k is not None:
+    for i, bi in enumerate(basis):
+        if bi >= width:
+            k = next(k for k in range(width) if abs(T[i][k]) > _PIVOT_TOL)
             _pivot(T, i, k)
             basis[i] = k
-            keep.append(i)
-    return [T[i][:width] + T[i][-1:] for i in keep + [len(T) - 1]], [basis[i] for i in keep]
+    return [row[:width] + row[-1:] for row in T], basis
 
 
 def solve_lp(problem: LpProblem) -> LpOutcome:
@@ -265,7 +265,7 @@ def solve_lp_batch(C, A, b) -> list:
     basis = np.tile(2 * n + np.arange(r), (K, 1))
     unbounded = np.zeros(K, dtype=bool)
     run = np.arange(K)
-    for _ in range(_MAX_PIVOTS):
+    for pivots in itertools.count():
         improving = T[run, -1, :width] < -_RC_TOL
         going = improving.any(axis=1)
         if not going.all():
@@ -284,6 +284,8 @@ def solve_lp_batch(C, A, b) -> list:
             if run.size == 0:
                 break
             k = np.arange(run.size)
+        if pivots == _MAX_PIVOTS:
+            raise RuntimeError("simplex pivot cap exceeded")
         ratios = np.divide(S[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=pos)
         tied = pos & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
         rows = np.where(tied, basis[run], width).argmin(axis=1)
@@ -298,8 +300,6 @@ def solve_lp_batch(C, A, b) -> list:
         S[k, rows, j] = 1.0
         T[run] = S
         basis[run, rows] = j
-    else:
-        raise RuntimeError("simplex pivot cap exceeded")
 
     z = np.zeros((K, width))
     z[np.arange(K)[:, None], basis] = T[:, :-1, -1]

@@ -156,7 +156,6 @@ def build_unicycle(
         state_lower=np.array([-1.0, -1.0, 0.0]),
         state_upper=np.array([1.0, 1.0, 2.0 * math.pi]),
         floor=floor,
-        name="unicycle",
         normalize_state=_wrap,
     )
 
@@ -309,7 +308,6 @@ def build_gridworld(goal=(7, 9), floor: float = -15.0, horizon: int = 1) -> Disc
         test_space=FiniteSpace(cells),
         horizon=horizon,
         floor=floor,
-        name="gridworld",
         lower_bound=lambda x, d: -math.inf if grid_cell(d) == grid_cell(x, "state") else 0.0,
     )
 
@@ -400,7 +398,6 @@ def build_quadgrid(
         state_lower=np.array([-1.0, -2.0]),
         state_upper=np.array([4.0, 3.0]),
         floor=floor,
-        name="quadgrid",
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 # Pinned artifact bytes were recorded with one BLAS thread: a multithreaded
@@ -142,7 +143,7 @@ def _reference_pivot(T, r, c):
 def _reference_bland(T, basis, width):
     from advsynth import lp
 
-    for _ in range(lp._MAX_PIVOTS):
+    for pivots in itertools.count():
         improving = np.nonzero(T[-1, :width] < -lp._RC_TOL)[0]
         if improving.size == 0:
             return lp.OPTIMAL
@@ -151,12 +152,13 @@ def _reference_bland(T, basis, width):
         pos = np.nonzero(col > lp._PIVOT_TOL)[0]
         if pos.size == 0:
             return lp.UNBOUNDED
+        if pivots == lp._MAX_PIVOTS:
+            raise RuntimeError("simplex pivot cap exceeded")
         ratios = T[:-1, -1][pos] / col[pos]
         tied = pos[ratios <= ratios.min() + 1e-12]
         r = int(min(tied, key=lambda i: basis[i]))
         _reference_pivot(T, r, j)
         basis[r] = j
-    raise RuntimeError("simplex pivot cap exceeded")
 
 
 def reference_phase_one(A, b):

@@ -208,8 +208,6 @@ def test_blocks_need_a_batch_on_every_avoid_barrier_and_fixed_dynamics():
     assert not batched(one_missing, scn.dynamics)
     undeclared = dataclasses.replace(scn.dynamics, reads=None)
     assert not batched(scn.spec, undeclared)
-    coupled = dataclasses.replace(scn.dynamics, C=np.zeros((3, 4)))
-    assert not batched(scn.spec, coupled)
     # every shipped continuous scenario builds its rows in blocks
     quad = build_quadgrid()
     assert LieCache(quad.spec, quad.dynamics, np.zeros(2), 2).batched

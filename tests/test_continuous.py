@@ -36,15 +36,21 @@ COARSE = SearchConfig(grid_points=9, refine_iterations=10)
 
 def integrator_scenario(coupling=None, actuation=None, test_dim=2):
     """Planar integrator with a quadratic reach barrier and no avoid
-    barriers; the test vector enters through the dynamics only."""
+    barriers; the test vector enters through the dynamics only, as the
+    additive drift ``coupling @ d`` written into f."""
     reach = BarrierFunction(
         value=lambda x, d: -float(x[0] ** 2 + x[1] ** 2),
         gradient=lambda x, d: np.array([-2.0 * x[0], -2.0 * x[1], ]),
     )
+
+    def f(x, d):
+        if coupling is None:
+            return np.zeros(2)
+        return np.zeros(2) + coupling @ np.asarray(d, dtype=float)
+
     dyn = ContinuousDynamics(
-        f=lambda x, d: np.zeros(2),
+        f=f,
         g=actuation if actuation is not None else (lambda x, d: np.eye(2)),
-        C=coupling,
     )
     return ContinuousScenario(
         dynamics=dyn,
@@ -54,7 +60,6 @@ def integrator_scenario(coupling=None, actuation=None, test_dim=2):
         state_lower=np.array([-2.0, -2.0]),
         state_upper=np.array([2.0, 2.0]),
         floor=-20.0,
-        name="integrator",
     )
 
 
@@ -469,10 +474,14 @@ def test_scan_matches_reference_on_two_obstacle_grid(monkeypatch, refine_iterati
 
 def test_scan_matches_reference_with_test_coupled_dynamics(monkeypatch):
     # the test vector also pushes the unicycle, so both the avoid rows and
-    # the reach rate of a held grid point depend on it
+    # the reach rate of a held grid point depend on it; f reads d, so the
+    # dynamics drop the shipped reads=() declaration
     base = build_unicycle(n_obstacles=2)
     coupling = np.array([[0.3, 0.0, -0.1, 0.0], [0.0, 0.2, 0.0, 0.05], [0.0, 0.0, 0.0, 0.0]])
-    scn = dataclasses.replace(base, dynamics=dataclasses.replace(base.dynamics, C=coupling))
+    f0 = base.dynamics.f
+    coupled = ContinuousDynamics(lambda x, d: f0(x, d) + coupling @ np.asarray(d, dtype=float),
+                                 base.dynamics.g)
+    scn = dataclasses.replace(base, dynamics=coupled)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for refine_iterations in (0, 40):
@@ -997,7 +1006,6 @@ def target_scenario(target, trap=None, raises=None, batch=True):
         state_lower=-np.ones(2),
         state_upper=np.ones(2),
         floor=-1.0,
-        name="target",
     )
 
 

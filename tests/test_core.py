@@ -54,10 +54,10 @@ def test_lie_derivatives_zero_gradient():
 
 def test_lie_derivatives_additive_coupling():
     h = BarrierFunction(value=lambda x, d: x[0], gradient=lambda x, d: np.array([1.0, 0.0]))
+    C = np.eye(2)
     dyn = ContinuousDynamics(
-        f=lambda x, d: np.zeros(2),
+        f=lambda x, d: np.zeros(2) + C @ np.asarray(d, dtype=float),
         g=lambda x, d: np.zeros((2, 2)),
-        C=np.eye(2),
     )
     drift, row = lie_derivatives(h, dyn, np.zeros(2), np.array([1.0, 1.0]))
     assert drift == 1.0

@@ -356,6 +356,33 @@ def test_one_step_difficulty_is_predictive_at_n1(gridworld79):
     assert predictive_difficulty(blocked, (0,), (0,), floor=-3.0, n_steps=1) == (-3.0, None)
 
 
+def test_every_entry_point_takes_only_an_integer_horizon_of_at_least_one(gridworld79):
+    # one rule everywhere: a fractional horizon is neither truncated nor
+    # left to fail inside itertools.product
+    x, d = (3, 5), (4, 5)
+    entry_points = {
+        "DiscreteScenario": lambda n: dataclasses.replace(gridworld79, horizon=n),
+        "build_gridworld": lambda n: build_gridworld((7, 9), horizon=n),
+        "synthesize_discrete": lambda n: synthesize_discrete(gridworld79, x, n_steps=n),
+        "synthesize_discrete_constrained":
+            lambda n: synthesize_discrete_constrained(gridworld79, x, 0.0, n_steps=n),
+        "predictive_difficulty":
+            lambda n: predictive_difficulty(gridworld79, x, d, floor=-15.0, n_steps=n),
+        "feasible_sequences":
+            lambda n: feasible_sequences(gridworld79.spec, gridworld79.dynamics, x, d, n),
+    }
+    for name, call in entry_points.items():
+        for n in (2.9, 2.5, 0, 1.5):
+            with pytest.raises(ValueError, match=r"^prediction horizon must be an integer >= 1"):
+                call(n)
+        assert call(np.int64(2)) is not None, name
+    want = synthesize_discrete(gridworld79, x, n_steps=2)
+    got = synthesize_discrete(gridworld79, x, n_steps=np.int64(2))
+    assert (got.d_star, got.difficulty, got.inner_maximizer) == (
+        want.d_star, want.difficulty, want.inner_maximizer
+    )
+
+
 def test_synthesize_discrete_plans_over_scenario_horizon(monkeypatch):
     # with the goal left out of the tests, one and two steps disagree
     cells = ((4, 4), (2, 6), (3, 6))

@@ -20,7 +20,6 @@ from advsynth import (
 )
 from advsynth.lp import solve_lp_batch
 from conftest import (
-    reference_drop_artificials,
     reference_phase_one,
     assert_same_outcome,
     reference_phase_one_feasible,
@@ -342,17 +341,17 @@ def test_pinned_simulations_solve_every_lp_as_the_reference(monkeypatch, tmp_pat
 
 def test_pivot_cap_stops_both_kernels(monkeypatch):
     # the box corner (1, 1) takes one Phase-II pivot per coordinate.  The
-    # cap counts pricing passes, and the pass that finds no entering
-    # column is one: two pivots need a cap of 3.
+    # cap counts pivots: the pass after the last allowed one still reports
+    # optimal, so two pivots need a cap of 2.
     box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
     c = np.ones(2)
-    for cap in (1, 2):
+    for cap in (0, 1):
         monkeypatch.setattr(lp, "_MAX_PIVOTS", cap)
         with pytest.raises(RuntimeError, match="^simplex pivot cap exceeded$"):
             solve_lp(LpProblem(c, box))
         with pytest.raises(RuntimeError, match="^simplex pivot cap exceeded$"):
             solve_lp_batch(c[None], box.A[None], box.b[None])
-    monkeypatch.setattr(lp, "_MAX_PIVOTS", 3)
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
     (batched,) = solve_lp_batch(c[None], box.A[None], box.b[None])
     assert solve_lp(LpProblem(c, box)).value == batched.value == 2.0
 
@@ -379,19 +378,32 @@ def test_drop_artificials_pivots_out_and_drops_as_the_reference(monkeypatch):
         assert_same_outcome(solve_lp(problem), reference_solve_lp(problem))
     assert solve_lp(LpProblem(np.ones(1), poly)).value == 1.0
 
-    # Phase-I never leaves an artificial basic in a row with no structural
-    # entry (its own slack column is the negative of its column), so the
-    # redundant-row branch is reached by a tableau built to need it: row 1
-    # is all zero but its artificial, and is dropped with it
-    rows = [[1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 2.0],
-            [0.0, -0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-            [-0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.5],
-            [0.5, -0.5, 0.0, 0.0, 0.0, 0.0, -0.0]]
-    got, got_basis = lp._drop_artificials([row[:] for row in rows], [0, 5, 4], 5)
-    want, want_basis = reference_drop_artificials(np.array(rows), [0, 5, 4], 5)
-    assert got_basis == want_basis == [0, 4]
-    assert np.array(got).shape == want.shape == (3, 6)
-    assert np.array(got).tobytes() == want.tobytes()
+
+def test_phase_one_keeps_each_artificial_the_negated_slack():
+    # _drop_artificials drops no row because of this invariant: a negated
+    # row's slack column is -(its artificial column) in every constraint
+    # row, through every Phase-I pivot, so a basic artificial always has a
+    # structural entry to pivot on
+    rng = np.random.default_rng(2610)
+    negated = basic_artificials = 0
+    for _ in range(20_000):
+        problem, _ = random_program(rng)
+        A, b = problem.constraints.A, problem.constraints.b
+        if not (b < 0).any():
+            continue
+        negated += 1
+        feasible, T, basis, width = lp._phase_one(A, b)
+        slacks = 2 * A.shape[1] + np.flatnonzero(b < 0)
+        for row in T[:-1]:
+            for art, slack in enumerate(slacks, start=width):
+                assert row[slack] == -row[art]
+        if feasible:
+            basic_artificials += max(basis) >= width
+            T, basis = lp._drop_artificials(T, basis, width)
+            assert len(T) == A.shape[0] + 1 and len(basis) == A.shape[0]
+            assert max(basis) < width
+    # four of the feasible programs leave an artificial basic at level zero
+    assert negated >= 5_000 and basic_artificials >= 1
 
 
 # ---------------------------------------------------------------------------

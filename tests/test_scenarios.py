@@ -598,7 +598,6 @@ def test_declared_reads_cover_every_coordinate_read(name):
     build, dim = DECLARED[name]
     scn = build()
     dyn, reach = scn.dynamics, scn.spec.reach
-    assert dyn.C is None
     assert reach.reads == () and dyn.reads == ()
     assert all(h.reads is None for h in scn.spec.avoid)
     callbacks = [reach.value, reach.gradient, dyn.f, dyn.g]
