@@ -16,6 +16,7 @@ import bisect
 import math
 import numbers
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional
@@ -47,7 +48,6 @@ from .lp import (
     OPTIMAL,
     UNBOUNDED,
     LpProblem,
-    objective_vector,
     solve_lp,
     solve_lp_batch,
 )
@@ -199,40 +199,6 @@ def _best_rate(reach, poly, floor):
     return drift_rate + out.value, out.point
 
 
-def _solve_held(points, held_A, held_b, inputs, cache):
-    """``(value, maximizer)`` of each held test in ``points`` from one
-    :func:`solve_lp_batch` of its stored rows ``held_A``, ``held_b``.
-
-    Their reach rates are taken one by one, in order, from ``cache``.
-    When one raises, an unbounded program ahead of it is reported first,
-    as a one-by-one scan would."""
-    rates, rows = [], []
-
-    def solve(k):
-        if k == 0:
-            return []
-        A = np.concatenate([held_A[:k], np.broadcast_to(inputs.A, (k,) + inputs.A.shape)], axis=1)
-        b = np.concatenate([held_b[:k], np.broadcast_to(inputs.b, (k, inputs.rows))], axis=1)
-        outs = solve_lp_batch(np.reshape(rows, (k, inputs.dim)), A, b)
-        if any(out.status == UNBOUNDED for out in outs):
-            raise ScenarioError(_UNBOUNDED)
-        return outs
-
-    checked = None  # a kept reach row is one object, so it is checked once
-    for d in points:
-        try:
-            rate, row = cache.reach(np.asarray(d, dtype=float))
-            if row is not checked:
-                row = checked = objective_vector(row, inputs.dim)
-            rows.append(row)
-        except Exception:
-            solve(len(rates))
-            raise
-        rates.append(rate)
-    outs = solve(len(points))
-    return [(rate + out.value, out.point) for rate, out in zip(rates, outs)]
-
-
 def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     """Hardest candidate of each group of ``candidates`` (a sequence,
     indexed), Γ first: ``(gamma, bests)``.
@@ -251,51 +217,63 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     at a time when it is ``batched`` (so also for candidates after a test
     in Γ), else one.  Phase-I adds no artificial variable for a polytope
     whose right-hand sides are all >= 0: u = 0 is in it, so such a
-    candidate is not in Γ.  Its rows are held, and its reach rate and LP
-    wait until its group is folded (so they are skipped after a test in
-    Γ, and their errors surface after later candidates' rows are built),
-    then go through :func:`solve_lp_batch` (the pivots and bits of one
-    :func:`solve_lp` each) in blocks of at most ``_HELD_BLOCK``.  Every
-    other candidate is solved on the spot, in order, once the groups
-    before its own are folded, so each LP solved on the spot is one a
-    scan of one group at a time would solve.
+    candidate is not in Γ.  Its rows are held and its index queued in
+    ``pending``; its reach rate and LP wait until its group is folded (so
+    they are skipped after a test in Γ, and their errors surface after
+    later candidates' rows are built).  Folding drains the queue in
+    order, at most ``_HELD_BLOCK`` held candidates per
+    :func:`solve_lp_batch` (the pivots and bits of one :func:`solve_lp`
+    each), never past the end of the last group it folds.  Every other
+    candidate is solved on the spot, in order, once the groups before its
+    own are folded, so each LP solved on the spot is one a scan of one
+    group at a time would solve.
 
     Memory: ``8 * len(candidates) * barriers * (inputs + 1)`` bytes of
     held rows (about 19 MB for a 25^4 grid, two avoid barriers and two
-    inputs), one block of rows, and one block of tableaux twice over (with
+    inputs), one block of rows, a result slot per candidate (8 bytes) and
+    the results not yet folded, and one batch of tableaux twice over (with
     the running ones' copy), ``8 * _HELD_BLOCK * (rows + 1) * (2 * inputs
     + rows + 1)`` bytes, ``rows`` counting avoid and actuator rows (about
-    0.3 MB there).
+    0.3 MB there).  A batch is solved only once folding reaches its first
+    candidate, so at most one batch of held results waits to be folded.
     """
     inputs = scn.input_polytope
     can_hold = not (inputs.b < 0).any()
     n, size = len(candidates), _HELD_BLOCK if cache.batched else 1
     held_A = np.empty((n, len(scn.spec.avoid), inputs.dim))
     held_b = np.empty((n, len(scn.spec.avoid)))
-    solved, bests = {}, []
+    act_A, act_b = (np.broadcast_to(M, (_HELD_BLOCK,) + M.shape) for M in (inputs.A, inputs.b))
+    # (d, value, maximizer) of each candidate from its solve until its fold
+    results, pending, bests = [None] * n, deque(), []
+    groups = list(zip([0] + ends, ends))
 
     def fold(stop):
         """Fold the groups that end at or before candidate ``stop``; True
         once one has a value below ``bar``."""
-        lo = ends[len(bests) - 1] if bests else 0
         last = bisect.bisect_right(ends, stop)
-        top, solved_to = ends[last - 1] if last else 0, lo
-        for end in ends[len(bests):last]:
-            best_d = best_u = None
-            best_val = np.inf
+        top = ends[last - 1] if last else 0
+        for lo, end in groups[len(bests):last]:
+            best_d, best_val, best_u = None, np.inf, None
             for i in range(lo, end):
-                if i == solved_to:
-                    solved_to = min(i + _HELD_BLOCK, top)
-                    block = candidates[i:solved_to]
-                    held = [j for j in range(i, solved_to) if j not in solved]
-                    points = [block[j - i] for j in held]
-                    outs = _solve_held(points, held_A[held], held_b[held], inputs, cache)
-                    solved.update((j, (d,) + out) for j, d, out in zip(held, points, outs))
-                d, val, u = solved.pop(i)
+                if results[i] is None:  # i heads the queue
+                    held = []
+                    while pending and pending[0] < top and len(held) < _HELD_BLOCK:
+                        held.append(pending.popleft())
+                    block, k = candidates[i:held[-1] + 1], len(held)
+                    rates, rows = zip(*(cache.reach(np.asarray(block[j - i], dtype=float))
+                                        for j in held))
+                    A = np.concatenate([held_A[held], act_A[:k]], axis=1)
+                    b = np.concatenate([held_b[held], act_b[:k]], axis=1)
+                    outs = solve_lp_batch(np.array(rows), A, b)
+                    if any(out.status == UNBOUNDED for out in outs):
+                        raise ScenarioError(_UNBOUNDED)
+                    for j, rate, out in zip(held, rates, outs):
+                        results[j] = (block[j - i], rate + out.value, out.point)
+                d, val, u = results[i]
+                results[i] = None
                 if val < best_val:
                     best_val, best_d, best_u = val, d, u
             bests.append((best_d, best_val, best_u))
-            lo = end
             if best_d is not None and best_val < bar:
                 return True
         return False
@@ -308,6 +286,7 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
         k = len(b)
         held_A[i:i + k], held_b[i:i + k] = A, b
         spot = (b < 0).any(axis=1) if can_hold else np.ones(k, dtype=bool)
+        pending.extend((i + np.flatnonzero(~spot)).tolist())
         for j in np.flatnonzero(spot).tolist():
             if fold(i + j):
                 return None, bests
@@ -315,20 +294,18 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
             if u is None:
                 return SynthesisResult(block[j], float(floor), True, None,
                                        evals + i + j + 1), bests
-            solved[i + j] = (block[j], val, u)
+            results[i + j] = (block[j], val, u)
         i += k
     fold(n)
     return None, bests
 
 
 def _compass(d_cur, step, lower, upper):
-    """One compass round's moves from ``d_cur``: each coordinate with a
-    nonzero step, down then up, clipped to the box.  A move the clip
-    cancels is left out."""
+    """One compass round's moves from ``d_cur``: each coordinate, down then
+    up, clipped to the box.  A move that leaves ``d_cur`` where it is (a
+    zero step, or one the clip cancels) is left out."""
     candidates = []
     for i in range(d_cur.size):
-        if step[i] == 0.0:
-            continue
         for sign in (-1.0, 1.0):
             cand = d_cur.copy()
             # np.clip's bits, signed zeros included, at a fraction of its cost
@@ -441,7 +418,11 @@ def synthesize(
     an error may surface later: :class:`core.LieCache` builds f, g and
     the reach rate once where ``reads`` allows it, :func:`_scan` puts off held
     candidates' reach rates and builds rows in blocks, and :func:`_refine`
-    may build rows for planned rounds that an improving round drops.
+    may build rows for planned rounds that an improving round drops.  A
+    held batch takes every reach rate before it solves, so an unbounded
+    program (possible only with an input polytope that construction
+    rejects) raises :class:`ScenarioError` only when no reach rate of its
+    batch raises first.
     """
     if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_constrained")

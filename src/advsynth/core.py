@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "SynthesisResult",
     "MonitorResult",
     "as_vector",
+    "objective_vector",
     "satisfaction_floor",
     "lie_derivatives",
     "feasibility_filter",
@@ -44,6 +46,7 @@ __all__ = [
     "stack_rows",
     "feasible_input_polytope",
     "least",
+    "min_avoid",
     "monitor_trajectory",
 ]
 
@@ -77,6 +80,15 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if not _finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def objective_vector(objective, dim: int) -> np.ndarray:
+    """The objective as a finite float vector of length ``dim``, with the
+    errors :class:`lp.LpProblem` raises."""
+    c = as_vector(objective, "objective")
+    if c.size != dim:
+        raise ValueError(f"objective dim {c.size} does not match polytope dim {dim}")
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,10 +427,12 @@ class LieCache:
         return self._fg
 
     def reach(self, d: np.ndarray):
-        """``lie_derivatives`` of the reach barrier at (x, d)."""
+        """``lie_derivatives`` of the reach barrier at (x, d), its input
+        row checked by :func:`objective_vector` as an LP objective."""
         if self._reach is not None:
             return self._reach
-        out = lie_derivatives(self._spec.reach, self._dyn, self._x, d, self._f_g(d))
+        rate, row = lie_derivatives(self._spec.reach, self._dyn, self._x, d, self._f_g(d))
+        out = rate, objective_vector(row, self._input_dim)
         if self._keep_reach:
             self._reach = out
         return out
@@ -547,6 +561,12 @@ def least(a: float, b: float) -> float:
     return b if b < a or b != b else a
 
 
+def min_avoid(spec: ReachAvoidSpec, x, d) -> float:
+    """The avoid barriers' values at (x, d) folded with :func:`least` from
+    ``inf``: the least of them, or NaN when any is NaN."""
+    return reduce(least, (float(h.value(x, d)) for h in spec.avoid), math.inf)
+
+
 def monitor_trajectory(
     spec: ReachAvoidSpec,
     trajectory: Sequence,
@@ -562,8 +582,9 @@ def monitor_trajectory(
 
     Satisfied means every avoid barrier stayed nonnegative at every sample
     and the reach barrier was nonnegative at some sample no later than the
-    deadline.  ``min_avoid_value`` folds every avoid value with :func:`least`,
-    so a NaN anywhere shows as NaN and fails the verdict.
+    deadline.  ``min_avoid_value`` folds each sample's :func:`min_avoid`
+    with :func:`least`, so a NaN anywhere shows as NaN and fails the
+    verdict.
     """
     trajectory = list(trajectory)
     if not trajectory:
@@ -578,16 +599,15 @@ def monitor_trajectory(
     if any(t1 > t2 for t1, t2 in zip(d_times, d_times[1:])):
         raise ValueError("test-vector timestamps must be nondecreasing")
 
-    min_avoid = math.inf
+    lowest = math.inf
     reach_time = None
     j = 0
     for t, x in trajectory:
         while j + 1 < len(d_sequence) and d_sequence[j + 1][0] <= t:
             j += 1
         d = d_sequence[j][1]
-        for h in spec.avoid:
-            min_avoid = least(min_avoid, float(h.value(x, d)))
+        lowest = least(lowest, min_avoid(spec, x, d))
         if reach_time is None and t <= spec.t_max and float(spec.reach.value(x, d)) >= 0.0:
             reach_time = float(t)
-    satisfied = (min_avoid >= 0.0) and (reach_time is not None)
-    return MonitorResult(satisfied, reach_time, min_avoid)
+    satisfied = (lowest >= 0.0) and (reach_time is not None)
+    return MonitorResult(satisfied, reach_time, lowest)

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Polytope, as_vector
+from .core import Polytope, objective_vector
 
 __all__ = [
     "INFEASIBILITY_TOL",
@@ -50,7 +50,6 @@ __all__ = [
     "LpOutcome",
     "solve_lp",
     "solve_lp_batch",
-    "objective_vector",
     "phase_one_feasible",
     "blocks_all_inputs",
 ]
@@ -75,15 +74,6 @@ class LpProblem:
     def __post_init__(self):
         c = objective_vector(self.objective, self.constraints.dim)
         object.__setattr__(self, "objective", c)
-
-
-def objective_vector(objective, dim: int) -> np.ndarray:
-    """The objective as a finite float vector of length ``dim``, with the
-    errors :class:`LpProblem` raises."""
-    c = as_vector(objective, "objective")
-    if c.size != dim:
-        raise ValueError(f"objective dim {c.size} does not match polytope dim {dim}")
-    return c
 
 
 @dataclass(frozen=True, eq=False)

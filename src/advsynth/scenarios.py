@@ -10,8 +10,9 @@ a closed-loop adversarial simulation harness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional
 
@@ -33,8 +34,8 @@ from .core import (
     as_vector,
     dynamics_at,
     feasible_input_polytope,
-    least,
     lie_derivatives,
+    min_avoid,
 )
 from .discrete import DiscreteScenario
 from .lp import OPTIMAL, LpProblem, solve_lp
@@ -99,8 +100,8 @@ def build_unicycle(
     g = as_vector(goal, "goal")
     if g.size != 2 or np.any(np.abs(g) > 1.0):
         raise ValueError("goal must lie in the [-1, 1]^2 plane")
-    if n_obstacles < 1:
-        raise ValueError("need at least one obstacle")
+    if not (isinstance(n_obstacles, numbers.Integral) and n_obstacles >= 1):
+        raise ValueError(f"obstacle count must be an integer >= 1, got {n_obstacles!r}")
 
     goal_r2 = 0.25 ** 2
     obs_r2 = 0.175 ** 2
@@ -450,10 +451,6 @@ class SimulationLog:
     aborted: bool
 
 
-def _min_avoid(scn: ContinuousScenario, x, d) -> float:
-    return reduce(least, (float(h.value(x, d)) for h in scn.spec.avoid), math.inf)
-
-
 def _pursue(actual: np.ndarray, target: np.ndarray, max_step: float) -> np.ndarray:
     """Move each planar chunk of the test vector toward its target, capped
     at max_step per chunk (whole-vector pursuit for odd dimensions)."""
@@ -522,7 +519,7 @@ def simulate_adversarial(
     times = [0.0]
     states = [x.copy()]
     obstacle_log = [obstacles.copy()]
-    barrier_log = [_min_avoid(scn, x, obstacles)]
+    barrier_log = [min_avoid(scn.spec, x, obstacles)]
     next_synth = synth_period
     aborted = False
 
@@ -544,7 +541,7 @@ def simulate_adversarial(
         times.append((k + 1) * dt)
         states.append(x.copy())
         obstacle_log.append(obstacles.copy())
-        barrier_log.append(_min_avoid(scn, x, obstacles))
+        barrier_log.append(min_avoid(scn.spec, x, obstacles))
 
     return SimulationLog(
         times=np.array(times),

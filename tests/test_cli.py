@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from advsynth import (
+    ScenarioError,
     build_gridworld,
     build_unicycle,
     difficulty,
@@ -654,6 +655,39 @@ def test_simulate_zero_horizon_single_row(tmp_path, capsys):
     lines = (out_dir / "trajectory.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header + one sample
     assert json.loads(out)["samples"] == 1
+
+
+def test_scenario_error_aborts_the_run_with_exit_3(tmp_path, capsys, monkeypatch):
+    def controller(scn, x, d):
+        raise ScenarioError("no input keeps the avoid set")
+
+    monkeypatch.setattr(cli, "greedy_safe_controller", controller)
+    cfg = write_config(tmp_path, QUAD_CFG)
+    out_dir = tmp_path / "sim"
+    rc, out, err = run_cli(
+        capsys, ["simulate", "--config", cfg, "--horizon", "0.2", "--out", str(out_dir)]
+    )
+    assert rc == 3 and out == ""
+    assert err.strip() == "runtime abort: no input keeps the avoid set"
+    assert not out_dir.exists()
+
+
+def test_simulate_non_finite_state_writes_partial_logs_and_exits_3(tmp_path, capsys, monkeypatch):
+    # a NaN input makes the first Euler step non-finite, so the run keeps
+    # only its start sample
+    monkeypatch.setattr(cli, "greedy_safe_controller", lambda scn, x, d: np.full(2, np.nan))
+    cfg = write_config(tmp_path, QUAD_CFG)
+    out_dir = tmp_path / "sim"
+    rc, out, err = run_cli(
+        capsys, ["simulate", "--config", cfg, "--horizon", "0.2", "--out", str(out_dir)]
+    )
+    assert rc == 3
+    verdict = json.loads(out)
+    assert verdict["aborted"] is True and verdict["samples"] == 1
+    assert "integration aborted on non-finite state; logs are partial" in err
+    for name in ("trajectory.csv", "min_barrier.csv"):
+        assert len((out_dir / name).read_text().strip().splitlines()) == 2
+    assert json.loads((out_dir / "monitor.json").read_text()) == verdict
 
 
 def first_command(out_dir):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from advsynth import (
     synthesize_perturbed,
 )
 from advsynth.core import satisfaction_floor
-from advsynth import continuous, core
+from advsynth import cli, continuous, core
 from conftest import reference_synthesize_over
+
+REPO = Path(__file__).resolve().parent.parent
 
 COARSE = SearchConfig(grid_points=9, refine_iterations=10)
 
@@ -673,6 +676,32 @@ def test_scan_matches_reference_on_a_grid_wider_than_a_block(monkeypatch):
     assert full_scans
 
 
+def test_trials_solve_held_programs_in_few_batches(monkeypatch, capsys):
+    # a refine trial's compass plan goes to the batched kernel as one scan:
+    # 40 trials on the refine benchmark config solve 4,773 held programs in
+    # at most 74 batches (a batch per compass round makes 481), and call
+    # solve_lp 7 times, the input polytope's construction checks included
+    counts = {"batches": 0, "held": 0, "scalar": 0}
+    real_batch, real_lp = continuous.solve_lp_batch, continuous.solve_lp
+
+    def solve_lp_batch(C, A, b):
+        counts["batches"] += 1
+        counts["held"] += len(C)
+        return real_batch(C, A, b)
+
+    def solve_lp(problem):
+        counts["scalar"] += 1
+        return real_lp(problem)
+
+    monkeypatch.setattr(continuous, "solve_lp_batch", solve_lp_batch)
+    monkeypatch.setattr(continuous, "solve_lp", solve_lp)
+    config = str(REPO / "bench" / "configs" / "unicycle-refine.cfg")
+    assert cli.main(["trials", "--config", config, "--count", "40", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert counts["batches"] <= 74
+    assert counts["held"] == 4773 and counts["scalar"] == 7
+
+
 def _raise_lookup_error():
     raise LookupError("reach callback failed")
 
@@ -714,27 +743,22 @@ def test_scan_raises_reach_errors_at_the_same_candidate(monkeypatch, make_error,
     assert counts[0] == counts[1]
 
 
-def test_unbounded_held_program_raises_before_a_later_reach_error(monkeypatch):
-    # an actuator polytope open towards -u: at x = (1, 1) every program is
-    # unbounded, which the first candidate reports before the failing one
+def test_unbounded_held_program_raises_through_the_batch(monkeypatch):
+    # an actuator polytope open towards -u, which construction rejects: at
+    # x = (1, 1) every candidate is held and its program unbounded, and the
+    # one batch of all 81 reports it
     scn = integrator_scenario()
     object.__setattr__(scn, "input_polytope", Polytope(np.eye(2), np.ones(2)))
-    h = scn.spec.reach
-    bad = np.array([0.0, 0.0])
-
-    def gradient(x, d):
-        if np.array_equal(d, bad):
-            raise LookupError("reach callback failed")
-        return h.gradient(x, d)
-
-    spec = dataclasses.replace(scn.spec, reach=BarrierFunction(h.value, gradient))
-    object.__setattr__(scn, "spec", spec)
     x = np.array([1.0, 1.0])
+    batches, real_batch = [], continuous.solve_lp_batch
+    monkeypatch.setattr(continuous, "solve_lp_batch",
+                        lambda C, A, b: batches.append(len(C)) or real_batch(C, A, b))
     for scan in (continuous._synthesize_over, reference_synthesize_over):
         with monkeypatch.context() as m:
             m.setattr(continuous, "_synthesize_over", scan)
             with pytest.raises(ScenarioError, match="unbounded"):
                 synthesize(scn, x, search=COARSE)
+    assert batches == [81]
 
 
 def test_search_over_budget_raises_before_any_callback():

@@ -25,7 +25,7 @@ from advsynth import (
     solve_reward,
     unit_cell_corners,
 )
-from advsynth import scenarios
+from advsynth import core, scenarios
 from conftest import assert_gradient_consistent
 
 cell = st.tuples(st.integers(0, 9), st.integers(0, 9))
@@ -57,6 +57,14 @@ def test_unicycle_gradients_match_finite_differences(unicycle):
 def test_unicycle_goal_validation():
     with pytest.raises(ValueError):
         build_unicycle(goal=(1.5, 0.0))
+
+
+@pytest.mark.parametrize("count", [2.0, 1.5, 0, -1, "2"])
+def test_unicycle_takes_only_an_integer_obstacle_count_of_at_least_one(count):
+    with pytest.raises(ValueError, match=f"obstacle count must be an integer >= 1, got {count!r}"):
+        build_unicycle(n_obstacles=count)
+    # the integer rule admits numpy integers, as grid_points does
+    assert build_unicycle(n_obstacles=np.int64(2)).test_space.dim == 4
 
 
 def test_unicycle_two_obstacles():
@@ -191,8 +199,7 @@ def test_min_avoid_shows_a_nan_whatever_the_barrier_order(quadgrid, values):
         avoid=tuple(BarrierFunction(value=lambda x, d, v=v: v) for v in values),
         gains=(ClassKappaFn(1.0), ClassKappaFn(1.0)),
     )
-    scn = dataclasses.replace(quadgrid, spec=spec)
-    assert math.isnan(scenarios._min_avoid(scn, np.zeros(2), np.zeros(4)))
+    assert math.isnan(core.min_avoid(spec, np.zeros(2), np.zeros(4)))
 
 
 def _reference_reward(goal, obstacle):
