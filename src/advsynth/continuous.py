@@ -16,7 +16,6 @@ import bisect
 import math
 import numbers
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional
@@ -206,12 +205,12 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     Groups are consecutive runs of candidates ending at the indices
     ``ends`` (the coarse grid or a finite set is one, a compass plan has
     one per round), folded in order: ``bests`` holds ``(d, value,
-    maximizer)`` of each folded group's hardest candidate, the earliest on
-    ties and ``(None, inf, None)`` for an empty group, and the scan ends
-    after the first group whose value is below ``bar``.  ``gamma`` is the
-    first candidate in Γ as a :class:`SynthesisResult` (the groups
-    before its own all folded), else None.
-    ``evals`` counts earlier candidates of the same search.
+    maximizer)`` of each folded group's hardest candidate, as
+    :func:`_hardest` picks it, and ``(None, inf, None)`` for a group
+    without one, and the scan ends after the first group whose value is
+    below ``bar``.  ``gamma`` is the first candidate in Γ as a
+    :class:`SynthesisResult` (the groups before its own all folded), else
+    None.  ``evals`` counts earlier candidates of the same search.
 
     Avoid rows come from ``cache.avoid_block``, ``_HELD_BLOCK`` candidates
     at a time when it is ``batched`` (so also for candidates after a test
@@ -223,29 +222,55 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     later candidates' rows are built).  Folding drains the queue in
     order, at most ``_HELD_BLOCK`` held candidates per
     :func:`solve_lp_batch` (the pivots and bits of one :func:`solve_lp`
-    each), never past the end of the last group it folds.  Every other
-    candidate is solved on the spot, in order, once the groups before its
-    own are folded, so each LP solved on the spot is one a scan of one
-    group at a time would solve.
+    each), never past the end of the last group it folds; a batch takes
+    the reach rate once when ``cache.keeps_reach``, else once per
+    candidate.  Every other candidate is solved on the spot, in order,
+    once the groups before its own are folded, so each LP solved on the
+    spot is one a scan of one group at a time would solve.  Values and
+    maximizers wait in two arrays until their group is folded.
 
     Memory: ``8 * len(candidates) * barriers * (inputs + 1)`` bytes of
     held rows (about 19 MB for a 25^4 grid, two avoid barriers and two
-    inputs), one block of rows, a result slot per candidate (8 bytes) and
-    the results not yet folded, and one batch of tableaux twice over (with
-    the running ones' copy), ``8 * _HELD_BLOCK * (rows + 1) * (2 * inputs
-    + rows + 1)`` bytes, ``rows`` counting avoid and actuator rows (about
-    0.3 MB there).  A batch is solved only once folding reaches its first
-    candidate, so at most one batch of held results waits to be folded.
+    inputs), one block of rows, a result slot of ``8 * (inputs + 1)``
+    bytes and a queue slot of 8 bytes per candidate, and one batch of
+    tableaux twice over (with the running ones' copy), ``8 * _HELD_BLOCK
+    * (rows + 1) * (2 * inputs + rows + 1)`` bytes, ``rows`` counting avoid
+    and actuator rows (about 0.3 MB there).  Rows and slots are allocated
+    unfilled, so a scan touches only the pages of the candidates it
+    reaches.
     """
     inputs = scn.input_polytope
     can_hold = not (inputs.b < 0).any()
-    n, size = len(candidates), _HELD_BLOCK if cache.batched else 1
-    held_A = np.empty((n, len(scn.spec.avoid), inputs.dim))
-    held_b = np.empty((n, len(scn.spec.avoid)))
-    act_A, act_b = (np.broadcast_to(M, (_HELD_BLOCK,) + M.shape) for M in (inputs.A, inputs.b))
-    # (d, value, maximizer) of each candidate from its solve until its fold
-    results, pending, bests = [None] * n, deque(), []
+    n, size, m = len(candidates), _HELD_BLOCK if cache.batched else 1, len(scn.spec.avoid)
+    held_A, held_b = np.empty((n, m, inputs.dim)), np.empty((n, m))
+    # each candidate's value and maximizer, from its solve until its fold
+    values, maximizers = np.empty(n), np.empty((n, inputs.dim))
+    # the queue: held candidates' indices, ascending, pending[head:tail]
+    pending, head, tail, bests = np.empty(n, dtype=np.intp), 0, 0, []
     groups = list(zip([0] + ends, ends))
+
+    def solve_held(top):
+        """Solve the next batch of the queue, none at or past ``top``."""
+        nonlocal head
+        stop = head + int(np.searchsorted(pending[head:min(tail, head + _HELD_BLOCK)], top))
+        held, head = pending[head:stop], stop
+        k = len(held)
+        if cache.keeps_reach:
+            rate, row = cache.reach(np.asarray(candidates[held[0]], dtype=float))
+            C = row[None].repeat(k, axis=0)
+        else:
+            first, held_list = int(held[0]), held.tolist()
+            block = candidates[first:held_list[-1] + 1]
+            rates, rows = zip(*(cache.reach(np.asarray(block[j - first], dtype=float))
+                                for j in held_list))
+            rate, C = np.array(rates), np.array(rows)
+        A, b = np.empty((k, m + inputs.rows, inputs.dim)), np.empty((k, m + inputs.rows))
+        A[:, :m], A[:, m:], b[:, :m], b[:, m:] = held_A[held], inputs.A, held_b[held], inputs.b
+        unbounded, lp_values, points = solve_lp_batch(C, A, b)
+        if unbounded.any():
+            raise ScenarioError(_UNBOUNDED)
+        values[held] = rate + lp_values
+        maximizers[held] = points
 
     def fold(stop):
         """Fold the groups that end at or before candidate ``stop``; True
@@ -253,28 +278,15 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
         last = bisect.bisect_right(ends, stop)
         top = ends[last - 1] if last else 0
         for lo, end in groups[len(bests):last]:
-            best_d, best_val, best_u = None, np.inf, None
-            for i in range(lo, end):
-                if results[i] is None:  # i heads the queue
-                    held = []
-                    while pending and pending[0] < top and len(held) < _HELD_BLOCK:
-                        held.append(pending.popleft())
-                    block, k = candidates[i:held[-1] + 1], len(held)
-                    rates, rows = zip(*(cache.reach(np.asarray(block[j - i], dtype=float))
-                                        for j in held))
-                    A = np.concatenate([held_A[held], act_A[:k]], axis=1)
-                    b = np.concatenate([held_b[held], act_b[:k]], axis=1)
-                    outs = solve_lp_batch(np.array(rows), A, b)
-                    if any(out.status == UNBOUNDED for out in outs):
-                        raise ScenarioError(_UNBOUNDED)
-                    for j, rate, out in zip(held, rates, outs):
-                        results[j] = (block[j - i], rate + out.value, out.point)
-                d, val, u = results[i]
-                results[i] = None
-                if val < best_val:
-                    best_val, best_d, best_u = val, d, u
-            bests.append((best_d, best_val, best_u))
-            if best_d is not None and best_val < bar:
+            while head < tail and pending[head] < end:
+                solve_held(top)
+            k = _hardest(values[lo:end])
+            if k is None:
+                bests.append((None, np.inf, None))
+                continue
+            best_val = float(values[lo + k])
+            bests.append((candidates[lo + k], best_val, maximizers[lo + k].copy()))
+            if best_val < bar:
                 return True
         return False
 
@@ -286,7 +298,9 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
         k = len(b)
         held_A[i:i + k], held_b[i:i + k] = A, b
         spot = (b < 0).any(axis=1) if can_hold else np.ones(k, dtype=bool)
-        pending.extend((i + np.flatnonzero(~spot)).tolist())
+        queued = i + np.flatnonzero(~spot)
+        pending[tail:tail + queued.size] = queued
+        tail += queued.size
         for j in np.flatnonzero(spot).tolist():
             if fold(i + j):
                 return None, bests
@@ -294,25 +308,41 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
             if u is None:
                 return SynthesisResult(block[j], float(floor), True, None,
                                        evals + i + j + 1), bests
-            results[i + j] = (block[j], val, u)
+            values[i + j], maximizers[i + j] = val, u
         i += k
     fold(n)
     return None, bests
 
 
-def _compass(d_cur, step, lower, upper):
-    """One compass round's moves from ``d_cur``: each coordinate, down then
-    up, clipped to the box.  A move that leaves ``d_cur`` where it is (a
-    zero step, or one the clip cancels) is left out."""
-    candidates = []
-    for i in range(d_cur.size):
-        for sign in (-1.0, 1.0):
-            cand = d_cur.copy()
-            # np.clip's bits, signed zeros included, at a fraction of its cost
-            cand[i] = min(max(cand[i] + sign * step[i], lower[i]), upper[i])
-            if cand[i] != d_cur[i]:
-                candidates.append(cand)
-    return candidates
+def _hardest(values):
+    """Index of the earliest least entry of ``values``, NaN counting as
+    +inf, or None when that entry is +inf or there is none: the candidate
+    that a fold from +inf keeps, replacing its best only on a strictly
+    smaller value."""
+    if not values.size:
+        return None
+    masked = np.where(np.isnan(values), np.inf, values)
+    k = int(masked.argmin())
+    return None if masked[k] == math.inf else k
+
+
+def _compass(d_cur, steps, lower, upper):
+    """A compass plan's moves from ``d_cur``, one round per row of
+    ``steps``: in each round, each coordinate down then up by its step,
+    clipped to the box.  A move that leaves ``d_cur`` where it is (a zero
+    step, or one the clip cancels) is left out.  Returns the moves as the
+    rows of one array, round by round, and each round's count of them."""
+    moved = np.stack([d_cur - steps, d_cur + steps], axis=2)
+    # min(max(x, lo), hi) by comparisons, which gives a scalar np.clip's
+    # bits: an array np.clip's signed zeros depend on its operands' layout
+    lo, hi = lower[:, None], upper[:, None]
+    moved = np.where(lo > moved, lo, moved)
+    moved = np.where(hi < moved, hi, moved)
+    keep = moved != d_cur[:, None]
+    _, axis, _ = keep.nonzero()
+    moves = d_cur[None].repeat(axis.size, axis=0)
+    moves[np.arange(axis.size), axis] = moved[keep]
+    return moves, keep.reshape(len(steps), -1).sum(axis=1)
 
 
 def _refine(scn, space, start, floor, search, cache):
@@ -321,11 +351,12 @@ def _refine(scn, space, start, floor, search, cache):
     else the step halves.
 
     Rounds are planned ahead as if none improves, each at half the step
-    of the one before, and a plan is scanned as one, its rounds folded in
-    order.  The first round that improves moves the test and keeps its
-    step, and the later ones are dropped; a test in Γ counts only when no
-    earlier round improves.  So results, ``evaluations`` and the LPs solved
-    on the spot are those of a search of one round at a time, which raises
+    of the one before, and a plan's moves are built by one
+    :func:`_compass` call and scanned as one, its rounds folded in order.
+    The first round that improves moves the test and keeps its step, and
+    the later ones are dropped; a test in Γ counts only when no earlier
+    round improves.  So results, ``evaluations`` and the LPs solved on
+    the spot are those of a search of one round at a time, which raises
     where this one does (see the replanning below).
     """
     lower, upper = space.lower, space.upper
@@ -338,34 +369,38 @@ def _refine(scn, space, start, floor, search, cache):
     # every remaining round; a plan whose round k improves wasted the rest,
     # so the next holds k + 1, and one with no improving round twice as many
     rounds = width = search.refine_iterations
-    while True:
-        plan, s = [], step
-        while len(plan) < min(rounds, width) and not (s.size == 0 or s.max() <= limit):
-            plan.append(_compass(d_cur, s, lower, upper))
-            s = s * 0.5
-        if not plan:
+    while step.size:
+        # the plan's steps, each round's half the one before, up to the
+        # first round whose largest step is within the limit
+        steps = np.full((min(rounds, width), step.size), 0.5)
+        steps[:1] = step
+        steps = np.multiply.accumulate(steps)
+        above = steps.max(axis=1) > limit
+        steps = steps[:len(steps) if above.all() else int(above.argmin())]
+        if not len(steps):
             break
-        flat = [c for r in plan for c in r]
+        moves, counts = _compass(d_cur, steps, lower, upper)
+        counts = counts.tolist()
         try:
-            gamma, bests = _scan(scn, flat, list(accumulate(map(len, plan))),
-                                 floor, evals, cache, val_cur)
+            gamma, bests = _scan(scn, moves, list(accumulate(counts)), floor, evals, cache,
+                                 val_cur)
         except Exception:
             # a planned round the loop may never reach can raise: plan one
             # round at a time until a lone round raises where the loop would
-            if len(plan) == 1:
+            if len(steps) == 1:
                 raise
             width = 1
             continue
-        width = 2 * len(plan)
-        for k, (moves, (d, val, u)) in enumerate(zip(plan, bests)):
-            rounds, evals = rounds - 1, evals + len(moves)
+        width = 2 * len(steps)
+        for k, (count, (d, val, u)) in enumerate(zip(counts, bests)):
+            rounds, evals = rounds - 1, evals + count
             if d is not None and val < val_cur:
-                d_cur, val_cur, u_cur, width = d, val, u, k + 1
+                d_cur, val_cur, u_cur, width, step = d, val, u, k + 1, steps[k]
                 break
-            step = step * 0.5
         else:
             if gamma is not None:
                 return gamma
+            step = steps[-1] * 0.5
     return SynthesisResult(d_cur, val_cur, False, u_cur, evals)
 
 
@@ -419,7 +454,7 @@ def synthesize(
     the reach rate once where ``reads`` allows it, :func:`_scan` puts off held
     candidates' reach rates and builds rows in blocks, and :func:`_refine`
     may build rows for planned rounds that an improving round drops.  A
-    held batch takes every reach rate before it solves, so an unbounded
+    held batch takes its reach rates before it solves, so an unbounded
     program (possible only with an input polytope that construction
     rejects) raises :class:`ScenarioError` only when no reach rate of its
     batch raises first.

@@ -407,7 +407,8 @@ class LieCache:
 
     f and g are evaluated once when the dynamics declare ``reads=()`` (see
     :class:`BarrierFunction`), and so is the reach rate
-    when the reach barrier declares it too; otherwise each is built afresh
+    when the reach barrier declares it too (:attr:`keeps_reach`, so every
+    test shares one reach rate and row); otherwise each is built afresh
     per test.  Avoid rows come a block of tests at a time from the
     barriers' ``batch`` when f and g are evaluated once and every avoid
     barrier has one (:attr:`batched`), else one test at a time through
@@ -418,7 +419,7 @@ class LieCache:
         self._spec, self._dyn, self._x, self._input_dim = spec, dyn, x, input_dim
         self._fixed = dyn.reads == ()
         self._fg = self._reach = None
-        self._keep_reach = self._fixed and spec.reach.reads == ()
+        self.keeps_reach = self._fixed and spec.reach.reads == ()
         self.batched = self._fixed and all(h.batch is not None for h in spec.avoid)
 
     def _f_g(self, d):
@@ -433,7 +434,7 @@ class LieCache:
             return self._reach
         rate, row = lie_derivatives(self._spec.reach, self._dyn, self._x, d, self._f_g(d))
         out = rate, objective_vector(row, self._input_dim)
-        if self._keep_reach:
+        if self.keeps_reach:
             self._reach = out
         return out
 

@@ -28,7 +28,9 @@ tableau gave (``tests/conftest.py`` keeps that kernel as the reference);
 only the returned value is still computed by numpy, as ``c @ u``.  Lists
 lose from about 14 rows on (two inputs, a box and 10 obstacles); the
 shipped configs build 6 rows.  :func:`solve_lp_batch` stays on numpy: it
-pivots K tableaux in one step, so the stack shares each call's cost.
+pivots K tableaux in one step, so the stack shares each call's cost, and
+it returns its K outcomes as arrays: K :class:`LpOutcome` objects, each
+with its own 1-D dot product, cost more to build than the pivots.
 """
 
 from __future__ import annotations
@@ -216,18 +218,24 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
     return LpOutcome(OPTIMAL, float(c @ u), u)
 
 
-def solve_lp_batch(C, A, b) -> list:
+def solve_lp_batch(C, A, b) -> tuple:
     """:func:`solve_lp` on K programs at once: maximize ``C[k] @ u`` over
     ``{u : A[k] u <= b[k]}``, with ``C``, ``A`` and ``b`` of shapes (K, n),
-    (K, r, n) and (K, r).  Returns one :class:`LpOutcome` per program.
+    (K, r, n) and (K, r).  Returns arrays ``(unbounded, values, points)``
+    of shapes (K,), (K,) and (K, n): program k is UNBOUNDED where
+    ``unbounded[k]``, its value and point then NaN, else OPTIMAL with value
+    ``values[k]`` at ``points[k]``.
 
     Every right-hand side must be >= 0, so the slack basis is feasible,
     Phase-I has no artificial to drive out and no program is infeasible.
     Phase-II runs Bland's rule on a (K, r + 1, 2n + r + 1) stack of
     tableaux.  Each step applies the scalar entering rule, ratio test and
     elementwise :func:`_pivot` arithmetic to the tableaux still running, so
-    every program gets the pivots, the point and the value, bit for bit,
-    that :func:`solve_lp` gives it.
+    every program gets the pivots and the point, bit for bit, that
+    :func:`solve_lp` gives it.  The values come from one stacked
+    ``np.matmul`` of (1, n) rows by (n, 1) columns, which runs per program
+    the BLAS dot product that ``c @ u`` runs there, so they keep its bits
+    too (an ``einsum`` or an elementwise sum does not).
     """
     C = np.asarray(C, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -242,7 +250,10 @@ def solve_lp_batch(C, A, b) -> list:
     if (b < 0).any():
         raise ValueError("batched programs need right-hand sides >= 0")
     if r == 0:
-        return [solve_lp(LpProblem(c, Polytope(np.zeros((0, n)), np.zeros(0)))) for c in C]
+        # as solve_lp: u = 0 at value 0.0, unbounded for a nonzero objective
+        unbounded = (np.abs(C) > 0.0).any(axis=1)
+        U = np.where(unbounded[:, None], np.nan, np.zeros((K, n)))
+        return unbounded, np.where(unbounded, np.nan, 0.0), U
 
     width = 2 * n + r
     T = np.zeros((K, r + 1, width + 1))
@@ -294,10 +305,9 @@ def solve_lp_batch(C, A, b) -> list:
     z = np.zeros((K, width))
     z[np.arange(K)[:, None], basis] = T[:, :-1, -1]
     U = z[:, :n] - z[:, n:2 * n]
-    return [
-        LpOutcome(UNBOUNDED) if unbounded[k] else LpOutcome(OPTIMAL, float(C[k] @ U[k]), U[k])
-        for k in range(K)
-    ]
+    values = np.matmul(C[:, None, :], U[:, :, None]).reshape(K)
+    values[unbounded], U[unbounded] = np.nan, np.nan
+    return unbounded, values, U
 
 
 def phase_one_feasible(poly: Polytope) -> bool:

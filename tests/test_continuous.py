@@ -702,6 +702,73 @@ def test_trials_solve_held_programs_in_few_batches(monkeypatch, capsys):
     assert counts["held"] == 4773 and counts["scalar"] == 7
 
 
+def test_refine_trials_build_each_compass_plan_in_one_call(monkeypatch, tmp_path, capsys):
+    # the run above: 40 grid scans and 37 compass plans, each plan's moves
+    # from one _compass call (a call per planned round made 444)
+    calls = {"scan": 0, "compass": 0}
+    real_scan, real_compass = continuous._scan, continuous._compass
+
+    def scan(*args, **kwargs):
+        calls["scan"] += 1
+        return real_scan(*args, **kwargs)
+
+    def compass(*args):
+        calls["compass"] += 1
+        return real_compass(*args)
+
+    monkeypatch.setattr(continuous, "_scan", scan)
+    monkeypatch.setattr(continuous, "_compass", compass)
+    config = str(REPO / "bench" / "configs" / "unicycle-refine.cfg")
+    argv = ["trials", "--config", config, "--count", "40", "--seed", "7", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == {"scan": 77, "compass": 37}
+
+
+def sequential_hardest(values):
+    """The fold ``_hardest`` replaces: from +inf, keep a candidate only on
+    a strictly smaller value.  ``(index, value)``, index None if none."""
+    best_k, best = None, math.inf
+    for k, v in enumerate(values.tolist()):
+        if v < best:
+            best_k, best = k, v
+    return best_k, best
+
+
+HARDEST_CASES = [
+    [],
+    [math.nan],
+    [math.inf],
+    [math.nan, math.inf, math.nan],
+    [-math.inf],
+    [math.nan, -math.inf, -math.inf],
+    [math.inf, 1.0, math.nan, 1.0],
+    [0.0, -0.0],
+    [-0.0, 0.0],
+    [math.nan, 0.0, -0.0, math.nan],
+    [2.0, math.inf, -math.inf, -1.0, -math.inf],
+    [5e-324, -5e-324, 0.0, -0.0, -5e-324],
+]
+
+
+def test_hardest_keeps_the_sequential_fold():
+    # crafted groups, then random ones from the same special values,
+    # long enough to span several SIMD lanes
+    rng = np.random.default_rng(21)
+    pool = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324])
+    groups = [np.array(c, dtype=float) for c in HARDEST_CASES]
+    groups += [rng.choice(pool, size=int(rng.integers(0, 40))) for _ in range(3000)]
+    found = 0
+    for values in groups:
+        want_k, want = sequential_hardest(values)
+        k = continuous._hardest(values)
+        assert k == want_k
+        if k is not None:
+            assert values[k].tobytes() == np.float64(want).tobytes()
+            found += 1
+    assert 1000 < found < len(groups)
+
+
 def _raise_lookup_error():
     raise LookupError("reach callback failed")
 
@@ -970,9 +1037,9 @@ def test_compass_moves_have_the_bits_of_np_clip(monkeypatch):
     real_compass, real_difficulty = continuous._compass, continuous.difficulty
 
     def compass(*args):
-        moves = real_compass(*args)
+        moves, counts = real_compass(*args)
         rounds.extend(np.asarray(c).tobytes() for c in moves)
-        return moves
+        return moves, counts
 
     def evaluate(scn, x, d, *rest):
         evaluated.append(np.asarray(d, dtype=float).tobytes())
@@ -1058,9 +1125,9 @@ def test_planned_rounds_match_one_round_at_a_time(monkeypatch, case, batch):
     real_compass, real_difficulty, real_lp = continuous._compass, continuous.difficulty, continuous.solve_lp
 
     def compass(*args):
-        moves = real_compass(*args)
+        moves, counts = real_compass(*args)
         planned.update(tuple(c) for c in moves)
-        return moves
+        return moves, counts
 
     def evaluate(scn, x, d, *rest):
         evaluated.add(tuple(d))
@@ -1113,8 +1180,13 @@ def test_plans_after_an_improving_round_stay_short(monkeypatch):
     # round after each improvement planned 339 to 430 here.
     planned = []
     real_compass = continuous._compass
-    monkeypatch.setattr(continuous, "_compass",
-                        lambda *args: planned.append(args) or real_compass(*args))
+
+    def compass(*args):
+        moves, counts = real_compass(*args)
+        planned.extend(counts)  # one entry per planned round
+        return moves, counts
+
+    monkeypatch.setattr(continuous, "_compass", compass)
     search = SearchConfig(grid_points=5, refine_iterations=40, step_tolerance=0.0)
     for target in [(0.3, -0.2), (-0.61, 0.37), (0.123, 0.877)]:
         del planned[:]

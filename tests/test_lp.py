@@ -204,6 +204,17 @@ def random_batch(rng, n, r, K):
     return C, A, b
 
 
+def batch_outcomes(C, A, b):
+    """``solve_lp_batch``'s arrays as one :class:`LpOutcome` per program."""
+    unbounded, values, points = solve_lp_batch(C, A, b)
+    K, n = np.shape(C)
+    assert unbounded.shape == values.shape == (K,) and points.shape == (K, n)
+    assert unbounded.dtype == bool and values.dtype == points.dtype == np.float64
+    assert np.isnan(values[unbounded]).all() and np.isnan(points[unbounded]).all()
+    return [LpOutcome(UNBOUNDED) if unb else LpOutcome(OPTIMAL, float(v), p)
+            for unb, v, p in zip(unbounded.tolist(), values, points)]
+
+
 def test_batch_matches_scalar_solve_per_program():
     rng = np.random.default_rng(2026)
     statuses = {OPTIMAL: 0, UNBOUNDED: 0}
@@ -217,7 +228,7 @@ def test_batch_matches_scalar_solve_per_program():
             box = Polytope.box(-np.ones(n), np.ones(n))
             A = np.concatenate([A, np.broadcast_to(box.A, (len(C),) + box.A.shape)], axis=1)
             b = np.concatenate([b, np.broadcast_to(box.b, (len(C), box.rows))], axis=1)
-        got = solve_lp_batch(C, A, b)
+        got = batch_outcomes(C, A, b)
         assert len(got) == len(C)
         for k, out in enumerate(got):
             want = solve_lp(LpProblem(C[k], Polytope(A[k], b[k])))
@@ -241,14 +252,14 @@ def test_batch_gets_the_scalar_pivots_on_ties():
     # the lowest basic index must win, as in solve_lp
     box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
     C = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [0.0, 0.0]])
-    got = solve_lp_batch(C, np.broadcast_to(box.A, (4, 4, 2)), np.broadcast_to(box.b, (4, 4)))
+    got = batch_outcomes(C, np.broadcast_to(box.A, (4, 4, 2)), np.broadcast_to(box.b, (4, 4)))
     for c, out in zip(C, got):
         want = solve_lp(LpProblem(c, box))
         assert out.status == want.status == OPTIMAL
         assert np.array_equal(out.point, want.point) and out.value == want.value
     # ratios 1 + 5e-13 and 1 count as tied, so the first row's slack leaves
     near = Polytope(np.array([[1.0], [1.0], [-1.0]]), np.array([1.0 + 5e-13, 1.0, 1.0]))
-    (out,) = solve_lp_batch(np.ones((1, 1)), near.A[None], near.b[None])
+    (out,) = batch_outcomes(np.ones((1, 1)), near.A[None], near.b[None])
     want = solve_lp(LpProblem(np.ones(1), near))
     assert out.point[0] == want.point[0] == 1.0 + 5e-13
 
@@ -352,7 +363,7 @@ def test_pivot_cap_stops_both_kernels(monkeypatch):
         with pytest.raises(RuntimeError, match="^simplex pivot cap exceeded$"):
             solve_lp_batch(c[None], box.A[None], box.b[None])
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
-    (batched,) = solve_lp_batch(c[None], box.A[None], box.b[None])
+    (batched,) = batch_outcomes(c[None], box.A[None], box.b[None])
     assert solve_lp(LpProblem(c, box)).value == batched.value == 2.0
 
 
