@@ -222,9 +222,8 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     later candidates' rows are built).  Folding drains the queue in
     order, at most ``_HELD_BLOCK`` held candidates per
     :func:`solve_lp_batch` (the pivots and bits of one :func:`solve_lp`
-    each), never past the end of the last group it folds; a batch takes
-    the reach rate once when ``cache.keeps_reach``, else once per
-    candidate.  Every other candidate is solved on the spot, in order,
+    each), never past the end of the last group it folds, with its reach
+    rates from ``cache.reach_block``.  Every other candidate is solved on the spot, in order,
     once the groups before its own are folded, so each LP solved on the
     spot is one a scan of one group at a time would solve.  Values and
     maximizers wait in two arrays until their group is folded.
@@ -254,22 +253,15 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
         nonlocal head
         stop = head + int(np.searchsorted(pending[head:min(tail, head + _HELD_BLOCK)], top))
         held, head = pending[head:stop], stop
-        k = len(held)
-        if cache.keeps_reach:
-            rate, row = cache.reach(np.asarray(candidates[held[0]], dtype=float))
-            C = row[None].repeat(k, axis=0)
-        else:
-            first, held_list = int(held[0]), held.tolist()
-            block = candidates[first:held_list[-1] + 1]
-            rates, rows = zip(*(cache.reach(np.asarray(block[j - first], dtype=float))
-                                for j in held_list))
-            rate, C = np.array(rates), np.array(rows)
+        k, first = len(held), int(held[0])
+        D = np.asarray(candidates[first:int(held[-1]) + 1], dtype=float)[held - first]
+        rates, C = cache.reach_block(D)
         A, b = np.empty((k, m + inputs.rows, inputs.dim)), np.empty((k, m + inputs.rows))
         A[:, :m], A[:, m:], b[:, :m], b[:, m:] = held_A[held], inputs.A, held_b[held], inputs.b
         unbounded, lp_values, points = solve_lp_batch(C, A, b)
         if unbounded.any():
             raise ScenarioError(_UNBOUNDED)
-        values[held] = rate + lp_values
+        values[held] = rates + lp_values
         maximizers[held] = points
 
     def fold(stop):
@@ -372,13 +364,13 @@ def _refine(scn, space, start, floor, search, cache):
     while step.size:
         # the plan's steps, each round's half the one before, up to the
         # first round whose largest step is within the limit
-        steps = np.full((min(rounds, width), step.size), 0.5)
-        steps[:1] = step
-        steps = np.multiply.accumulate(steps)
-        above = steps.max(axis=1) > limit
-        steps = steps[:len(steps) if above.all() else int(above.argmin())]
-        if not len(steps):
+        steps, s = [], step
+        while len(steps) < min(rounds, width) and s.max() > limit:
+            steps.append(s)
+            s = s * 0.5
+        if not steps:
             break
+        steps = np.array(steps)
         moves, counts = _compass(d_cur, steps, lower, upper)
         counts = counts.tolist()
         try:

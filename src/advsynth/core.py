@@ -407,8 +407,7 @@ class LieCache:
 
     f and g are evaluated once when the dynamics declare ``reads=()`` (see
     :class:`BarrierFunction`), and so is the reach rate
-    when the reach barrier declares it too (:attr:`keeps_reach`, so every
-    test shares one reach rate and row); otherwise each is built afresh
+    when the reach barrier declares it too; otherwise each is built afresh
     per test.  Avoid rows come a block of tests at a time from the
     barriers' ``batch`` when f and g are evaluated once and every avoid
     barrier has one (:attr:`batched`), else one test at a time through
@@ -419,7 +418,7 @@ class LieCache:
         self._spec, self._dyn, self._x, self._input_dim = spec, dyn, x, input_dim
         self._fixed = dyn.reads == ()
         self._fg = self._reach = None
-        self.keeps_reach = self._fixed and spec.reach.reads == ()
+        self._keep_reach = self._fixed and spec.reach.reads == ()
         self.batched = self._fixed and all(h.batch is not None for h in spec.avoid)
 
     def _f_g(self, d):
@@ -434,9 +433,19 @@ class LieCache:
             return self._reach
         rate, row = lie_derivatives(self._spec.reach, self._dyn, self._x, d, self._f_g(d))
         out = rate, objective_vector(row, self._input_dim)
-        if self.keeps_reach:
+        if self._keep_reach:
             self._reach = out
         return out
+
+    def reach_block(self, D: np.ndarray):
+        """:meth:`reach` of each test in the rows of ``D``, stacked to
+        shapes (k,) and (k, inputs): a kept rate and row are taken once and
+        repeated, else each test's are built in order."""
+        if self._keep_reach:
+            rate, row = self.reach(D[0])
+            return np.full(len(D), rate), row[None].repeat(len(D), axis=0)
+        rates, rows = zip(*(self.reach(d) for d in D))
+        return np.array(rates), np.array(rows)
 
     def avoid_block(self, D: np.ndarray):
         """:func:`avoid_rows` of each test in the rows of ``D`` (one test

@@ -250,10 +250,15 @@ def solve_lp_batch(C, A, b) -> tuple:
     if (b < 0).any():
         raise ValueError("batched programs need right-hand sides >= 0")
     if r == 0:
-        # as solve_lp: u = 0 at value 0.0, unbounded for a nonzero objective
-        unbounded = (np.abs(C) > 0.0).any(axis=1)
-        U = np.where(unbounded[:, None], np.nan, np.zeros((K, n)))
-        return unbounded, np.where(unbounded, np.nan, 0.0), U
+        # solve_lp's answer for a program without rows, one by one
+        unbounded, values, U = np.zeros(K, dtype=bool), np.full(K, np.nan), np.full((K, n), np.nan)
+        for k, c in enumerate(C):
+            out = solve_lp(LpProblem(c, Polytope(np.zeros((0, n)), np.zeros(0))))
+            if out.status == UNBOUNDED:
+                unbounded[k] = True
+            else:
+                values[k], U[k] = out.value, out.point
+        return unbounded, values, U
 
     width = 2 * n + r
     T = np.zeros((K, r + 1, width + 1))

@@ -1194,3 +1194,17 @@ def test_plans_after_an_improving_round_stay_short(monkeypatch):
                                                                 search=search))
         assert_same_result(got, want)
         assert len(planned) <= 40 + 40 + 2 * 40
+
+
+@pytest.mark.parametrize("step_tolerance", [1e-4, 0.0])
+def test_huge_round_limit_stops_on_the_step_tolerance(monkeypatch, step_tolerance):
+    # a round limit far past any step halving means "stop on the step
+    # tolerance": plans end where the step does, so no plan is sized by
+    # the limit (10**12 rows of steps would not fit in memory)
+    scn, x = target_scenario((0.3, -0.2)), np.zeros(2)
+    moderate = SearchConfig(grid_points=5, refine_iterations=5000, step_tolerance=step_tolerance)
+    huge = dataclasses.replace(moderate, refine_iterations=10 ** 12)
+    got, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=huge))
+    assert_same_result(got, want)
+    assert_same_result(got, synthesize(scn, x, search=moderate))
+    assert got.evaluations > 25 + 4
