@@ -363,7 +363,8 @@ def _refine(scn, space, start, floor, search, cache):
     rounds = width = search.refine_iterations
     while step.size:
         # the plan's steps, each round's half the one before, up to the
-        # first round whose largest step is within the limit
+        # first round whose largest step is within the limit, so no plan
+        # outgrows the halvings left however many rounds remain
         steps, s = [], step
         while len(steps) < min(rounds, width) and s.max() > limit:
             steps.append(s)
