@@ -224,18 +224,12 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     return f"{float(v):.17g}"
 
 
@@ -251,7 +245,7 @@ def _emit(cfg: RunConfig, payload: dict, out_dir: Optional[Path], name: str) -> 
 
 
 def _write_csv(path: Path, rows) -> None:
-    lines = [",".join(_fmt(v) if not isinstance(v, str) else v for v in row) for row in rows]
+    lines = [",".join(row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -131,8 +131,6 @@ class Polytope:
         return self.A.shape[1]
 
     def contains(self, u) -> bool:
-        if self.rows == 0:
-            return True
         u = np.asarray(u, dtype=float)
         return bool(np.all(self.A @ u <= self.b + 1e-8))
 

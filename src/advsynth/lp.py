@@ -14,6 +14,12 @@ Feasibility of a polytope is decided by the Phase-I program alone, against
 the single tolerance ``INFEASIBILITY_TOL``, so the empty/nonempty verdict
 used to partition test vectors is crisp and reproducible.
 
+A program without rows takes the general steps too: Phase-I has no
+artificial and is feasible, and Phase-II finds no leaving row.  So an
+objective with an entry beyond the reduced-cost tolerance is UNBOUNDED,
+and any other is OPTIMAL at u = +0.0 with value +0.0, as when rows leave
+u free.
+
 Phase-II has two paths: :func:`solve_lp` serves single solves and is the
 oracle, and :func:`solve_lp_batch` the LPs the continuous scan holds.  The
 README's design notes say why both are kept.
@@ -185,16 +191,13 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
     Outcomes: OPTIMAL with value and maximizing point, INFEASIBLE when the
     Phase-I optimum exceeds ``INFEASIBILITY_TOL``, UNBOUNDED when the
     objective improves along a feasible ray.  Identical inputs always yield
-    identical outcomes, point included.
+    identical outcomes, point included.  Without rows the polytope is the
+    whole space: the outcome is UNBOUNDED when an objective entry lies
+    beyond the reduced-cost tolerance, else OPTIMAL at u = 0.
     """
     c = problem.objective
     poly = problem.constraints
     n = c.size
-    if poly.rows == 0:
-        if np.any(np.abs(c) > 0.0):
-            return LpOutcome(UNBOUNDED)
-        return LpOutcome(OPTIMAL, 0.0, np.zeros(n))
-
     feasible, T, basis, width = _phase_one(poly.A, poly.b)
     if not feasible:
         return LpOutcome(INFEASIBLE)
@@ -235,7 +238,9 @@ def solve_lp_batch(C, A, b) -> tuple:
     :func:`solve_lp` gives it.  The values come from one stacked
     ``np.matmul`` of (1, n) rows by (n, 1) columns, which runs per program
     the BLAS dot product that ``c @ u`` runs there, so they keep its bits
-    too (an ``einsum`` or an elementwise sum does not).
+    too (an ``einsum`` or an elementwise sum does not).  Programs without
+    rows (r = 0) take the same steps and get :func:`solve_lp`'s answers:
+    UNBOUNDED, with NaN value and point, or OPTIMAL at u = 0.
     """
     C = np.asarray(C, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -249,17 +254,6 @@ def solve_lp_batch(C, A, b) -> tuple:
         raise ValueError("program coefficients must be finite")
     if (b < 0).any():
         raise ValueError("batched programs need right-hand sides >= 0")
-    if r == 0:
-        # solve_lp's answer for a program without rows, one by one
-        unbounded, values, U = np.zeros(K, dtype=bool), np.full(K, np.nan), np.full((K, n), np.nan)
-        for k, c in enumerate(C):
-            out = solve_lp(LpProblem(c, Polytope(np.zeros((0, n)), np.zeros(0))))
-            if out.status == UNBOUNDED:
-                unbounded[k] = True
-            else:
-                values[k], U[k] = out.value, out.point
-        return unbounded, values, U
-
     width = 2 * n + r
     T = np.zeros((K, r + 1, width + 1))
     T[:, :r, :n] = A
@@ -316,9 +310,8 @@ def solve_lp_batch(C, A, b) -> tuple:
 
 
 def phase_one_feasible(poly: Polytope) -> bool:
-    """True when the polytope contains at least one point."""
-    if poly.rows == 0:
-        return True
+    """True when the polytope contains at least one point; a polytope
+    without rows gives a Phase-I program with no artificial, so True."""
     feasible, _, _, _ = _phase_one(poly.A, poly.b)
     return feasible
 

@@ -223,11 +223,6 @@ def reference_solve_lp(problem):
     c = problem.objective
     poly = problem.constraints
     n = c.size
-    if poly.rows == 0:
-        if np.any(np.abs(c) > 0.0):
-            return LpOutcome(UNBOUNDED)
-        return LpOutcome(OPTIMAL, 0.0, np.zeros(n))
-
     feasible, T, basis, width = reference_phase_one(poly.A, poly.b)
     if not feasible:
         return LpOutcome(INFEASIBLE)
@@ -254,8 +249,6 @@ def reference_solve_lp(problem):
 
 def reference_phase_one_feasible(poly):
     """``advsynth.lp.phase_one_feasible`` on the numpy reference tableau."""
-    if poly.rows == 0:
-        return True
     return reference_phase_one(poly.A, poly.b)[0]
 
 

@@ -120,6 +120,37 @@ def test_malformed_config_exits_2(tmp_path, capsys, bad, needle):
 
 
 @pytest.mark.parametrize(
+    "text,command,needle",
+    [
+        ("scenario = unicycle\nm = nan\n", ["synth", "--state=0,0,0"],
+         "bad value for 'm': not a number"),
+        ("scenario = unicycle\ngoal = ,\n", ["synth", "--state=0,0,0"],
+         "expected a comma-separated list of numbers"),
+        ("scenario = gridworld\ncheck_path = maybe\n", ["synth", "--state=3,5"],
+         "expected true/false"),
+        (None, ["synth", "--state=0,0,0"], "[Errno 2] No such file or directory"),
+        ("scenario = unicycle\ngoal\n", ["synth", "--state=0,0,0"], "expected 'key = value'"),
+        (UNICYCLE_CFG, ["synth", "--state=a,b,c"], "bad --state:"),
+        (UNICYCLE_CFG, ["sweep", "--state=0,0,0", "--axes", "0:-1:1"],
+         "expected component:lo:hi:count"),
+        (UNICYCLE_CFG, ["sweep", "--state=0,0,0", "--axes", "x:-1:1:2,1:-1:1:2"],
+         "invalid literal for int()"),
+        (UNICYCLE_CFG, ["sweep", "--state=0,0,0", "--axes", "0:1:-1:2,1:-1:1:2"],
+         "need count >= 1 and hi >= lo"),
+    ],
+    ids=["nan-value", "empty-list", "bad-bool", "missing-file", "bare-key", "bad-state",
+         "axis-three-parts", "axis-component", "axis-reversed"],
+)
+def test_unparsable_input_exits_2(tmp_path, capsys, text, command, needle):
+    cfg = write_config(tmp_path, text) if text is not None else str(tmp_path / "missing.cfg")
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(capsys, [command[0], "--config", cfg, "--out", str(out_dir)] + command[1:])
+    assert rc == 2
+    assert needle in err
+    assert out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["synth", "--state", "3,5"],
@@ -515,6 +546,18 @@ def test_sweep_rejects_three_axes(tmp_path, capsys):
     assert "exactly 2 axes" in err
 
 
+def test_sweep_skips_an_empty_axis_chunk(tmp_path, capsys):
+    cfg = write_config(tmp_path, UNICYCLE_CFG)
+    csvs = []
+    for axes in ("0:-1:1:2,1:-1:1:2", "0:-1:1:2,,1:-1:1:2"):
+        out_dir = tmp_path / str(len(csvs))
+        rc, _, _ = run_cli(capsys, ["sweep", "--config", cfg, "--state", "0,0,0", "--axes", axes,
+                                    "--out", str(out_dir)])
+        assert rc == 0
+        csvs.append((out_dir / "sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 # ---------------------------------------------------------------------------
 # trials
 
@@ -657,6 +700,16 @@ def test_simulate_zero_horizon_single_row(tmp_path, capsys):
     assert json.loads(out)["samples"] == 1
 
 
+def test_simulate_writes_an_infinite_synth_period_as_a_string(tmp_path, capsys):
+    cfg = write_config(tmp_path, "scenario = quadgrid\nsynth_period = inf\n")
+    out_dir = tmp_path / "sim"
+    rc, out, _ = run_cli(capsys, ["simulate", "--config", cfg, "--horizon", "0.05",
+                                  "--out", str(out_dir)])
+    assert rc == 0
+    assert '"synth_period": "inf"' in (out_dir / "monitor.json").read_text()
+    assert json.loads(out)["synth_period"] == "inf"
+
+
 def test_scenario_error_aborts_the_run_with_exit_3(tmp_path, capsys, monkeypatch):
     def controller(scn, x, d):
         raise ScenarioError("no input keeps the avoid set")
@@ -771,6 +824,15 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d_star"] == [7, 9]
+
+
+def test_main_entry_exits_with_the_code_of_main(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["advsynth", "synth", "--config",
+                                      str(tmp_path / "missing.cfg"), "--state", "3,5"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main_entry()
+    assert exc.value.code == 2
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -305,3 +306,50 @@ def test_reach_avoid_spec_validation(unicycle):
         ReachAvoidSpec(reach=unicycle.spec.reach, avoid=unicycle.spec.avoid, gains=())
     with pytest.raises(ValueError):
         ReachAvoidSpec(reach=unicycle.spec.reach, avoid=(), gains=(), t_max=0.0)
+
+
+X0, D0 = np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda scn: core.as_vector(np.zeros((2, 2)), "v"), ValueError,
+         "v must be one-dimensional, got shape (2, 2)"),
+        (lambda scn: core.objective_vector(np.ones(3), 2), ValueError,
+         "objective dim 3 does not match polytope dim 2"),
+        (lambda scn: Polytope(np.zeros(2), np.zeros(2)), ValueError,
+         "constraint matrix must be 2-D, got shape (2,)"),
+        (lambda scn: Polytope(np.zeros((2, 1)), np.zeros(3)), ValueError,
+         "right-hand side length (3,) does not match 2 rows"),
+        (lambda scn: Polytope.box([1.0], [0.0]), ValueError,
+         "box needs lower <= upper elementwise"),
+        (lambda scn: Polytope.box([0.0], [1.0]).stack(Polytope.box([0.0, 0.0], [1.0, 1.0])),
+         ValueError, "cannot intersect polytopes of different dimension"),
+        (lambda scn: core.DiscreteDynamics(step=lambda x, u: x, alphabet=()), ValueError,
+         "action alphabet must be nonempty"),
+        (lambda scn: lie_derivatives(BarrierFunction(lambda x, d: 0.0), scn.dynamics, X0, D0),
+         ValueError, "barrier has no gradient; Lie derivatives undefined"),
+        # the batched rows and the one-test rows check the input dimension
+        # each on their own path
+        (lambda scn: core.LieCache(scn.spec, scn.dynamics, X0, 3).avoid_block(D0[None]),
+         ValueError, "input row dim 2 does not match polytope dim 3"),
+        (lambda scn: core.avoid_rows(scn.spec, scn.dynamics, X0, D0, 3), ValueError,
+         "input row dim 2 does not match polytope dim 3"),
+        (lambda scn: core.dynamics_at(
+            ContinuousDynamics(f=scn.dynamics.f, g=lambda x, d: np.eye(2)), X0, D0),
+         ValueError, "actuation matrix shape (2, 2) does not match state dim 3"),
+        (lambda scn: monitor_trajectory(scn.spec, [(0.0, X0)], []), ValueError,
+         "test-vector sequence must be nonempty"),
+        (lambda scn: monitor_trajectory(scn.spec, [(0.0, X0)], [(1.0, D0), (0.0, D0)]),
+         ValueError, "test-vector timestamps must be nondecreasing"),
+    ],
+    ids=["as-vector-2d", "objective-dim", "polytope-1d", "polytope-rhs-length", "box-order",
+         "stack-dim", "empty-alphabet", "no-gradient", "avoid-block-input-dim",
+         "avoid-rows-input-dim", "actuation-shape", "monitor-no-tests",
+         "monitor-test-order"],
+)
+def test_invalid_model_input_raises(unicycle, call, error, message):
+    assert core.LieCache(unicycle.spec, unicycle.dynamics, X0, 2).batched
+    with pytest.raises(error, match=re.escape(message)):
+        call(unicycle)

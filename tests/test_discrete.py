@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from advsynth import (
     BarrierFunction,
+    BoxSpace,
     BudgetError,
     ClassKappaFn,
     DiscreteDynamics,
@@ -572,3 +574,25 @@ def test_scenario_validation():
             test_space=FiniteSpace(((0,),)),
             horizon=0,
         )
+
+
+BOX = BoxSpace([0.0, 0.0], [9.0, 9.0])
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda scn: dataclasses.replace(scn, test_space=BOX), ValueError,
+         "discrete scenarios need a finite or mapped test space"),
+        (lambda scn: synthesize_discrete(
+            dataclasses.replace(scn, test_space=MappedSpace(lambda x, t: scn.test_space)), (3, 5)),
+         ValueError, "scenario has a mapped test space; use synthesize_discrete_constrained"),
+        (lambda scn: synthesize_discrete_constrained(
+            dataclasses.replace(scn, test_space=MappedSpace(lambda x, t: BOX)), (3, 5), 0.0),
+         ValueError, "discrete synthesis needs a finite realized test set"),
+    ],
+    ids=["box-space", "mapped-space", "realized-box"],
+)
+def test_invalid_discrete_input_raises(gridworld79, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(gridworld79)

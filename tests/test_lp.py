@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -89,11 +90,31 @@ def test_unbounded_ray():
 
 
 def test_no_rows_zero_objective():
+    # no row: Phase-I is feasible and Phase-II finds no leaving row, so an
+    # objective with an entry past the reduced-cost tolerance is UNBOUNDED
+    # and any other is OPTIMAL at u = 0, as with rows that leave u free
     poly = Polytope(np.zeros((0, 3)), np.zeros(0))
-    out = solve_lp(LpProblem(np.zeros(3), poly))
-    assert out.status == OPTIMAL and out.value == 0.0
-    assert np.array_equal(out.point, np.zeros(3))
-    assert solve_lp(LpProblem(np.array([1.0, 0.0, 0.0]), poly)).status == UNBOUNDED
+    for c in ([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [1e-10, -1e-10, 0.0]):
+        problem = LpProblem(np.array(c), poly)
+        out = solve_lp(problem)
+        assert out.status == OPTIMAL and out.value == 0.0 and not np.signbit(out.value)
+        assert np.array_equal(out.point, np.zeros(3)) and not np.signbit(out.point).any()
+        assert_same_outcome(out, reference_solve_lp(problem))
+    free = Polytope(np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
+    assert solve_lp(LpProblem(np.array([0.0, 1e-10, 0.0]), free)).status == OPTIMAL
+    for c in ([1.0, 0.0, 0.0], [0.0, 0.0, -2.0]):
+        assert solve_lp(LpProblem(np.array(c), poly)).status == UNBOUNDED
+    assert poly.contains(np.array([5.0, -1.0, 0.0]))
+    assert phase_one_feasible(poly) and not blocks_all_inputs(poly)
+
+
+def test_batch_without_rows():
+    C = np.array([[0.0, 0.0], [-0.0, -0.0], [1.0, 0.0], [0.0, -3.0]])
+    unbounded, values, points = solve_lp_batch(C, np.zeros((4, 0, 2)), np.zeros((4, 0)))
+    assert unbounded.tolist() == [False, False, True, True]
+    assert values[:2].tolist() == [0.0, 0.0] and not np.signbit(values[:2]).any()
+    assert np.array_equal(points[:2], np.zeros((2, 2))) and not np.signbit(points[:2]).any()
+    assert np.isnan(values[2:]).all() and np.isnan(points[2:]).all()
 
 
 def test_rejects_nonfinite():
@@ -262,6 +283,25 @@ def test_batch_gets_the_scalar_pivots_on_ties():
     (out,) = batch_outcomes(np.ones((1, 1)), near.A[None], near.b[None])
     want = solve_lp(LpProblem(np.ones(1), near))
     assert out.point[0] == want.point[0] == 1.0 + 5e-13
+
+
+@pytest.mark.parametrize(
+    "C,A,b,message",
+    [
+        (np.ones((2, 1)), np.ones((2, 3, 1)), np.ones((2, 2)),
+         "shapes (2, 1), (2, 3, 1), (2, 2) are not (K, n), (K, r, n), (K, r)"),
+        (np.ones((1, 2)), np.ones((1, 3, 1)), np.ones((1, 3)),
+         "shapes (1, 2), (1, 3, 1), (1, 3) are not (K, n), (K, r, n), (K, r)"),
+        (np.full((1, 1), np.nan), np.ones((1, 1, 1)), np.ones((1, 1)),
+         "program coefficients must be finite"),
+        (np.ones((1, 1)), np.ones((1, 1, 1)), np.full((1, 1), np.inf),
+         "program coefficients must be finite"),
+    ],
+    ids=["rhs-shape", "objective-shape", "nan-objective", "inf-rhs"],
+)
+def test_batch_rejects_bad_programs(C, A, b, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_lp_batch(C, A, b)
 
 
 def test_batch_rejects_negative_right_hand_sides():

@@ -368,6 +368,14 @@ def test_greedy_max_slack_fallback(unicycle):
     assert np.all(np.isfinite(u))
 
 
+def test_greedy_max_slack_fallback_that_is_not_optimal_aborts(unicycle, monkeypatch):
+    from advsynth import INFEASIBLE, LpOutcome
+
+    monkeypatch.setattr(scenarios, "solve_lp", lambda problem: LpOutcome(INFEASIBLE))
+    with pytest.raises(ScenarioError, match="max-slack fallback came back infeasible"):
+        greedy_safe_controller(unicycle, np.array([0.5, 0.5, 0.0]), np.array([-0.9, -0.9]))
+
+
 def _reference_max_slack(scn, x, d):
     """The max-slack program assembled row by row, each avoid row from its
     own Lie derivative, apart from the controller's safe-input polytope."""
