@@ -330,8 +330,8 @@ X0, D0 = np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.5])
          "action alphabet must be nonempty"),
         (lambda scn: lie_derivatives(BarrierFunction(lambda x, d: 0.0), scn.dynamics, X0, D0),
          ValueError, "barrier has no gradient; Lie derivatives undefined"),
-        # the batched rows and the one-test rows check the input dimension
-        # each on their own path
+        # the unicycle's batched rows and the one-test rows check the input
+        # dimension each on their own path
         (lambda scn: core.LieCache(scn.spec, scn.dynamics, X0, 3).avoid_block(D0[None]),
          ValueError, "input row dim 2 does not match polytope dim 3"),
         (lambda scn: core.avoid_rows(scn.spec, scn.dynamics, X0, D0, 3), ValueError,
@@ -350,6 +350,5 @@ X0, D0 = np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.5])
          "monitor-test-order"],
 )
 def test_invalid_model_input_raises(unicycle, call, error, message):
-    assert core.LieCache(unicycle.spec, unicycle.dynamics, X0, 2).batched
     with pytest.raises(error, match=re.escape(message)):
         call(unicycle)
