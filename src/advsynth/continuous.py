@@ -199,16 +199,16 @@ def _best_rate(reach, poly, floor):
 
 
 def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
-    """Hardest candidate of each group of ``candidates`` (a sequence,
-    indexed), Γ first: ``(gamma, bests)``.
+    """Hardest candidate of the groups of ``candidates`` (a sequence,
+    indexed), Γ first: ``(gamma, folded, best)``.
 
     Groups are consecutive runs of candidates ending at the indices
     ``ends`` (the coarse grid or a finite set is one, a compass plan has
-    one per round), folded in order: ``bests`` holds ``(d, value,
-    maximizer)`` of each folded group's hardest candidate, as
-    :func:`_hardest` picks it, and ``(None, inf, None)`` for a group
-    without one, and the scan ends after the first group whose value is
-    below ``bar``.  ``gamma`` is the first candidate in Γ as a
+    one per round), folded in order until one's hardest candidate, as
+    :func:`_hardest` picks it, has a value below ``bar``.  ``folded``
+    counts the groups folded, and ``best`` is ``(d, value, maximizer)``
+    of the last one's hardest candidate, or ``(None, inf, None)`` when
+    it has none.  ``gamma`` is the first candidate in Γ as a
     :class:`SynthesisResult` (the groups before its own all folded), else
     None.  ``evals`` counts earlier candidates of the same search.
 
@@ -245,7 +245,8 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     # each candidate's value and maximizer, from its solve until its fold
     values, maximizers = np.empty(n), np.empty((n, inputs.dim))
     # the queue: held candidates' indices, ascending, pending[head:tail]
-    pending, head, tail, bests = np.empty(n, dtype=np.intp), 0, 0, []
+    pending, head, tail = np.empty(n, dtype=np.intp), 0, 0
+    folded, best = 0, (None, np.inf, None)
     groups = list(zip([0] + ends, ends))
 
     def solve_held(top):
@@ -267,18 +268,16 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     def fold(stop):
         """Fold the groups that end at or before candidate ``stop``; True
         once one has a value below ``bar``."""
+        nonlocal folded, best
         last = bisect.bisect_right(ends, stop)
         top = ends[last - 1] if last else 0
-        for lo, end in groups[len(bests):last]:
+        for lo, end in groups[folded:last]:
             while head < tail and pending[head] < end:
                 solve_held(top)
-            k = _hardest(values[lo:end])
-            if k is None:
-                bests.append((None, np.inf, None))
-                continue
-            best_val = float(values[lo + k])
-            bests.append((candidates[lo + k], best_val, maximizers[lo + k].copy()))
-            if best_val < bar:
+            k, folded = _hardest(values[lo:end]), folded + 1
+            best = (None, np.inf, None) if k is None else (
+                candidates[lo + k], float(values[lo + k]), maximizers[lo + k].copy())
+            if best[1] < bar:
                 return True
         return False
 
@@ -295,15 +294,15 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
         tail += queued.size
         for j in np.flatnonzero(spot).tolist():
             if fold(i + j):
-                return None, bests
+                return None, folded, best
             val, u = _best_rate(cache.reach(D[j]), stack_rows(A[j], b[j], inputs), floor)
             if u is None:
                 return SynthesisResult(block[j], float(floor), True, None,
-                                       evals + i + j + 1), bests
+                                       evals + i + j + 1), folded, best
             values[i + j], maximizers[i + j] = val, u
         i += k
     fold(n)
-    return None, bests
+    return None, folded, best
 
 
 def _hardest(values):
@@ -337,29 +336,34 @@ def _compass(d_cur, steps, lower, upper):
     return moves, keep.reshape(len(steps), -1).sum(axis=1)
 
 
-def _refine(scn, space, start, floor, search, cache):
-    """Compass refinement from ``start``, the grid scan's result: a round's
-    hardest move replaces the current test when it is strictly harder,
-    else the step halves.
+def _refine(scn, space, start, evals, floor, search, cache):
+    """Compass refinement from ``start``, the grid scan's ``(d, value,
+    maximizer)`` after ``evals`` candidates: a round's hardest move
+    replaces the current test when it is strictly harder, else the step
+    halves.
 
     Rounds are planned ahead as if none improves, each at half the step
     of the one before, and a plan's moves are built by one
     :func:`_compass` call and scanned as one, its rounds folded in order.
-    The first round that improves moves the test and keeps its step, and
-    the later ones are dropped; a test in Γ counts only when no earlier
-    round improves.  So results, ``evaluations`` and the LPs solved on
-    the spot are those of a search of one round at a time, which raises
-    where this one does (see the replanning below).
+    The scan stops at the first round that improves, so either its
+    ``best`` is that round's hardest move or no round it folded improved,
+    and its ``folded`` rounds are the ones used: the improving round moves
+    the test and keeps its step, and the later ones are dropped.  A test
+    in Γ counts only when no earlier round improves.  So results,
+    ``evaluations`` and the LPs solved on the spot are those of a search
+    of one round at a time, which raises where this one does (see the
+    replanning below).
     """
     lower, upper = space.lower, space.upper
     limit = search.step_tolerance * float(np.linalg.norm(upper - lower))
     span = upper - lower
     step = np.where(span > 0, span / max(search.grid_points - 1, 1), 0.0)
-    d_cur = np.asarray(start.d_star, dtype=float).copy()
-    val_cur, u_cur, evals = start.difficulty, start.inner_maximizer, start.evaluations
+    d_cur, val_cur, u_cur = start
+    d_cur = np.array(d_cur, dtype=float)
     # width: the most rounds the next plan may hold.  The first plan holds
-    # every remaining round; a plan whose round k improves wasted the rest,
-    # so the next holds k + 1, and one with no improving round twice as many
+    # every remaining round; a plan that folds k rounds, the last one
+    # improving, wasted the rest, so the next holds k, and one with no
+    # improving round twice as many
     rounds = width = search.refine_iterations
     while step.size:
         # the plan's steps, each round's half the one before, up to the
@@ -375,8 +379,8 @@ def _refine(scn, space, start, floor, search, cache):
         moves, counts = _compass(d_cur, steps, lower, upper)
         counts = counts.tolist()
         try:
-            gamma, bests = _scan(scn, moves, list(accumulate(counts)), floor, evals, cache,
-                                 val_cur)
+            gamma, folded, (d, val, u) = _scan(scn, moves, list(accumulate(counts)), floor,
+                                               evals, cache, val_cur)
         except Exception:
             # a planned round the loop may never reach can raise: plan one
             # round at a time until a lone round raises where the loop would
@@ -384,16 +388,13 @@ def _refine(scn, space, start, floor, search, cache):
                 raise
             width = 1
             continue
-        width = 2 * len(steps)
-        for k, (count, (d, val, u)) in enumerate(zip(counts, bests)):
-            rounds, evals = rounds - 1, evals + count
-            if d is not None and val < val_cur:
-                d_cur, val_cur, u_cur, width, step = d, val, u, k + 1, steps[k]
-                break
+        rounds, evals = rounds - folded, evals + sum(counts[:folded])
+        if val < val_cur:
+            d_cur, val_cur, u_cur, width, step = d, val, u, folded, steps[folded - 1]
+        elif gamma is not None:
+            return gamma
         else:
-            if gamma is not None:
-                return gamma
-            step = steps[-1] * 0.5
+            width, step = 2 * len(steps), steps[-1] * 0.5
     return SynthesisResult(d_cur, val_cur, False, u_cur, evals)
 
 
@@ -419,14 +420,12 @@ def _synthesize_over(scn, x, space, floor, search):
             "the synthesized test is uninteresting but still valid",
             stacklevel=3,  # the caller of the public synthesizer
         )
-    gamma, bests = _scan(scn, candidates, [len(candidates)], floor, 0, cache)
+    gamma, _, (d, val, u) = _scan(scn, candidates, [len(candidates)], floor, 0, cache)
     if gamma is not None:
         return gamma
-    (d, val, u), = bests
-    best = SynthesisResult(d, val, False, u, len(candidates))
     if isinstance(space, FiniteSpace):
-        return best
-    return _refine(scn, space, best, floor, search, cache)
+        return SynthesisResult(d, val, False, u, len(candidates))
+    return _refine(scn, space, (d, val, u), len(candidates), floor, search, cache)
 
 
 def synthesize(

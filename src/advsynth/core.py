@@ -267,6 +267,8 @@ class BoxSpace:
         hi = as_vector(self.upper, "test-space upper bound")
         if lo.size != hi.size or np.any(lo > hi):
             raise ValueError("test box needs lower <= upper elementwise")
+        if not lo.size:
+            raise ValueError("test box needs at least one coordinate")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -275,8 +277,10 @@ class BoxSpace:
         return self.lower.size
 
     def contains(self, d) -> bool:
+        """True when ``d`` has the box's shape ``(dim,)`` and lies in it."""
         d = np.asarray(d, dtype=float)
-        return bool(np.all(d >= self.lower - 1e-9) and np.all(d <= self.upper + 1e-9))
+        return d.shape == self.lower.shape and bool(
+            np.all(d >= self.lower - 1e-9) and np.all(d <= self.upper + 1e-9))
 
 
 @dataclass(frozen=True, eq=False)

@@ -240,7 +240,8 @@ def solve_lp_batch(C, A, b) -> tuple:
     the BLAS dot product that ``c @ u`` runs there, so they keep its bits
     too (an ``einsum`` or an elementwise sum does not).  Programs without
     rows (r = 0) take the same steps and get :func:`solve_lp`'s answers:
-    UNBOUNDED, with NaN value and point, or OPTIMAL at u = 0.
+    UNBOUNDED, with NaN value and point, or OPTIMAL at u = 0.  An empty
+    stack (K = 0) gives arrays of shapes (0,), (0,) and (0, n).
     """
     C = np.asarray(C, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -265,7 +266,8 @@ def solve_lp_batch(C, A, b) -> tuple:
     basis = np.tile(2 * n + np.arange(r), (K, 1))
     unbounded = np.zeros(K, dtype=bool)
     run = np.arange(K)
-    for pivots in itertools.count():
+    # an empty stack skips the loop, whose going.all() it passes vacuously
+    for pivots in itertools.count() if K else ():
         improving = T[run, -1, :width] < -_RC_TOL
         going = improving.any(axis=1)
         if not going.all():

@@ -1158,6 +1158,38 @@ def test_planned_rounds_match_one_round_at_a_time(monkeypatch, case, batch):
         assert point in planned and point not in evaluated
 
 
+@pytest.mark.parametrize(
+    "target,trap,folded,want",
+    [
+        ((0.3, -0.2), None, 2, ((0.25, 0.0), 0.25)),
+        ((0.5, 0.0), None, 3, ((0.375, 0.0), 0.125)),
+        ((0.3, -0.2), (0.0, 0.0), 0, None),
+    ],
+    ids=["round-2-improves", "no-round-improves", "gamma-in-round-1"],
+)
+def test_scan_stops_at_the_first_improving_round(target, trap, folded, want):
+    # a three-round plan from (0.5, 0), steps 0.5, 0.25 and 0.125: the scan
+    # folds rounds until one beats the current value and returns the last
+    # folded round's hardest test; a test in Γ returns before any fold
+    scn, x, d_cur = target_scenario(target, trap), np.zeros(2), np.array([0.5, 0.0])
+    floor = satisfaction_floor(scn)
+    cache = core.LieCache(scn.spec, scn.dynamics, x, scn.input_polytope.dim)
+    bar, _ = continuous.difficulty(scn, x, d_cur, floor)
+    steps = np.array([[0.5, 0.5], [0.25, 0.25], [0.125, 0.125]])
+    moves, counts = continuous._compass(d_cur, steps, scn.test_space.lower, scn.test_space.upper)
+    ends = np.cumsum(counts).tolist()
+    gamma, got_folded, (d, val, u) = continuous._scan(scn, moves, ends, floor, 25, cache, bar)
+    assert got_folded == folded
+    if want is None:
+        assert gamma.in_gamma and tuple(gamma.d_star) == trap and gamma.evaluations == 26
+        assert (d, val, u) == (None, math.inf, None)
+        return
+    assert gamma is None
+    assert tuple(d) == want[0] and val == pytest.approx(want[1])
+    want_val, want_u = continuous.difficulty(scn, x, d, floor)
+    assert val == want_val and np.array_equal(u, want_u)
+
+
 def test_planned_rounds_match_reference_without_batch(monkeypatch):
     # blocks of one on the two-obstacle unicycle: rows one candidate at a
     # time, a plan's held LPs still in one batch

@@ -277,6 +277,24 @@ def test_test_space_invariants():
 
 
 @pytest.mark.parametrize(
+    "point",
+    [0.5, [0.5], [0.5, 0.5, 0.5]],
+    ids=["scalar", "length-1", "length-3"],
+)
+def test_box_holds_no_point_of_another_shape(point):
+    # no broadcasting: a point of the wrong shape is outside, as it is
+    # outside a finite space that does not hold it
+    box = BoxSpace([-1, -1], [1, 1])
+    assert box.contains(point) is False
+    assert feasibility_filter(3.0, point, box, -5.0) == -5.0
+
+
+def test_test_box_needs_a_coordinate():
+    with pytest.raises(ValueError, match="^test box needs at least one coordinate$"):
+        BoxSpace(np.zeros(0), np.zeros(0))
+
+
+@pytest.mark.parametrize(
     "reads",
     [(0,), (2, 3), (-1,), (0, -2), (True,), (0, False), (1.0,), (np.float64(2.0),), ("0",),
      (1, 1), (0, 2, 0), [], np.zeros(0), 3],

@@ -117,6 +117,14 @@ def test_batch_without_rows():
     assert np.isnan(values[2:]).all() and np.isnan(points[2:]).all()
 
 
+def test_batch_without_programs():
+    # an empty stack returns at once, with the shapes of a stack of K
+    unbounded, values, points = solve_lp_batch(np.zeros((0, 2)), np.zeros((0, 3, 2)),
+                                               np.zeros((0, 3)))
+    assert (unbounded.shape, values.shape, points.shape) == ((0,), (0,), (0, 2))
+    assert (unbounded.dtype, values.dtype, points.dtype) == (bool, float, float)
+
+
 def test_rejects_nonfinite():
     with pytest.raises(ValueError):
         LpProblem(np.array([np.nan, 1.0]), Polytope.box([-1, -1], [1, 1]))
