@@ -289,11 +289,6 @@ def test_box_holds_no_point_of_another_shape(point):
     assert feasibility_filter(3.0, point, box, -5.0) == -5.0
 
 
-def test_test_box_needs_a_coordinate():
-    with pytest.raises(ValueError, match="^test box needs at least one coordinate$"):
-        BoxSpace(np.zeros(0), np.zeros(0))
-
-
 @pytest.mark.parametrize(
     "reads",
     [(0,), (2, 3), (-1,), (0, -2), (True,), (0, False), (1.0,), (np.float64(2.0),), ("0",),
@@ -342,6 +337,8 @@ X0, D0 = np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.5])
          "right-hand side length (3,) does not match 2 rows"),
         (lambda scn: Polytope.box([1.0], [0.0]), ValueError,
          "box needs lower <= upper elementwise"),
+        (lambda scn: BoxSpace(np.zeros(0), np.zeros(0)), ValueError,
+         "test box needs at least one coordinate"),
         (lambda scn: Polytope.box([0.0], [1.0]).stack(Polytope.box([0.0, 0.0], [1.0, 1.0])),
          ValueError, "cannot intersect polytopes of different dimension"),
         (lambda scn: core.DiscreteDynamics(step=lambda x, u: x, alphabet=()), ValueError,
@@ -363,8 +360,8 @@ X0, D0 = np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.5])
          ValueError, "test-vector timestamps must be nondecreasing"),
     ],
     ids=["as-vector-2d", "objective-dim", "polytope-1d", "polytope-rhs-length", "box-order",
-         "stack-dim", "empty-alphabet", "no-gradient", "avoid-block-input-dim",
-         "avoid-rows-input-dim", "actuation-shape", "monitor-no-tests",
+         "test-box-no-coordinate", "stack-dim", "empty-alphabet", "no-gradient",
+         "avoid-block-input-dim", "avoid-rows-input-dim", "actuation-shape", "monitor-no-tests",
          "monitor-test-order"],
 )
 def test_invalid_model_input_raises(unicycle, call, error, message):
