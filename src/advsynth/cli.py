@@ -2,9 +2,11 @@
 
 Configs are flat ``key = value`` text files; '#' starts a comment and
 unknown or inapplicable keys are rejected with the offending line.  All
-randomness flows from one 64-bit seed through numpy's default generator
-(PCG64).  Artifacts (stdout JSON, CSV and JSON files) are byte-identical
-across repeated runs with the same inputs; timing goes to stderr only.
+randomness flows from one seed >= 0: ``trials`` draws the stream
+``numpy.random.default_rng(seed)`` would give, computed in pure Python
+(``_pcg64``), so no command imports ``numpy.random``.  Artifacts
+(stdout JSON, CSV and JSON files) are byte-identical across repeated
+runs with the same inputs; timing goes to stderr only.
 
 Exit codes: 0 success, 2 config/usage error, 3 runtime abort.
 """
@@ -24,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._pcg64 import Generator
 # ``synthesize`` stays bound here because bench/spans.py wraps it by name
 from .continuous import SearchConfig, difficulty, synthesize, synthesize_constrained
 from .core import (
@@ -432,7 +435,7 @@ def cmd_trials(cfg: RunConfig, count: int, out_dir: Optional[Path]) -> int:
     # grid trials draw a non-overlapping state/goal pair, and so a fresh
     # scenario, per trial; the others draw states uniformly from the box
     redraw_goal = cfg.scenario == "gridworld"
-    rng = np.random.default_rng(cfg.seed)
+    rng = Generator(cfg.seed)
     t0 = time.perf_counter()
     rows = []
     with warnings.catch_warnings():
@@ -442,13 +445,13 @@ def cmd_trials(cfg: RunConfig, count: int, out_dir: Optional[Path]) -> int:
         for k in range(count):
             if redraw_goal:
                 while True:
-                    x = tuple(int(v) for v in rng.integers(0, 10, size=2))
-                    goal = tuple(int(v) for v in rng.integers(0, 10, size=2))
+                    x = tuple(rng.integers(10, size=2))
+                    goal = tuple(rng.integers(10, size=2))
                     if x != goal:
                         break
                 scn = make_scenario(replace(cfg, goal=goal))
             else:
-                x = rng.uniform(scn.state_lower, scn.state_upper)
+                x = np.array(rng.uniform(scn.state_lower, scn.state_upper))
             res = _synthesize(cfg, scn, x)
             row = {
                 "trial": k,

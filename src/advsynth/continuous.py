@@ -423,7 +423,8 @@ def _synthesize_over(scn, x, space, floor, search):
     gamma, _, (d, val, u) = _scan(scn, candidates, [len(candidates)], floor, 0, cache)
     if gamma is not None:
         return gamma
-    if isinstance(space, FiniteSpace):
+    # with no finite grid value there is no test to refine from
+    if isinstance(space, FiniteSpace) or d is None:
         return SynthesisResult(d, val, False, u, len(candidates))
     return _refine(scn, space, (d, val, u), len(candidates), floor, search, cache)
 

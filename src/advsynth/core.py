@@ -131,8 +131,9 @@ class Polytope:
         return self.A.shape[1]
 
     def contains(self, u) -> bool:
+        """True when ``u`` has the shape ``(dim,)`` and satisfies every row."""
         u = np.asarray(u, dtype=float)
-        return bool(np.all(self.A @ u <= self.b + 1e-8))
+        return u.shape == (self.dim,) and bool(np.all(self.A @ u <= self.b + 1e-8))
 
     def stack(self, other: "Polytope") -> "Polytope":
         """Intersection, expressed by stacking the inequality rows."""

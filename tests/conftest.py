@@ -123,7 +123,7 @@ def reference_synthesize_over(scn, x, space, floor, search):
             return SynthesisResult(d, float(floor), True, None, evals)
         if val < best_val:
             best_val, best_d, best_u = val, d, u
-    if box is not None:
+    if box is not None and best_d is not None:
         return _reference_refine(scn, x, box, best_d, best_val, best_u, floor, search, evals)
     return SynthesisResult(best_d, best_val, False, best_u, evals)
 

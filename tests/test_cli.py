@@ -654,6 +654,18 @@ def test_trials_rejects_bad_count(tmp_path, capsys):
     assert "count" in err
 
 
+def test_trials_imports_no_numpy_random():
+    # a fresh interpreter, since the suite's own draws load numpy.random here
+    argv = ["trials", "--config", str(REPO / "bench/configs/gridworld-cold.cfg"),
+            "--count", "3", "--seed", "7"]
+    code = ("import sys\nfrom advsynth import cli\n"
+            f"rc = cli.main({argv!r})\n"
+            "print(rc, 'numpy.random' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert json.loads(proc.stdout)["count"] == 3
+    assert proc.stderr.splitlines()[-1] == "0 False"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

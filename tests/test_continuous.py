@@ -183,6 +183,31 @@ def test_synthesize_singleton_test_space(unicycle):
     assert res.evaluations == 1
 
 
+@pytest.mark.parametrize(
+    "space,evaluations",
+    [(BoxSpace(-np.ones(2), np.ones(2)), 9), (FiniteSpace(((0.0, 0.0), (0.5, -0.5))), 2)],
+    ids=["box", "finite"],
+)
+def test_search_without_a_finite_value_returns_no_test(monkeypatch, space, evaluations):
+    # every reach rate overflows to inf, so no candidate has a finite value
+    # and the grid leaves compass refinement no test to start from
+    base = integrator_scenario()
+    scn = dataclasses.replace(
+        base,
+        dynamics=ContinuousDynamics(f=lambda x, d: np.ones(2), g=lambda x, d: np.eye(2)),
+        spec=dataclasses.replace(base.spec, reach=BarrierFunction(
+            lambda x, d: -1.0, lambda x, d: np.array([1e308, 1e308]))),
+        test_space=space,
+    )
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        got, want = both_scans(
+            monkeypatch, lambda: synthesize(scn, np.zeros(2), SearchConfig(grid_points=3)))
+    assert (got.d_star, got.difficulty, got.in_gamma, got.inner_maximizer) == (
+        None, math.inf, False, None)
+    assert got.evaluations == evaluations
+    assert_same_result(got, want)
+
+
 def test_synthesize_difficulty_recomputes(unicycle):
     scn = integrator_scenario(coupling=np.eye(2))
     x = np.array([0.3, -0.2])

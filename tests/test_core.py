@@ -282,11 +282,11 @@ def test_test_space_invariants():
     ids=["scalar", "length-1", "length-3"],
 )
 def test_box_holds_no_point_of_another_shape(point):
-    # no broadcasting: a point of the wrong shape is outside, as it is
-    # outside a finite space that does not hold it
-    box = BoxSpace([-1, -1], [1, 1])
-    assert box.contains(point) is False
-    assert feasibility_filter(3.0, point, box, -5.0) == -5.0
+    # no broadcasting: a point of the wrong shape is outside a box or a
+    # polytope, as it is outside a finite space that does not hold it
+    for member in (BoxSpace([-1, -1], [1, 1]), Polytope.box([-1, -1], [1, 1])):
+        assert member.contains(point) is False
+        assert feasibility_filter(3.0, point, member, -5.0) == -5.0
 
 
 @pytest.mark.parametrize(
