@@ -46,6 +46,7 @@ from .lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    BlandPath,
     LpProblem,
     solve_lp,
     solve_lp_batch,
@@ -139,6 +140,20 @@ class ContinuousScenario:
             raise ValueError(f"{name} needs {self.state_lower.size} components, got {x.size}")
         return x
 
+    def check_test(self, d) -> np.ndarray:
+        """``d`` as a finite vector of this scenario's test size (a box's
+        dimension, or a finite set's first point's size); otherwise
+        ``ValueError``.  A mapped test space's sets depend on (x, t), so
+        for one only a finite 1-D vector is checked."""
+        d = as_vector(d, "test vector")
+        space = self.test_space
+        if isinstance(space, MappedSpace):
+            return d
+        size = space.dim if isinstance(space, BoxSpace) else np.asarray(space.points[0]).size
+        if d.size != size:
+            raise ValueError(f"test vector needs {size} components, got {d.size}")
+        return d
+
 
 def _axis(lo: float, hi: float, k: int) -> np.ndarray:
     if k == 1:
@@ -176,9 +191,12 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     floor branch.  ``tau`` shifts the non-floor objective down by a progress
     margin; since it is a constant shift it can never change which test
     minimizes the measure.  f and g are evaluated once for all rows.
+    Before any callback runs, a state or test vector that
+    :meth:`ContinuousScenario.check_state` or
+    :meth:`ContinuousScenario.check_test` rejects raises ``ValueError``.
     """
     x = scn.check_state(x)
-    d = np.asarray(d, dtype=float)
+    d = scn.check_test(d)
     fg = dynamics_at(scn.dynamics, x, d)
     poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
     value, u = _best_rate(lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg), poly, floor)
@@ -220,13 +238,23 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     ``pending``; its reach rate and LP wait until its group is folded (so
     they are skipped after a test in Γ, and their errors surface after
     later candidates' rows are built).  Folding drains the queue in
-    order, at most ``_HELD_BLOCK`` held candidates per
-    :func:`solve_lp_batch` (the pivots and bits of one :func:`solve_lp`
-    each), never past the end of the last group it folds, with its reach
-    rates from ``cache.reach_block``.  Every other candidate is solved on the spot, in order,
-    once the groups before its own are folded, so each LP solved on the
-    spot is one a scan of one group at a time would solve.  Values and
-    maximizers wait in two arrays until their group is folded.
+    order, at most ``_HELD_BLOCK`` held candidates at a time, never past
+    the end of the last group it folds, with their reach rates from
+    ``cache.reach_block``.  When the cache keeps the reach row, the
+    synthesis records once, in ``cache.path``, the :class:`lp.BlandPath`
+    of that row over the input polytope alone.  A held candidate whose
+    avoid rows neither leave nor tie at any of the path's pivots takes
+    its reach rate plus the path's value, and the path's point;
+    :meth:`lp.BlandPath.follows` says why :func:`solve_lp_batch` would
+    give it the same bits.  The
+    other held candidates go to :func:`solve_lp_batch` (the pivots and
+    bits of one :func:`solve_lp` each).  A path rule is needed: a
+    candidate whose avoid rows merely hold at the recorded point may be
+    cut at an intermediate vertex of the path and get other last bits.
+    Every other candidate is solved on the spot, in order, once the groups
+    before its own are folded, so each LP solved on the spot is one a scan
+    of one group at a time would solve.  Values and maximizers wait in two
+    arrays until their group is folded.
 
     Memory: ``8 * len(candidates) * barriers * (inputs + 1)`` bytes of
     held rows (about 19 MB for a 25^4 grid, two avoid barriers and two
@@ -250,20 +278,32 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     groups = list(zip([0] + ends, ends))
 
     def solve_held(top):
-        """Solve the next batch of the queue, none at or past ``top``."""
+        """Solve the next batch of the queue, none at or past ``top``: the
+        candidates that follow the recorded Bland path take its point, and
+        the rest, if any, go to one :func:`solve_lp_batch`."""
         nonlocal head
         stop = head + int(np.searchsorted(pending[head:min(tail, head + _HELD_BLOCK)], top))
         held, head = pending[head:stop], stop
         k, first = len(held), int(held[0])
         D = np.asarray(candidates[first:int(held[-1]) + 1], dtype=float)[held - first]
         rates, C = cache.reach_block(D)
-        A, b = np.empty((k, m + inputs.rows, inputs.dim)), np.empty((k, m + inputs.rows))
-        A[:, :m], A[:, m:], b[:, :m], b[:, m:] = held_A[held], inputs.A, held_b[held], inputs.b
-        unbounded, lp_values, points = solve_lp_batch(C, A, b)
-        if unbounded.any():
-            raise ScenarioError(_UNBOUNDED)
-        values[held] = rates + lp_values
-        maximizers[held] = points
+        if cache.keep_reach:
+            if cache.path is None:
+                cache.path = BlandPath(C[0], inputs)
+            short = cache.path.follows(held_A[held], held_b[held])
+            if short.any():
+                values[held[short]] = rates[short] + cache.path.value
+                maximizers[held[short]] = cache.path.point
+                held, rates, C = held[~short], rates[~short], C[~short]
+                k = len(held)
+        if k:
+            A, b = np.empty((k, m + inputs.rows, inputs.dim)), np.empty((k, m + inputs.rows))
+            A[:, :m], A[:, m:], b[:, :m], b[:, m:] = held_A[held], inputs.A, held_b[held], inputs.b
+            unbounded, lp_values, points = solve_lp_batch(C, A, b)
+            if unbounded.any():
+                raise ScenarioError(_UNBOUNDED)
+            values[held] = rates + lp_values
+            maximizers[held] = points
 
     def fold(stop):
         """Fold the groups that end at or before candidate ``stop``; True

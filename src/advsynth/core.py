@@ -414,14 +414,17 @@ class LieCache:
     per test.  Avoid rows come a block of tests at a time from the
     barriers' ``batch`` when f and g are evaluated once and every avoid
     barrier has one (:attr:`batched`), else one test at a time through
-    :func:`avoid_rows`.
+    :func:`avoid_rows`.  :attr:`keep_reach` says whether the reach rate and
+    row are taken once, and :attr:`path` is the caller's: the continuous
+    scan keeps there, once per synthesis, the Bland path of the kept reach
+    row over the input polytope.
     """
 
     def __init__(self, spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, input_dim: int):
         self._spec, self._dyn, self._x, self._input_dim = spec, dyn, x, input_dim
         self._fixed = dyn.reads == ()
-        self._fg = self._reach = None
-        self._keep_reach = self._fixed and spec.reach.reads == ()
+        self._fg = self._reach = self.path = None
+        self.keep_reach = self._fixed and spec.reach.reads == ()
         self.batched = self._fixed and all(h.batch is not None for h in spec.avoid)
 
     def _f_g(self, d):
@@ -436,7 +439,7 @@ class LieCache:
             return self._reach
         rate, row = lie_derivatives(self._spec.reach, self._dyn, self._x, d, self._f_g(d))
         out = rate, objective_vector(row, self._input_dim)
-        if self._keep_reach:
+        if self.keep_reach:
             self._reach = out
         return out
 
@@ -444,7 +447,7 @@ class LieCache:
         """:meth:`reach` of each test in the rows of ``D``, stacked to
         shapes (k,) and (k, inputs): a kept rate and row are taken once and
         repeated, else each test's are built in order."""
-        if self._keep_reach:
+        if self.keep_reach:
             rate, row = self.reach(D[0])
             return np.full(len(D), rate), row[None].repeat(len(D), axis=0)
         rates, rows = zip(*(self.reach(d) for d in D))

@@ -37,6 +37,20 @@ shipped configs build 6 rows.  :func:`solve_lp_batch` stays on numpy: it
 pivots K tableaux in one step, so the stack shares each call's cost, and
 it returns its K outcomes as arrays: K :class:`LpOutcome` objects, each
 with its own 1-D dot product, cost more to build than the pivots.
+
+Most held programs need no pivots of their own.  :class:`BlandPath`
+records the list kernel's Phase-II pivots on the input polytope alone:
+each pivot's entering column, tie threshold (least ratio plus 1e-12) and
+normalized pivot row.  :meth:`BlandPath.follows` replays them on each
+program's extra rows only.  A program none of whose extra rows has a
+usable pivot entry with a ratio at or below the threshold, at any step,
+is pivoted by :func:`solve_lp_batch` on the same path: the same entering
+columns, since the extra rows' slack columns stay 0 in the objective row,
+and the same leaving rows, since no extra row ties.  So it gets the
+recorded point and value, bit for bit.  That the recorded point merely
+satisfies the extra rows is not enough: an extra row can cut the path at
+an intermediate vertex, and the batch then reaches the point, or another
+optimum, with other last bits.
 """
 
 from __future__ import annotations
@@ -91,11 +105,12 @@ class LpOutcome:
     point: Optional[np.ndarray] = None
 
 
-def _pivot(T: list, r: int, c: int) -> None:
+def _pivot(T: list, r: int, c: int) -> list:
     """Pivot the list tableau ``T`` on entry (r, c) with numpy's row update,
     entry by entry: normalize row r, set every row to ``row - m *
     pivot_row`` (row r with m = 0.0, which turns its -0.0 into +0.0, and
-    rows with m = 0 too), then make column c a unit vector."""
+    rows with m = 0 too), then make column c a unit vector.  Returns the
+    normalized row, ``pivot_row``."""
     p = T[r][c]
     prow = [v / p for v in T[r]]
     for i, row in enumerate(T):
@@ -106,11 +121,13 @@ def _pivot(T: list, r: int, c: int) -> None:
             row = T[i] = [a - m * v for a, v in zip(row, prow)]
         row[c] = 0.0
     T[r][c] = 1.0
+    return prow
 
 
-def _bland(T: list, basis: list, width: int) -> str:
+def _bland(T: list, basis: list, width: int, path: Optional[list] = None) -> str:
     """Minimize in place.  Objective row last, right-hand side column last;
-    only the first ``width`` columns may enter."""
+    only the first ``width`` columns may enter.  A ``path`` list gets each
+    pivot's entering column, tie threshold and normalized pivot row."""
     for pivots in itertools.count():
         obj = T[-1]
         for j in range(width):
@@ -129,8 +146,10 @@ def _bland(T: list, basis: list, width: int) -> str:
             raise RuntimeError("simplex pivot cap exceeded")
         top = min(ratios) + 1e-12
         r = min((i for i, q in zip(rows, ratios) if q <= top), key=basis.__getitem__)
-        _pivot(T, r, j)
+        prow = _pivot(T, r, j)
         basis[r] = j
+        if path is not None:
+            path.append((j, top, prow))
 
 
 def _phase_one(A: np.ndarray, b: np.ndarray):
@@ -196,11 +215,19 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
     beyond the reduced-cost tolerance, else OPTIMAL at u = 0.
     """
     c = problem.objective
-    poly = problem.constraints
+    status, u = _maximize(c, problem.constraints)
+    if status != OPTIMAL:
+        return LpOutcome(status)
+    return LpOutcome(OPTIMAL, float(c @ u), u)
+
+
+def _maximize(c: np.ndarray, poly: Polytope, path: Optional[list] = None):
+    """:func:`solve_lp`'s status and point, the point None unless OPTIMAL;
+    ``path`` records the Phase-II pivots as :func:`_bland` says."""
     n = c.size
     feasible, T, basis, width = _phase_one(poly.A, poly.b)
     if not feasible:
-        return LpOutcome(INFEASIBLE)
+        return INFEASIBLE, None
     T, basis = _drop_artificials(T, basis, width)
 
     cs = c.tolist()
@@ -210,15 +237,67 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
         if f[bi] != 0.0:
             obj = [p - f[bi] * q for p, q in zip(obj, row)]
     T[-1] = obj
-    status = _bland(T, basis, width)
-    if status == UNBOUNDED:
-        return LpOutcome(UNBOUNDED)
+    if _bland(T, basis, width, path) == UNBOUNDED:
+        return UNBOUNDED, None
 
     z = [0.0] * width
     for row, bi in zip(T, basis):
         z[bi] = row[-1]
-    u = np.array([p - q for p, q in zip(z[:n], z[n:2 * n])])
-    return LpOutcome(OPTIMAL, float(c @ u), u)
+    return OPTIMAL, np.array([p - q for p, q in zip(z[:n], z[n:2 * n])])
+
+
+class BlandPath:
+    """The Phase-II pivots of ``maximize c @ u`` over ``inputs``, whose
+    right-hand sides must all be >= 0, as :func:`solve_lp` makes them, for
+    :meth:`follows` to replay: ``steps`` holds one ``(entering column, tie
+    threshold, normalized pivot row)`` per pivot.  ``point`` is
+    :func:`solve_lp`'s maximizer and ``value`` the ``np.matmul`` of a
+    (1, n) row by an (n, 1) column that :func:`solve_lp_batch` computes;
+    both are None when the program is unbounded."""
+
+    def __init__(self, c: np.ndarray, inputs: Polytope):
+        if (inputs.b < 0).any():
+            raise ValueError("a recorded path needs right-hand sides >= 0")
+        steps = []
+        _, self.point = _maximize(c, inputs, steps)
+        self.value = None if self.point is None else np.matmul(c[None], self.point[:, None])[0, 0]
+        self.steps = [(j, top, np.array(prow)) for j, top, prow in steps]
+        self.columns = 2 * c.size + inputs.rows + 1
+
+    def follows(self, A, b) -> np.ndarray:
+        """Which of K programs :func:`solve_lp_batch` solves on this path:
+        program k maximizes the recorded objective over the rows ``A[k] u
+        <= b[k]`` (shapes (K, m, n) and (K, m), every ``b[k] >= 0``)
+        stacked above the recorded polytope's rows.
+
+        It does when, at every recorded step, none of its first m
+        rows has an entry above the pivot tolerance in the entering column
+        together with a ratio at or below the step's tie threshold; such a
+        row would leave or tie.  Those rows are followed with the batch's
+        own elementwise update, ``R -= col * prow``, so they carry its
+        bits.  Then the entering columns are the recorded ones (the new
+        rows' slack columns stay 0 in the objective row, since none of
+        those rows pivots), and so are the leaving rows (the recorded rows'
+        basic indices keep their order, and no new row ties).  So the
+        batch returns :attr:`point`, bit for bit, and :attr:`value`.
+        Returns a (K,) mask of the programs that pass, all False when the
+        recorded program is unbounded."""
+        K, m, n = A.shape
+        keep = np.arange(K if self.point is not None else 0)
+        R = np.zeros((keep.size, m, self.columns))
+        R[:, :, :n], R[:, :, n:2 * n], R[:, :, -1] = A[keep], -A[keep], b[keep]
+        for j, top, prow in self.steps:
+            col = R[:, :, j]
+            ratios = np.divide(R[:, :, -1], col, out=np.full(col.shape, np.inf),
+                               where=col > _PIVOT_TOL)
+            cut = (ratios <= top).any(axis=1)
+            if cut.any():
+                keep, R, col = keep[~cut], R[~cut], col[~cut]
+            R -= col[:, :, None] * prow
+            R[:, :, j] = 0.0
+        follows = np.zeros(K, dtype=bool)
+        follows[keep] = True
+        return follows
 
 
 def solve_lp_batch(C, A, b) -> tuple:

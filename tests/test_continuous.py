@@ -29,7 +29,7 @@ from advsynth import (
     synthesize_perturbed,
 )
 from advsynth.core import satisfaction_floor
-from advsynth import cli, continuous, core
+from advsynth import cli, continuous, core, lp
 from conftest import reference_synthesize_over
 
 REPO = Path(__file__).resolve().parent.parent
@@ -429,6 +429,37 @@ def test_difficulty_and_controller_reject_a_bad_state_before_any_callback(quadgr
         counts.clear()
 
 
+def test_difficulty_rejects_a_bad_test_vector_before_any_callback(quadgrid):
+    # the box scenario's tests have 2 components, the finite one's its
+    # first point's 2; a mapped scenario's sets depend on (x, t), so only
+    # a finite 1-D vector is asked of its tests
+    counts = {}
+    box = build_unicycle()
+    finite = dataclasses.replace(box, test_space=FiniteSpace((np.array([0.3, -0.4]),)))
+    x = np.array([0.3, -0.2, 1.0])
+    for base in (box, finite):
+        scn = recounted(base, counts)
+        for bad, message in (([0.3, -0.4, 9.0, 9.0], "^test vector needs 2 components, got 4$"),
+                             ([0.3], "^test vector needs 2 components, got 1$"),
+                             (0.3, "^test vector must be one-dimensional, got shape \\(\\)$"),
+                             ([0.3, np.nan], "^test vector contains non-finite entries$")):
+            with pytest.raises(ValueError, match=message):
+                difficulty(scn, x, bad, -5.0)
+        assert not counts
+        difficulty(scn, x, [0.3, -0.4], -5.0)
+        assert counts
+        counts.clear()
+    scn = recounted(quadgrid, counts)
+    for bad, message in ((0.3, "^test vector must be one-dimensional, got shape \\(\\)$"),
+                         ([[1.0, 1.0, 2.0, 1.0]], "^test vector must be one-dimensional"),
+                         ([1.0, 1.0, np.inf, 1.0], "^test vector contains non-finite entries$")):
+        with pytest.raises(ValueError, match=message):
+            difficulty(scn, np.array([1.2, 0.7]), bad, -8.0)
+    assert not counts
+    difficulty(scn, np.array([1.2, 0.7]), [1.0, 1.0, 2.0, 1.0], -8.0)
+    assert counts
+
+
 # ---------------------------------------------------------------------------
 # Γ-first scan against the one-by-one reference scan (conftest.py)
 
@@ -632,14 +663,16 @@ def without_batch(scn):
 
 def test_held_candidates_skip_the_scalar_solver(monkeypatch):
     # the scalar simplex sees only candidates with a negative avoid rhs;
-    # every other one goes through the batched kernel, whether the rows
-    # come in blocks or one candidate at a time
+    # every other one follows the input box's Bland path or goes through
+    # the batched kernel, whether the rows come in blocks or one candidate
+    # at a time
     two = build_unicycle(n_obstacles=2)
     # built before solve_lp is counted: construction checks the inputs by LP
     scenarios = ((True, two), (False, without_batch(two)))
     search = SearchConfig(grid_points=3)
-    rhs, scalar, batched_lps = [], [], []
+    rhs, scalar, batched_lps, shortcut = [], [], [], []
     real_block, real_lp, real_batch = core.LieCache.avoid_block, continuous.solve_lp, continuous.solve_lp_batch
+    real_follows = lp.BlandPath.follows
 
     def avoid_block(cache, D):
         A, b = real_block(cache, D)
@@ -652,8 +685,16 @@ def test_held_candidates_skip_the_scalar_solver(monkeypatch):
         continuous, "solve_lp_batch",
         lambda C, A, b: batched_lps.append(len(C)) or real_batch(C, A, b)
     )
+
+    def follows(path, A, b):
+        short = real_follows(path, A, b)
+        shortcut.append(int(short.sum()))
+        return short
+
+    monkeypatch.setattr(lp.BlandPath, "follows", follows)
+    split = []
     for batched, scn in scenarios:
-        held = 0
+        held = short = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for x in seeded_states(scn, 11, 30):
@@ -667,10 +708,50 @@ def test_held_candidates_skip_the_scalar_solver(monkeypatch):
                 on_the_spot = sum(1 for b in rhs[:res.evaluations] if (b < 0).any())
                 assert len(scalar) == on_the_spot
                 if not res.in_gamma:
-                    assert sum(batched_lps) == res.evaluations - on_the_spot
-                held += sum(batched_lps)
-                del rhs[:], scalar[:], batched_lps[:]
-        assert held > 1000
+                    assert sum(shortcut) + sum(batched_lps) == res.evaluations - on_the_spot
+                held += sum(shortcut) + sum(batched_lps)
+                short += sum(shortcut)
+                del rhs[:], scalar[:], batched_lps[:], shortcut[:]
+        split.append((short, held - short))
+    # (shortcut, batched): every held candidate of these states follows
+    # the path, so no batch runs
+    assert split == [(3448, 0), (3448, 0)]
+
+
+def test_held_blocks_follow_the_input_box_path_where_it_holds(quadgrid, monkeypatch):
+    # each held block as ("path", followed, held) and ("batch", programs):
+    # every held candidate of this unicycle grid follows the input box's
+    # Bland path, so no batch runs; the quadgrid's corner set at a
+    # half-integer state mixes both; the integrator's reach row is not
+    # kept, so no path is recorded and every held candidate is batched.
+    # Each scan still gives the one-by-one reference's result
+    log, real_follows, real_batch = [], lp.BlandPath.follows, continuous.solve_lp_batch
+
+    def follows(path, A, b):
+        short = real_follows(path, A, b)
+        log.append(("path", int(short.sum()), len(short)))
+        return short
+
+    monkeypatch.setattr(lp.BlandPath, "follows", follows)
+    monkeypatch.setattr(continuous, "solve_lp_batch",
+                        lambda C, A, b: log.append(("batch", len(C))) or real_batch(C, A, b))
+    search = SearchConfig(grid_points=3, refine_iterations=0)
+    cases = (
+        (lambda: synthesize(build_unicycle(n_obstacles=2), np.array([0.9, -0.8, 1.0]),
+                            search=search), [("path", 81, 81)]),
+        (lambda: synthesize_constrained(quadgrid, np.array([1.5, 0.5]), 0.0),
+         [("path", 9, 16), ("batch", 7)]),
+        (lambda: synthesize(integrator_scenario(), np.array([1.0, 0.5]),
+                            search=dataclasses.replace(COARSE, refine_iterations=0)),
+         [("batch", 81)]),
+    )
+    for run, blocks in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, want = both_scans(monkeypatch, run)
+        assert_same_result(got, want)
+        assert log == blocks
+        del log[:]
 
 
 def test_scan_matches_reference_across_held_blocks(monkeypatch):
@@ -702,17 +783,24 @@ def test_scan_matches_reference_on_a_grid_wider_than_a_block(monkeypatch):
 
 
 def test_trials_solve_held_programs_in_few_batches(monkeypatch, capsys):
-    # a refine trial's compass plan goes to the batched kernel as one scan:
-    # 40 trials on the refine benchmark config solve 4,773 held programs in
-    # at most 74 batches (a batch per compass round makes 481), and call
-    # solve_lp 7 times, the input polytope's construction checks included
-    counts = {"batches": 0, "held": 0, "scalar": 0}
-    real_batch, real_lp = continuous.solve_lp_batch, continuous.solve_lp
+    # a refine trial's compass plan is held as one scan: 40 trials on the
+    # refine benchmark config hold 4,773 programs, which take the input
+    # box's Bland path or go to the batched kernel in at most 74 batches (a
+    # batch per compass round makes 481), and call solve_lp 7 times, the
+    # input polytope's construction checks included
+    counts = {"batches": 0, "held": 0, "scalar": 0, "shortcut": 0}
+    real_batch, real_lp, real_follows = continuous.solve_lp_batch, continuous.solve_lp, lp.BlandPath.follows
 
     def solve_lp_batch(C, A, b):
         counts["batches"] += 1
         counts["held"] += len(C)
         return real_batch(C, A, b)
+
+    def follows(path, A, b):
+        short = real_follows(path, A, b)
+        counts["held"] += int(short.sum())
+        counts["shortcut"] += int(short.sum())
+        return short
 
     def solve_lp(problem):
         counts["scalar"] += 1
@@ -720,11 +808,14 @@ def test_trials_solve_held_programs_in_few_batches(monkeypatch, capsys):
 
     monkeypatch.setattr(continuous, "solve_lp_batch", solve_lp_batch)
     monkeypatch.setattr(continuous, "solve_lp", solve_lp)
+    monkeypatch.setattr(lp.BlandPath, "follows", follows)
     config = str(REPO / "bench" / "configs" / "unicycle-refine.cfg")
     assert cli.main(["trials", "--config", config, "--count", "40", "--seed", "7"]) == 0
     capsys.readouterr()
     assert counts["batches"] <= 74
     assert counts["held"] == 4773 and counts["scalar"] == 7
+    # every held program follows the input box's Bland path: none is batched
+    assert counts["shortcut"] == 4773 and counts["batches"] == 0
 
 
 def test_refine_trials_build_each_compass_plan_in_one_call(monkeypatch, tmp_path, capsys):

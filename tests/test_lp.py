@@ -14,6 +14,7 @@ from advsynth import (
     Polytope,
     blocks_all_inputs,
     continuous,
+    core,
     lp,
     phase_one_feasible,
     scenarios,
@@ -463,6 +464,94 @@ def test_phase_one_keeps_each_artificial_the_negated_slack():
             assert max(basis) < width
     # four of the feasible programs leave an artificial basic at level zero
     assert negated >= 5_000 and basic_artificials >= 1
+
+
+# ---------------------------------------------------------------------------
+# the held-candidate shortcut: the input box's Bland path, replayed
+
+def batch_on_path(path, c, inputs, A, b):
+    """``path.follows`` on the programs that stack the rows ``A u <= b``
+    above ``inputs``, and ``solve_lp_batch``'s points and values for them,
+    each program's bits compared with the recorded ones: ``(follows,
+    same)``."""
+    K = len(b)
+    unbounded, values, points = solve_lp_batch(
+        np.tile(c, (K, 1)),
+        np.concatenate([A, np.broadcast_to(inputs.A, (K,) + inputs.A.shape)], axis=1),
+        np.concatenate([b, np.broadcast_to(inputs.b, (K, inputs.rows))], axis=1),
+    )
+    assert not unbounded.any()
+    same = np.array([p.tobytes() == path.point.tobytes() and v.tobytes() == path.value.tobytes()
+                     for p, v in zip(points, values)], dtype=bool)
+    return path.follows(A, b), same
+
+
+def test_bland_path_replay_gives_the_batch_bits_on_both_scenarios():
+    # the scan's held programs at many (x, d) pairs: the unicycle's 3-point
+    # grid and quarter-rounded and uniform tests, and the quadgrid's corner
+    # sets at random, half-integer and near-integer states, where ratios
+    # tie.  A program that follows the path gets the batch's bits; a rule
+    # that only asks u* to satisfy A u* <= b would take programs whose
+    # avoid row cuts the path at an intermediate vertex, and get other bits
+    rng = np.random.default_rng(2626)
+    grid = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=4)))
+    tally = Counter()
+
+    def check(scn, x, D):
+        cache = core.LieCache(scn.spec, scn.dynamics, x, scn.input_polytope.dim)
+        A, b = cache.avoid_block(D)
+        held = ~(b < 0).any(axis=1)
+        A, b, c = A[held], b[held], cache.reach(D[0])[1]
+        path = lp.BlandPath(c, scn.input_polytope)
+        follows, same = batch_on_path(path, c, scn.input_polytope, A, b)
+        feasible = (A @ path.point <= b).all(axis=1)
+        tally.update(pairs=len(b), follows=int(follows.sum()),
+                     mismatches=int((follows & ~same).sum()),
+                     feasible_mismatches=int((feasible & ~same).sum()))
+
+    unicycle = scenarios.build_unicycle(n_obstacles=2)
+    for _ in range(60):
+        x = rng.uniform(unicycle.state_lower, unicycle.state_upper)
+        check(unicycle, x, grid)
+        check(unicycle, x, np.round(rng.uniform(-1.0, 1.0, (200, 4)) * 4.0) / 4.0)
+        check(unicycle, x, rng.uniform(-1.0, 1.0, (100, 4)))
+    assert tally["pairs"] >= 20_000 and tally["follows"] >= 0.99 * tally["pairs"]
+    quadgrid = scenarios.build_quadgrid()
+    for i in range(1500):
+        x = rng.uniform(quadgrid.state_lower, quadgrid.state_upper)
+        if i % 3 == 1:
+            x = np.round(x * 2.0) / 2.0
+        elif i % 3 == 2:
+            x = np.round(x) + rng.uniform(-1e-3, 1e-3, 2) * (i % 2)
+        check(quadgrid, x, np.array(quadgrid.test_space.at(x, 0.0).points))
+    assert tally["pairs"] >= 30_000 and tally["follows"] >= 25_000
+    assert tally["mismatches"] == 0 and tally["feasible_mismatches"] >= 10
+
+
+def test_bland_path_replay_rejects_a_row_at_the_tie_threshold():
+    # max u over [-1, 1]: one pivot, ratio θ = 1, tie threshold 1 + 1e-12.
+    # An avoid row u <= β with β = θ or θ + 5e-13 ties with the box row,
+    # and its slack, of lower basic index, leaves in the batch: the replay
+    # must reject both, since the second gets other bits than u* = 1
+    box = Polytope.box([-1.0], [1.0])
+    c = np.ones(1)
+    path = lp.BlandPath(c, box)
+    assert [(j, top) for j, top, _ in path.steps] == [(0, 1.0 + 1e-12)]
+    assert path.point.tolist() == [1.0] and path.value == 1.0
+    A, b = np.ones((3, 1, 1)), np.array([[1.0], [1.0 + 5e-13], [1.0 + 2e-12]])
+    follows, same = batch_on_path(path, c, box, A, b)
+    assert follows.tolist() == [False, False, True]
+    assert same.tolist() == [True, False, True]
+
+
+def test_bland_path_without_a_recordable_program():
+    # an unbounded program has no point to take: every program is batched
+    half = Polytope(np.eye(2), np.ones(2))
+    path = lp.BlandPath(np.array([0.0, -1.0]), half)
+    assert path.point is None and path.value is None
+    assert not path.follows(np.zeros((3, 1, 2)), np.ones((3, 1))).any()
+    with pytest.raises(ValueError, match="right-hand sides >= 0"):
+        lp.BlandPath(np.ones(2), Polytope(np.eye(2), np.array([1.0, -1.0])))
 
 
 # ---------------------------------------------------------------------------
