@@ -31,11 +31,11 @@ from ._pcg64 import Generator
 from .continuous import SearchConfig, difficulty, synthesize, synthesize_constrained
 from .core import (
     DEFAULT_BUDGET,
-    BoxSpace,
     BudgetError,
     MappedSpace,
     ScenarioError,
     as_vector,
+    dim_at,
     monitor_trajectory,
 )
 from .discrete import (
@@ -337,17 +337,6 @@ def _parse_axes(spec_text: str) -> list:
     return axes
 
 
-def _test_dim(scn, x) -> int:
-    """The length of the scenario's test vectors, read from its test space
-    realized at (x, 0), as the synthesizers realize it."""
-    space = scn.test_space
-    if isinstance(space, MappedSpace):
-        space = space.at(x, 0.0)
-    if isinstance(space, BoxSpace):
-        return space.dim
-    return np.asarray(space.points[0]).size
-
-
 def _sweep_test(scn, base, c1: int, c2: int, v1: float, v2: float):
     """The test vector of one sweep cell: ``base`` with components c1 and
     c2 set; a discrete one must be a grid cell."""
@@ -372,7 +361,7 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
 
     # every check comes before the synthesis, so a bad request exits before
     # any search, and a budget error leaves no partial artifact
-    p = _test_dim(scn, x)
+    p = dim_at(scn.test_space, x)
     if cfg.d_fixed is not None:
         with _rejected("'d_fixed'"):
             base = as_vector(cfg.d_fixed, "'d_fixed'")

@@ -36,6 +36,7 @@ from .core import (
     SynthesisResult,
     TestSpace,
     as_vector,
+    dim_at,
     dynamics_at,
     feasible_input_polytope,
     lie_derivatives,
@@ -49,7 +50,6 @@ from .lp import (
     BlandPath,
     LpProblem,
     solve_lp,
-    solve_lp_batch,
 )
 
 __all__ = [
@@ -61,7 +61,7 @@ __all__ = [
     "synthesize_constrained",
 ]
 
-# held candidates per batched solve, which bounds the tableau memory
+# held candidates per path replay, which bounds the replay array's memory
 _HELD_BLOCK = 256
 _UNBOUNDED = "inner maximization unbounded; the input polytope is not compact"
 
@@ -140,16 +140,11 @@ class ContinuousScenario:
             raise ValueError(f"{name} needs {self.state_lower.size} components, got {x.size}")
         return x
 
-    def check_test(self, d) -> np.ndarray:
-        """``d`` as a finite vector of this scenario's test size (a box's
-        dimension, or a finite set's first point's size); otherwise
-        ``ValueError``.  A mapped test space's sets depend on (x, t), so
-        for one only a finite 1-D vector is checked."""
+    def check_test(self, d, x) -> np.ndarray:
+        """``d`` as a finite vector of this scenario's test size at state
+        ``x``, as :func:`core.dim_at` gives it; otherwise ``ValueError``."""
         d = as_vector(d, "test vector")
-        space = self.test_space
-        if isinstance(space, MappedSpace):
-            return d
-        size = space.dim if isinstance(space, BoxSpace) else np.asarray(space.points[0]).size
+        size = dim_at(self.test_space, x)
         if d.size != size:
             raise ValueError(f"test vector needs {size} components, got {d.size}")
         return d
@@ -191,12 +186,13 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     floor branch.  ``tau`` shifts the non-floor objective down by a progress
     margin; since it is a constant shift it can never change which test
     minimizes the measure.  f and g are evaluated once for all rows.
-    Before any callback runs, a state or test vector that
-    :meth:`ContinuousScenario.check_state` or
-    :meth:`ContinuousScenario.check_test` rejects raises ``ValueError``.
+    Before any dynamics or barrier callback runs, a state or test vector
+    that :meth:`ContinuousScenario.check_state` or
+    :meth:`ContinuousScenario.check_test` rejects raises ``ValueError``
+    (a mapped test space's map runs to size the test).
     """
     x = scn.check_state(x)
-    d = scn.check_test(d)
+    d = scn.check_test(d, x)
     fg = dynamics_at(scn.dynamics, x, d)
     poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
     value, u = _best_rate(lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg), poly, floor)
@@ -239,32 +235,31 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     they are skipped after a test in Γ, and their errors surface after
     later candidates' rows are built).  Folding drains the queue in
     order, at most ``_HELD_BLOCK`` held candidates at a time, never past
-    the end of the last group it folds, with their reach rates from
-    ``cache.reach_block``.  When the cache keeps the reach row, the
-    synthesis records once, in ``cache.path``, the :class:`lp.BlandPath`
-    of that row over the input polytope alone.  A held candidate whose
-    avoid rows neither leave nor tie at any of the path's pivots takes
-    its reach rate plus the path's value, and the path's point;
-    :meth:`lp.BlandPath.follows` says why :func:`solve_lp_batch` would
-    give it the same bits.  The
-    other held candidates go to :func:`solve_lp_batch` (the pivots and
-    bits of one :func:`solve_lp` each).  A path rule is needed: a
-    candidate whose avoid rows merely hold at the recorded point may be
-    cut at an intermediate vertex of the path and get other last bits.
-    Every other candidate is solved on the spot, in order, once the groups
-    before its own are folded, so each LP solved on the spot is one a scan
-    of one group at a time would solve.  Values and maximizers wait in two
-    arrays until their group is folded.
+    the end of the last group it folds.  When the cache keeps the reach
+    row, the synthesis records once, in ``cache.path``, the
+    :class:`lp.BlandPath` of that row over the input polytope alone.  A
+    held candidate whose avoid rows neither leave nor tie at any of the
+    path's pivots takes the kept reach rate plus the path's value, and the
+    path's point; :meth:`lp.BlandPath.follows` says why :func:`solve_lp`
+    would give it the same bits.  Every other held candidate, in queue
+    order, takes its reach rate from ``cache.reach`` and its LP from
+    :func:`solve_lp`.  A path rule is needed: a candidate whose avoid rows
+    merely hold at the recorded point may be cut at an intermediate vertex
+    of the path and get other last bits.  A candidate that is not held is
+    solved on the spot, in order, once the groups before its own are
+    folded, so each LP solved on the spot is one a scan of one group at a
+    time would solve.  Values and maximizers wait in two arrays until
+    their group is folded.
 
     Memory: ``8 * len(candidates) * barriers * (inputs + 1)`` bytes of
     held rows (about 19 MB for a 25^4 grid, two avoid barriers and two
     inputs), one block of rows, a result slot of ``8 * (inputs + 1)``
-    bytes and a queue slot of 8 bytes per candidate, and one batch of
-    tableaux twice over (with the running ones' copy), ``8 * _HELD_BLOCK
-    * (rows + 1) * (2 * inputs + rows + 1)`` bytes, ``rows`` counting avoid
-    and actuator rows (about 0.3 MB there).  Rows and slots are allocated
-    unfilled, so a scan touches only the pages of the candidates it
-    reaches.
+    bytes and a queue slot of 8 bytes per candidate, and the path
+    replay's array twice over (with its update's product), ``8 *
+    _HELD_BLOCK * barriers * (2 * inputs + actuator rows + 1)`` bytes
+    (about 74 KB there, with four actuator rows).  Rows and slots are
+    allocated unfilled, so a scan touches only the pages of the
+    candidates it reaches.
     """
     inputs = scn.input_polytope
     can_hold = not (inputs.b < 0).any()
@@ -278,32 +273,26 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     groups = list(zip([0] + ends, ends))
 
     def solve_held(top):
-        """Solve the next batch of the queue, none at or past ``top``: the
+        """Solve the next block of the queue, none at or past ``top``: the
         candidates that follow the recorded Bland path take its point, and
-        the rest, if any, go to one :func:`solve_lp_batch`."""
+        the rest go to :func:`solve_lp` in order."""
         nonlocal head
         stop = head + int(np.searchsorted(pending[head:min(tail, head + _HELD_BLOCK)], top))
         held, head = pending[head:stop], stop
-        k, first = len(held), int(held[0])
+        first = int(held[0])
         D = np.asarray(candidates[first:int(held[-1]) + 1], dtype=float)[held - first]
-        rates, C = cache.reach_block(D)
         if cache.keep_reach:
+            rate, row = cache.reach(D[0])
             if cache.path is None:
-                cache.path = BlandPath(C[0], inputs)
+                cache.path = BlandPath(row, inputs)
             short = cache.path.follows(held_A[held], held_b[held])
             if short.any():
-                values[held[short]] = rates[short] + cache.path.value
+                values[held[short]] = rate + cache.path.value
                 maximizers[held[short]] = cache.path.point
-                held, rates, C = held[~short], rates[~short], C[~short]
-                k = len(held)
-        if k:
-            A, b = np.empty((k, m + inputs.rows, inputs.dim)), np.empty((k, m + inputs.rows))
-            A[:, :m], A[:, m:], b[:, :m], b[:, m:] = held_A[held], inputs.A, held_b[held], inputs.b
-            unbounded, lp_values, points = solve_lp_batch(C, A, b)
-            if unbounded.any():
-                raise ScenarioError(_UNBOUNDED)
-            values[held] = rates + lp_values
-            maximizers[held] = points
+                held, D = held[~short], D[~short]
+        for k, d in zip(held.tolist(), D):
+            values[k], maximizers[k] = _best_rate(
+                cache.reach(d), stack_rows(held_A[k], held_b[k], inputs), floor)
 
     def fold(stop):
         """Fold the groups that end at or before candidate ``stop``; True
@@ -487,10 +476,10 @@ def synthesize(
     the reach rate once where ``reads`` allows it, :func:`_scan` puts off held
     candidates' reach rates and builds rows in blocks, and :func:`_refine`
     may build rows for planned rounds that an improving round drops.  A
-    held batch takes its reach rates before it solves, so an unbounded
+    held candidate's LP runs right after its reach rate, so an unbounded
     program (possible only with an input polytope that construction
-    rejects) raises :class:`ScenarioError` only when no reach rate of its
-    batch raises first.
+    rejects) raises :class:`ScenarioError` before any later candidate's
+    reach rate runs.
     """
     if isinstance(scn.test_space, MappedSpace):
         raise ValueError("scenario has a mapped test space; use synthesize_constrained")

@@ -34,6 +34,7 @@ __all__ = [
     "FiniteSpace",
     "MappedSpace",
     "TestSpace",
+    "dim_at",
     "SynthesisResult",
     "MonitorResult",
     "as_vector",
@@ -330,6 +331,17 @@ class MappedSpace:
 TestSpace = Union[BoxSpace, FiniteSpace, MappedSpace]
 
 
+def dim_at(space: TestSpace, x) -> int:
+    """The length of ``space``'s test vectors: a box's dimension, or a
+    finite set's first point's size, with a mapped space realized at
+    (x, 0) first."""
+    if isinstance(space, MappedSpace):
+        space = space.at(x, 0.0)
+    if isinstance(space, BoxSpace):
+        return space.dim
+    return np.asarray(space.points[0]).size
+
+
 @dataclass(frozen=True, eq=False)
 class SynthesisResult:
     """Outcome of one synthesis call.
@@ -442,16 +454,6 @@ class LieCache:
         if self.keep_reach:
             self._reach = out
         return out
-
-    def reach_block(self, D: np.ndarray):
-        """:meth:`reach` of each test in the rows of ``D``, stacked to
-        shapes (k,) and (k, inputs): a kept rate and row are taken once and
-        repeated, else each test's are built in order."""
-        if self.keep_reach:
-            rate, row = self.reach(D[0])
-            return np.full(len(D), rate), row[None].repeat(len(D), axis=0)
-        rates, rows = zip(*(self.reach(d) for d in D))
-        return np.array(rates), np.array(rows)
 
     def avoid_block(self, D: np.ndarray):
         """:func:`avoid_rows` of each test in the rows of ``D`` (one test

@@ -20,37 +20,31 @@ objective with an entry beyond the reduced-cost tolerance is UNBOUNDED,
 and any other is OPTIMAL at u = +0.0 with value +0.0, as when rows leave
 u free.
 
-Phase-II has two paths: :func:`solve_lp` serves single solves and is the
-oracle, and :func:`solve_lp_batch` the LPs the continuous scan holds.  The
-README's design notes say why both are kept.
+Every LP this package solves goes through :func:`solve_lp`, the one
+kernel.  A solve here is a tableau of about 7 rows by 11 columns in two
+or three pivots, where a numpy call costs more than its arithmetic, so
+:func:`solve_lp` and :func:`phase_one_feasible` keep their tableaux as
+lists of Python floats.
+Each entry gets the float operations, in the order, that a numpy row
+update would give it, so every outcome has the bits the numpy tableau
+gave (``tests/conftest.py`` keeps that kernel as the reference); only the
+returned value is still computed by numpy, as ``c @ u``.  Lists lose from
+about 14 rows on (two inputs, a box and 10 obstacles); the shipped configs
+build 6 rows.
 
-The two paths keep their tableaux differently, each for its size.  A
-single solve here is a tableau of about 7 rows by 11 columns in two or
-three pivots, where a numpy call costs more than its arithmetic, so
-:func:`solve_lp` and :func:`phase_one_feasible` keep theirs as lists of
-Python floats.  Each entry gets the float operations, in the order, that
-a numpy row update would give it, so every outcome has the bits the numpy
-tableau gave (``tests/conftest.py`` keeps that kernel as the reference);
-only the returned value is still computed by numpy, as ``c @ u``.  Lists
-lose from about 14 rows on (two inputs, a box and 10 obstacles); the
-shipped configs build 6 rows.  :func:`solve_lp_batch` stays on numpy: it
-pivots K tableaux in one step, so the stack shares each call's cost, and
-it returns its K outcomes as arrays: K :class:`LpOutcome` objects, each
-with its own 1-D dot product, cost more to build than the pivots.
-
-Most held programs need no pivots of their own.  :class:`BlandPath`
-records the list kernel's Phase-II pivots on the input polytope alone:
-each pivot's entering column, tie threshold (least ratio plus 1e-12) and
-normalized pivot row.  :meth:`BlandPath.follows` replays them on each
-program's extra rows only.  A program none of whose extra rows has a
-usable pivot entry with a ratio at or below the threshold, at any step,
-is pivoted by :func:`solve_lp_batch` on the same path: the same entering
-columns, since the extra rows' slack columns stay 0 in the objective row,
-and the same leaving rows, since no extra row ties.  So it gets the
-recorded point and value, bit for bit.  That the recorded point merely
-satisfies the extra rows is not enough: an extra row can cut the path at
-an intermediate vertex, and the batch then reaches the point, or another
-optimum, with other last bits.
+Most programs the continuous scan holds need no pivots of their own.
+:class:`BlandPath` records the list kernel's Phase-II pivots on the input
+polytope alone: each pivot's entering column, tie threshold (least ratio
+plus 1e-12) and normalized pivot row.  :meth:`BlandPath.follows` replays
+them on each program's extra rows only.  A program none of whose extra
+rows has a usable pivot entry with a ratio at or below the threshold, at
+any step, is pivoted by :func:`solve_lp` on the same path: the same
+entering columns, since the extra rows' slack columns stay 0 in the
+objective row, and the same leaving rows, since no extra row ties.  So it
+gets the recorded point and value, bit for bit.  That the recorded point
+merely satisfies the extra rows is not enough: an extra row can cut the
+path at an intermediate vertex, and :func:`solve_lp` then reaches the
+point, or another optimum, with other last bits.
 """
 
 from __future__ import annotations
@@ -71,7 +65,6 @@ __all__ = [
     "LpProblem",
     "LpOutcome",
     "solve_lp",
-    "solve_lp_batch",
     "phase_one_feasible",
     "blocks_all_inputs",
 ]
@@ -251,35 +244,35 @@ class BlandPath:
     right-hand sides must all be >= 0, as :func:`solve_lp` makes them, for
     :meth:`follows` to replay: ``steps`` holds one ``(entering column, tie
     threshold, normalized pivot row)`` per pivot.  ``point`` is
-    :func:`solve_lp`'s maximizer and ``value`` the ``np.matmul`` of a
-    (1, n) row by an (n, 1) column that :func:`solve_lp_batch` computes;
-    both are None when the program is unbounded."""
+    :func:`solve_lp`'s maximizer and ``value`` its value, ``float(c @
+    point)``; both are None when the program is unbounded."""
 
     def __init__(self, c: np.ndarray, inputs: Polytope):
         if (inputs.b < 0).any():
             raise ValueError("a recorded path needs right-hand sides >= 0")
         steps = []
         _, self.point = _maximize(c, inputs, steps)
-        self.value = None if self.point is None else np.matmul(c[None], self.point[:, None])[0, 0]
+        self.value = None if self.point is None else float(c @ self.point)
         self.steps = [(j, top, np.array(prow)) for j, top, prow in steps]
         self.columns = 2 * c.size + inputs.rows + 1
 
     def follows(self, A, b) -> np.ndarray:
-        """Which of K programs :func:`solve_lp_batch` solves on this path:
+        """Which of K programs :func:`solve_lp` solves on this path:
         program k maximizes the recorded objective over the rows ``A[k] u
         <= b[k]`` (shapes (K, m, n) and (K, m), every ``b[k] >= 0``)
         stacked above the recorded polytope's rows.
 
-        It does when, at every recorded step, none of its first m
-        rows has an entry above the pivot tolerance in the entering column
+        It does when, at every recorded step, none of its first m rows
+        has an entry above the pivot tolerance in the entering column
         together with a ratio at or below the step's tie threshold; such a
-        row would leave or tie.  Those rows are followed with the batch's
-        own elementwise update, ``R -= col * prow``, so they carry its
-        bits.  Then the entering columns are the recorded ones (the new
-        rows' slack columns stay 0 in the objective row, since none of
-        those rows pivots), and so are the leaving rows (the recorded rows'
-        basic indices keep their order, and no new row ties).  So the
-        batch returns :attr:`point`, bit for bit, and :attr:`value`.
+        row would leave or tie.  Those rows are followed with the list
+        kernel's own elementwise update, ``a - m * v``, as ``R -= col *
+        prow``, so they carry its bits.  Then the entering columns are the
+        recorded ones (the new rows' slack columns stay 0 in the objective
+        row, since none of those rows pivots), and so are the leaving rows
+        (the recorded rows' basic indices keep their order, and no new row
+        ties).  So :func:`solve_lp` returns :attr:`point` and
+        :attr:`value`, bit for bit.
         Returns a (K,) mask of the programs that pass, all False when the
         recorded program is unbounded."""
         K, m, n = A.shape
@@ -298,96 +291,6 @@ class BlandPath:
         follows = np.zeros(K, dtype=bool)
         follows[keep] = True
         return follows
-
-
-def solve_lp_batch(C, A, b) -> tuple:
-    """:func:`solve_lp` on K programs at once: maximize ``C[k] @ u`` over
-    ``{u : A[k] u <= b[k]}``, with ``C``, ``A`` and ``b`` of shapes (K, n),
-    (K, r, n) and (K, r).  Returns arrays ``(unbounded, values, points)``
-    of shapes (K,), (K,) and (K, n): program k is UNBOUNDED where
-    ``unbounded[k]``, its value and point then NaN, else OPTIMAL with value
-    ``values[k]`` at ``points[k]``.
-
-    Every right-hand side must be >= 0, so the slack basis is feasible,
-    Phase-I has no artificial to drive out and no program is infeasible.
-    Phase-II runs Bland's rule on a (K, r + 1, 2n + r + 1) stack of
-    tableaux.  Each step applies the scalar entering rule, ratio test and
-    elementwise :func:`_pivot` arithmetic to the tableaux still running, so
-    every program gets the pivots and the point, bit for bit, that
-    :func:`solve_lp` gives it.  The values come from one stacked
-    ``np.matmul`` of (1, n) rows by (n, 1) columns, which runs per program
-    the BLAS dot product that ``c @ u`` runs there, so they keep its bits
-    too (an ``einsum`` or an elementwise sum does not).  Programs without
-    rows (r = 0) take the same steps and get :func:`solve_lp`'s answers:
-    UNBOUNDED, with NaN value and point, or OPTIMAL at u = 0.  An empty
-    stack (K = 0) gives arrays of shapes (0,), (0,) and (0, n).
-    """
-    C = np.asarray(C, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    K, r, n = A.shape
-    if C.shape != (K, n) or b.shape != (K, r):
-        raise ValueError(
-            f"shapes {C.shape}, {A.shape}, {b.shape} are not (K, n), (K, r, n), (K, r)"
-        )
-    if not (np.isfinite(C).all() and np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("program coefficients must be finite")
-    if (b < 0).any():
-        raise ValueError("batched programs need right-hand sides >= 0")
-    width = 2 * n + r
-    T = np.zeros((K, r + 1, width + 1))
-    T[:, :r, :n] = A
-    T[:, :r, n:2 * n] = -A
-    T[:, np.arange(r), 2 * n + np.arange(r)] = 1.0
-    T[:, :r, -1] = b
-    T[:, -1, :n] = -C
-    T[:, -1, n:2 * n] = C
-    basis = np.tile(2 * n + np.arange(r), (K, 1))
-    unbounded = np.zeros(K, dtype=bool)
-    run = np.arange(K)
-    # an empty stack skips the loop, whose going.all() it passes vacuously
-    for pivots in itertools.count() if K else ():
-        improving = T[run, -1, :width] < -_RC_TOL
-        going = improving.any(axis=1)
-        if not going.all():
-            run, improving = run[going], improving[going]
-            if run.size == 0:
-                break
-        j = improving.argmax(axis=1)
-        S = T[run]
-        k = np.arange(run.size)
-        col = S[k, :-1, j]
-        pos = col > _PIVOT_TOL
-        bounded = pos.any(axis=1)
-        if not bounded.all():
-            unbounded[run[~bounded]] = True
-            run, j, S, col, pos = run[bounded], j[bounded], S[bounded], col[bounded], pos[bounded]
-            if run.size == 0:
-                break
-            k = np.arange(run.size)
-        if pivots == _MAX_PIVOTS:
-            raise RuntimeError("simplex pivot cap exceeded")
-        ratios = np.divide(S[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=pos)
-        tied = pos & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
-        rows = np.where(tied, basis[run], width).argmin(axis=1)
-        # _pivot on every running tableau: normalize the pivot row, then
-        # subtract its multiples and set the pivot column to a unit vector
-        prow = S[k, rows] / col[k, rows][:, None]
-        S[k, rows] = prow
-        scale = S[k, :, j]
-        scale[k, rows] = 0.0
-        S -= scale[:, :, None] * prow[:, None, :]
-        S[k, :, j] = 0.0
-        S[k, rows, j] = 1.0
-        T[run] = S
-        basis[run, rows] = j
-
-    z = np.zeros((K, width))
-    z[np.arange(K)[:, None], basis] = T[:, :-1, -1]
-    U = z[:, :n] - z[:, n:2 * n]
-    values = np.matmul(C[:, None, :], U[:, :, None]).reshape(K)
-    values[unbounded], U[unbounded] = np.nan, np.nan
-    return unbounded, values, U
 
 
 def phase_one_feasible(poly: Polytope) -> bool:

@@ -431,8 +431,9 @@ def test_difficulty_and_controller_reject_a_bad_state_before_any_callback(quadgr
 
 def test_difficulty_rejects_a_bad_test_vector_before_any_callback(quadgrid):
     # the box scenario's tests have 2 components, the finite one's its
-    # first point's 2; a mapped scenario's sets depend on (x, t), so only
-    # a finite 1-D vector is asked of its tests
+    # first point's 2, and the mapped quadgrid's 4 at x = (1.2, 0.7), the
+    # size of its corner set realized at (x, 0): a fifth entry is not
+    # ignored, and two entries do not reach the avoid barrier's lambda
     counts = {}
     box = build_unicycle()
     finite = dataclasses.replace(box, test_space=FiniteSpace((np.array([0.3, -0.4]),)))
@@ -450,7 +451,9 @@ def test_difficulty_rejects_a_bad_test_vector_before_any_callback(quadgrid):
         assert counts
         counts.clear()
     scn = recounted(quadgrid, counts)
-    for bad, message in ((0.3, "^test vector must be one-dimensional, got shape \\(\\)$"),
+    for bad, message in (([1, 2, 1, 1, 7], "^test vector needs 4 components, got 5$"),
+                         ([1.0, 2.0], "^test vector needs 4 components, got 2$"),
+                         (0.3, "^test vector must be one-dimensional, got shape \\(\\)$"),
                          ([[1.0, 1.0, 2.0, 1.0]], "^test vector must be one-dimensional"),
                          ([1.0, 1.0, np.inf, 1.0], "^test vector contains non-finite entries$")):
         with pytest.raises(ValueError, match=message):
@@ -662,35 +665,33 @@ def without_batch(scn):
 
 
 def test_held_candidates_skip_the_scalar_solver(monkeypatch):
-    # the scalar simplex sees only candidates with a negative avoid rhs;
-    # every other one follows the input box's Bland path or goes through
-    # the batched kernel, whether the rows come in blocks or one candidate
-    # at a time
+    # solve_lp sees on the spot only candidates with a negative avoid rhs;
+    # every other one follows the input box's Bland path or is an
+    # off-path held solve, whether the rows come in blocks or one
+    # candidate at a time
     two = build_unicycle(n_obstacles=2)
     # built before solve_lp is counted: construction checks the inputs by LP
     scenarios = ((True, two), (False, without_batch(two)))
     search = SearchConfig(grid_points=3)
-    rhs, scalar, batched_lps, shortcut = [], [], [], []
-    real_block, real_lp, real_batch = core.LieCache.avoid_block, continuous.solve_lp, continuous.solve_lp_batch
-    real_follows = lp.BlandPath.follows
+    rhs, scalar, off_path, shortcut = [], [], [], []
+    real_block, real_lp, real_follows = core.LieCache.avoid_block, continuous.solve_lp, lp.BlandPath.follows
 
     def avoid_block(cache, D):
         A, b = real_block(cache, D)
         rhs.extend(b)
         return A, b
 
-    monkeypatch.setattr(core.LieCache, "avoid_block", avoid_block)
-    monkeypatch.setattr(continuous, "solve_lp", lambda p: scalar.append(p) or real_lp(p))
-    monkeypatch.setattr(
-        continuous, "solve_lp_batch",
-        lambda C, A, b: batched_lps.append(len(C)) or real_batch(C, A, b)
-    )
+    def solve_lp(problem):
+        (scalar if (problem.constraints.b < 0).any() else off_path).append(problem)
+        return real_lp(problem)
 
     def follows(path, A, b):
         short = real_follows(path, A, b)
         shortcut.append(int(short.sum()))
         return short
 
+    monkeypatch.setattr(core.LieCache, "avoid_block", avoid_block)
+    monkeypatch.setattr(continuous, "solve_lp", solve_lp)
     monkeypatch.setattr(lp.BlandPath, "follows", follows)
     split = []
     for batched, scn in scenarios:
@@ -708,49 +709,59 @@ def test_held_candidates_skip_the_scalar_solver(monkeypatch):
                 on_the_spot = sum(1 for b in rhs[:res.evaluations] if (b < 0).any())
                 assert len(scalar) == on_the_spot
                 if not res.in_gamma:
-                    assert sum(shortcut) + sum(batched_lps) == res.evaluations - on_the_spot
-                held += sum(shortcut) + sum(batched_lps)
+                    assert sum(shortcut) + len(off_path) == res.evaluations - on_the_spot
+                held += sum(shortcut) + len(off_path)
                 short += sum(shortcut)
-                del rhs[:], scalar[:], batched_lps[:], shortcut[:]
+                del rhs[:], scalar[:], off_path[:], shortcut[:]
         split.append((short, held - short))
-    # (shortcut, batched): every held candidate of these states follows
-    # the path, so no batch runs
+    # (shortcut, off-path): every held candidate of these states follows
+    # the path, so none is solved
     assert split == [(3448, 0), (3448, 0)]
 
 
 def test_held_blocks_follow_the_input_box_path_where_it_holds(quadgrid, monkeypatch):
-    # each held block as ("path", followed, held) and ("batch", programs):
-    # every held candidate of this unicycle grid follows the input box's
-    # Bland path, so no batch runs; the quadgrid's corner set at a
-    # half-integer state mixes both; the integrator's reach row is not
-    # kept, so no path is recorded and every held candidate is batched.
-    # Each scan still gives the one-by-one reference's result
-    log, real_follows, real_batch = [], lp.BlandPath.follows, continuous.solve_lp_batch
+    # each held block as ("path", followed, held), then one ("solve",) per
+    # off-path held program: every held candidate of this unicycle grid
+    # follows the input box's Bland path, so none is solved; the
+    # quadgrid's corner set at a half-integer state mixes both; the
+    # integrator's reach row is not kept, so no path is recorded and every
+    # held candidate is solved.  Each scan still gives the one-by-one
+    # reference's result
+    log, real_follows, real_lp = [], lp.BlandPath.follows, continuous.solve_lp
 
     def follows(path, A, b):
         short = real_follows(path, A, b)
         log.append(("path", int(short.sum()), len(short)))
         return short
 
-    monkeypatch.setattr(lp.BlandPath, "follows", follows)
-    monkeypatch.setattr(continuous, "solve_lp_batch",
-                        lambda C, A, b: log.append(("batch", len(C))) or real_batch(C, A, b))
+    def solve_lp(problem):
+        if not (problem.constraints.b < 0).any():
+            log.append(("solve",))
+        return real_lp(problem)
+
     search = SearchConfig(grid_points=3, refine_iterations=0)
+    # built before solve_lp is logged: construction checks the inputs by LP
+    unicycle, integrator = build_unicycle(n_obstacles=2), integrator_scenario()
     cases = (
-        (lambda: synthesize(build_unicycle(n_obstacles=2), np.array([0.9, -0.8, 1.0]),
-                            search=search), [("path", 81, 81)]),
+        (lambda: synthesize(unicycle, np.array([0.9, -0.8, 1.0]), search=search),
+         [("path", 81, 81)]),
         (lambda: synthesize_constrained(quadgrid, np.array([1.5, 0.5]), 0.0),
-         [("path", 9, 16), ("batch", 7)]),
-        (lambda: synthesize(integrator_scenario(), np.array([1.0, 0.5]),
+         [("path", 9, 16)] + [("solve",)] * 7),
+        (lambda: synthesize(integrator, np.array([1.0, 0.5]),
                             search=dataclasses.replace(COARSE, refine_iterations=0)),
-         [("batch", 81)]),
+         [("solve",)] * 81),
     )
+    monkeypatch.setattr(lp.BlandPath, "follows", follows)
+    monkeypatch.setattr(continuous, "solve_lp", solve_lp)
     for run, blocks in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got, want = both_scans(monkeypatch, run)
+            got = run()
+            assert log == blocks
+            with monkeypatch.context() as m:
+                m.setattr(continuous, "_synthesize_over", reference_synthesize_over)
+                want = run()
         assert_same_result(got, want)
-        assert log == blocks
         del log[:]
 
 
@@ -782,40 +793,47 @@ def test_scan_matches_reference_on_a_grid_wider_than_a_block(monkeypatch):
     assert full_scans
 
 
-def test_trials_solve_held_programs_in_few_batches(monkeypatch, capsys):
+def test_trials_solve_held_programs_on_the_path(monkeypatch, capsys):
     # a refine trial's compass plan is held as one scan: 40 trials on the
-    # refine benchmark config hold 4,773 programs, which take the input
-    # box's Bland path or go to the batched kernel in at most 74 batches (a
-    # batch per compass round makes 481), and call solve_lp 7 times, the
-    # input polytope's construction checks included
-    counts = {"batches": 0, "held": 0, "scalar": 0, "shortcut": 0}
-    real_batch, real_lp, real_follows = continuous.solve_lp_batch, continuous.solve_lp, lp.BlandPath.follows
+    # refine benchmark config hold 4,773 programs, which all take the
+    # input box's Bland path, and call solve_lp 7 times: 4 construction
+    # checks of the input polytope and 3 candidates solved on the spot
+    counts = {"construction": 0, "on_the_spot": 0, "off_path": 0, "shortcut": 0}
+    real_over, real_lp, real_follows = continuous._synthesize_over, continuous.solve_lp, lp.BlandPath.follows
+    searching = []
 
-    def solve_lp_batch(C, A, b):
-        counts["batches"] += 1
-        counts["held"] += len(C)
-        return real_batch(C, A, b)
+    def synthesize_over(*args):
+        searching.append(True)
+        try:
+            return real_over(*args)
+        finally:
+            searching.pop()
+
+    def solve_lp(problem):
+        if not searching:
+            counts["construction"] += 1
+        elif (problem.constraints.b < 0).any():
+            counts["on_the_spot"] += 1
+        else:
+            counts["off_path"] += 1
+        return real_lp(problem)
 
     def follows(path, A, b):
         short = real_follows(path, A, b)
-        counts["held"] += int(short.sum())
         counts["shortcut"] += int(short.sum())
         return short
 
-    def solve_lp(problem):
-        counts["scalar"] += 1
-        return real_lp(problem)
-
-    monkeypatch.setattr(continuous, "solve_lp_batch", solve_lp_batch)
+    monkeypatch.setattr(continuous, "_synthesize_over", synthesize_over)
     monkeypatch.setattr(continuous, "solve_lp", solve_lp)
     monkeypatch.setattr(lp.BlandPath, "follows", follows)
     config = str(REPO / "bench" / "configs" / "unicycle-refine.cfg")
     assert cli.main(["trials", "--config", config, "--count", "40", "--seed", "7"]) == 0
     capsys.readouterr()
-    assert counts["batches"] <= 74
-    assert counts["held"] == 4773 and counts["scalar"] == 7
-    # every held program follows the input box's Bland path: none is batched
-    assert counts["shortcut"] == 4773 and counts["batches"] == 0
+    assert counts["shortcut"] + counts["off_path"] == 4773
+    assert counts["construction"] + counts["on_the_spot"] == 7
+    assert counts["construction"] == 4 and counts["on_the_spot"] == 3
+    # every held program follows the input box's Bland path: none is solved
+    assert counts["shortcut"] == 4773 and counts["off_path"] == 0
 
 
 def test_refine_trials_build_each_compass_plan_in_one_call(monkeypatch, tmp_path, capsys):
@@ -926,22 +944,29 @@ def test_scan_raises_reach_errors_at_the_same_candidate(monkeypatch, make_error,
     assert counts[0] == counts[1]
 
 
-def test_unbounded_held_program_raises_through_the_batch(monkeypatch):
+def test_unbounded_held_program_raises_through_solve_lp(monkeypatch):
     # an actuator polytope open towards -u, which construction rejects: at
-    # x = (1, 1) every candidate is held and its program unbounded, and the
-    # one batch of all 81 reports it
+    # x = (1, 1) every candidate is held and its program unbounded; the
+    # integrator's reach row is not kept, so no path is recorded, and the
+    # first held program's solve reports it
     scn = integrator_scenario()
     object.__setattr__(scn, "input_polytope", Polytope(np.eye(2), np.ones(2)))
     x = np.array([1.0, 1.0])
-    batches, real_batch = [], continuous.solve_lp_batch
-    monkeypatch.setattr(continuous, "solve_lp_batch",
-                        lambda C, A, b: batches.append(len(C)) or real_batch(C, A, b))
+    solved, real_lp = [], continuous.solve_lp
+
+    def solve_lp(problem):
+        out = real_lp(problem)
+        solved.append(out.status)
+        return out
+
+    monkeypatch.setattr(continuous, "solve_lp", solve_lp)
     for scan in (continuous._synthesize_over, reference_synthesize_over):
         with monkeypatch.context() as m:
             m.setattr(continuous, "_synthesize_over", scan)
             with pytest.raises(ScenarioError, match="unbounded"):
                 synthesize(scn, x, search=COARSE)
-    assert batches == [81]
+        assert solved == [lp.UNBOUNDED]
+        del solved[:]
 
 
 def test_search_over_budget_raises_before_any_callback():
@@ -1258,7 +1283,14 @@ def test_planned_rounds_match_one_round_at_a_time(monkeypatch, case, batch):
                 with pytest.raises(LookupError, match="avoid callback failed"):
                     synthesize(scn, x, search=search)
         return
-    monkeypatch.setattr(continuous, "solve_lp", lambda p: scalar.append(p) or real_lp(p))
+
+    def solve_lp(problem):
+        # only an on-the-spot polytope has a negative right-hand side
+        if (problem.constraints.b < 0).any():
+            scalar.append(problem)
+        return real_lp(problem)
+
+    monkeypatch.setattr(continuous, "solve_lp", solve_lp)
     got = synthesize(scn, x, search=search)
     on_the_spot = len(scalar)
     _, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))
@@ -1308,7 +1340,7 @@ def test_scan_stops_at_the_first_improving_round(target, trap, folded, want):
 
 def test_planned_rounds_match_reference_without_batch(monkeypatch):
     # blocks of one on the two-obstacle unicycle: rows one candidate at a
-    # time, a plan's held LPs still in one batch
+    # time, a plan's held LPs still folded as one scan
     scn = without_batch(build_unicycle(n_obstacles=2))
     search = SearchConfig(grid_points=3, refine_iterations=40)
     refined = 0

@@ -1,5 +1,4 @@
 import itertools
-import re
 from collections import Counter
 
 import numpy as np
@@ -20,7 +19,6 @@ from advsynth import (
     scenarios,
     solve_lp,
 )
-from advsynth.lp import solve_lp_batch
 from conftest import (
     reference_phase_one,
     assert_same_outcome,
@@ -107,23 +105,6 @@ def test_no_rows_zero_objective():
         assert solve_lp(LpProblem(np.array(c), poly)).status == UNBOUNDED
     assert poly.contains(np.array([5.0, -1.0, 0.0]))
     assert phase_one_feasible(poly) and not blocks_all_inputs(poly)
-
-
-def test_batch_without_rows():
-    C = np.array([[0.0, 0.0], [-0.0, -0.0], [1.0, 0.0], [0.0, -3.0]])
-    unbounded, values, points = solve_lp_batch(C, np.zeros((4, 0, 2)), np.zeros((4, 0)))
-    assert unbounded.tolist() == [False, False, True, True]
-    assert values[:2].tolist() == [0.0, 0.0] and not np.signbit(values[:2]).any()
-    assert np.array_equal(points[:2], np.zeros((2, 2))) and not np.signbit(points[:2]).any()
-    assert np.isnan(values[2:]).all() and np.isnan(points[2:]).all()
-
-
-def test_batch_without_programs():
-    # an empty stack returns at once, with the shapes of a stack of K
-    unbounded, values, points = solve_lp_batch(np.zeros((0, 2)), np.zeros((0, 3, 2)),
-                                               np.zeros((0, 3)))
-    assert (unbounded.shape, values.shape, points.shape) == ((0,), (0,), (0, 2))
-    assert (unbounded.dtype, values.dtype, points.dtype) == (bool, float, float)
 
 
 def test_rejects_nonfinite():
@@ -219,107 +200,6 @@ def test_outcome_dataclass_defaults():
     assert out.value is None and out.point is None
 
 
-def random_batch(rng, n, r, K):
-    """K programs with right-hand sides >= 0, drawn to hit the kernel's
-    edge cases: zero and -0.0 right-hand sides, integer data whose ratio
-    tests tie, zero objectives, and few rows, so some are unbounded."""
-    A = rng.normal(size=(K, r, n)) * 10.0 ** rng.integers(-3, 4, size=(K, r, 1))
-    b = np.abs(rng.normal(size=(K, r))) * 10.0 ** rng.integers(-3, 2, size=(K, r))
-    C = rng.normal(size=(K, n))
-    if rng.random() < 0.3:
-        A, b, C = np.round(3 * A), np.round(2 * b), np.round(2 * C)
-    b[rng.random((K, r)) < 0.25] = 0.0
-    b[rng.random((K, r)) < 0.1] = -0.0
-    C[rng.random(K) < 0.1] = 0.0
-    return C, A, b
-
-
-def batch_outcomes(C, A, b):
-    """``solve_lp_batch``'s arrays as one :class:`LpOutcome` per program."""
-    unbounded, values, points = solve_lp_batch(C, A, b)
-    K, n = np.shape(C)
-    assert unbounded.shape == values.shape == (K,) and points.shape == (K, n)
-    assert unbounded.dtype == bool and values.dtype == points.dtype == np.float64
-    assert np.isnan(values[unbounded]).all() and np.isnan(points[unbounded]).all()
-    return [LpOutcome(UNBOUNDED) if unb else LpOutcome(OPTIMAL, float(v), p)
-            for unb, v, p in zip(unbounded.tolist(), values, points)]
-
-
-def test_batch_matches_scalar_solve_per_program():
-    rng = np.random.default_rng(2026)
-    statuses = {OPTIMAL: 0, UNBOUNDED: 0}
-    programs = no_rows = 0
-    for _ in range(400):
-        n = int(rng.integers(1, 4))
-        r = int(rng.integers(0, 9))
-        C, A, b = random_batch(rng, n, r, int(rng.integers(1, 9)))
-        if rng.random() < 0.5 and r:
-            # bounded programs: stack a box under the random rows
-            box = Polytope.box(-np.ones(n), np.ones(n))
-            A = np.concatenate([A, np.broadcast_to(box.A, (len(C),) + box.A.shape)], axis=1)
-            b = np.concatenate([b, np.broadcast_to(box.b, (len(C), box.rows))], axis=1)
-        got = batch_outcomes(C, A, b)
-        assert len(got) == len(C)
-        for k, out in enumerate(got):
-            want = solve_lp(LpProblem(C[k], Polytope(A[k], b[k])))
-            assert out.status == want.status
-            statuses[out.status] += 1
-            programs += 1
-            no_rows += A.shape[1] == 0
-            if want.status == OPTIMAL:
-                assert np.array_equal(out.point, want.point)
-                assert np.array_equal(np.signbit(out.point), np.signbit(want.point))
-                assert type(out.value) is float and out.value == want.value
-                assert np.signbit(out.value) == np.signbit(want.value)
-            else:
-                assert out.value is None and out.point is None
-    assert programs >= 1000
-    assert statuses[OPTIMAL] >= 500 and statuses[UNBOUNDED] >= 50 and no_rows >= 50
-
-
-def test_batch_gets_the_scalar_pivots_on_ties():
-    # a square box with a face-parallel objective: the ratio test ties and
-    # the lowest basic index must win, as in solve_lp
-    box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
-    C = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [0.0, 0.0]])
-    got = batch_outcomes(C, np.broadcast_to(box.A, (4, 4, 2)), np.broadcast_to(box.b, (4, 4)))
-    for c, out in zip(C, got):
-        want = solve_lp(LpProblem(c, box))
-        assert out.status == want.status == OPTIMAL
-        assert np.array_equal(out.point, want.point) and out.value == want.value
-    # ratios 1 + 5e-13 and 1 count as tied, so the first row's slack leaves
-    near = Polytope(np.array([[1.0], [1.0], [-1.0]]), np.array([1.0 + 5e-13, 1.0, 1.0]))
-    (out,) = batch_outcomes(np.ones((1, 1)), near.A[None], near.b[None])
-    want = solve_lp(LpProblem(np.ones(1), near))
-    assert out.point[0] == want.point[0] == 1.0 + 5e-13
-
-
-@pytest.mark.parametrize(
-    "C,A,b,message",
-    [
-        (np.ones((2, 1)), np.ones((2, 3, 1)), np.ones((2, 2)),
-         "shapes (2, 1), (2, 3, 1), (2, 2) are not (K, n), (K, r, n), (K, r)"),
-        (np.ones((1, 2)), np.ones((1, 3, 1)), np.ones((1, 3)),
-         "shapes (1, 2), (1, 3, 1), (1, 3) are not (K, n), (K, r, n), (K, r)"),
-        (np.full((1, 1), np.nan), np.ones((1, 1, 1)), np.ones((1, 1)),
-         "program coefficients must be finite"),
-        (np.ones((1, 1)), np.ones((1, 1, 1)), np.full((1, 1), np.inf),
-         "program coefficients must be finite"),
-    ],
-    ids=["rhs-shape", "objective-shape", "nan-objective", "inf-rhs"],
-)
-def test_batch_rejects_bad_programs(C, A, b, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        solve_lp_batch(C, A, b)
-
-
-def test_batch_rejects_negative_right_hand_sides():
-    box = Polytope.box([-1.0], [1.0])
-    b = np.array([[1.0, 1.0], [1.0, -0.5]])
-    with pytest.raises(ValueError, match=">= 0"):
-        solve_lp_batch(np.ones((2, 1)), np.broadcast_to(box.A, (2, 2, 1)), b)
-
-
 # ---------------------------------------------------------------------------
 # the list kernel against its numpy reference (conftest.py), bit for bit
 
@@ -399,7 +279,7 @@ def test_pinned_simulations_solve_every_lp_as_the_reference(monkeypatch, tmp_pat
         assert statuses[INFEASIBLE] >= 1  # the run reaches the fallback
 
 
-def test_pivot_cap_stops_both_kernels(monkeypatch):
+def test_pivot_cap_stops_the_kernel(monkeypatch):
     # the box corner (1, 1) takes one Phase-II pivot per coordinate.  The
     # cap counts pivots: the pass after the last allowed one still reports
     # optimal, so two pivots need a cap of 2.
@@ -409,11 +289,8 @@ def test_pivot_cap_stops_both_kernels(monkeypatch):
         monkeypatch.setattr(lp, "_MAX_PIVOTS", cap)
         with pytest.raises(RuntimeError, match="^simplex pivot cap exceeded$"):
             solve_lp(LpProblem(c, box))
-        with pytest.raises(RuntimeError, match="^simplex pivot cap exceeded$"):
-            solve_lp_batch(c[None], box.A[None], box.b[None])
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
-    (batched,) = batch_outcomes(c[None], box.A[None], box.b[None])
-    assert solve_lp(LpProblem(c, box)).value == batched.value == 2.0
+    assert solve_lp(LpProblem(c, box)).value == 2.0
 
 
 def test_drop_artificials_pivots_out_and_drops_as_the_reference(monkeypatch):
@@ -469,28 +346,24 @@ def test_phase_one_keeps_each_artificial_the_negated_slack():
 # ---------------------------------------------------------------------------
 # the held-candidate shortcut: the input box's Bland path, replayed
 
-def batch_on_path(path, c, inputs, A, b):
+def solve_on_path(path, c, inputs, A, b):
     """``path.follows`` on the programs that stack the rows ``A u <= b``
-    above ``inputs``, and ``solve_lp_batch``'s points and values for them,
-    each program's bits compared with the recorded ones: ``(follows,
-    same)``."""
-    K = len(b)
-    unbounded, values, points = solve_lp_batch(
-        np.tile(c, (K, 1)),
-        np.concatenate([A, np.broadcast_to(inputs.A, (K,) + inputs.A.shape)], axis=1),
-        np.concatenate([b, np.broadcast_to(inputs.b, (K, inputs.rows))], axis=1),
-    )
-    assert not unbounded.any()
-    same = np.array([p.tobytes() == path.point.tobytes() and v.tobytes() == path.value.tobytes()
-                     for p, v in zip(points, values)], dtype=bool)
-    return path.follows(A, b), same
+    above ``inputs``, and whether :func:`solve_lp` gives each of them the
+    recorded point and value, compared by bytes: ``(follows, same)``."""
+    same = []
+    for Ak, bk in zip(A, b):
+        out = solve_lp(LpProblem(c, core.stack_rows(Ak, bk, inputs)))
+        assert out.status == OPTIMAL
+        same.append(out.point.tobytes() == path.point.tobytes()
+                    and np.float64(out.value).tobytes() == np.float64(path.value).tobytes())
+    return path.follows(A, b), np.array(same, dtype=bool)
 
 
-def test_bland_path_replay_gives_the_batch_bits_on_both_scenarios():
+def test_bland_path_replay_gives_solve_lp_bits_on_both_scenarios():
     # the scan's held programs at many (x, d) pairs: the unicycle's 3-point
     # grid and quarter-rounded and uniform tests, and the quadgrid's corner
     # sets at random, half-integer and near-integer states, where ratios
-    # tie.  A program that follows the path gets the batch's bits; a rule
+    # tie.  A program that follows the path gets solve_lp's bits; a rule
     # that only asks u* to satisfy A u* <= b would take programs whose
     # avoid row cuts the path at an intermediate vertex, and get other bits
     rng = np.random.default_rng(2626)
@@ -503,7 +376,7 @@ def test_bland_path_replay_gives_the_batch_bits_on_both_scenarios():
         held = ~(b < 0).any(axis=1)
         A, b, c = A[held], b[held], cache.reach(D[0])[1]
         path = lp.BlandPath(c, scn.input_polytope)
-        follows, same = batch_on_path(path, c, scn.input_polytope, A, b)
+        follows, same = solve_on_path(path, c, scn.input_polytope, A, b)
         feasible = (A @ path.point <= b).all(axis=1)
         tally.update(pairs=len(b), follows=int(follows.sum()),
                      mismatches=int((follows & ~same).sum()),
@@ -531,7 +404,7 @@ def test_bland_path_replay_gives_the_batch_bits_on_both_scenarios():
 def test_bland_path_replay_rejects_a_row_at_the_tie_threshold():
     # max u over [-1, 1]: one pivot, ratio θ = 1, tie threshold 1 + 1e-12.
     # An avoid row u <= β with β = θ or θ + 5e-13 ties with the box row,
-    # and its slack, of lower basic index, leaves in the batch: the replay
+    # and its slack, of lower basic index, leaves in solve_lp: the replay
     # must reject both, since the second gets other bits than u* = 1
     box = Polytope.box([-1.0], [1.0])
     c = np.ones(1)
@@ -539,13 +412,16 @@ def test_bland_path_replay_rejects_a_row_at_the_tie_threshold():
     assert [(j, top) for j, top, _ in path.steps] == [(0, 1.0 + 1e-12)]
     assert path.point.tolist() == [1.0] and path.value == 1.0
     A, b = np.ones((3, 1, 1)), np.array([[1.0], [1.0 + 5e-13], [1.0 + 2e-12]])
-    follows, same = batch_on_path(path, c, box, A, b)
+    follows, same = solve_on_path(path, c, box, A, b)
     assert follows.tolist() == [False, False, True]
     assert same.tolist() == [True, False, True]
+    # the tied avoid row's slack leaves, so solve_lp stops at u = β
+    out = solve_lp(LpProblem(c, core.stack_rows(A[1], b[1], box)))
+    assert out.point.tolist() == [1.0 + 5e-13]
 
 
 def test_bland_path_without_a_recordable_program():
-    # an unbounded program has no point to take: every program is batched
+    # an unbounded program has no point to take: every program is solved
     half = Polytope(np.eye(2), np.ones(2))
     path = lp.BlandPath(np.array([0.0, -1.0]), half)
     assert path.point is None and path.value is None
