@@ -45,7 +45,6 @@ from .discrete import (
     feasible_sequences,
     one_step_difficulty,
     predictive_difficulty,
-    rollout,
     synthesize_discrete,
     synthesize_discrete_constrained,
     synthesize_predictive,

@@ -35,6 +35,7 @@ from .core import (
     ScenarioError,
     SynthesisResult,
     TestSpace,
+    _finite_floor,
     as_vector,
     dim_at,
     dynamics_at,
@@ -185,28 +186,39 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     Returns ``(value, maximizer)``; the maximizer is None exactly on the
     floor branch.  ``tau`` shifts the non-floor objective down by a progress
     margin; since it is a constant shift it can never change which test
-    minimizes the measure.  f and g are evaluated once for all rows.
-    Before any dynamics or barrier callback runs, a state or test vector
-    that :meth:`ContinuousScenario.check_state` or
-    :meth:`ContinuousScenario.check_test` rejects raises ``ValueError``
+    minimizes the measure.  The program is :func:`_program`'s, which
+    :func:`scenarios.greedy_safe_controller` solves too, and the LP is read
+    by :func:`_best_rate`.  Before any dynamics or barrier callback runs, a
+    floor that is not finite (the rule of :func:`core.satisfaction_floor`),
+    or a state or test vector that :meth:`ContinuousScenario.check_state`
+    or :meth:`ContinuousScenario.check_test` rejects, raises ``ValueError``
     (a mapped test space's map runs to size the test).
     """
-    x = scn.check_state(x)
-    d = scn.check_test(d, x)
+    floor, x = _finite_floor(floor), scn.check_state(x)
+    value, u = _best_rate(*_program(scn, x, scn.check_test(d, x)), floor)
+    return (value, u) if u is None else (value - tau, u)
+
+
+def _program(scn, x, d):
+    """The one-test program of :func:`difficulty` and
+    :func:`scenarios.greedy_safe_controller` at checked (x, d): the reach
+    barrier's ``(drift_rate, input_row)`` and the safe-input polytope, f
+    and g evaluated once for both."""
     fg = dynamics_at(scn.dynamics, x, d)
     poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
-    value, u = _best_rate(lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg), poly, floor)
-    return (value, u) if u is None else (value - tau, u)
+    return lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg), poly
 
 
 def _best_rate(reach, poly, floor):
     """The inner maximization of :func:`difficulty` over the safe-input
     polytope ``poly``, with ``reach`` the reach barrier's
-    ``(drift_rate, input_row)`` at the same (x, d)."""
+    ``(drift_rate, input_row)`` at the same (x, d): ``(floor, None)``
+    when ``poly`` is empty (the test is in Γ), else the best rate and its
+    maximizer."""
     drift_rate, input_row = reach
     out = solve_lp(LpProblem(input_row, poly))
     if out.status == INFEASIBLE:
-        return float(floor), None
+        return floor, None
     if out.status == UNBOUNDED:
         raise ScenarioError(_UNBOUNDED)
     return drift_rate + out.value, out.point

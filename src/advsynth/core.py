@@ -136,12 +136,6 @@ class Polytope:
         u = np.asarray(u, dtype=float)
         return u.shape == (self.dim,) and bool(np.all(self.A @ u <= self.b + 1e-8))
 
-    def stack(self, other: "Polytope") -> "Polytope":
-        """Intersection, expressed by stacking the inequality rows."""
-        if other.dim != self.dim:
-            raise ValueError("cannot intersect polytopes of different dimension")
-        return Polytope(np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]))
-
 
 def _check_declaration(reads) -> None:
     if not (reads is None or (isinstance(reads, tuple) and not reads)):
@@ -365,13 +359,20 @@ class SynthesisResult:
 
 
 def satisfaction_floor(scn) -> float:
-    """The satisfaction floor pinned on the scenario.  The floor is a
-    modelling input, so without one there is none to guess.  It must be
-    finite: it is the difficulty of a test in Γ, the hardest, and an
-    infinite or NaN one would rank that test with the easiest."""
+    """The satisfaction floor pinned on the scenario, checked by
+    :func:`_finite_floor`.  The floor is a modelling input, so without one
+    there is none to guess."""
     if scn.floor is None:
         raise ValueError("no satisfaction floor: pin one on the scenario")
-    floor = float(scn.floor)
+    return _finite_floor(scn.floor)
+
+
+def _finite_floor(floor) -> float:
+    """``floor`` as a float, the one rule for a satisfaction floor, which
+    every difficulty measure applies before any callback runs: it must be
+    finite.  It is the difficulty of a test in Γ, the hardest, and an
+    infinite or NaN one would rank that test with the easiest."""
+    floor = float(floor)
     if not math.isfinite(floor):
         raise ValueError(f"satisfaction floor must be finite, got {floor}")
     return floor
@@ -402,19 +403,10 @@ def lie_derivatives(h: BarrierFunction, dyn: ContinuousDynamics, x, d, fg=None):
 
 
 def feasibility_filter(value, point, member, fallback):
-    """Two-branch select: ``value`` when ``point`` belongs to ``member``,
-    else ``fallback``.
-
-    ``member`` may be anything with a ``contains`` method (Polytope, test
-    spaces), a membership predicate, or a plain container.
-    """
-    if hasattr(member, "contains"):
-        inside = member.contains(point)
-    elif callable(member):
-        inside = member(point)
-    else:
-        inside = point in member
-    return value if inside else fallback
+    """Two-branch select: ``value`` when ``member.contains(point)``, else
+    ``fallback``.  ``member`` is anything with a ``contains`` method: a
+    :class:`Polytope` or a test space."""
+    return value if member.contains(point) else fallback
 
 
 class LieCache:

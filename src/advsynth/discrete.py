@@ -8,7 +8,6 @@ prediction horizon, one step being N = 1.  One difficulty loop
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -23,12 +22,12 @@ from .core import (
     MappedSpace,
     ReachAvoidSpec,
     SynthesisResult,
+    _finite_floor,
     satisfaction_floor,
 )
 
 __all__ = [
     "DiscreteScenario",
-    "rollout",
     "one_step_difficulty",
     "synthesize_discrete",
     "feasible_sequences",
@@ -73,11 +72,6 @@ def _check_horizon(n_steps) -> int:
     if not (isinstance(n_steps, numbers.Integral) and n_steps >= 1):
         raise ValueError(f"prediction horizon must be an integer >= 1, got {n_steps!r}")
     return n_steps
-
-
-def rollout(dyn: DiscreteDynamics, x, inputs):
-    """Terminal state after applying the input sequence in order."""
-    return functools.reduce(dyn.step, inputs, x)
 
 
 def one_step_difficulty(scn: DiscreteScenario, x, d, floor: float):
@@ -131,8 +125,10 @@ def predictive_difficulty(
     """Max N-step reach increment over the :func:`feasible_sequences`, or
     ``(floor, None)`` when none exist.  Each sequence is walked once, its
     terminal state scored as it is screened.  Ties resolve to the last
-    sequence in product order.  A non-finite increment raises
-    ``ValueError``."""
+    sequence in product order.  A floor that is not finite (the rule of
+    :func:`core.satisfaction_floor`) raises ``ValueError`` before any
+    callback runs, and so does a non-finite increment when it is met."""
+    floor = _finite_floor(floor)
     base = float(scn.spec.reach.value(x, d))
     best_val = -float("inf")
     best = None
@@ -144,7 +140,7 @@ def predictive_difficulty(
         if v >= best_val:
             best_val, best = v, seq
     if best is None:
-        return float(floor), None
+        return floor, None
     return best_val, best
 
 

@@ -240,19 +240,26 @@ def _maximize(c: np.ndarray, poly: Polytope, path: Optional[list] = None):
 
 
 class BlandPath:
-    """The Phase-II pivots of ``maximize c @ u`` over ``inputs``, whose
-    right-hand sides must all be >= 0, as :func:`solve_lp` makes them, for
-    :meth:`follows` to replay: ``steps`` holds one ``(entering column, tie
-    threshold, normalized pivot row)`` per pivot.  ``point`` is
-    :func:`solve_lp`'s maximizer and ``value`` its value, ``float(c @
-    point)``; both are None when the program is unbounded."""
+    """The Phase-II pivots of ``maximize c @ u`` over ``inputs``, as
+    :func:`solve_lp` makes them, for :meth:`follows` to replay: ``steps``
+    holds one ``(entering column, tie threshold, normalized pivot row)``
+    per pivot.  ``point`` is :func:`solve_lp`'s maximizer and ``value`` its
+    value, ``float(c @ point)``.
+
+    Only an optimal program is recorded: ``inputs`` must have every
+    right-hand side >= 0 (so u = 0 is in it) and the program must be
+    bounded, else ``ValueError``.  The continuous scan records the reach
+    row over a scenario's input polytope, which construction proves
+    nonempty and bounded."""
 
     def __init__(self, c: np.ndarray, inputs: Polytope):
         if (inputs.b < 0).any():
             raise ValueError("a recorded path needs right-hand sides >= 0")
         steps = []
-        _, self.point = _maximize(c, inputs, steps)
-        self.value = None if self.point is None else float(c @ self.point)
+        status, self.point = _maximize(c, inputs, steps)
+        if status != OPTIMAL:
+            raise ValueError(f"a recorded path needs an optimal program, got {status}")
+        self.value = float(c @ self.point)
         self.steps = [(j, top, np.array(prow)) for j, top, prow in steps]
         self.columns = 2 * c.size + inputs.rows + 1
 
@@ -273,23 +280,20 @@ class BlandPath:
         (the recorded rows' basic indices keep their order, and no new row
         ties).  So :func:`solve_lp` returns :attr:`point` and
         :attr:`value`, bit for bit.
-        Returns a (K,) mask of the programs that pass, all False when the
-        recorded program is unbounded."""
+        Returns a (K,) mask of the programs that pass.  A program that
+        fails a step is still updated, with its own rows only, and its
+        mask entry stays False."""
         K, m, n = A.shape
-        keep = np.arange(K if self.point is not None else 0)
-        R = np.zeros((keep.size, m, self.columns))
-        R[:, :, :n], R[:, :, n:2 * n], R[:, :, -1] = A[keep], -A[keep], b[keep]
+        R = np.zeros((K, m, self.columns))
+        R[:, :, :n], R[:, :, n:2 * n], R[:, :, -1] = A, -A, b
+        follows = np.ones(K, dtype=bool)
         for j, top, prow in self.steps:
             col = R[:, :, j]
             ratios = np.divide(R[:, :, -1], col, out=np.full(col.shape, np.inf),
                                where=col > _PIVOT_TOL)
-            cut = (ratios <= top).any(axis=1)
-            if cut.any():
-                keep, R, col = keep[~cut], R[~cut], col[~cut]
+            follows &= ~(ratios <= top).any(axis=1)
             R -= col[:, :, None] * prow
             R[:, :, j] = 0.0
-        follows = np.zeros(K, dtype=bool)
-        follows[keep] = True
         return follows
 
 

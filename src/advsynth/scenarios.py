@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .continuous import ContinuousScenario, SearchConfig, synthesize_constrained
+from .continuous import (ContinuousScenario, SearchConfig, _best_rate, _program,
+                         synthesize_constrained)
 from .core import (
     DEFAULT_BUDGET,
     BarrierFunction,
@@ -32,7 +33,8 @@ from .core import (
     ReachAvoidSpec,
     ScenarioError,
     as_vector,
-    dynamics_at,
+    # ``feasible_input_polytope`` and ``lie_derivatives`` stay bound here
+    # because bench/spans.py wraps them by name
     feasible_input_polytope,
     lie_derivatives,
     min_avoid,
@@ -195,7 +197,7 @@ class RewardGrid:
     ``base`` solves the averaging recursion with the goal fixed at +10 and
     the obstacle at -10; ``modified`` overrides those cells to +10.1/-10.1.
     When goal and obstacle coincide the system is inconsistent, ``base`` is
-    None (:attr:`feasible` is False) and ``modified`` is identically zero.
+    None and ``modified`` is identically zero.
 
     Grids come from a shared cache and every caller gets the same arrays, so
     both are read-only.
@@ -203,10 +205,6 @@ class RewardGrid:
 
     base: Optional[np.ndarray]
     modified: np.ndarray
-
-    @property
-    def feasible(self) -> bool:
-        return self.base is not None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -406,18 +404,18 @@ def build_quadgrid(
 # baseline controller and closed-loop simulation
 
 def greedy_safe_controller(scn: ContinuousScenario, x, d) -> np.ndarray:
-    """Baseline system-under-test: maximize the reach-barrier rate over the
-    safe inputs; when no input is safe, fall back to the input maximizing
-    the least avoid-row slack over the actuator polytope.  f and g are
-    evaluated once, for the avoid rows and the reach row alike."""
+    """Baseline system-under-test: the maximizer of
+    :func:`continuous.difficulty`, the safe input with the best
+    reach-barrier rate, from the same program (:func:`continuous._program`)
+    read by the same :func:`continuous._best_rate`.  When no input is safe
+    (the test is in Γ), fall back to the input maximizing the least
+    avoid-row slack over the actuator polytope.  ``d`` is used as given,
+    not checked against the test space."""
     x = scn.check_state(x)
-    d = np.asarray(d, dtype=float)
-    fg = dynamics_at(scn.dynamics, x, d)
-    poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
-    drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg)
-    out = solve_lp(LpProblem(input_row, poly))
-    if out.status == OPTIMAL:
-        return out.point
+    reach, poly = _program(scn, x, np.asarray(d, dtype=float))
+    _, u = _best_rate(reach, poly, None)
+    if u is not None:
+        return u
 
     # max-slack fallback: variables (u, s), maximize s subject to
     # avoid_row @ u + s <= avoid_rhs and u in the actuator polytope; the

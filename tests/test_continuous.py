@@ -13,6 +13,8 @@ from advsynth import (
     ClassKappaFn,
     ContinuousDynamics,
     ContinuousScenario,
+    DiscreteDynamics,
+    DiscreteScenario,
     FiniteSpace,
     MappedSpace,
     Polytope,
@@ -22,6 +24,8 @@ from advsynth import (
     build_unicycle,
     difficulty,
     greedy_safe_controller,
+    one_step_difficulty,
+    predictive_difficulty,
     synthesize,
     synthesize_constrained,
     synthesize_discrete,
@@ -120,6 +124,36 @@ def test_non_finite_floor_is_rejected(unicycle, gridworld79, floor):
     for scn in (unicycle, gridworld79):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(scn, floor=floor)
+
+
+@pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+def test_one_test_measures_reject_a_non_finite_floor_before_any_callback(unicycle, floor):
+    # the floor argument of difficulty and predictive_difficulty follows
+    # the scenario floor's rule: a NaN or infinite floor would rank a test
+    # in Γ (the obstacle on the unicycle, an avoid barrier that every
+    # action violates) with the easiest
+    calls = []
+    cont = unpinned(unicycle, calls)
+    disc = DiscreteScenario(
+        dynamics=DiscreteDynamics(step=lambda x, u: x, alphabet=("a", "b")),
+        spec=ReachAvoidSpec(reach=counting(BarrierFunction(lambda x, d: 0.0), calls),
+                            avoid=(counting(BarrierFunction(lambda x, d: -1.0), calls),),
+                            gains=(ClassKappaFn(1.0),)),
+        test_space=FiniteSpace(((0,),)),
+    )
+    measures = [
+        lambda fl: difficulty(cont, BLOCKED, BLOCKED[:2], fl),
+        lambda fl: predictive_difficulty(disc, (0,), (0,), fl, 1),
+        lambda fl: one_step_difficulty(disc, (0,), (0,), fl),
+    ]
+    for measure in measures:
+        with pytest.raises(ValueError, match="^satisfaction floor must be finite, got "):
+            measure(floor)
+        assert not calls
+    for measure in measures:
+        # a finite floor is the value of the test in Γ, and the barriers run
+        assert measure(-9.0) == (-9.0, None)
+        assert calls
 
 
 # ---------------------------------------------------------------------------

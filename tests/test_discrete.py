@@ -1,11 +1,11 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from advsynth import (
     BarrierFunction,
@@ -22,15 +22,12 @@ from advsynth import (
     grid_step,
     one_step_difficulty,
     predictive_difficulty,
-    rollout,
     solve_reward,
     synthesize_discrete,
     synthesize_discrete_constrained,
     synthesize_predictive,
 )
 from advsynth import discrete
-
-cells = st.tuples(st.integers(0, 9), st.integers(0, 9))
 
 
 def blocked_scenario(floor=-3.0):
@@ -101,23 +98,6 @@ def test_feasible_inputs_no_avoid_barriers(gridworld79):
     assert feasible_sequences(spec, gridworld79.dynamics, (3, 5), (4, 5), 1) == tuple(
         (u,) for u in gridworld79.dynamics.alphabet
     )
-
-
-def test_rollout_examples(gridworld79):
-    dyn = gridworld79.dynamics
-    assert rollout(dyn, (3, 5), ("right", "up")) == (4, 6)
-    assert rollout(dyn, (3, 5), ("stay",) * 4) == (3, 5)
-    assert rollout(dyn, (9, 9), ("right", "right")) == (9, 9)
-
-
-@given(x=cells, seq=st.lists(st.sampled_from(("left", "right", "up", "down", "stay")), min_size=0, max_size=5))
-@settings(max_examples=60, deadline=None)
-def test_rollout_is_a_left_fold(x, seq):
-    dyn = DiscreteDynamics(step=grid_step, alphabet=("left", "right", "up", "down", "stay"))
-    state = x
-    for u in seq:
-        state = grid_step(state, u)
-    assert rollout(dyn, x, tuple(seq)) == state
 
 
 def test_one_step_difficulty_obstacle_on_goal(gridworld79):
@@ -263,7 +243,6 @@ def test_gridworld_entry_points_reject_a_state_that_is_not_a_cell(gridworld79, s
         lambda: synthesize_discrete(gridworld79, state),
         lambda: predictive_difficulty(gridworld79, state, (5, 5), -15.0, 1),
         lambda: feasible_sequences(spec, dyn, state, (5, 5), 1),
-        lambda: rollout(dyn, state, ("stay",)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="state must be a pair of integers in 0..9"):
@@ -315,7 +294,7 @@ def test_predictive_two_step_reach_value():
     # two-step increment lands on the goal
     val, seq = predictive_difficulty(scn, (3, 5), (0, 0), floor=-15.0, n_steps=2)
     assert val == pytest.approx(rg[5, 5] - rg[3, 5], abs=1e-12)
-    assert rollout(scn.dynamics, (3, 5), seq) == (5, 5)
+    assert functools.reduce(grid_step, seq, (3, 5)) == (5, 5)
 
 
 def test_predictive_matches_triple_loop(gridworld79):

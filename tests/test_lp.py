@@ -74,7 +74,8 @@ def test_contradictory_halfspaces_infeasible():
 
 def test_contradictory_box_rows_empty():
     box = Polytope.box([-1.0], [1.0])
-    poly = box.stack(Polytope(np.array([[1.0], [-1.0]]), np.array([-2.0, -2.0])))
+    extra = Polytope(np.array([[1.0], [-1.0]]), np.array([-2.0, -2.0]))
+    poly = core.stack_rows(box.A, box.b, extra)
     assert blocks_all_inputs(poly)
 
 
@@ -137,7 +138,7 @@ def test_nonnegative_rhs_is_never_infeasible():
         b[rng.random(rows) < 0.3] = 0.0
         b[rng.random(rows) < 0.1] = -0.0
         box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
-        poly = Polytope(A, b).stack(box)
+        poly = core.stack_rows(A, b, box)
         assert phase_one_feasible(poly)
         assert solve_lp(LpProblem(rng.normal(size=2), poly)).status == OPTIMAL
 
@@ -192,7 +193,7 @@ def test_emptiness_monotone_under_added_rows():
         poly = Polytope(rng.uniform(-1, 1, size=(rows, m)), rng.uniform(-0.3, 0.5, size=rows))
         extra = Polytope(rng.uniform(-1, 1, size=(2, m)), rng.uniform(-0.3, 0.5, size=2))
         if blocks_all_inputs(poly):
-            assert blocks_all_inputs(poly.stack(extra))
+            assert blocks_all_inputs(core.stack_rows(poly.A, poly.b, extra))
 
 
 def test_outcome_dataclass_defaults():
@@ -421,11 +422,11 @@ def test_bland_path_replay_rejects_a_row_at_the_tie_threshold():
 
 
 def test_bland_path_without_a_recordable_program():
-    # an unbounded program has no point to take: every program is solved
+    # only an optimal program is recorded: an unbounded one has no point
+    # to take, and a negative right-hand side needs Phase-I pivots
     half = Polytope(np.eye(2), np.ones(2))
-    path = lp.BlandPath(np.array([0.0, -1.0]), half)
-    assert path.point is None and path.value is None
-    assert not path.follows(np.zeros((3, 1, 2)), np.ones((3, 1))).any()
+    with pytest.raises(ValueError, match="needs an optimal program, got unbounded"):
+        lp.BlandPath(np.array([0.0, -1.0]), half)
     with pytest.raises(ValueError, match="right-hand sides >= 0"):
         lp.BlandPath(np.ones(2), Polytope(np.eye(2), np.array([1.0, -1.0])))
 
@@ -449,7 +450,7 @@ def margin_program(rng, margin=1e-3):
         t = float(rng.uniform(-1.0, 1.0))
         gap = np.linalg.norm(a) * rng.uniform(margin, 0.5)
         A, b = np.vstack([A, a, -a]), np.concatenate([b, [t, -t - gap]])
-    poly = Polytope(A.reshape(-1, n), b).stack(Polytope.box(-np.ones(n), np.ones(n)))
+    poly = core.stack_rows(A.reshape(-1, n), b, Polytope.box(-np.ones(n), np.ones(n)))
     return LpProblem(rng.normal(size=n), poly), infeasible
 
 

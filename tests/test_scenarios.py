@@ -80,7 +80,7 @@ def test_unicycle_two_obstacles():
 
 def test_reward_grid_fixed_and_override_values():
     rg = solve_reward((7, 9), (5, 5))
-    assert rg.feasible
+    assert rg.base is not None
     assert rg.base[7, 9] == 10.0
     assert rg.base[5, 5] == -10.0
     assert rg.modified[7, 9] == 10.1
@@ -97,7 +97,6 @@ def test_reward_grid_interior_strictly_inside():
 
 def test_reward_grid_infeasible_pair_is_zero():
     rg = solve_reward((4, 4), (4, 4))
-    assert not rg.feasible
     assert rg.base is None
     assert np.all(rg.modified == 0.0)
 
@@ -120,7 +119,7 @@ def _recursion_residual(base, goal, obstacle):
 @settings(max_examples=25, deadline=None)
 def test_reward_recursion_residual(goal, obstacle):
     rg = solve_reward(goal, obstacle)
-    if not rg.feasible:
+    if rg.base is None:
         assert goal == obstacle
         return
     assert _recursion_residual(rg.base, goal, obstacle) <= 1e-9
@@ -236,7 +235,7 @@ def test_reward_matches_explicit_assembly_bitwise(goal):
     for obstacle in itertools.product(range(10), range(10)):
         base, modified = _reference_reward(goal, obstacle)
         rg = solve_reward(goal, obstacle)
-        assert rg.feasible == (base is not None)
+        assert (rg.base is None) == (base is None)
         if base is None:
             assert rg.base is None
         else:
@@ -371,9 +370,11 @@ def test_greedy_max_slack_fallback(unicycle):
 def test_greedy_max_slack_fallback_that_is_not_optimal_aborts(unicycle, monkeypatch):
     from advsynth import INFEASIBLE, LpOutcome
 
+    # the obstacle on the agent: the first LP is infeasible unpatched, and
+    # only the fallback's solve_lp binding is patched
     monkeypatch.setattr(scenarios, "solve_lp", lambda problem: LpOutcome(INFEASIBLE))
     with pytest.raises(ScenarioError, match="max-slack fallback came back infeasible"):
-        greedy_safe_controller(unicycle, np.array([0.5, 0.5, 0.0]), np.array([-0.9, -0.9]))
+        greedy_safe_controller(unicycle, np.array([0.5, 0.5, 0.0]), np.array([0.5, 0.5]))
 
 
 def _reference_max_slack(scn, x, d):
