@@ -1,7 +1,7 @@
 """Ready-to-run test settings.
 
 Three builders: a planar unicycle dodging round obstacles, a 10x10 grid
-world whose barriers come from an absorbing-boundary value solve, and a
+world whose barriers come from an absorbing-boundary value grid, and a
 planar integrator ("quadgrid") whose admissible tests are the corners of the
 unit grid cell around the agent.  Plus a greedy safe baseline controller and
 a closed-loop adversarial simulation harness.
@@ -194,10 +194,11 @@ def grid_step(x, u):
 class RewardGrid:
     """Value matrices backing the grid-world barriers.
 
-    ``base`` solves the averaging recursion with the goal fixed at +10 and
-    the obstacle at -10; ``modified`` overrides those cells to +10.1/-10.1.
-    When goal and obstacle coincide the system is inconsistent, ``base`` is
-    None and ``modified`` is identically zero.
+    ``base`` solves the averaging recursion (each cell the mean of its five
+    successors) with the goal fixed at +10 and the obstacle at -10;
+    ``modified`` overrides those cells to +10.1/-10.1.  When goal and
+    obstacle coincide the system is inconsistent, ``base`` is None and
+    ``modified`` is identically zero.
 
     Grids come from a shared cache and every caller gets the same arrays, so
     both are read-only.
@@ -212,50 +213,71 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# row 0: each index minus one, row 1: plus one, clamped to the grid, so
+# ``a.take(_CLAMPED, axis)`` stacks the two successors along an axis, a wall
+# keeping the agent in place
+_CLAMPED = _readonly(np.array([[0, *range(GRID_N - 1)], [*range(1, GRID_N), GRID_N - 1]]))
+
+
 @lru_cache(maxsize=None)
-def _averaging_operator() -> np.ndarray:
-    """``I - 0.2 * sum over actions of the successor matrix`` (self-loops at
-    walls): each unpinned value is the mean of its five successors.  It does
-    not depend on goal or obstacle.  Built on first use, accumulating each
-    row in the order the explicit per-pair assembly did, so every entry has
-    the same bits (1.0 - 0.2 - 0.2 is not 1.0 - 0.4)."""
-    n2 = GRID_N * GRID_N
-    A = np.zeros((n2, n2))
-    for i, j in _CELLS:
-        k = i * GRID_N + j
-        A[k, k] += 1.0
-        for u in GRID_ACTIONS:
-            ni, nj = grid_step((i, j), u)
-            A[k, ni * GRID_N + nj] -= 0.2
-    return _readonly(A)
+def _cosine_basis() -> tuple:
+    """``(C, Ct, lam)``: the orthonormal DCT-II basis, ``C[i, k]``
+    proportional to cos(pi k (i + 1/2) / n), its transpose, and ``lam[k, l]``
+    the eigenvalue of I - P on mode (k, l).  P averages the five successors,
+    so I - P = (4I - M x I - I x M) / 5, where M, the 1-D move pair with a
+    self-loop at each wall, has eigenvalue 2 cos(pi k / n) on column k of C.
+    The constant mode's eigenvalue, the only zero, is stored as inf: its
+    coefficient is exactly 0 for every pair, and 0 / inf sets that mode to
+    0.  Built with ``math.cos`` on first use."""
+    n = GRID_N
+    C = np.array([[math.sqrt((2.0 if k else 1.0) / n) * math.cos(math.pi * k * (i + 0.5) / n)
+                   for k in range(n)] for i in range(n)])
+    move = [2.0 * math.cos(math.pi * k / n) for k in range(n)]
+    lam = np.array([[(4.0 - a - b) / 5.0 or math.inf for b in move] for a in move])
+    return _readonly(C), _readonly(C.T.copy()), _readonly(lam)
+
+
+def _reward_base(goal: tuple, obstacle: tuple) -> np.ndarray:
+    """The ``base`` grid in closed form.  w = C ((c_g1 c_g2 - c_o1 c_o2) / lam) C^T,
+    with c_i row i of C, solves (I - P) w = e_g - e_o, so w is harmonic off
+    the two pinned cells; ``q w + (10 - q w_g)`` with q = 20 / (w_g - w_o)
+    takes +10 at the goal and -10 at the obstacle, which are then set
+    exactly.  Both matrix products are elementwise products summed by
+    numpy's ``sum`` along a middle axis, a left-to-right sum, so no BLAS
+    kernel or thread count decides a bit."""
+    C, Ct, lam = _cosine_basis()
+    coef = (C[goal[0], :, None] * C[goal[1]] - C[obstacle[0], :, None] * C[obstacle[1]]) / lam
+    t = (C[:, :, None] * coef).sum(axis=1)
+    w = (t[:, :, None] * Ct).sum(axis=1)
+    q = 20.0 / (w[goal] - w[obstacle])
+    base = q * w + (10.0 - q * w[goal])
+    base[goal], base[obstacle] = 10.0, -10.0
+    return base
 
 
 @lru_cache(maxsize=GRID_N ** 4)
 def _solve_reward_cached(goal: tuple, obstacle: tuple) -> RewardGrid:
     if goal == obstacle:
         return RewardGrid(None, _readonly(np.zeros((GRID_N, GRID_N))))
-    A = _averaging_operator().copy()
-    rhs = np.zeros(GRID_N * GRID_N)
-    for (i, j), value in ((goal, 10.0), (obstacle, -10.0)):
-        k = i * GRID_N + j
-        A[k] = 0.0
-        A[k, k] = 1.0
-        rhs[k] = value
-    base = np.linalg.solve(A, rhs).reshape(GRID_N, GRID_N)
-    residual = np.abs(A @ base.reshape(-1) - rhs).max()
-    if not residual <= 1e-9:  # so a NaN residual fails too
+    base = _reward_base(goal, obstacle)
+    # 5 (I - P) base by a 5-point stencil with edge-clamped neighbours, off
+    # the two pinned cells
+    r = 4.0 * base - base.take(_CLAMPED, 0).sum(0) - base.take(_CLAMPED, 1).sum(1)
+    r[goal] = r[obstacle] = 0.0
+    if not (residual := float(np.abs(r).max()) / 5.0) <= 1e-9:  # so a NaN residual fails too
         raise ScenarioError(f"reward solve residual {residual:.3e} exceeds 1e-9")
     modified = base.copy()
-    modified[goal] = 10.1
-    modified[obstacle] = -10.1
+    modified[goal], modified[obstacle] = 10.1, -10.1
     return RewardGrid(_readonly(base), _readonly(modified))
 
 
 def solve_reward(goal, obstacle) -> RewardGrid:
     """Value matrices for a goal/obstacle pair, both cells checked by
-    :func:`grid_cell`.  Results are cached per pair, up to ``GRID_N ** 4``
+    :func:`grid_cell`, built in closed form by :func:`_reward_base` and
+    checked against the averaging recursion to 1e-9 (``ScenarioError``
+    otherwise).  Results are cached per pair, up to ``GRID_N ** 4``
     entries: all 100 goals times 100 obstacles, so no pair is ever evicted
-    or solved twice.  Each entry holds two 10x10 float grids, about 2.2 KB
+    or built twice.  Each entry holds two 10x10 float grids, about 2.2 KB
     with overhead, so the worst case is about 21 MB."""
     return _solve_reward_cached(grid_cell(goal, "goal"), grid_cell(obstacle, "obstacle"))
 

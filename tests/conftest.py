@@ -1,10 +1,11 @@
 import itertools
 import os
 
-# Pinned artifact bytes were recorded with one BLAS thread: a multithreaded
-# LU solve moves the last bits of the grid-world reward grids.  Set before
-# numpy is first imported, which is when OpenBLAS reads it.
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# One BLAS thread unless the caller sets another count: the pinned artifact
+# bytes were recorded with one, and CI reruns tests/test_artifacts.py with
+# two to show that none of them depends on it.  Set before numpy is first
+# imported, which is when OpenBLAS reads it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

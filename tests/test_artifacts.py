@@ -4,11 +4,13 @@ Each case runs one CLI command in process and compares the sha256 of every
 artifact it writes to a pinned value.  The values were recorded by running
 these same commands with one BLAS thread (see conftest.py) on earlier code:
 the first six before declared test dependence (per-synthesis row reuse) was
-added, the gridworld ``synth``/``sweep`` and unicycle ``simulate`` cases
-before the CLI stopped restating library defaults, the README
-"Experiments" commands before ``reads`` lost its index form, the 200-trial
-and two-step gridworld trials before the discrete scan skipped bounded
-tests.  So a change that moves
+added, the gridworld ``synth`` and unicycle ``simulate`` cases before the
+CLI stopped restating library defaults, the README "Experiments" commands
+before ``reads`` lost its index form, the 200-trial and two-step gridworld
+trials before the discrete scan skipped bounded tests.  The ``sweep.csv``
+of the four gridworld ``sweep`` cases was re-recorded when the reward grids
+moved from an LU solve to a closed form; the gridworld bytes then no
+longer depend on the BLAS kernel or thread count.  So a change that moves
 any bit of a ``synth``, ``trials``, ``sweep`` or ``simulate`` artifact fails
 here.  An intended change of output bytes must re-pin the affected values
 and say why.
@@ -109,7 +111,7 @@ CASES = [
         ["sweep", "--config", "bench/configs/gridworld-cold.cfg", "--state", "3,5",
          "--axes", "0:0:9:10,1:0:9:10"],
         {
-            "sweep.csv": "5421f15814c593e4df208ef039c7355c786a7e7214fb1e7116ce5c6763c7ba48",
+            "sweep.csv": "b10d4e50d249cd2ed7c9108a150e21ac5ac80111a5163687bf9b972dbf90777c",
             "sweep_overlay.json": "5d57324fa75a0bf5d4ef483eda0787efe23045fac471bed6428cb765ec823977",
         },
     ),
@@ -138,13 +140,13 @@ _UNICYCLE_SWEEPS = [
 ]
 _GRIDWORLD_SWEEPS = [
     ("7-9",
-     "5421f15814c593e4df208ef039c7355c786a7e7214fb1e7116ce5c6763c7ba48",
+     "b10d4e50d249cd2ed7c9108a150e21ac5ac80111a5163687bf9b972dbf90777c",
      "0631ac01ca8546b3e36f9168e74fa4b1cbe75f75f9596d546f9720fae30427f8"),
     ("5-2",
-     "de78ef743c201ad1f9612a85b201daf0ec153e190b89b1a4c641dbb5d3290443",
+     "aed16c6f0c18427f96cb1ceef5c5a2e8bca2f9b52cf8ee858a89db234eef4097",
      "523d42b96f4299ea4d44950a3a8211edc08b0f7d335f54144e34f59d24d64be3"),
     ("0-7",
-     "74f32218a09f758b6048b253d5da168990bd1f7c63f5c48a817b2af6f164aac6",
+     "37d7401f4370ae5d2f531e810e262b3396aaa9839f628f6d1be829ea3f4900cf",
      "a26b1b85715297df8b082e63299a8641bf3789c289d5cf0794e8b8cbb7378e88"),
 ]
 CASES += [

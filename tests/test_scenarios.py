@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -137,14 +139,36 @@ def test_reward_interior_harmonic_identity():
 
 def test_reward_solve_rejects_a_nan_grid_and_caches_nothing(monkeypatch):
     # a NaN residual is not > 1e-9, so only a check written as
-    # "not <= 1e-9" rejects it
+    # "not <= 1e-9" rejects it; the NaN enters through one entry of the
+    # cosine basis, which the closed form multiplies into a whole grid row
     scenarios._solve_reward_cached.cache_clear()
-    monkeypatch.setattr(scenarios.np.linalg, "solve", lambda A, b: np.full_like(b, np.nan))
+    C, Ct, lam = scenarios._cosine_basis()
+    poisoned = C.copy()
+    poisoned[3, 4] = np.nan
+    monkeypatch.setattr(scenarios, "_cosine_basis", lambda: (poisoned, Ct, lam))
     with pytest.raises(ScenarioError, match="residual nan exceeds"):
         solve_reward((7, 9), (5, 5))
     assert scenarios._solve_reward_cached.cache_info().currsize == 0
     monkeypatch.undo()
     assert np.isfinite(solve_reward((7, 9), (5, 5)).base).all()
+
+
+# an interior cell, an edge cell and a corner, where the stencil's clamped
+# neighbours stand in for the walls
+@pytest.mark.parametrize("cell", [(3, 3), (0, 4), (9, 0)])
+def test_reward_solve_rejects_a_grid_entry_off_by_1e_6(monkeypatch, cell):
+    scenarios._solve_reward_cached.cache_clear()
+    build = scenarios._reward_base
+
+    def off(goal, obstacle):
+        base = build(goal, obstacle)
+        base[cell] += 1e-6
+        return base
+
+    monkeypatch.setattr(scenarios, "_reward_base", off)
+    with pytest.raises(ScenarioError, match="exceeds 1e-9"):
+        solve_reward((7, 9), (5, 5))
+    assert scenarios._solve_reward_cached.cache_info().currsize == 0
 
 
 def test_reward_memoized_identity():
@@ -201,28 +225,29 @@ def test_min_avoid_shows_a_nan_whatever_the_barrier_order(quadgrid, values):
     assert math.isnan(core.min_avoid(spec, np.zeros(2), np.zeros(4)))
 
 
+@functools.lru_cache(maxsize=None)
+def _explicit_operator():
+    # I - 0.2 * (sum of the five successor matrices), assembled cell by cell
+    A = np.zeros((100, 100))
+    for i, j in itertools.product(range(10), range(10)):
+        A[i * 10 + j, i * 10 + j] += 1.0
+        for u in ("left", "right", "up", "down", "stay"):
+            ni, nj = grid_step((i, j), u)
+            A[i * 10 + j, ni * 10 + nj] -= 0.2
+    return A
+
+
 def _reference_reward(goal, obstacle):
-    # the explicit per-pair assembly the shared operator replaced
+    # the per-pair LU solve the closed form replaced: the averaging operator
+    # with the goal and obstacle rows pinned
     if goal == obstacle:
         return None, np.zeros((10, 10))
-    A = np.zeros((100, 100))
+    A = _explicit_operator().copy()
     rhs = np.zeros(100)
-
-    def idx(c):
-        return c[0] * 10 + c[1]
-
-    for i, j in itertools.product(range(10), range(10)):
-        k = idx((i, j))
-        if (i, j) == goal:
-            A[k, k] = 1.0
-            rhs[k] = 10.0
-        elif (i, j) == obstacle:
-            A[k, k] = 1.0
-            rhs[k] = -10.0
-        else:
-            A[k, k] += 1.0
-            for u in ("left", "right", "up", "down", "stay"):
-                A[k, idx(grid_step((i, j), u))] -= 0.2
+    for (i, j), value in ((goal, 10.0), (obstacle, -10.0)):
+        A[i * 10 + j] = 0.0
+        A[i * 10 + j, i * 10 + j] = 1.0
+        rhs[i * 10 + j] = value
     base = np.linalg.solve(A, rhs).reshape(10, 10)
     modified = base.copy()
     modified[goal] = 10.1
@@ -230,26 +255,107 @@ def _reference_reward(goal, obstacle):
     return base, modified
 
 
+def _closed_form_reference(goal, obstacle):
+    # scenarios._reward_base in Python floats: the cosine basis and the
+    # eigenvalues of I - P, then C coef C^T with each sum left to right
+    n = 10
+    C = [[math.sqrt((2.0 if k else 1.0) / n) * math.cos(math.pi * k * (i + 0.5) / n)
+          for k in range(n)] for i in range(n)]
+    move = [2.0 * math.cos(math.pi * k / n) for k in range(n)]
+    coef = [[0.0] * n for _ in range(n)]
+    for k, l in itertools.product(range(n), range(n)):
+        if (k, l) != (0, 0):  # the constant mode stays 0
+            coef[k][l] = ((C[goal[0]][k] * C[goal[1]][l] - C[obstacle[0]][k] * C[obstacle[1]][l])
+                          / ((4.0 - move[k] - move[l]) / 5.0))
+    t = [[0.0] * n for _ in range(n)]
+    w = [[0.0] * n for _ in range(n)]
+    for i, l in itertools.product(range(n), range(n)):
+        for k in range(n):
+            t[i][l] += C[i][k] * coef[k][l]
+    for i, j in itertools.product(range(n), range(n)):
+        for l in range(n):
+            w[i][j] += t[i][l] * C[j][l]
+    w_goal, w_obstacle = w[goal[0]][goal[1]], w[obstacle[0]][obstacle[1]]
+    q = 20.0 / (w_goal - w_obstacle)
+    base = np.array([[q * v + (10.0 - q * w_goal) for v in row] for row in w])
+    base[goal] = 10.0
+    base[obstacle] = -10.0
+    return base
+
+
 @pytest.mark.parametrize("goal", [(0, 0), (0, 5), (7, 9)])
-def test_reward_matches_explicit_assembly_bitwise(goal):
+def test_reward_matches_closed_form_reference_bitwise(goal):
     for obstacle in itertools.product(range(10), range(10)):
-        base, modified = _reference_reward(goal, obstacle)
         rg = solve_reward(goal, obstacle)
-        assert (rg.base is None) == (base is None)
-        if base is None:
-            assert rg.base is None
-        else:
-            assert np.array_equal(rg.base, base)
+        if goal == obstacle:
+            assert rg.base is None and np.array_equal(rg.modified, np.zeros((10, 10)))
+            continue
+        base = _closed_form_reference(goal, obstacle)
+        assert np.array_equal(rg.base, base)
+        modified = base.copy()
+        modified[goal] = 10.1
+        modified[obstacle] = -10.1
         assert np.array_equal(rg.modified, modified)
+
+
+def test_reward_matches_lu_solve_within_1e_12_for_every_pair():
+    # measured worst entry: 7.5e-14
+    worst = 0.0
+    for goal in scenarios._CELLS:
+        for obstacle in scenarios._CELLS:
+            base, modified = _reference_reward(goal, obstacle)
+            rg = solve_reward(goal, obstacle)
+            if base is None:
+                assert rg.base is None and np.array_equal(rg.modified, modified)
+                continue
+            worst = max(worst, np.abs(rg.base - base).max(), np.abs(rg.modified - modified).max())
+    assert worst <= 1e-12
+    scenarios._solve_reward_cached.cache_clear()  # later tests start cold
 
 
 def test_reward_grids_are_read_only():
     rg = solve_reward((7, 9), (5, 5))
     shared = (rg.base, rg.modified, solve_reward((4, 4), (4, 4)).modified,
-              scenarios._averaging_operator())
+              *scenarios._cosine_basis())
     for grid in shared:
         with pytest.raises(ValueError):
             grid[0, 0] = 1.0
+
+
+# the functions that build and check a reward grid
+_REWARD_FUNCTIONS = ("_cosine_basis", "_reward_base", "_solve_reward_cached", "solve_reward")
+
+
+def _blas_sites(source):
+    """(function, what) for each matrix product, ``dot``, ``matmul``,
+    ``einsum`` or ``linalg`` in the reward-grid functions of ``source``."""
+    defs = {node.name: node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)}
+    sites = []
+    for name in _REWARD_FUNCTIONS:
+        for node in ast.walk(defs[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                sites.append((name, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "einsum", "linalg"):
+                sites.append((name, node.attr))
+            elif isinstance(node, ast.Name) and node.id in ("dot", "matmul", "einsum", "linalg"):
+                sites.append((name, node.id))
+    return sites
+
+
+def test_reward_grid_functions_call_no_blas_or_lapack():
+    # a BLAS product or a LAPACK solve would make the grids' bits, and the
+    # gridworld artifacts, depend on the kernel and the thread count
+    with open(scenarios.__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    assert _blas_sites(source) == []
+    # the guard sees a product put back
+    line = "    t = (C[:, :, None] * coef).sum(axis=1)\n"
+    assert line in source
+    assert _blas_sites(source.replace(line, "    t = C @ coef\n")) == [("_reward_base", "@")]
+    for call in ("np.dot(C, coef)", "C.dot(coef)", "np.matmul(C, coef)",
+                 "np.einsum('ik,kl->il', C, coef)", "np.linalg.solve(C, coef)"):
+        assert _blas_sites(source.replace(line, f"    t = {call}\n")), call
 
 
 def test_reward_cache_holds_every_pair():
