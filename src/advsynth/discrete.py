@@ -12,7 +12,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .core import (
     DEFAULT_BUDGET,
@@ -41,22 +41,24 @@ __all__ = [
 class DiscreteScenario:
     """A finite-alphabet system, its spec and its test set.
 
-    ``lower_bound(x, d)``, when given, certifies two facts about test d at
-    state x for every prediction horizon N and either screening rule of
+    ``lower_bound``, when given, is a finite real number that certifies two
+    facts about every test d the test space can realize, at every state x,
+    for every prediction horizon N and either screening rule of
     :func:`feasible_sequences`: some action sequence is safe, and the
-    N-step difficulty is at least the returned float.  ``-math.inf`` means
-    no bound.  The scan of :func:`synthesize_discrete_constrained` uses it
-    to skip tests that cannot beat its best; nothing else reads it.  The
-    bound holds only for the ``dynamics`` and ``spec`` it was declared
-    with, and ``dataclasses.replace`` keeps it: a caller who swaps either
-    must pass a bound for the new pair, or ``lower_bound=None``."""
+    N-step difficulty is at least that number.  Anything else but None
+    (NaN, an infinity, a callable) raises ``ValueError``.  The scan of
+    :func:`synthesize_discrete_constrained` uses it to stop once its best
+    difficulty reaches the bound; nothing else reads it.  The bound holds
+    only for the ``dynamics``, ``spec`` and tests it was declared with, and
+    ``dataclasses.replace`` keeps it: a caller who swaps one of them must
+    pass a bound that holds for the new scenario, or ``lower_bound=None``."""
 
     dynamics: DiscreteDynamics
     spec: ReachAvoidSpec
     test_space: Union[FiniteSpace, MappedSpace]
     horizon: int = 1
     floor: Optional[float] = None
-    lower_bound: Optional[Callable] = None
+    lower_bound: Optional[float] = None
 
     def __post_init__(self):
         _check_horizon(self.horizon)
@@ -64,6 +66,9 @@ class DiscreteScenario:
             raise ValueError("discrete scenarios need a finite or mapped test space")
         if self.floor is not None:
             satisfaction_floor(self)
+        if self.lower_bound is not None and not (isinstance(self.lower_bound, numbers.Real)
+                                                 and math.isfinite(self.lower_bound)):
+            raise ValueError(f"lower_bound must be a finite real number, got {self.lower_bound!r}")
 
 
 def _check_horizon(n_steps) -> int:
@@ -178,11 +183,11 @@ def synthesize_discrete_constrained(
 
     The tests are scanned in order for the least N-step difficulty.  The
     first test with no safe sequence ends the scan; ties keep the earliest
-    minimizer.  A test whose ``scn.lower_bound`` is >= the best difficulty
-    so far is skipped unevaluated: it has a safe sequence, so it is not in
-    Γ, and it can at best tie, which keeps the earlier test.  So the result
-    is that of the full scan.  A NaN bound never skips.  ``evaluations``
-    counts every test the scan reaches, skipped ones included."""
+    minimizer.  Once the best difficulty is at or below ``scn.lower_bound``
+    the scan stops: every later test has a safe sequence, so none is in Γ,
+    and each can at best tie, which keeps the earlier test.  So the result
+    is that of the full scan, and ``evaluations`` counts every test of the
+    set, the unevaluated ones included, unless a test in Γ ends the scan."""
     n = scn.horizon if n_steps is None else _check_horizon(n_steps)
     space = scn.test_space
     if isinstance(space, MappedSpace):
@@ -194,16 +199,14 @@ def synthesize_discrete_constrained(
     if cost > DEFAULT_BUDGET:
         raise BudgetError(f"enumeration needs {cost} sequence evaluations but the budget is "
                           f"{DEFAULT_BUDGET}; shrink the horizon")
-    evals = 0
     best_d = best_seq = None
     best_val = float("inf")
-    for d in space.points:
-        evals += 1
-        if scn.lower_bound is not None and scn.lower_bound(x, d) >= best_val:
-            continue
+    for evals, d in enumerate(space.points, 1):
         val, seq = predictive_difficulty(scn, x, d, fl, n, check_path)
         if seq is None:
             return SynthesisResult(d, fl, True, None, evals)
         if val < best_val:
             best_val, best_d, best_seq = val, d, seq
-    return SynthesisResult(best_d, best_val, False, best_seq, evals)
+            if scn.lower_bound is not None and best_val <= scn.lower_bound:
+                break
+    return SynthesisResult(best_d, best_val, False, best_seq, len(space))

@@ -297,14 +297,18 @@ def build_gridworld(goal=(7, 9), floor: float = -15.0, horizon: int = 1) -> Disc
     can tie it exactly, and ties resolve to the earliest candidate; leading
     with the goal keeps the reported test the obstacle-on-goal one.
 
-    Every obstacle cell d other than the agent's has ``lower_bound`` 0.0.
-    The all-``stay`` sequence never leaves x, and the avoid value at any
-    cell but the obstacle is at least 1.3456 over all goal/obstacle pairs
-    (10 when the obstacle is on the goal), so that sequence is safe under
-    either screening rule and its reach increment is exactly 0.0.  The goal
-    leads the scan at difficulty 0.0, so every test the bound skips could
-    only tie the goal, never beat it.  The agent's own cell gets no bound
-    (``-inf``): it makes the avoid value at x negative.
+    ``lower_bound`` is 0.0: every obstacle cell d, the agent's own
+    included, has a safe sequence and a difficulty of at least 0.0 at every
+    state x, N and screening rule.  For d other than x, the all-``stay``
+    sequence never leaves x, and the avoid value at any cell but the
+    obstacle is at least 1.3456 over all goal/obstacle pairs (10 when the
+    obstacle is on the goal), so that sequence is safe and its reach
+    increment is exactly 0.0.  For d = x off the goal, x holds the grid's
+    least value, -10.1, and is its only unsafe cell, so a step to any
+    neighbour and then ``stay`` is safe, with an increment above 0.1.  For
+    d = x on the goal the grid is all zeros: every cell is safe and every
+    increment is 0.0.  The goal leads the scan at difficulty 0.0, so the
+    scan evaluates the goal alone.
     """
     g = grid_cell(goal, "goal")
     reach = BarrierFunction(
@@ -329,7 +333,7 @@ def build_gridworld(goal=(7, 9), floor: float = -15.0, horizon: int = 1) -> Disc
         test_space=FiniteSpace(cells),
         horizon=horizon,
         floor=floor,
-        lower_bound=lambda x, d: -math.inf if grid_cell(d) == grid_cell(x, "state") else 0.0,
+        lower_bound=0.0,
     )
 
 

@@ -17,7 +17,7 @@ from advsynth import (
     predictive_difficulty,
     synthesize_predictive,
 )
-from advsynth import cli, discrete
+from advsynth import cli, discrete, scenarios
 from advsynth.cli import main, make_scenario, parse_config
 from advsynth.core import DEFAULT_BUDGET
 
@@ -664,6 +664,20 @@ def test_trials_imports_no_numpy_random():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert json.loads(proc.stdout)["count"] == 3
     assert proc.stderr.splitlines()[-1] == "0 False"
+
+
+def test_gridworld_trials_build_no_reward_grid(capsys, monkeypatch):
+    # each trial's scan stops at the goal test, whose (goal, goal) grid is
+    # all zeros, so no trial builds a reward grid, even from a cold cache
+    scenarios._solve_reward_cached.cache_clear()
+    builds = []
+    build = scenarios._reward_base
+    monkeypatch.setattr(scenarios, "_reward_base", lambda *pair: builds.append(pair) or build(*pair))
+    rc, out, _ = run_cli(capsys, ["trials", "--config", str(REPO / "bench/configs/gridworld-cold.cfg"),
+                                  "--count", "25", "--seed", "11"])
+    assert rc == 0
+    assert json.loads(out)["count"] == 25
+    assert builds == []
 
 
 # ---------------------------------------------------------------------------

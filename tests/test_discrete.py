@@ -413,9 +413,9 @@ def random_pairs(rng, count):
 
 
 def test_gridworld_lower_bound_is_sound():
-    # on sampled tests other than the agent's cell, at N = 1 and 2 and under
-    # both screening rules: some sequence is safe, and the difficulty is at
-    # least the declared bound
+    # at N = 1 and 2 and under both screening rules: some sequence is safe,
+    # and the difficulty is at least the declared bound; on sampled tests
+    # other than the agent's cell first
     rng = np.random.default_rng(41)
     sampled = near_bound = 0
     while sampled < 200:
@@ -425,15 +425,21 @@ def test_gridworld_lower_bound_is_sound():
             continue
         sampled += 1
         scn = build_gridworld(goal)
-        bound = scn.lower_bound(x, d)
         for n_steps, check_path in itertools.product((1, 2), (False, True)):
             val, seq = predictive_difficulty(scn, x, d, scn.floor, n_steps, check_path)
             assert seq is not None
-            assert val >= bound
+            assert val >= scn.lower_bound
             near_bound += 0.0 <= val < 0.1
     # tests within 0.1 of the bound, so a bound raised to 0.1 fails above
     assert near_bound > 0
-    assert build_gridworld((7, 9)).lower_bound((3, 5), (3.0, 5.0)) == -math.inf
+    # then the agent's own cell, for every goal and state
+    cells = tuple(itertools.product(range(10), repeat=2))
+    for goal in cells:
+        scn = build_gridworld(goal)
+        for x, n_steps, check_path in itertools.product(cells, (1, 2), (False, True)):
+            val, seq = predictive_difficulty(scn, x, x, scn.floor, n_steps, check_path)
+            assert seq is not None
+            assert val >= scn.lower_bound
 
 
 def result_fields(res):
@@ -457,6 +463,14 @@ def test_bounded_scan_matches_the_full_scan():
             assert_pruning_exact(build_gridworld(goal, horizon=2), x, 2, check_path)
 
 
+def test_bounded_scan_matches_the_full_scan_with_the_agent_on_the_goal():
+    # the goal test is also the agent's cell, and it ends the scan
+    for goal in [(7, 9), (0, 0), (4, 9), (5, 2)]:
+        assert_pruning_exact(build_gridworld(goal), goal)
+        for check_path in (False, True):
+            assert_pruning_exact(build_gridworld(goal, horizon=2), goal, 2, check_path)
+
+
 def test_bounded_scan_matches_the_full_scan_without_the_goal():
     # the tests of test_constrained_excluding_goal: no test reaches 0.0
     # first, so the bound of 0.0 finds nothing to skip
@@ -478,15 +492,20 @@ def test_bounded_tests_are_counted_but_not_evaluated(gridworld79, monkeypatch):
 
     monkeypatch.setattr(discrete, "predictive_difficulty", counted)
     bounded = synthesize_discrete(gridworld79, (3, 5))
-    # the goal leads at 0.0 and every other test but the agent's cell is
-    # bounded by 0.0
-    assert calls == [(7, 9), (3, 5)]
+    # the goal leads at 0.0, the bound, so the scan stops there
+    assert calls == [(7, 9)]
     assert bounded.evaluations == 100
-    for no_bound in (None, lambda x, d: math.nan):
-        calls.clear()
-        res = synthesize_discrete(dataclasses.replace(gridworld79, lower_bound=no_bound), (3, 5))
-        assert len(calls) == 100
-        assert result_fields(res) == result_fields(bounded)
+    calls.clear()
+    res = synthesize_discrete(dataclasses.replace(gridworld79, lower_bound=None), (3, 5))
+    assert len(calls) == 100
+    assert result_fields(res) == result_fields(bounded)
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, lambda x, d: 0.0],
+                         ids=["nan", "inf", "-inf", "callable"])
+def test_lower_bound_must_be_a_finite_number(gridworld79, bound):
+    with pytest.raises(ValueError, match="lower_bound must be a finite real number"):
+        dataclasses.replace(gridworld79, lower_bound=bound)
 
 
 def test_monotone_feasibility(gridworld79):
