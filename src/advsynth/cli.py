@@ -236,6 +236,8 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+
+
 def _emit(cfg: RunConfig, payload: dict, out_dir: Optional[Path], name: str) -> None:
     """Print ``payload`` with the run's scenario, seed and config echo as a
     JSON artifact, and write it to ``out_dir / name`` when given."""
@@ -520,24 +522,19 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
         + [f"obs{i}" for i in range(p)]
         + [f"cmd{i}" for i in range(p)]
     )
-    rows = [header]
+    rows = []
     cmd_idx = 0
-    for k, t in enumerate(log.times):
+    cmds = [cmd.tolist() for _, _, cmd in log.commands]
+    times = log.times.tolist()
+    for t, x, obs in zip(times, log.states.tolist(), log.obstacles.tolist()):
         while cmd_idx + 1 < len(log.commands) and log.commands[cmd_idx + 1][0] <= t:
             cmd_idx += 1
-        cmd = log.commands[cmd_idx][2]
-        rows.append(
-            [_fmt(t)]
-            + [_fmt(v) for v in log.states[k]]
-            + [_fmt(v) for v in log.obstacles[k]]
-            + [_fmt(v) for v in cmd]
-        )
-    _write_csv(out_dir / "trajectory.csv", rows)
-
-    rows = [["t", "min_barrier"]]
-    for k, t in enumerate(log.times):
-        rows.append([_fmt(t), _fmt(log.min_barrier[k])])
-    _write_csv(out_dir / "min_barrier.csv", rows)
+        rows.append((t, *x, *obs, *cmds[cmd_idx]))
+    # one format per row gives each float the text of _fmt, in a third of the time
+    line = ",".join(["%.17g"] * len(header))
+    _write_csv(out_dir / "trajectory.csv", [header] + [[line % row] for row in rows])
+    barriers = [["%.17g,%.17g" % r] for r in zip(times, log.min_barrier.tolist())]
+    _write_csv(out_dir / "min_barrier.csv", [["t", "min_barrier"]] + barriers)
 
     verdict = monitor_trajectory(
         scn.spec,

@@ -214,7 +214,8 @@ def _best_rate(reach, poly, floor):
     polytope ``poly``, with ``reach`` the reach barrier's
     ``(drift_rate, input_row)`` at the same (x, d): ``(floor, None)``
     when ``poly`` is empty (the test is in Γ), else the best rate and its
-    maximizer."""
+    maximizer.  :class:`lp.LpProblem` checks the input row, the one
+    check it gets."""
     drift_rate, input_row = reach
     out = solve_lp(LpProblem(input_row, poly))
     if out.status == INFEASIBLE:
@@ -295,12 +296,11 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
         D = np.asarray(candidates[first:int(held[-1]) + 1], dtype=float)[held - first]
         if cache.keep_reach:
             rate, row = cache.reach(D[0])
-            if cache.path is None:
-                cache.path = BlandPath(row, inputs)
-            short = cache.path.follows(held_A[held], held_b[held])
+            path = BlandPath(row, inputs)
+            short = path.follows(held_A[held], held_b[held])
             if short.any():
-                values[held[short]] = rate + cache.path.value
-                maximizers[held[short]] = cache.path.point
+                values[held[short]] = rate + path.value
+                maximizers[held[short]] = path.point
                 held, D = held[~short], D[~short]
         for k, d in zip(held.tolist(), D):
             values[k], maximizers[k] = _best_rate(

@@ -99,6 +99,10 @@ class Polytope:
     A: np.ndarray
     b: np.ndarray
 
+    # ``_lead``, set by :func:`stack_rows`: (actuator polytope, leading row
+    # count); ``_trie``: the :class:`lp.PivotTrie` of these rows, once made
+    _lead = _trie = None
+
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
@@ -415,7 +419,10 @@ class LieCache:
     f and g are evaluated once when the dynamics declare ``reads=()`` (see
     :class:`BarrierFunction`), and so is the reach rate
     when the reach barrier declares it too; otherwise each is built afresh
-    per test.  Avoid rows come a block of tests at a time from the
+    per test, f and g once per test: :meth:`avoid_block` keeps a test's
+    ``(f, G)``, keyed by its bytes, until :meth:`reach` takes it (about
+    0.4 KB per test whose reach row waits).  Avoid rows come a block of
+    tests at a time from the
     barriers' ``batch`` when f and g are evaluated once and every avoid
     barrier has one (:attr:`batched`), else one test at a time through
     :func:`avoid_rows`.  :attr:`keep_reach` says whether the reach rate and
@@ -427,22 +434,26 @@ class LieCache:
     def __init__(self, spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, input_dim: int):
         self._spec, self._dyn, self._x, self._input_dim = spec, dyn, x, input_dim
         self._fixed = dyn.reads == ()
-        self._fg = self._reach = self.path = None
+        self._reach, self._kept = None, {}
         self.keep_reach = self._fixed and spec.reach.reads == ()
         self.batched = self._fixed and all(h.batch is not None for h in spec.avoid)
 
-    def _f_g(self, d):
-        if self._fixed and self._fg is None:
-            self._fg = dynamics_at(self._dyn, self._x, d)
-        return self._fg
+    def _f_g(self, d, keep=False):
+        """``dynamics_at`` at (x, d): the synthesis's one evaluation under
+        ``reads=()``, else the one ``keep`` left for ``d``, or a new one."""
+        key = None if self._fixed else d.tobytes()
+        fg = self._kept.pop(key, None) or dynamics_at(self._dyn, self._x, d)
+        if keep or self._fixed:
+            self._kept[key] = fg
+        return fg
 
     def reach(self, d: np.ndarray):
-        """``lie_derivatives`` of the reach barrier at (x, d), its input
-        row checked by :func:`objective_vector` as an LP objective."""
+        """``lie_derivatives`` of the reach barrier at (x, d).  Its input
+        row is checked where it becomes an LP objective, once: by
+        :class:`lp.LpProblem`, or by :class:`lp.BlandPath` for a kept row."""
         if self._reach is not None:
             return self._reach
-        rate, row = lie_derivatives(self._spec.reach, self._dyn, self._x, d, self._f_g(d))
-        out = rate, objective_vector(row, self._input_dim)
+        out = lie_derivatives(self._spec.reach, self._dyn, self._x, d, self._f_g(d))
         if self.keep_reach:
             self._reach = out
         return out
@@ -456,7 +467,7 @@ class LieCache:
         ``grads @ [G | f]`` per barrier."""
         if not self.batched:
             A, b = avoid_rows(self._spec, self._dyn, self._x, D[0], self._input_dim,
-                              self._f_g(D[0]))
+                              self._f_g(D[0], keep=True))
             return A[None], b[None]
         K, dim, x = len(D), self._input_dim, self._x
         f, G = self._f_g(D[0])
@@ -537,12 +548,15 @@ def stack_rows(A: np.ndarray, b: np.ndarray, input_polytope: Polytope) -> Polyto
     The rows are not checked again: ``A`` and ``b`` must be float rows of
     the polytope's width that were checked finite where they were built,
     as :func:`avoid_rows` and :meth:`LieCache.avoid_block` check theirs,
-    and the actuator rows were checked when ``input_polytope`` was made."""
+    and the actuator rows were checked when ``input_polytope`` was made.
+    The result is marked with ``input_polytope`` and the count of avoid
+    rows, so :func:`lp.solve_lp` can follow the actuator polytope's
+    :class:`lp.PivotTrie`."""
     if b.size == 0:
         return input_polytope
     poly = object.__new__(Polytope)
-    object.__setattr__(poly, "A", np.concatenate([A, input_polytope.A]))
-    object.__setattr__(poly, "b", np.concatenate([b, input_polytope.b]))
+    poly.__dict__.update(A=np.concatenate([A, input_polytope.A]), _lead=(input_polytope, b.size),
+                         b=np.concatenate([b, input_polytope.b]))
     return poly
 
 

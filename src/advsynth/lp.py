@@ -32,24 +32,40 @@ returned value is still computed by numpy, as ``c @ u``.  Lists lose from
 about 14 rows on (two inputs, a box and 10 obstacles); the shipped configs
 build 6 rows.
 
-Most programs the continuous scan holds need no pivots of their own.
-:class:`BlandPath` records the list kernel's Phase-II pivots on the input
-polytope alone: each pivot's entering column, tie threshold (least ratio
-plus 1e-12) and normalized pivot row.  :meth:`BlandPath.follows` replays
-them on each program's extra rows only.  A program none of whose extra
-rows has a usable pivot entry with a ratio at or below the threshold, at
-any step, is pivoted by :func:`solve_lp` on the same path: the same
-entering columns, since the extra rows' slack columns stay 0 in the
-objective row, and the same leaving rows, since no extra row ties.  So it
-gets the recorded point and value, bit for bit.  That the recorded point
-merely satisfies the extra rows is not enough: an extra row can cut the
-path at an intermediate vertex, and :func:`solve_lp` then reaches the
+Most programs this package solves stack a few avoid rows above the same
+actuator polytope (:func:`core.stack_rows` marks them so), and when every
+right-hand side is >= 0 their Phase-II pivots start alike.  Each actuator
+polytope grows a :class:`PivotTrie` of its own rows' pivots, keyed by
+entering column: a node holds the actuator rows' tableau after the
+pivots on its way, the tie threshold (least ratio plus 1e-12) and the
+normalized pivot row of the last one.  :func:`solve_lp` follows it,
+updating only the objective row and the avoid rows, with the list
+kernel's own ``a - m * v``.  At the first step where an avoid row would
+leave or tie (ratio at or below the threshold), or where the actuator
+rows alone are unbounded, it builds the stacked tableau there and
+:func:`_bland` finishes.  The bits are those of the stacked solve: the
+avoid rows' slack columns stay +0.0 in the objective row, so the same
+columns enter; no avoid row ties, so the same rows leave, in the same
+basis order; and the actuator rows never read the avoid rows (see
+:class:`PivotTrie`).  A negative right-hand side takes Phase-I as
+before.  A trie holds at most ``_TRIE_CAP`` (256) nodes; a solve that
+needs one more makes it for itself and drops it.
+
+:class:`BlandPath` reads a walk of the trie without avoid rows: each
+pivot's entering column, tie threshold and normalized pivot row.
+:meth:`BlandPath.follows` replays them on many programs' extra rows at
+once, with numpy, by the same rule: a program none of whose extra rows
+has a usable pivot entry with a ratio at or below the threshold, at any
+step, gets the recorded point and value, bit for bit.  That the recorded
+point merely satisfies the extra rows is not enough: an extra row can cut
+the path at an intermediate vertex, and :func:`solve_lp` then reaches the
 point, or another optimum, with other last bits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,6 +89,7 @@ INFEASIBILITY_TOL = 1e-7  # Phase-I objective above this means "no point exists"
 _RC_TOL = 1e-9            # reduced-cost threshold for optimality
 _PIVOT_TOL = 1e-10        # smallest usable pivot magnitude
 _MAX_PIVOTS = 20_000      # pivots per phase; Bland's rule precludes cycling
+_TRIE_CAP = 256           # nodes of one actuator polytope's PivotTrie
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -106,6 +123,14 @@ def _pivot(T: list, r: int, c: int) -> list:
     normalized row, ``pivot_row``."""
     p = T[r][c]
     prow = [v / p for v in T[r]]
+    _eliminate(T, c, prow, r)
+    T[r][c] = 1.0
+    return prow
+
+
+def _eliminate(T: list, c: int, prow: list, r: int = -1) -> None:
+    """:func:`_pivot`'s row update of every row of ``T`` with the
+    normalized row ``prow`` of row ``r`` (none when -1)."""
     for i, row in enumerate(T):
         if i == r:
             row = T[i] = [a - 0.0 * a for a in prow]
@@ -113,36 +138,42 @@ def _pivot(T: list, r: int, c: int) -> list:
             m = row[c]
             row = T[i] = [a - m * v for a, v in zip(row, prow)]
         row[c] = 0.0
-    T[r][c] = 1.0
-    return prow
 
 
-def _bland(T: list, basis: list, width: int, path: Optional[list] = None) -> str:
+def _leaving(rows: list, j: int, basis: list):
+    """Bland's leaving row for column ``j`` among ``rows`` and its tie
+    threshold, the least ratio plus 1e-12: of the rows whose entry is
+    above ``_PIVOT_TOL`` and whose ratio is at or below the threshold, the
+    one of lowest basic index.  None when no row's entry is usable."""
+    usable, ratios = [], []
+    for i, row in enumerate(rows):
+        if row[j] > _PIVOT_TOL:
+            usable.append(i)
+            ratios.append(row[-1] / row[j])
+    if not usable:
+        return None
+    top = min(ratios) + 1e-12
+    return min((i for i, q in zip(usable, ratios) if q <= top), key=basis.__getitem__), top
+
+
+def _bland(T: list, basis: list, width: int, done: int = 0) -> str:
     """Minimize in place.  Objective row last, right-hand side column last;
-    only the first ``width`` columns may enter.  A ``path`` list gets each
-    pivot's entering column, tie threshold and normalized pivot row."""
-    for pivots in itertools.count():
+    only the first ``width`` columns may enter.  ``done`` pivots count
+    against the cap already."""
+    for pivots in itertools.count(done):
         obj = T[-1]
         for j in range(width):
             if obj[j] < -_RC_TOL:
                 break
         else:
             return OPTIMAL
-        rows, ratios = [], []
-        for i in range(len(T) - 1):
-            if T[i][j] > _PIVOT_TOL:
-                rows.append(i)
-                ratios.append(T[i][-1] / T[i][j])
-        if not rows:
+        leaving = _leaving(T[:-1], j, basis)
+        if leaving is None:
             return UNBOUNDED
         if pivots == _MAX_PIVOTS:
             raise RuntimeError("simplex pivot cap exceeded")
-        top = min(ratios) + 1e-12
-        r = min((i for i, q in zip(rows, ratios) if q <= top), key=basis.__getitem__)
-        prow = _pivot(T, r, j)
-        basis[r] = j
-        if path is not None:
-            path.append((j, top, prow))
+        _pivot(T, leaving[0], j)
+        basis[leaving[0]] = j
 
 
 def _phase_one(A: np.ndarray, b: np.ndarray):
@@ -205,7 +236,10 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
     objective improves along a feasible ray.  Identical inputs always yield
     identical outcomes, point included.  Without rows the polytope is the
     whole space: the outcome is UNBOUNDED when an objective entry lies
-    beyond the reduced-cost tolerance, else OPTIMAL at u = 0.
+    beyond the reduced-cost tolerance, else OPTIMAL at u = 0.  A polytope
+    from :func:`core.stack_rows` whose right-hand sides are all >= 0 is
+    solved along its actuator polytope's :class:`PivotTrie`, with the same
+    bits.
     """
     c = problem.objective
     status, u = _maximize(c, problem.constraints)
@@ -214,54 +248,208 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
     return LpOutcome(OPTIMAL, float(c @ u), u)
 
 
-def _maximize(c: np.ndarray, poly: Polytope, path: Optional[list] = None):
-    """:func:`solve_lp`'s status and point, the point None unless OPTIMAL;
-    ``path`` records the Phase-II pivots as :func:`_bland` says."""
+def _point(T: list, basis: list, width: int, n: int) -> list:
+    """The basic solution's u = u+ - u-, as a list."""
+    z = [0.0] * width
+    for row, bi in zip(T, basis):
+        z[bi] = row[-1]
+    return [p - q for p, q in zip(z[:n], z[n:2 * n])]
+
+
+def _phase_two(T: list, basis: list, width: int, n: int, done: int = 0):
+    """:func:`_bland` on a Phase-II tableau: the status and the point,
+    None unless OPTIMAL."""
+    if _bland(T, basis, width, done) == UNBOUNDED:
+        return UNBOUNDED, None
+    return OPTIMAL, np.array(_point(T, basis, width, n))
+
+
+def _maximize(c: np.ndarray, poly: Polytope):
+    """:func:`solve_lp`'s status and point, the point None unless OPTIMAL."""
+    cs = c.tolist()
+    if poly._lead is not None:
+        out = pivot_trie(poly._lead[0]).solve(cs, poly.A.tolist(), poly.b.tolist(), poly._lead[1])
+        if out is not None:
+            return out
     n = c.size
     feasible, T, basis, width = _phase_one(poly.A, poly.b)
     if not feasible:
         return INFEASIBLE, None
     T, basis = _drop_artificials(T, basis, width)
 
-    cs = c.tolist()
     f = [-v for v in cs] + cs + [0.0] * (width - 2 * n)
     obj = f + [0.0]
     for row, bi in zip(T, basis):
         if f[bi] != 0.0:
             obj = [p - f[bi] * q for p, q in zip(obj, row)]
     T[-1] = obj
-    if _bland(T, basis, width, path) == UNBOUNDED:
-        return UNBOUNDED, None
+    return _phase_two(T, basis, width, n)
 
-    z = [0.0] * width
-    for row, bi in zip(T, basis):
-        z[bi] = row[-1]
-    return OPTIMAL, np.array([p - q for p, q in zip(z[:n], z[n:2 * n])])
+
+class _Node:
+    """A trie node: the actuator rows' tableau ``rows`` and ``basis`` after
+    the pivots ``path`` from the root, each ``(entering column, tie
+    threshold, normalized pivot row)``.  ``children`` maps an entering column to
+    the next node, or to None when the walk must leave the trie there
+    (see :meth:`PivotTrie._child`).  ``u`` is the point there, the
+    maximizer of every objective that enters no column at the node."""
+
+    def __init__(self, rows, basis, n, path=()):
+        self.rows, self.basis, self.path = rows, basis, path
+        self.children, self.u = {}, _point(rows, basis, 2 * n + len(rows), n)
+
+
+class PivotTrie:
+    """The Phase-II pivots of :func:`solve_lp` on an actuator polytope's
+    rows, memoized.  A program from :func:`core.stack_rows` puts m leading
+    rows above those rows; when every right-hand side is >= 0, Phase-I adds
+    no artificial and Phase-II starts from the slack basis, so its pivots
+    can be followed here and the stacked tableau need not be built.
+
+    The tableau is kept in the actuator layout, without the leading rows'
+    slack columns: u+, u-, the actuator slacks, the right-hand side.  A
+    node is reached by its entering columns, one per pivot (see
+    :class:`_Node`).  :meth:`walk` updates only the objective row and the
+    leading rows, with :func:`_pivot`'s ``a - m * v``.  Its bits are
+    :func:`solve_lp`'s on the stacked tableau, step for step:
+
+    - the entering column is the same: the leading rows' slack columns
+      stay +0.0 in the objective row while no leading row pivots, and
+      Bland's rule reads the other columns in the same order;
+    - the leaving row is the same: the stacked tableau takes the least
+      ratio plus 1e-12 over all rows, so while no leading row has a usable
+      entry with a ratio at or below the node's tie threshold, the actuator rows
+      alone decide, in the same basis order (the slack indices only shift);
+    - the actuator rows never read the leading rows, so their tableau is
+      the node's, and so is the point when no column enters.
+
+    At the first step where a leading row would leave or tie, or the
+    actuator rows alone are unbounded, :meth:`solve` builds the stacked
+    tableau there, its leading rows' slack columns the exact +0.0 and 1.0
+    that every update with a finite multiplier leaves them, and
+    :func:`_bland` finishes.
+
+    All of this holds while every right-hand side stays finite: a
+    non-finite multiplier leaves its row's right-hand side non-finite for
+    good (and NaN in its slack columns in the stacked tableau), and a NaN
+    ratio would make the least ratio depend on row order.  So a pivot that
+    leaves an actuator row's right-hand side non-finite is never kept as a
+    node (the walk leaves the trie before it, and :func:`_bland` makes it
+    on the stacked tableau), and a solve whose leading rows or objective
+    row end with one is made again from Phase-I.
+
+    ``hits`` counts solves that finished on the trie, ``builds`` the
+    tableaux built where a solve left it, and ``nodes`` the nodes and
+    None marks held, at most ``_TRIE_CAP``; a node past the cap is made
+    for the solve at hand and dropped, so such a solve pivots the actuator
+    rows itself, with the same bits.  Two threads growing one node each
+    make the same node from the same parent, and one keeps it: every
+    solve gets the same bits, but the counts may drift and the cap may be
+    passed by one node per thread."""
+
+    def __init__(self, poly: Polytope):
+        self.n2, self.width = 2 * poly.dim, 2 * poly.dim + poly.rows
+        self.nodes = self.hits = self.builds = 0
+        # Phase-I's slack tableau, without its objective row; an actuator
+        # row with b < 0 needs Phase-I pivots, so no trie then
+        _, T, basis, _ = _phase_one(poly.A, poly.b)
+        self.root = None if (poly.b < 0).any() else _Node(T[:-1], basis, poly.dim)
+
+    def _child(self, node: _Node, j: int):
+        """The node after entering column ``j`` at ``node``, kept while
+        the trie holds fewer than ``_TRIE_CAP`` entries; None when no
+        actuator row may leave, or when the pivot leaves a right-hand side
+        non-finite."""
+        child, leaving = None, _leaving(node.rows, j, node.basis)
+        if leaving is not None:
+            (r, top), T, basis = leaving, list(node.rows), list(node.basis)
+            prow = _pivot(T, r, j)
+            basis[r] = j
+            if all(math.isfinite(row[-1]) for row in T):
+                child = _Node(T, basis, self.n2 // 2, node.path + ((j, top, prow),))
+        if self.nodes < _TRIE_CAP:
+            node.children[j], self.nodes = child, self.nodes + 1
+        return child
+
+    def walk(self, cs: list, A: list, b: list):
+        """Follow the objective ``cs`` from the root with the leading rows
+        ``A u <= b``, kept in the actuator layout.  Returns the last node,
+        the objective and leading rows there, the pivots made, and the
+        column where the walk leaves the trie, None when no column
+        enters."""
+        pad, node = [0.0] * (self.width - self.n2), self.root
+        obj, lead = [-v for v in cs] + cs + pad + [0.0], [a + [-x for x in a] + pad + [v]
+                                                         for a, v in zip(A, b)]
+        for pivots in itertools.count():
+            for j in range(self.width):
+                if obj[j] < -_RC_TOL:
+                    break
+            else:
+                return node, obj, lead, pivots, None
+            child = node.children[j] if j in node.children else self._child(node, j)
+            if child is None or any(row[j] > _PIVOT_TOL and row[-1] / row[j] <= child.path[-1][1]
+                                    for row in lead):
+                return node, obj, lead, pivots, j
+            if pivots == _MAX_PIVOTS:
+                raise RuntimeError("simplex pivot cap exceeded")
+            rows, node = [obj] + lead, child
+            _eliminate(rows, j, child.path[-1][2])
+            obj, *lead = rows
+
+    def solve(self, cs: list, A: list, b: list, m: int):
+        """:func:`_maximize` of ``cs`` over the rows ``A u <= b``, the
+        first m stacked above the actuator rows; None when the trie does
+        not apply (an actuator or leading right-hand side is < 0) or a
+        leading or objective row overflowed (see the class docstring)."""
+        if self.root is None or min(b[:m]) < 0:
+            return None
+        node, obj, lead, pivots, j = self.walk(cs, A[:m], b[:m])
+        if not all(math.isfinite(row[-1]) for row in lead + [obj]):
+            return None
+        if j is None:
+            self.hits += 1
+            return OPTIMAL, np.array(node.u)
+        self.builds += 1
+        n2, zeros = self.n2, [0.0] * m
+        T = [row[:n2] + zeros[:i] + [1.0] + zeros[i + 1:] + row[n2:] for i, row in enumerate(lead)]
+        T += [row[:n2] + zeros + row[n2:] for row in node.rows + [obj]]
+        basis = list(range(n2, n2 + m)) + [bi + m if bi >= n2 else bi for bi in node.basis]
+        return _phase_two(T, basis, self.width + m, n2 // 2, pivots)
+
+
+def pivot_trie(poly: Polytope) -> PivotTrie:
+    """``poly``'s :class:`PivotTrie`, made on first use.  Its counters
+    read the solves of every program stacked on ``poly``."""
+    if poly._trie is None:
+        object.__setattr__(poly, "_trie", PivotTrie(poly))
+    return poly._trie
 
 
 class BlandPath:
     """The Phase-II pivots of ``maximize c @ u`` over ``inputs``, as
     :func:`solve_lp` makes them, for :meth:`follows` to replay: ``steps``
     holds one ``(entering column, tie threshold, normalized pivot row)``
-    per pivot.  ``point`` is :func:`solve_lp`'s maximizer and ``value`` its
-    value, ``float(c @ point)``.
+    per pivot, the path of a node of ``inputs``'s :class:`PivotTrie`.
+    ``point`` is :func:`solve_lp`'s maximizer and ``value`` its value,
+    ``float(c @ point)``.
 
-    Only an optimal program is recorded: ``inputs`` must have every
-    right-hand side >= 0 (so u = 0 is in it) and the program must be
-    bounded, else ``ValueError``.  The continuous scan records the reach
+    ``c`` is checked by :func:`core.objective_vector`.  Only an optimal
+    program is recorded: ``inputs`` must have every right-hand side >= 0
+    (so u = 0 is in it) and the program must be bounded, else
+    ``ValueError``.  The continuous scan records the reach
     row over a scenario's input polytope, which construction proves
     nonempty and bounded."""
 
     def __init__(self, c: np.ndarray, inputs: Polytope):
-        if (inputs.b < 0).any():
+        trie, c = pivot_trie(inputs), objective_vector(c, inputs.dim)
+        if trie.root is None:
             raise ValueError("a recorded path needs right-hand sides >= 0")
-        steps = []
-        status, self.point = _maximize(c, inputs, steps)
-        if status != OPTIMAL:
-            raise ValueError(f"a recorded path needs an optimal program, got {status}")
+        node, *_, j = trie.walk(c.tolist(), [], [])
+        if j is not None:
+            raise ValueError(f"a recorded path needs an optimal program, got {UNBOUNDED}")
+        self.point = np.array(node.u)
         self.value = float(c @ self.point)
-        self.steps = [(j, top, np.array(prow)) for j, top, prow in steps]
-        self.columns = 2 * c.size + inputs.rows + 1
+        self.steps, self.columns = [(j, q, np.array(p)) for j, q, p in node.path], trie.width + 1
 
     def follows(self, A, b) -> np.ndarray:
         """Which of K programs :func:`solve_lp` solves on this path:

@@ -69,6 +69,16 @@ _GRID_MOVES = {
 GRID_ACTIONS = tuple(_GRID_MOVES)
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# f and g of the builders' dynamics that read neither x nor d: one shared
+# read-only array each, so no call allocates one
+_ZEROS2, _ZEROS3, _EYE2 = (_readonly(a) for a in (np.zeros(2), np.zeros(3), np.eye(2)))
+
+
 # ---------------------------------------------------------------------------
 # unicycle
 
@@ -138,7 +148,7 @@ def build_unicycle(
         t_max=t_max,
     )
     dynamics = ContinuousDynamics(
-        f=lambda x, d: np.zeros(3),
+        f=lambda x, d: _ZEROS3,
         g=lambda x, d: np.array(
             [[math.cos(x[2]), 0.0], [math.sin(x[2]), 0.0], [0.0, 1.0]]
         ),
@@ -206,11 +216,6 @@ class RewardGrid:
 
     base: Optional[np.ndarray]
     modified: np.ndarray
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 # row 0: each index minus one, row 1: plus one, clamped to the grid, so
@@ -365,15 +370,16 @@ def build_quadgrid(
     g = np.array([3.5, 2.5])
     radius = 0.3
 
-    def _unit(v: np.ndarray) -> np.ndarray:
-        norm = float(np.hypot(v[0], v[1]))
+    def _unit(a, b) -> np.ndarray:
+        """(a, b) / hypot(a, b), entry by entry, or zeros at the origin."""
+        norm = float(np.hypot(a, b))
         if norm == 0.0:
             return np.zeros(2)
-        return v / norm
+        return np.array([a / norm, b / norm])
 
     reach = BarrierFunction(
         value=lambda x, d: radius - float(np.hypot(x[0] - g[0], x[1] - g[1])),
-        gradient=lambda x, d: -_unit(np.array([x[0] - g[0], x[1] - g[1]])),
+        gradient=lambda x, d: -_unit(x[0] - g[0], x[1] - g[1]),
         reads=(),
     )
 
@@ -389,9 +395,7 @@ def build_quadgrid(
             value=lambda x, d, j=j: float(
                 np.hypot(x[0] - d[2 * j], x[1] - d[2 * j + 1])
             ) - radius,
-            gradient=lambda x, d, j=j: _unit(
-                np.array([x[0] - d[2 * j], x[1] - d[2 * j + 1]])
-            ),
+            gradient=lambda x, d, j=j: _unit(x[0] - d[2 * j], x[1] - d[2 * j + 1]),
             batch=lambda x, D, j=j: _batch(x, D, j),
         )
 
@@ -401,9 +405,7 @@ def build_quadgrid(
         gains=(ClassKappaFn(kappa), ClassKappaFn(kappa)),
         t_max=t_max,
     )
-    dynamics = ContinuousDynamics(
-        f=lambda x, d: np.zeros(2), g=lambda x, d: np.eye(2), reads=()
-    )
+    dynamics = ContinuousDynamics(f=lambda x, d: _ZEROS2, g=lambda x, d: _EYE2, reads=())
 
     def _corner_tests(x, t: float) -> FiniteSpace:
         corners = unit_cell_corners(x)
@@ -478,15 +480,13 @@ class SimulationLog:
 def _pursue(actual: np.ndarray, target: np.ndarray, max_step: float) -> np.ndarray:
     """Move each planar chunk of the test vector toward its target, capped
     at max_step per chunk (whole-vector pursuit for odd dimensions)."""
-    out = actual.copy()
+    out, delta = target.copy(), target - actual
     chunk = 2 if actual.size % 2 == 0 else actual.size
     for k in range(0, actual.size, chunk):
-        delta = target[k:k + chunk] - actual[k:k + chunk]
-        dist = math.sqrt(delta.dot(delta))  # np.linalg.norm's sum, without its overhead
-        if dist <= max_step or dist == 0.0:
-            out[k:k + chunk] = target[k:k + chunk]
-        else:
-            out[k:k + chunk] = actual[k:k + chunk] + (max_step / dist) * delta
+        step = delta[k:k + chunk]
+        dist = math.sqrt(step.dot(step))  # np.linalg.norm's sum, without its overhead
+        if not (dist <= max_step or dist == 0.0):
+            out[k:k + chunk] = actual[k:k + chunk] + (max_step / dist) * step
     return out
 
 
@@ -530,41 +530,40 @@ def simulate_adversarial(
     reacts to the obstacles' actual positions every ``dt``.  The run aborts
     (returning the partial log with ``aborted=True``) if the state goes
     non-finite.  A negative or NaN ``obstacle_speed`` raises ``ValueError``
-    before the first command.
+    before the first command.  The state ``x0`` is checked once, here; the
+    controller, which may be any callable ``controller(scn, x, d)``,
+    checks what it needs.  The log keeps the arrays the controller is
+    passed, so it must not write into them.
     """
     n_steps = simulation_steps(dt, synth_period, horizon, obstacle_speed)
     x = scn.check_state(x0).copy()
 
     result = synthesize_constrained(scn, x, 0.0, search=search)
-    cmd = np.asarray(result.d_star, dtype=float)
-    commands = [(0.0, x.copy(), cmd.copy())]
-    obstacles = cmd.copy()
-
-    times = [0.0]
-    states = [x.copy()]
-    obstacle_log = [obstacles.copy()]
+    obstacles = cmd = np.array(result.d_star, dtype=float)
+    commands, times, states, obstacle_log = [(0.0, x, cmd)], [0.0], [x], [obstacles]
     barrier_log = [min_avoid(scn.spec, x, obstacles)]
     next_synth = synth_period
     aborted = False
 
+    # every array logged below is made in the loop and never written
     for k in range(n_steps):
         t = k * dt
         if k > 0 and t >= next_synth - 1e-9:
             result = synthesize_constrained(scn, x, t, search=search)
-            cmd = np.asarray(result.d_star, dtype=float)
-            commands.append((t, x.copy(), cmd.copy()))
+            cmd = np.array(result.d_star, dtype=float)
+            commands.append((t, x, cmd))
             next_synth += synth_period
         u = np.asarray(controller(scn, x, obstacles), dtype=float)
         x = x + dt * scn.dynamics.xdot(x, u, obstacles)
-        if not np.all(np.isfinite(x)):
+        if not all(map(math.isfinite, x.tolist())):
             aborted = True
             break
         if scn.normalize_state is not None:
             x = scn.normalize_state(x)
         obstacles = _pursue(obstacles, cmd, obstacle_speed * dt)
         times.append((k + 1) * dt)
-        states.append(x.copy())
-        obstacle_log.append(obstacles.copy())
+        states.append(x)
+        obstacle_log.append(obstacles)
         barrier_log.append(min_avoid(scn.spec, x, obstacles))
 
     return SimulationLog(

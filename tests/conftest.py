@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 
 # One BLAS thread unless the caller sets another count: the pinned artifact
@@ -141,7 +142,9 @@ def _reference_pivot(T, r, c):
     T[r, c] = 1.0
 
 
-def _reference_bland(T, basis, width):
+def _reference_bland(T, basis, width, path=None):
+    """Bland's rule on the numpy tableau; a ``path`` list gets each pivot's
+    entering column, tie threshold and normalized pivot row."""
     from advsynth import lp
 
     for pivots in itertools.count():
@@ -156,8 +159,11 @@ def _reference_bland(T, basis, width):
         if pivots == lp._MAX_PIVOTS:
             raise RuntimeError("simplex pivot cap exceeded")
         ratios = T[:-1, -1][pos] / col[pos]
-        tied = pos[ratios <= ratios.min() + 1e-12]
+        top = ratios.min() + 1e-12
+        tied = pos[ratios <= top]
         r = int(min(tied, key=lambda i: basis[i]))
+        if path is not None:
+            path.append((j, float(top), T[r] / T[r, j]))
         _reference_pivot(T, r, j)
         basis[r] = j
 
@@ -215,10 +221,11 @@ def reference_drop_artificials(T, basis, width):
     return np.ascontiguousarray(T[keep + [T.shape[0] - 1]][:, cols]), [basis[i] for i in keep]
 
 
-def reference_solve_lp(problem):
+def reference_solve_lp(problem, path=None):
     """``advsynth.lp.solve_lp`` on a numpy tableau: the kernel the list
     tableau replaced, kept to check that every status, value and point
-    keeps its bits."""
+    keeps its bits.  ``path`` records the Phase-II pivots as
+    ``_reference_bland`` says."""
     from advsynth.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome
 
     c = problem.objective
@@ -237,7 +244,7 @@ def reference_solve_lp(problem):
     for i, bi in enumerate(basis):
         if f[bi] != 0.0:
             T[-1] -= f[bi] * T[i]
-    status = _reference_bland(T, basis, width)
+    status = _reference_bland(T, basis, width, path)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 
@@ -263,3 +270,62 @@ def assert_same_outcome(got, want):
         assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
         assert got.point.dtype == want.point.dtype and got.point.shape == want.point.shape
         assert got.point.tobytes() == want.point.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the closed loop of advsynth.scenarios.simulate_adversarial, step by step
+# with every copy and check it once made
+
+def _reference_pursue(actual, target, max_step):
+    out = actual.copy()
+    chunk = 2 if actual.size % 2 == 0 else actual.size
+    for k in range(0, actual.size, chunk):
+        delta = target[k:k + chunk] - actual[k:k + chunk]
+        dist = math.sqrt(delta.dot(delta))
+        if dist <= max_step or dist == 0.0:
+            out[k:k + chunk] = target[k:k + chunk]
+        else:
+            out[k:k + chunk] = actual[k:k + chunk] + (max_step / dist) * delta
+    return out
+
+
+def reference_simulate(scn, x0, controller, synth_period, dt=0.01, horizon=10.0,
+                       obstacle_speed=1.0, search=None):
+    """``simulate_adversarial``'s log, made by a plain loop: each array is
+    copied before it is logged or passed on, and each state checked with
+    ``np.isfinite``."""
+    from advsynth.continuous import SearchConfig, synthesize_constrained
+    from advsynth.core import min_avoid
+    from advsynth.scenarios import SimulationLog
+
+    search = search or SearchConfig()
+    n_steps = int(round(horizon / dt))
+    x = np.array(x0, dtype=float)
+    cmd = np.array(synthesize_constrained(scn, x, 0.0, search=search).d_star, dtype=float)
+    commands, obstacles = [(0.0, x.copy(), cmd.copy())], cmd.copy()
+    times, states, obstacle_log = [0.0], [x.copy()], [obstacles.copy()]
+    barrier_log = [min_avoid(scn.spec, x, obstacles)]
+    next_synth, aborted = synth_period, False
+    for k in range(n_steps):
+        t = k * dt
+        if k > 0 and t >= next_synth - 1e-9:
+            cmd = np.array(synthesize_constrained(scn, x.copy(), t, search=search).d_star,
+                           dtype=float)
+            commands.append((t, x.copy(), cmd.copy()))
+            next_synth += synth_period
+        u = np.array(controller(scn, x.copy(), obstacles.copy()), dtype=float)
+        f = np.array(scn.dynamics.f(x, obstacles), dtype=float)
+        G = np.array(scn.dynamics.g(x, obstacles), dtype=float)
+        x = x + dt * (f + G @ u)
+        if not np.all(np.isfinite(x)):
+            aborted = True
+            break
+        if scn.normalize_state is not None:
+            x = scn.normalize_state(x.copy())
+        obstacles = _reference_pursue(obstacles, cmd, obstacle_speed * dt)
+        times.append((k + 1) * dt)
+        states.append(x.copy())
+        obstacle_log.append(obstacles.copy())
+        barrier_log.append(min_avoid(scn.spec, x, obstacles))
+    return SimulationLog(np.array(times), np.array(states), np.array(obstacle_log),
+                         np.array(barrier_log), tuple(commands), aborted)

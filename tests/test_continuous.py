@@ -1092,10 +1092,11 @@ CALLBACKS = ("reach.value", "reach.gradient", "avoid.value", "avoid.gradient", "
 
 # (evaluations, in_gamma, calls of each of CALLBACKS) of a 3-point, 40-round
 # synthesis at each of seeded_states(build_unicycle(n_obstacles=2), 11, 12),
-# recorded before any scenario declared what it reads; f and g since the
-# avoid rows of a test evaluate them once, not once per avoid barrier
-UNDECLARED_CALLS = [(129, False, 1, 129, 258, 258, 258, 258)] + [
-    (91, True, 1, 90, 182, 182, 181, 181)] * 2 + [(129, False, 1, 129, 258, 258, 258, 258)] * 9
+# recorded before any scenario declared what it reads; f and g since one
+# evaluation of them serves a test's avoid rows and its reach row, so they
+# run once per test
+UNDECLARED_CALLS = [(129, False, 1, 129, 258, 258, 129, 129)] + [
+    (91, True, 1, 90, 182, 182, 91, 91)] * 2 + [(129, False, 1, 129, 258, 258, 129, 129)] * 9
 
 
 def test_undeclared_scenarios_make_every_call():
@@ -1109,6 +1110,22 @@ def test_undeclared_scenarios_make_every_call():
             res = synthesize(scn, x, search=SearchConfig(grid_points=3))
             got.append((res.evaluations, res.in_gamma) + tuple(counts[k] for k in CALLBACKS))
     assert got == UNDECLARED_CALLS
+
+
+def test_undeclared_dynamics_run_f_and_g_once_per_candidate():
+    # a candidate's avoid rows keep its (f, G) for its reach row, which a
+    # held candidate builds only when its group folds
+    counts = {}
+    scn = recounted(build_unicycle(n_obstacles=2), counts, undeclared=True)
+    held = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for x in seeded_states(scn, 396, 8):
+            counts.clear()
+            res = synthesize(scn, x, search=SearchConfig(grid_points=3, refine_iterations=0))
+            assert counts["f"] == counts["g"] == res.evaluations
+            held += counts["reach.gradient"]
+    assert held >= 400
 
 
 @pytest.mark.parametrize("undeclared", [False, True], ids=["declared", "undeclared"])

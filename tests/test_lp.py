@@ -294,6 +294,24 @@ def test_pivot_cap_stops_the_kernel(monkeypatch):
     assert solve_lp(LpProblem(c, box)).value == 2.0
 
 
+@pytest.mark.parametrize("lead", [([0.1, 0.1], 10.0), ([0.0, 1.0], 0.5)], ids=["hit", "build"])
+def test_pivot_cap_counts_the_pivots_made_on_the_trie(monkeypatch, lead):
+    # the box corner takes two pivots, both on the trie for a leading row
+    # that never binds; one that binds at the second leaves the trie
+    # there, and the stacked tableau's pivots count on from the first
+    box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+    problem = LpProblem(np.ones(2), core.stack_rows(np.array([lead[0]]), np.array([lead[1]]), box))
+    for cap in (0, 1):
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", cap)
+        with pytest.raises(RuntimeError, match="^simplex pivot cap exceeded$"):
+            solve_lp(problem)
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
+    assert_same_outcome(solve_lp(problem), reference_solve_lp(problem))
+    # the capped build of the second solve is counted: it raised in _bland
+    trie = lp.pivot_trie(box)
+    assert (trie.hits, trie.builds) == ((1, 0) if lead[1] == 10.0 else (0, 2))
+
+
 def test_drop_artificials_pivots_out_and_drops_as_the_reference(monkeypatch):
     # u = 1 through u <= 1 and -u <= -1 (plus 0 u <= 1): Phase-I ends with
     # the last row's artificial basic at level zero, and a structural
@@ -471,3 +489,217 @@ def test_solve_lp_agrees_with_highs():
             assert abs(out.value - value) <= 1e-7 * (1.0 + abs(value))
         seen[out.status] += 1
     assert seen[OPTIMAL] >= 200 and seen[INFEASIBLE] >= 100
+
+
+# ---------------------------------------------------------------------------
+# the pivot trie: stacked programs solved along the actuator polytope's
+# memoized pivots, against the numpy reference and the plain list kernel
+
+def assert_trie_matches(problem):
+    """``solve_lp`` of a stacked program has the bits of the reference
+    kernel and of the list kernel on the same rows without the stacking
+    mark (which solves from Phase-I); returns the outcome."""
+    poly = problem.constraints
+    got = solve_lp(problem)
+    assert_same_outcome(got, solve_lp(LpProblem(problem.objective, Polytope(poly.A, poly.b))))
+    assert_same_outcome(got, reference_solve_lp(problem))
+    return got
+
+
+def test_trie_matches_the_kernels_on_the_differential_set():
+    # random_program's rows split in two: the last k rows are the actuator
+    # polytope and the rest lead.  A leading row with b < 0 takes Phase-I,
+    # an actuator row with b < 0 leaves the polytope without a trie, and
+    # the rest are solved along a fresh trie
+    rng = np.random.default_rng(3261)
+    seen = Counter()
+    for _ in range(5_000):
+        problem, _ = random_program(rng)
+        A, b = problem.constraints.A, problem.constraints.b
+        if len(b) < 2:
+            continue
+        k = int(rng.integers(1, len(b)))
+        actuator = Polytope(A[-k:], b[-k:])
+        poly = core.stack_rows(A[:-k], b[:-k], actuator)
+        out = assert_trie_matches(LpProblem(problem.objective, poly))
+        trie = lp.pivot_trie(actuator)
+        seen[out.status] += 1
+        seen["trie"] += trie.hits + trie.builds
+    assert seen["trie"] >= 1_000 and min(seen[OPTIMAL], seen[UNBOUNDED]) >= 500
+    assert seen[INFEASIBLE] >= 500
+
+
+def actuator_pool():
+    """Actuator polytopes with every right-hand side >= 0, shared by many
+    programs so that their tries grow and are reused: boxes of 1-4
+    inputs, one with a zero bound, integer polytopes with vertex ties, and
+    polytopes unbounded along some direction."""
+    pool = [Polytope.box(-np.ones(n), np.ones(n)) for n in (1, 2, 3, 4)]
+    pool += [Polytope.box([-0.2, -1.0], [0.2, 1.0]), Polytope.box([0.0, -5.0], [5.0, 5.0]),
+             Polytope(np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [1.0, 0.0]]),
+                      np.array([2.0, 2.0, 2.0, 2.0, 1.0])),
+             Polytope(np.eye(2), np.ones(2)), Polytope(np.array([[1.0, 0.0, 0.0],
+                      [0.0, -1.0, 0.0], [1.0, 1.0, 1.0]]), np.array([1.0, 0.0, 2.0]))]
+    return pool
+
+
+def stacked_program(rng, actuator):
+    """1-5 random leading rows over ``actuator``, each with its own chance
+    of: integer coefficients (exact ties with other rows), a copy of an
+    actuator row (a tie at the least ratio), a unit row whose right-hand
+    side is 1 + 1e-12 (a ratio equal to a unit box's tie threshold), a
+    zero or -0.0 right-hand side; and zero objective entries.  Every
+    right-hand side is >= 0."""
+    n = actuator.dim
+    m = int(rng.integers(1, 6))
+    A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-2, 3, size=(m, 1))
+    b = np.abs(rng.normal(size=m)) * 10.0 ** rng.integers(-2, 2, size=m)
+    c = rng.normal(size=n)
+    if rng.random() < 0.5:
+        A, b, c = np.round(3 * A), np.round(2 * b), np.round(2 * c)
+    for i in range(m):
+        pick = rng.random()
+        if pick < 0.15:
+            k = int(rng.integers(actuator.rows))
+            A[i], b[i] = actuator.A[k], actuator.b[k]
+        elif pick < 0.3:
+            A[i] = 0.0
+            A[i, rng.integers(n)] = rng.choice([1.0, -1.0])
+            b[i] = 1.0 + 1e-12
+    b[rng.random(m) < 0.15] = 0.0
+    b[rng.random(m) < 0.1] = -0.0
+    c[rng.random(n) < 0.2] = 0.0
+    return LpProblem(c, core.stack_rows(A, b, actuator))
+
+
+def test_trie_matches_the_kernels_on_random_stacked_programs():
+    rng = np.random.default_rng(3262)
+    pool = actuator_pool()
+    seen = Counter()
+    for _ in range(40_000):
+        out = assert_trie_matches(stacked_program(rng, pool[int(rng.integers(len(pool)))]))
+        seen[out.status] += 1
+    tries = [lp.pivot_trie(poly) for poly in pool]
+    hits, builds = sum(t.hits for t in tries), sum(t.builds for t in tries)
+    assert hits + builds == 40_000 and min(hits, builds) >= 10_000
+    assert seen[OPTIMAL] >= 30_000 and seen[UNBOUNDED] >= 1_000
+    assert all(0 < t.nodes <= lp._TRIE_CAP for t in tries)
+
+
+def test_trie_builds_the_tableau_the_list_kernel_has_there(monkeypatch):
+    # where a solve leaves the trie, the stacked tableau it builds is the
+    # list kernel's after the same pivots, entry for entry, signed zeros
+    # included: a -0.0 in a built slack column fails here
+    rng = np.random.default_rng(3266)
+    pool, entered, real = actuator_pool(), [], lp._bland
+
+    def spy(T, basis, width, done=0):
+        entered.append((T, basis, done, [row[:] for row in T], list(basis)))
+        return real(T, basis, width, done)
+
+    monkeypatch.setattr(lp, "_bland", spy)
+    builds = 0
+    for _ in range(4_000):
+        problem = stacked_program(rng, pool[int(rng.integers(len(pool)))])
+        trie = lp.pivot_trie(problem.constraints._lead[0])
+        before = trie.builds
+        solve_lp(problem)
+        if trie.builds == before:
+            continue
+        builds += 1
+        _, _, done, built, built_basis = entered[-1]
+        poly = problem.constraints
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_MAX_PIVOTS", done)  # the list kernel stops after `done` pivots
+            try:
+                solve_lp(LpProblem(problem.objective, Polytope(poly.A, poly.b)))
+            except RuntimeError:
+                pass
+        T, basis = entered[-1][:2]
+        assert np.array(built).tobytes() == np.array(T).tobytes() and built_basis == basis
+    assert builds >= 1_000
+
+
+def test_trie_matches_when_leading_rows_bound_a_direction_the_actuator_does_not():
+    # u <= 1 alone leaves every u unbounded below: a column whose actuator
+    # rows have no usable entry marks its child None, and a leading row
+    # with a usable entry there bounds the program
+    rng = np.random.default_rng(3263)
+    half = Polytope(np.eye(2), np.ones(2))
+    seen = Counter()
+    for _ in range(2_000):
+        A = np.round(rng.normal(size=(int(rng.integers(1, 4)), 2)) * 2.0)
+        b = np.round(np.abs(rng.normal(size=len(A))) * 2.0)
+        c = np.round(rng.normal(size=2) * 2.0)
+        out = assert_trie_matches(LpProblem(c, core.stack_rows(A, b, half)))
+        seen[out.status] += 1
+    trie = lp.pivot_trie(half)
+    assert None in trie.root.children.values()
+    assert min(seen[OPTIMAL], seen[UNBOUNDED]) >= 300
+    assert trie.builds >= 1_000
+
+
+def test_trie_never_passes_its_cap(monkeypatch):
+    # past the cap a node is made for the solve at hand and dropped, so
+    # solves keep their bits and the trie keeps its size
+    monkeypatch.setattr(lp, "_TRIE_CAP", 3)
+    rng = np.random.default_rng(3264)
+    box = Polytope.box(-np.ones(3), np.ones(3))
+    for _ in range(2_000):
+        assert_trie_matches(stacked_program(rng, box))
+        assert lp.pivot_trie(box).nodes <= 3
+    trie = lp.pivot_trie(box)
+    assert trie.nodes == 3 and trie.hits >= 500
+
+
+@pytest.mark.parametrize("case", ["actuator", "hit", "deviation"])
+def test_trie_leaves_no_overflow_to_its_slack_columns(case):
+    # the stacked kernel keeps a row whose multiplier overflowed non-finite
+    # for good, NaN in its slack columns: an actuator row that overflows
+    # is pivoted on the stacked tableau, and leading rows that overflow
+    # send the solve back to Phase-I, on the trie's end or at a deviation
+    big = Polytope(np.array([[1e-9, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                   np.array([1e300, 1.0, 1.0, 1.0]))
+    box = Polytope.box([-10.0, -10.0], [10.0, 10.0])
+    actuator, A, b, c = {
+        "actuator": (big, [[0.0, 1.0]], [1.0], [1.0, 0.0]),
+        "hit": (box, [[-1e308, 0.0]], [1.0], [1.0, 1.0]),
+        "deviation": (box, [[-1e308, 0.0], [0.0, 1.0]], [1.0, 5.0], [1.0, 1.0]),
+    }[case]
+    problem = LpProblem(np.array(c), core.stack_rows(np.array(A), np.array(b), actuator))
+    with np.errstate(over="ignore", invalid="ignore"):  # the numpy reference overflows too
+        out = assert_trie_matches(problem)
+    trie = lp.pivot_trie(actuator)
+    assert (trie.hits, trie.builds) == ((0, 1) if case == "actuator" else (0, 0))
+    assert out.status == OPTIMAL
+    assert (trie.root.children[0] is None) == (case == "actuator")
+
+
+def test_two_scenarios_never_share_a_trie():
+    a, b = scenarios.build_quadgrid(), scenarios.build_quadgrid()
+    assert lp.pivot_trie(a.input_polytope) is not lp.pivot_trie(b.input_polytope)
+    scenarios.greedy_safe_controller(a, [2.2, 1.9], [2.0, 1.0, 3.0, 2.0])
+    assert lp.pivot_trie(a.input_polytope).hits + lp.pivot_trie(a.input_polytope).builds == 1
+    assert (lp.pivot_trie(b.input_polytope).hits, lp.pivot_trie(b.input_polytope).builds) == (0, 0)
+
+
+def test_bland_path_walked_from_the_trie_has_the_recorded_bits():
+    # the numpy reference records the box's own Phase-II pivots, as the
+    # list kernel's path argument once did; the trie gives the same steps
+    rng = np.random.default_rng(3265)
+    for poly in actuator_pool():
+        for _ in range(60):
+            c = np.round(rng.normal(size=poly.dim) * 2.0) if rng.random() < 0.5 \
+                else rng.normal(size=poly.dim)
+            steps = []
+            want = reference_solve_lp(LpProblem(c, poly), steps)
+            if want.status != OPTIMAL:
+                with pytest.raises(ValueError, match="got unbounded"):
+                    lp.BlandPath(c, poly)
+                continue
+            path = lp.BlandPath(c, poly)
+            assert [(j, top) for j, top, _ in path.steps] == [(j, top) for j, top, _ in steps]
+            for (_, _, got), (_, _, row) in zip(path.steps, steps):
+                assert got.tobytes() == row.tobytes()
+            assert path.point.tobytes() == want.point.tobytes()
+            assert np.float64(path.value).tobytes() == np.float64(want.value).tobytes()

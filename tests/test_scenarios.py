@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -657,6 +658,84 @@ def test_simulation_unicycle_wraps_heading(unicycle):
     assert not log.aborted
     assert np.all(log.states[:, 2] >= 0.0)
     assert np.all(log.states[:, 2] < 2.0 * math.pi)
+
+
+def assert_same_log(got, want):
+    """Every field of two simulation logs, compared by bytes."""
+    for name in ("times", "states", "obstacles", "min_barrier"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert len(got.commands) == len(want.commands)
+    for (t, x, d), (t2, x2, d2) in zip(got.commands, want.commands):
+        assert t == t2 and x.tobytes() == x2.tobytes() and d.tobytes() == d2.tobytes()
+    assert got.aborted == want.aborted
+
+
+def _zero(scn, x, d):
+    return np.zeros(scn.input_polytope.dim)
+
+
+@pytest.mark.parametrize("case", ["quadgrid-zero", "quadgrid-greedy", "quadgrid-abort",
+                                  "unicycle-zero", "unicycle-spin"])
+def test_closed_loop_matches_the_reference_loop(quadgrid, unicycle, case):
+    # the loop checks the state once and copies nothing it made itself; any
+    # controller, not only greedy_safe_controller, gives the plain loop's log
+    from conftest import reference_simulate
+
+    scn, x0, controller, kwargs = {
+        "quadgrid-zero": (quadgrid, [2.2, 1.9], _zero, {"horizon": 2.0}),
+        "quadgrid-greedy": (quadgrid, [0.3, -1.2], greedy_safe_controller, {"horizon": 2.0}),
+        "quadgrid-abort": (quadgrid, [0.3, -1.2],
+                           lambda scn, x, d: np.full(2, np.inf if x[0] > 0.31 else 1.0),
+                           {"horizon": 1.0}),
+        "unicycle-zero": (unicycle, [-0.5, -0.5, 0.0], _zero, {"horizon": 1.0, "dt": 0.05}),
+        "unicycle-spin": (unicycle, [-0.5, -0.5, 6.2], lambda scn, x, d: np.array([0.1, 1.0]),
+                          {"horizon": 1.0, "dt": 0.05, "obstacle_speed": 2.0}),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = simulate_adversarial(scn, np.array(x0), controller, 0.5, **kwargs)
+        want = reference_simulate(scn, np.array(x0), controller, 0.5, **kwargs)
+    assert_same_log(got, want)
+    assert got.aborted == (case == "quadgrid-abort")
+
+
+def test_closed_loop_dynamics_share_read_only_arrays(quadgrid, unicycle):
+    # f and g that read neither x nor d are one array each, which no caller
+    # can write into
+    x2, x3, d = np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]), np.zeros(4)
+    shared = [(quadgrid.dynamics.f, x2, np.zeros(2)), (quadgrid.dynamics.g, x2, np.eye(2)),
+              (unicycle.dynamics.f, x3, np.zeros(3))]
+    for fn, x, want in shared:
+        a = fn(x, d)
+        assert a is fn(x + 1.0, d + 1.0) and np.array_equal(a, want)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert build_quadgrid().dynamics.g(x2, d) is quadgrid.dynamics.g(x2, d)
+
+
+def test_closed_loop_counts_its_trie_solves(monkeypatch):
+    # every controller LP and held candidate with right-hand sides >= 0 is
+    # solved along the input polytope's trie, which counts the solves that
+    # end on it and the tableaux built where a program leaves it
+    from advsynth import continuous, lp
+
+    scn, on_trie = build_quadgrid(), []
+
+    def spy(problem):
+        poly = problem.constraints
+        on_trie.append(poly._lead is not None and min(poly.b[:poly._lead[1]]) >= 0)
+        return lp.solve_lp(problem)
+
+    monkeypatch.setattr(continuous, "solve_lp", spy)
+    monkeypatch.setattr(scenarios, "solve_lp", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        simulate_adversarial(scn, np.array([2.2, 1.9]), greedy_safe_controller, 0.5, horizon=1.0)
+    trie = lp.pivot_trie(scn.input_polytope)
+    assert trie.hits + trie.builds == sum(on_trie) >= 100
+    assert trie.hits >= 50 and trie.builds >= 10 and 0 < trie.nodes <= lp._TRIE_CAP
 
 
 def test_simulation_validates_arguments(quadgrid):
