@@ -533,14 +533,14 @@ def cmd_simulate(cfg: RunConfig, state_text: Optional[str], horizon: float, out_
     # one format per row gives each float the text of _fmt, in a third of the time
     line = ",".join(["%.17g"] * len(header))
     _write_csv(out_dir / "trajectory.csv", [header] + [[line % row] for row in rows])
-    barriers = [["%.17g,%.17g" % r] for r in zip(times, log.min_barrier.tolist())]
+    lows = log.min_barrier.tolist()
+    barriers = [["%.17g,%.17g" % r] for r in zip(times, lows)]
     _write_csv(out_dir / "min_barrier.csv", [["t", "min_barrier"]] + barriers)
 
-    verdict = monitor_trajectory(
-        scn.spec,
-        [(float(t), log.states[k]) for k, t in enumerate(log.times)],
-        [(float(t), log.obstacles[k]) for k, t in enumerate(log.times)],
-    )
+    # the avoid values are the ones the loop logged, so only the reach
+    # barrier is evaluated again
+    verdict = monitor_trajectory(scn.spec, list(zip(times, log.states)),
+                                 list(zip(times, log.obstacles)), lows)
     payload = {
         "satisfied": verdict.satisfied,
         "reach_time": verdict.reach_time,

@@ -37,10 +37,13 @@ from .core import (
     TestSpace,
     _finite_floor,
     as_vector,
+    avoid_lists,
     dim_at,
     dynamics_at,
+    # bound here, though unused, because bench/spans.py wraps it by name
     feasible_input_polytope,
     lie_derivatives,
+    objective_vector,
     satisfaction_floor,
     stack_rows,
 )
@@ -50,6 +53,7 @@ from .lp import (
     UNBOUNDED,
     BlandPath,
     LpProblem,
+    maximize_stacked,
     solve_lp,
 )
 
@@ -110,6 +114,9 @@ class ContinuousScenario:
     floor: Optional[float] = None
     normalize_state: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    # the size of every test vector, fixed by the first test set realized
+    _test_size = None
+
     def __post_init__(self):
         lo = as_vector(self.state_lower, "state lower bound")
         hi = as_vector(self.state_upper, "state upper bound")
@@ -141,13 +148,29 @@ class ContinuousScenario:
             raise ValueError(f"{name} needs {self.state_lower.size} components, got {x.size}")
         return x
 
+    def realize(self, x, t: float):
+        """The test set admissible at (x, t): the test space, or the set a
+        mapped one gives there.  The first set realized fixes the
+        scenario's test size, as :func:`core.dim_at` reads it; a set of
+        another size raises ``ValueError``."""
+        space = self.test_space
+        space = space.at(x, t) if isinstance(space, MappedSpace) else space
+        if self._test_size is None:
+            object.__setattr__(self, "_test_size", dim_at(space, x))
+        elif (size := dim_at(space, x)) != self._test_size:
+            raise ValueError(f"test-space map realized tests of {size} components, "
+                             f"the scenario's have {self._test_size}")
+        return space
+
     def check_test(self, d, x) -> np.ndarray:
-        """``d`` as a finite vector of this scenario's test size at state
-        ``x``, as :func:`core.dim_at` gives it; otherwise ``ValueError``."""
+        """``d`` as a finite vector of this scenario's test size, which
+        :meth:`realize` fixes at (x, 0) if no set was realized yet;
+        otherwise ``ValueError``."""
         d = as_vector(d, "test vector")
-        size = dim_at(self.test_space, x)
-        if d.size != size:
-            raise ValueError(f"test vector needs {size} components, got {d.size}")
+        if self._test_size is None:
+            self.realize(x, 0.0)
+        if d.size != self._test_size:
+            raise ValueError(f"test vector needs {self._test_size} components, got {d.size}")
         return d
 
 
@@ -187,35 +210,56 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     floor branch.  ``tau`` shifts the non-floor objective down by a progress
     margin; since it is a constant shift it can never change which test
     minimizes the measure.  The program is :func:`_program`'s, which
-    :func:`scenarios.greedy_safe_controller` solves too, and the LP is read
-    by :func:`_best_rate`.  Before any dynamics or barrier callback runs, a
-    floor that is not finite (the rule of :func:`core.satisfaction_floor`),
-    or a state or test vector that :meth:`ContinuousScenario.check_state`
-    or :meth:`ContinuousScenario.check_test` rejects, raises ``ValueError``
-    (a mapped test space's map runs to size the test).
+    :func:`scenarios.greedy_safe_controller` solves too, both through
+    :func:`_solved`; the value is the drift rate plus ``float(c @ u)``, as
+    :func:`lp.solve_lp` computes an LP's value.  Before any dynamics or
+    barrier callback runs, a floor that is not finite (the rule of
+    :func:`core.satisfaction_floor`), or a state or test vector that
+    :meth:`ContinuousScenario.check_state` or
+    :meth:`ContinuousScenario.check_test` rejects, raises ``ValueError``
+    (a mapped test space's map runs once per scenario, to size the tests).
     """
     floor, x = _finite_floor(floor), scn.check_state(x)
-    value, u = _best_rate(*_program(scn, x, scn.check_test(d, x)), floor)
-    return (value, u) if u is None else (value - tau, u)
+    drift_rate, c, _, _, u = _solved(scn, x, scn.check_test(d, x))
+    return (floor, None) if u is None else (drift_rate + float(np.array(c) @ u) - tau, u)
 
 
 def _program(scn, x, d):
     """The one-test program of :func:`difficulty` and
-    :func:`scenarios.greedy_safe_controller` at checked (x, d): the reach
-    barrier's ``(drift_rate, input_row)`` and the safe-input polytope, f
-    and g evaluated once for both."""
+    :func:`scenarios.greedy_safe_controller` at checked (x, d), as Python
+    floats: ``(drift_rate, c, A, b)``, the reach barrier's drift rate and
+    input row ``c`` and the avoid rows ``A u <= b`` of
+    :func:`core.avoid_lists`, to stack above the input polytope.  f and g
+    are evaluated once for all of them, and each row is checked finite
+    once, ``c`` by :func:`core.objective_vector`."""
     fg = dynamics_at(scn.dynamics, x, d)
-    poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
-    return lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg), poly
+    A, b = avoid_lists(scn.spec, scn.dynamics, x, d, scn.input_polytope.dim, fg)
+    drift_rate, row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg)
+    return drift_rate, objective_vector(row, scn.input_polytope.dim).tolist(), A, b
+
+
+def _solved(scn, x, d):
+    """:func:`_program` at checked (x, d) and the maximizer ``u`` of ``c @
+    u`` over its safe inputs, by :func:`lp.maximize_stacked`: ``(drift_rate,
+    c, A, b, u)``, ``u`` None when no input is safe (the test is in Γ).
+    Without avoid rows the program is the input polytope's own, which
+    :func:`_best_rate` solves, as the scan does."""
+    drift_rate, c, A, b = _program(scn, x, d)
+    if not b:
+        return drift_rate, c, A, b, _best_rate((drift_rate, c), scn.input_polytope, None)[1]
+    status, u = maximize_stacked(c, A, b, scn.input_polytope)
+    if status == UNBOUNDED:
+        raise ScenarioError(_UNBOUNDED)
+    return drift_rate, c, A, b, u
 
 
 def _best_rate(reach, poly, floor):
-    """The inner maximization of :func:`difficulty` over the safe-input
-    polytope ``poly``, with ``reach`` the reach barrier's
-    ``(drift_rate, input_row)`` at the same (x, d): ``(floor, None)``
-    when ``poly`` is empty (the test is in Γ), else the best rate and its
-    maximizer.  :class:`lp.LpProblem` checks the input row, the one
-    check it gets."""
+    """The scan's inner maximization over the safe-input polytope
+    ``poly``, with ``reach`` the reach barrier's ``(drift_rate,
+    input_row)`` at the same (x, d): ``(floor, None)`` when ``poly`` is
+    empty (the test is in Γ), else the best rate and its maximizer, with
+    :func:`difficulty`'s bits.  :class:`lp.LpProblem` checks the input
+    row, the one check it gets."""
     drift_rate, input_row = reach
     out = solve_lp(LpProblem(input_row, poly))
     if out.status == INFEASIBLE:
@@ -249,11 +293,11 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     later candidates' rows are built).  Folding drains the queue in
     order, at most ``_HELD_BLOCK`` held candidates at a time, never past
     the end of the last group it folds.  When the cache keeps the reach
-    row, the synthesis records once, in ``cache.path``, the
-    :class:`lp.BlandPath` of that row over the input polytope alone.  A
-    held candidate whose avoid rows neither leave nor tie at any of the
-    path's pivots takes the kept reach rate plus the path's value, and the
-    path's point; :meth:`lp.BlandPath.follows` says why :func:`solve_lp`
+    row, each block of held candidates reads the :class:`lp.BlandPath` of
+    that row over the input polytope alone from the polytope's pivot
+    trie.  A held candidate whose avoid rows neither leave nor tie at any
+    of the path's pivots takes the kept reach rate plus the path's value,
+    and the path's point; :meth:`lp.BlandPath.follows` says why :func:`solve_lp`
     would give it the same bits.  Every other held candidate, in queue
     order, takes its reach rate from ``cache.reach`` and its LP from
     :func:`solve_lp`.  A path rule is needed: a candidate whose avoid rows
@@ -508,11 +552,8 @@ synthesize_perturbed = synthesize
 def synthesize_constrained(
     scn: ContinuousScenario, x, t: float, search: SearchConfig = SearchConfig()
 ) -> SynthesisResult:
-    """:func:`synthesize` over the admissible test set realized at (x, t),
-    with its checks made before the map runs; the result is a member of
-    that set."""
+    """:func:`synthesize` over the admissible test set realized at (x, t)
+    by :meth:`ContinuousScenario.realize`, with its checks made before the
+    map runs; the result is a member of that set."""
     x, floor = scn.check_state(x), satisfaction_floor(scn)
-    space = scn.test_space
-    if isinstance(space, MappedSpace):
-        space = space.at(x, t)
-    return _synthesize_over(scn, x, space, floor, search)
+    return _synthesize_over(scn, x, scn.realize(x, t), floor, search)

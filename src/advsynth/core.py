@@ -13,6 +13,7 @@ construction and safe to share between concurrent evaluations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -44,6 +45,7 @@ __all__ = [
     "feasibility_filter",
     "dynamics_at",
     "avoid_rows",
+    "avoid_lists",
     "stack_rows",
     "feasible_input_polytope",
     "least",
@@ -426,9 +428,9 @@ class LieCache:
     barriers' ``batch`` when f and g are evaluated once and every avoid
     barrier has one (:attr:`batched`), else one test at a time through
     :func:`avoid_rows`.  :attr:`keep_reach` says whether the reach rate and
-    row are taken once, and :attr:`path` is the caller's: the continuous
-    scan keeps there, once per synthesis, the Bland path of the kept reach
-    row over the input polytope.
+    row are taken once; when they are, the continuous scan reads the Bland
+    path of the kept row over the input polytope from that polytope's
+    pivot trie, once per block of held tests.
     """
 
     def __init__(self, spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, input_dim: int):
@@ -525,19 +527,26 @@ def avoid_rows(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: i
     d = np.asarray(d, dtype=float)
     if fg is None and spec.avoid:
         fg = dynamics_at(dyn, x, d)
-    rows = []
+    A, b = avoid_lists(spec, dyn, x, d, input_dim, fg)
+    return np.array(A).reshape(len(b), input_dim), np.array(b, dtype=float)
+
+
+def avoid_lists(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: int, fg):
+    """:func:`avoid_rows` as Python floats, with f and g passed as ``fg``:
+    ``A`` a list of rows and ``b`` their right-hand sides, every entry
+    checked finite once, after every row is built."""
+    A, b = [], []
     for h, alpha in zip(spec.avoid, spec.gains):
         drift_rate, input_row = lie_derivatives(h, dyn, x, d, fg)
         if input_row.size != input_dim:
             raise ValueError(
                 f"input row dim {input_row.size} does not match polytope dim {input_dim}"
             )
-        rows.append([-v for v in input_row.tolist()] + [drift_rate + alpha(h.value(x, d))])
-    # one array holds each row with its right-hand side; A and b are views
-    Ab = np.array(rows).reshape(len(rows), input_dim + 1)
-    if not _finite(Ab):
+        A.append([-v for v in input_row.tolist()])
+        b.append(float(drift_rate + alpha(h.value(x, d))))
+    if not all(map(math.isfinite, itertools.chain(b, *A))):
         raise ValueError("polytope coefficients must be finite")
-    return Ab[:, :input_dim], Ab[:, input_dim]
+    return A, b
 
 
 def stack_rows(A: np.ndarray, b: np.ndarray, input_polytope: Polytope) -> Polytope:
@@ -595,6 +604,7 @@ def monitor_trajectory(
     spec: ReachAvoidSpec,
     trajectory: Sequence,
     d_sequence: Sequence,
+    min_avoid_values: Optional[Sequence] = None,
 ) -> MonitorResult:
     """Offline reach-avoid verdict over a sampled run.
 
@@ -608,7 +618,11 @@ def monitor_trajectory(
     and the reach barrier was nonnegative at some sample no later than the
     deadline.  ``min_avoid_value`` folds each sample's :func:`min_avoid`
     with :func:`least`, so a NaN anywhere shows as NaN and fails the
-    verdict.
+    verdict.  ``min_avoid_values``, when given, holds each sample's
+    :func:`min_avoid` already evaluated (a closed loop's
+    ``SimulationLog.min_barrier``): those are folded instead, so only the
+    reach barrier is evaluated, and only up to the first sample that
+    reaches.
     """
     trajectory = list(trajectory)
     if not trajectory:
@@ -622,15 +636,18 @@ def monitor_trajectory(
     d_times = [t for t, _ in d_sequence]
     if any(t1 > t2 for t1, t2 in zip(d_times, d_times[1:])):
         raise ValueError("test-vector timestamps must be nondecreasing")
+    if min_avoid_values is not None and len(min_avoid_values) != len(trajectory):
+        raise ValueError("need one min_avoid value per sample")
 
     lowest = math.inf
     reach_time = None
     j = 0
-    for t, x in trajectory:
+    for k, (t, x) in enumerate(trajectory):
         while j + 1 < len(d_sequence) and d_sequence[j + 1][0] <= t:
             j += 1
         d = d_sequence[j][1]
-        lowest = least(lowest, min_avoid(spec, x, d))
+        lowest = least(lowest, min_avoid(spec, x, d) if min_avoid_values is None
+                       else min_avoid_values[k])
         if reach_time is None and t <= spec.t_max and float(spec.reach.value(x, d)) >= 0.0:
             reach_time = float(t)
     satisfied = (lowest >= 0.0) and (reach_time is not None)

@@ -20,11 +20,13 @@ objective with an entry beyond the reduced-cost tolerance is UNBOUNDED,
 and any other is OPTIMAL at u = +0.0 with value +0.0, as when rows leave
 u free.
 
-Every LP this package solves goes through :func:`solve_lp`, the one
-kernel.  A solve here is a tableau of about 7 rows by 11 columns in two
-or three pivots, where a numpy call costs more than its arithmetic, so
-:func:`solve_lp` and :func:`phase_one_feasible` keep their tableaux as
-lists of Python floats.
+Every LP this package solves goes through one kernel: :func:`solve_lp`,
+or :func:`maximize_stacked`, its branch for stacked programs, which
+takes a one-test program already built as lists (see
+:func:`continuous._program`).  A solve here is a tableau of about 7 rows
+by 11 columns in two or three pivots, where a numpy call costs more than
+its arithmetic, so the kernel and :func:`phase_one_feasible` keep their
+tableaux as lists of Python floats.
 Each entry gets the float operations, in the order, that a numpy row
 update would give it, so every outcome has the bits the numpy tableau
 gave (``tests/conftest.py`` keeps that kernel as the reference); only the
@@ -43,11 +45,13 @@ updating only the objective row and the avoid rows, with the list
 kernel's own ``a - m * v``.  At the first step where an avoid row would
 leave or tie (ratio at or below the threshold), or where the actuator
 rows alone are unbounded, it builds the stacked tableau there and
-:func:`_bland` finishes.  The bits are those of the stacked solve: the
-avoid rows' slack columns stay +0.0 in the objective row, so the same
-columns enter; no avoid row ties, so the same rows leave, in the same
-basis order; and the actuator rows never read the avoid rows (see
-:class:`PivotTrie`).  A negative right-hand side takes Phase-I as
+:func:`_bland` finishes; at the root that tableau is the plain kernel's,
+so the root step is read from the avoid rows as given, and a program
+that leaves there goes to the plain kernel without a walk row built.
+The bits are those of the stacked solve: the avoid rows' slack columns
+stay +0.0 in the objective row, so the same columns enter; no avoid row
+ties, so the same rows leave, in the same basis order; and the actuator
+rows never read the avoid rows (see :class:`PivotTrie`).  A negative right-hand side takes Phase-I as
 before.  A trie holds at most ``_TRIE_CAP`` (256) nodes; a solve that
 needs one more makes it for itself and drops it.
 
@@ -176,19 +180,22 @@ def _bland(T: list, basis: list, width: int, done: int = 0) -> str:
         basis[leaving[0]] = j
 
 
-def _phase_one(A: np.ndarray, b: np.ndarray):
-    """Feasibility tableau for {u : A u <= b} with u free (split u+ - u-).
+def _phase_one(A, b, n: Optional[int] = None):
+    """Feasibility tableau for {u : A u <= b} with u free (split u+ - u-):
+    ``A`` and ``b`` numpy arrays, or lists of Python floats with ``n`` the
+    size of u.
 
     Returns (feasible, T, basis, width) where ``width`` counts the
     structural columns (u+, u-, slacks) preceding the artificials.  A row
     with b < 0 is negated and gets an artificial column.
     """
-    r, n = A.shape
-    b = b.tolist()
+    if n is None:
+        A, b, n = A.tolist(), b.tolist(), A.shape[1]
+    r = len(b)
     n_art = sum(v < 0 for v in b)
     width = 2 * n + r
     T, basis, art, zeros = [], [], width, [0.0] * (r + n_art)
-    for i, (a, v) in enumerate(zip(A.tolist(), b)):
+    for i, (a, v) in enumerate(zip(A, b)):
         if v < 0:
             a = [-x for x in a]
             row = a + [-x for x in a] + zeros + [-v]
@@ -268,11 +275,29 @@ def _maximize(c: np.ndarray, poly: Polytope):
     """:func:`solve_lp`'s status and point, the point None unless OPTIMAL."""
     cs = c.tolist()
     if poly._lead is not None:
-        out = pivot_trie(poly._lead[0]).solve(cs, poly.A.tolist(), poly.b.tolist(), poly._lead[1])
-        if out is not None:
-            return out
-    n = c.size
-    feasible, T, basis, width = _phase_one(poly.A, poly.b)
+        m = poly._lead[1]
+        return maximize_stacked(cs, poly.A[:m].tolist(), poly.b[:m].tolist(), poly._lead[0])
+    return _two_phase(cs, poly.A.tolist(), poly.b.tolist(), c.size)
+
+
+def maximize_stacked(cs: list, A: list, b: list, inputs: Polytope):
+    """:func:`solve_lp`'s status and point for ``maximize cs @ u`` over the
+    rows ``A u <= b`` stacked above ``inputs``'s rows, the program
+    :func:`core.stack_rows` marks, given as lists of Python floats: ``A``
+    and ``b`` checked finite where they were built and ``cs`` as
+    :func:`core.objective_vector` checks it.  The point is None unless
+    OPTIMAL.  With every right-hand side >= 0 the solve follows
+    ``inputs``'s :class:`PivotTrie`; otherwise, and where the trie hands
+    it back, both phases run on the stacked lists, ``inputs``'s made once
+    per polytope."""
+    trie = pivot_trie(inputs)
+    out = trie.solve(cs, A, b)
+    return out if out is not None else _two_phase(cs, A + trie.A, b + trie.b, len(cs))
+
+
+def _two_phase(cs: list, A: list, b: list, n: int):
+    """Both phases of :func:`solve_lp` on the rows ``A u <= b``, as lists."""
+    feasible, T, basis, width = _phase_one(A, b, n)
     if not feasible:
         return INFEASIBLE, None
     T, basis = _drop_artificials(T, basis, width)
@@ -327,7 +352,10 @@ class PivotTrie:
     actuator rows alone are unbounded, :meth:`solve` builds the stacked
     tableau there, its leading rows' slack columns the exact +0.0 and 1.0
     that every update with a finite multiplier leaves them, and
-    :func:`_bland` finishes.
+    :func:`_bland` finishes.  At the root that tableau is Phase-I's slack
+    tableau of the stacked rows, so :meth:`walk` decides the root step
+    from the rows as given and :meth:`solve` hands such a program back
+    for the plain kernel to build.
 
     All of this holds while every right-hand side stays finite: a
     non-finite multiplier leaves its row's right-hand side non-finite for
@@ -339,7 +367,8 @@ class PivotTrie:
     row end with one is made again from Phase-I.
 
     ``hits`` counts solves that finished on the trie, ``builds`` the
-    tableaux built where a solve left it, and ``nodes`` the nodes and
+    solves that left it (each builds its stacked tableau there, or at the
+    root hands it to the plain kernel), and ``nodes`` the nodes and
     None marks held, at most ``_TRIE_CAP``; a node past the cap is made
     for the solve at hand and dropped, so such a solve pivots the actuator
     rows itself, with the same bits.  Two threads growing one node each
@@ -350,10 +379,12 @@ class PivotTrie:
     def __init__(self, poly: Polytope):
         self.n2, self.width = 2 * poly.dim, 2 * poly.dim + poly.rows
         self.nodes = self.hits = self.builds = 0
-        # Phase-I's slack tableau, without its objective row; an actuator
+        # the actuator rows as lists, which maximize_stacked stacks; and
+        # Phase-I's slack tableau, without its objective row: an actuator
         # row with b < 0 needs Phase-I pivots, so no trie then
-        _, T, basis, _ = _phase_one(poly.A, poly.b)
-        self.root = None if (poly.b < 0).any() else _Node(T[:-1], basis, poly.dim)
+        self.A, self.b = poly.A.tolist(), poly.b.tolist()
+        _, T, basis, _ = _phase_one(self.A, self.b, poly.dim)
+        self.root = None if min(self.b, default=0.0) < 0 else _Node(T[:-1], basis, poly.dim)
 
     def _child(self, node: _Node, j: int):
         """The node after entering column ``j`` at ``node``, kept while
@@ -376,10 +407,12 @@ class PivotTrie:
         ``A u <= b``, kept in the actuator layout.  Returns the last node,
         the objective and leading rows there, the pivots made, and the
         column where the walk leaves the trie, None when no column
-        enters."""
-        pad, node = [0.0] * (self.width - self.n2), self.root
-        obj, lead = [-v for v in cs] + cs + pad + [0.0], [a + [-x for x in a] + pad + [v]
-                                                         for a, v in zip(A, b)]
+        enters.  The leading rows are laid out once the first pivot stays
+        on the trie: at the root the entering column is one of u+ or u-,
+        so a row's entry there is read from ``A``, and a walk that leaves
+        at the root returns them as None."""
+        n, pad, node, lead = self.n2 // 2, [0.0] * (self.width - self.n2), self.root, None
+        obj = [-v for v in cs] + cs + pad + [0.0]
         for pivots in itertools.count():
             for j in range(self.width):
                 if obj[j] < -_RC_TOL:
@@ -387,8 +420,15 @@ class PivotTrie:
             else:
                 return node, obj, lead, pivots, None
             child = node.children[j] if j in node.children else self._child(node, j)
-            if child is None or any(row[j] > _PIVOT_TOL and row[-1] / row[j] <= child.path[-1][1]
-                                    for row in lead):
+            if child is None:
+                return node, obj, lead, pivots, j
+            top = child.path[-1][1]
+            if lead is None:
+                col = [a[j] if j < n else -a[j - n] for a in A]
+                if any(p > _PIVOT_TOL and v / p <= top for p, v in zip(col, b)):
+                    return node, obj, lead, pivots, j
+                lead = [a + [-x for x in a] + pad + [v] for a, v in zip(A, b)]
+            elif any(row[j] > _PIVOT_TOL and row[-1] / row[j] <= top for row in lead):
                 return node, obj, lead, pivots, j
             if pivots == _MAX_PIVOTS:
                 raise RuntimeError("simplex pivot cap exceeded")
@@ -396,21 +436,25 @@ class PivotTrie:
             _eliminate(rows, j, child.path[-1][2])
             obj, *lead = rows
 
-    def solve(self, cs: list, A: list, b: list, m: int):
-        """:func:`_maximize` of ``cs`` over the rows ``A u <= b``, the
-        first m stacked above the actuator rows; None when the trie does
-        not apply (an actuator or leading right-hand side is < 0) or a
-        leading or objective row overflowed (see the class docstring)."""
-        if self.root is None or min(b[:m]) < 0:
+    def solve(self, cs: list, A: list, b: list):
+        """:func:`maximize_stacked` of ``cs`` over the leading rows ``A u
+        <= b`` stacked above the actuator rows; None when the trie does not
+        apply (an actuator or leading right-hand side is < 0), when a
+        leading or objective row overflowed (see the class docstring), or
+        when the walk leaves at the root, where the stacked tableau to
+        build is the plain kernel's own, which the caller then builds."""
+        if self.root is None or min(b, default=0.0) < 0:
             return None
-        node, obj, lead, pivots, j = self.walk(cs, A[:m], b[:m])
-        if not all(math.isfinite(row[-1]) for row in lead + [obj]):
+        node, obj, lead, pivots, j = self.walk(cs, A, b)
+        if lead is not None and not all(math.isfinite(row[-1]) for row in lead + [obj]):
             return None
         if j is None:
             self.hits += 1
             return OPTIMAL, np.array(node.u)
         self.builds += 1
-        n2, zeros = self.n2, [0.0] * m
+        if lead is None:
+            return None
+        n2, m, zeros = self.n2, len(b), [0.0] * len(b)
         T = [row[:n2] + zeros[:i] + [1.0] + zeros[i + 1:] + row[n2:] for i, row in enumerate(lead)]
         T += [row[:n2] + zeros + row[n2:] for row in node.rows + [obj]]
         basis = list(range(n2, n2 + m)) + [bi + m if bi >= n2 else bi for bi in node.basis]

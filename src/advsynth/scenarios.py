@@ -18,8 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .continuous import (ContinuousScenario, SearchConfig, _best_rate, _program,
-                         synthesize_constrained)
+from .continuous import ContinuousScenario, SearchConfig, _solved, synthesize_constrained
 from .core import (
     DEFAULT_BUDGET,
     BarrierFunction,
@@ -434,26 +433,23 @@ def build_quadgrid(
 def greedy_safe_controller(scn: ContinuousScenario, x, d) -> np.ndarray:
     """Baseline system-under-test: the maximizer of
     :func:`continuous.difficulty`, the safe input with the best
-    reach-barrier rate, from the same program (:func:`continuous._program`)
-    read by the same :func:`continuous._best_rate`.  When no input is safe
-    (the test is in Γ), fall back to the input maximizing the least
-    avoid-row slack over the actuator polytope.  ``d`` is used as given,
-    not checked against the test space."""
+    reach-barrier rate, from the same program solved by the same
+    :func:`continuous._solved`.  When no input is safe (the test is in
+    Γ), fall back to the input maximizing the least avoid-row slack over
+    the actuator polytope.  A state or test vector that
+    :meth:`ContinuousScenario.check_state` or
+    :meth:`ContinuousScenario.check_test` rejects raises ``ValueError``
+    before any dynamics or barrier callback runs."""
     x = scn.check_state(x)
-    reach, poly = _program(scn, x, np.asarray(d, dtype=float))
-    _, u = _best_rate(reach, poly, None)
+    _, _, A, b, u = _solved(scn, x, scn.check_test(d, x))
     if u is not None:
         return u
 
     # max-slack fallback: variables (u, s), maximize s subject to
-    # avoid_row @ u + s <= avoid_rhs and u in the actuator polytope; the
-    # avoid rows lead the safe-input polytope's rows
-    m = scn.input_polytope.dim
-    slack = np.zeros((poly.rows, 1))
-    slack[:len(scn.spec.avoid)] = 1.0
-    objective = np.zeros(m + 1)
-    objective[m] = 1.0
-    out2 = solve_lp(LpProblem(objective, Polytope(np.hstack([poly.A, slack]), poly.b)))
+    # avoid_row @ u + s <= avoid_rhs and u in the actuator polytope
+    inputs, m = scn.input_polytope, scn.input_polytope.dim
+    rows = [a + [1.0] for a in A] + [a + [0.0] for a in inputs.A.tolist()]
+    out2 = solve_lp(LpProblem([0.0] * m + [1.0], Polytope(rows, b + inputs.b.tolist())))
     if out2.status != OPTIMAL:
         raise ScenarioError(f"max-slack fallback came back {out2.status}")
     return out2.point[:m]

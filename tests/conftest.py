@@ -273,6 +273,54 @@ def assert_same_outcome(got, want):
 
 
 # ---------------------------------------------------------------------------
+# the one-test program on the numpy path that the list program replaced:
+# the safe-input polytope from feasible_input_polytope, the LP from solve_lp
+
+def _reference_program(scn, x, d):
+    from advsynth.core import dynamics_at, feasible_input_polytope, lie_derivatives
+    from advsynth.lp import LpProblem, solve_lp
+
+    fg = dynamics_at(scn.dynamics, x, d)
+    poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
+    drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg)
+    return drift_rate, poly, solve_lp(LpProblem(input_row, poly))
+
+
+def reference_difficulty(scn, x, d, floor, tau=0.0):
+    """``advsynth.continuous.difficulty`` on the numpy path."""
+    from advsynth.core import ScenarioError
+    from advsynth.lp import INFEASIBLE, UNBOUNDED
+
+    x = scn.check_state(x)
+    drift_rate, _, out = _reference_program(scn, x, scn.check_test(d, x))
+    if out.status == INFEASIBLE:
+        return float(floor), None
+    if out.status == UNBOUNDED:
+        raise ScenarioError("unbounded")
+    return drift_rate + out.value - tau, out.point
+
+
+def reference_controller(scn, x, d):
+    """``advsynth.scenarios.greedy_safe_controller`` on the numpy path,
+    its max-slack fallback built with ``np.hstack``."""
+    from advsynth.core import Polytope
+    from advsynth.lp import OPTIMAL, LpProblem, solve_lp
+
+    x = scn.check_state(x)
+    _, poly, out = _reference_program(scn, x, scn.check_test(d, x))
+    if out.status == OPTIMAL:
+        return out.point
+    m = scn.input_polytope.dim
+    slack = np.zeros((poly.rows, 1))
+    slack[:len(scn.spec.avoid)] = 1.0
+    objective = np.zeros(m + 1)
+    objective[m] = 1.0
+    out2 = solve_lp(LpProblem(objective, Polytope(np.hstack([poly.A, slack]), poly.b)))
+    assert out2.status == OPTIMAL
+    return out2.point[:m]
+
+
+# ---------------------------------------------------------------------------
 # the closed loop of advsynth.scenarios.simulate_adversarial, step by step
 # with every copy and check it once made
 

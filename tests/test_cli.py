@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import inspect
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from advsynth import (
     build_gridworld,
     build_unicycle,
     difficulty,
+    monitor_trajectory,
     one_step_difficulty,
     predictive_difficulty,
     synthesize_predictive,
@@ -767,6 +770,87 @@ def test_simulate_non_finite_state_writes_partial_logs_and_exits_3(tmp_path, cap
     for name in ("trajectory.csv", "min_barrier.csv"):
         assert len((out_dir / name).read_text().strip().splitlines()) == 2
     assert json.loads((out_dir / "monitor.json").read_text()) == verdict
+
+
+def spy_simulations(monkeypatch, edit=lambda scn: scn):
+    """Each ``simulate`` run's scenario, ``edit`` applied, and its log."""
+    runs, make, simulate = [], cli.make_scenario, cli.simulate_adversarial
+
+    def made(cfg):
+        runs.append([edit(make(cfg))])
+        return runs[-1][0]
+
+    def simulated(*args, **kwargs):
+        runs[-1].append(simulate(*args, **kwargs))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, "make_scenario", made)
+    monkeypatch.setattr(cli, "simulate_adversarial", simulated)
+    return runs
+
+
+def nan_past(h, x0):
+    """``h`` with a NaN value wherever the state's first entry is past x0."""
+    value = h.value
+    return dataclasses.replace(h, value=lambda x, d: math.nan if x[0] > x0 else value(x, d))
+
+
+@pytest.mark.parametrize("case", ["simulate-quadgrid", "simulate-quadgrid-on-agent",
+                                  "simulate-quadgrid-off-grid", "aborted", "nan-barrier"])
+def test_simulate_verdict_from_the_log_is_the_monitors(tmp_path, capsys, monkeypatch, case):
+    # monitor.json folds the logged min barrier and evaluates only the
+    # reach barrier; monitor_trajectory on the same log evaluates every
+    # barrier at every sample and gives the same verdict, NaN included
+    from test_artifacts import CASES
+
+    edit, args = (lambda scn: scn), ["simulate", "--config", write_config(tmp_path, QUAD_CFG),
+                                     "--horizon", "1"]
+    if case.startswith("simulate"):
+        args = [str(REPO / a) if a.startswith(("bench/", "configs/")) else a
+                for a in next(c[1] for c in CASES if c[0] == case)]
+    elif case == "aborted":
+        steps = []
+        monkeypatch.setattr(cli, "greedy_safe_controller", lambda scn, x, d: steps.append(x) or (
+            np.full(2, np.nan) if len(steps) == 30 else np.array([1.0, 0.5])))
+    else:
+        # the controller reads no avoid value, so the NaN reaches only the log
+        monkeypatch.setattr(cli, "greedy_safe_controller", lambda scn, x, d: np.array([1.0, 0.5]))
+        edit = lambda scn: dataclasses.replace(scn, spec=dataclasses.replace(
+            scn.spec, avoid=(scn.spec.avoid[0], nan_past(scn.spec.avoid[1], 0.3))))
+    runs = spy_simulations(monkeypatch, edit)
+    main(args + ["--out", str(tmp_path / "sim")])
+    capsys.readouterr()
+    [(scn, log)] = runs
+    want = monitor_trajectory(scn.spec, [(float(t), log.states[k]) for k, t in enumerate(log.times)],
+                              [(float(t), log.obstacles[k]) for k, t in enumerate(log.times)])
+    got = json.loads((tmp_path / "sim" / "monitor.json").read_text())
+    keys = ("satisfied", "reach_time", "min_avoid_value")
+    assert json.dumps([got[k] for k in keys]) == json.dumps(cli._jsonable(
+        [want.satisfied, want.reach_time, want.min_avoid_value]))
+    assert log.aborted == (case == "aborted")
+    assert math.isnan(want.min_avoid_value) == (case == "nan-barrier")
+
+
+def test_simulate_evaluates_each_avoid_barrier_twice_per_step(tmp_path, capsys, monkeypatch):
+    # once in the controller's program and once for the log; the verdict
+    # reads the log, so a run of n steps evaluates each barrier 2n + 1 times
+    calls = [0, 0]
+
+    def counted(h, j):
+        value = h.value
+
+        def call(x, d):
+            calls[j] += 1
+            return value(x, d)
+        return dataclasses.replace(h, value=call)
+
+    spy_simulations(monkeypatch, lambda scn: dataclasses.replace(scn, spec=dataclasses.replace(
+        scn.spec, avoid=tuple(counted(h, j) for j, h in enumerate(scn.spec.avoid)))))
+    cfg = write_config(tmp_path, QUAD_CFG)
+    rc, out, _ = run_cli(capsys, ["simulate", "--config", cfg, "--horizon", "0.2",
+                                  "--out", str(tmp_path / "sim")])
+    assert rc == 0 and json.loads(out)["samples"] == 21
+    assert calls == [41, 41]
 
 
 def first_command(out_dir):

@@ -497,6 +497,38 @@ def test_difficulty_rejects_a_bad_test_vector_before_any_callback(quadgrid):
     assert counts
 
 
+def test_controller_rejects_a_bad_test_vector_before_any_callback(quadgrid):
+    # the controller sizes its test as difficulty does: a fifth entry is
+    # not ignored, two entries do not reach an avoid barrier's lambda, and
+    # the corner map runs once per scenario, not once per call
+    counts, realized = {}, []
+    scn = dataclasses.replace(recounted(quadgrid, counts), test_space=MappedSpace(
+        lambda x, t: realized.append(t) or quadgrid.test_space.at(x, t)))
+    x = np.array([1.2, 0.7])
+    for bad, message in (([1, 2, 1, 1, 7], "^test vector needs 4 components, got 5$"),
+                         ([1.0, 2.0], "^test vector needs 4 components, got 2$"),
+                         ([1.0, 1.0, np.nan, 1.0], "^test vector contains non-finite entries$")):
+        with pytest.raises(ValueError, match=message):
+            greedy_safe_controller(scn, x, bad)
+    assert not counts and realized == [0.0]
+    for _ in range(3):
+        greedy_safe_controller(scn, x, [1.0, 1.0, 2.0, 1.0])
+        difficulty(scn, x, [1.0, 1.0, 2.0, 1.0], -8.0)
+    assert counts and realized == [0.0]
+
+
+def test_constrained_synthesis_rejects_a_realized_set_of_another_size(unicycle):
+    # the first set realized fixes the test size; a map that later
+    # realizes tests of another size is rejected before the scan starts
+    scn = dataclasses.replace(unicycle, test_space=MappedSpace(
+        lambda x, t: BoxSpace(-np.ones(2 if t < 1.0 else 4), np.ones(2 if t < 1.0 else 4))))
+    x = np.array([-0.5, -0.5, 0.0])
+    synthesize_constrained(scn, x, 0.0, search=SearchConfig(grid_points=3, refine_iterations=0))
+    with pytest.raises(ValueError, match="^test-space map realized tests of 4 components, "
+                                         "the scenario's have 2$"):
+        synthesize_constrained(scn, x, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Γ-first scan against the one-by-one reference scan (conftest.py)
 
@@ -1001,6 +1033,18 @@ def test_unbounded_held_program_raises_through_solve_lp(monkeypatch):
                 synthesize(scn, x, search=COARSE)
         assert solved == [lp.UNBOUNDED]
         del solved[:]
+
+
+@pytest.mark.parametrize("entry", ["difficulty", "controller"])
+def test_unbounded_one_test_program_raises(entry, quadgrid):
+    # an actuator polytope open towards -u, which construction rejects:
+    # the reach row points down-left from x = (4, 3), and the obstacles up
+    # to its right bound only +u
+    scn = dataclasses.replace(quadgrid)
+    object.__setattr__(scn, "input_polytope", Polytope(np.eye(2), np.ones(2)))
+    x, d = np.array([4.0, 3.0]), np.array([5.0, 4.0, 5.0, 4.5])
+    with pytest.raises(ScenarioError, match="unbounded"):
+        difficulty(scn, x, d, -8.0) if entry == "difficulty" else greedy_safe_controller(scn, x, d)
 
 
 def test_search_over_budget_raises_before_any_callback():

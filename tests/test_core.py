@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 from collections import Counter
@@ -125,21 +126,33 @@ def test_feasible_polytope_row_layout(unicycle):
 
 
 def test_stacked_rows_are_the_checked_polytope(monkeypatch):
-    # stack_rows does not run Polytope's checks again; on the controller's
-    # rows (both obstacles on the agent first, so the fallback runs) and on
-    # the scan's candidates solved on the spot it gives Polytope's bits
-    stack, calls = core.stack_rows, Counter()
+    # neither stack_rows nor maximize_stacked runs Polytope's checks
+    # again; on the controller's rows, lists of Python floats stacked
+    # above the actuator's (both obstacles on the agent first, so the
+    # fallback runs), and on the scan's candidates solved on the spot,
+    # they give Polytope's bits
+    stack, maximize, calls = core.stack_rows, continuous.maximize_stacked, Counter()
+
+    def same(got_A, got_b, want):
+        for g, w in ((got_A, want.A), (got_b, want.b)):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        calls[caller] += 1
 
     def compared(A, b, inputs):
         got = stack(A, b, inputs)
-        want = Polytope(np.vstack([A, inputs.A]), np.concatenate([b, inputs.b]))
-        for g, w in ((got.A, want.A), (got.b, want.b)):
-            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-        calls[caller] += 1
+        same(got.A, got.b, Polytope(np.vstack([A, inputs.A]), np.concatenate([b, inputs.b])))
         return got
+
+    def compared_lists(cs, A, b, inputs):
+        rows, rhs = A + inputs.A.tolist(), b + inputs.b.tolist()
+        assert all(type(v) is float for v in itertools.chain(cs, rhs, *rows))
+        assert all(len(row) == inputs.dim for row in rows) and len(cs) == inputs.dim
+        same(np.array(rows), np.array(rhs), Polytope(rows, rhs))
+        return maximize(cs, A, b, inputs)
 
     monkeypatch.setattr(core, "stack_rows", compared)
     monkeypatch.setattr(continuous, "stack_rows", compared)
+    monkeypatch.setattr(continuous, "maximize_stacked", compared_lists)
     rng = np.random.default_rng(8)
     caller, quad = "controller", build_quadgrid()
     greedy_safe_controller(quad, [1.0, 1.0], [1.0, 1.0, 1.0, 1.0])
@@ -228,6 +241,22 @@ def test_monitor_min_avoid_matches_brute_force(unicycle):
         for h in unicycle.spec.avoid:
             best = min(best, h.value(x, d))
     assert out.min_avoid_value == best
+
+
+def test_monitor_folds_given_avoid_values_and_reads_reach_up_to_the_first(unicycle):
+    # with each sample's min_avoid given, no avoid barrier runs, and the
+    # reach barrier runs up to the first sample that reaches
+    reached, x_far, x_goal = [], np.array([-0.5, -0.5, 0.0]), np.array([0.5, 0.5, 0.0])
+    reach = dataclasses.replace(unicycle.spec.reach, value=lambda x, d: reached.append(x)
+                                or unicycle.spec.reach.value(x, d))
+    spec = dataclasses.replace(unicycle.spec, reach=reach, avoid=(BarrierFunction(
+        value=lambda x, d: pytest.fail("an avoid barrier ran")),))
+    traj = [(0.0, x_far), (1.0, x_goal), (2.0, x_far), (3.0, x_goal)]
+    out = monitor_trajectory(spec, traj, [(0.0, np.zeros(2))], [0.5, math.nan, 0.25, 1.0])
+    assert len(reached) == 2 and out.reach_time == 1.0 and not out.satisfied
+    assert math.isnan(out.min_avoid_value)
+    with pytest.raises(ValueError, match="^need one min_avoid value per sample$"):
+        monitor_trajectory(spec, traj, [(0.0, np.zeros(2))], [0.5, 0.5, 0.5])
 
 
 def test_monitor_no_avoid_barriers(unicycle):

@@ -266,8 +266,18 @@ def test_pinned_simulations_solve_every_lp_as_the_reference(monkeypatch, tmp_pat
         solved.append((problem, out))
         return out
 
+    def capture_lists(cs, A, b, inputs):
+        # the controller's program, lists stacked above the actuator rows,
+        # as the equivalent stacked LpProblem
+        status, u = lp.maximize_stacked(cs, A, b, inputs)
+        c = np.array(cs)
+        out = LpOutcome(status) if u is None else LpOutcome(status, float(c @ u), u)
+        solved.append((LpProblem(c, Polytope(A + inputs.A.tolist(), b + inputs.b.tolist())), out))
+        return status, u
+
     monkeypatch.setattr(scenarios, "solve_lp", capture)
     monkeypatch.setattr(continuous, "solve_lp", capture)
+    monkeypatch.setattr(continuous, "maximize_stacked", capture_lists)
     assert _digests(args, tmp_path, pinned) == pinned
     capsys.readouterr()
     for problem, out in solved:

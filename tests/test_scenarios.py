@@ -29,7 +29,7 @@ from advsynth import (
     unit_cell_corners,
 )
 from advsynth import core, scenarios
-from conftest import assert_gradient_consistent
+from conftest import assert_gradient_consistent, reference_controller, reference_difficulty
 
 cell = st.tuples(st.integers(0, 9), st.integers(0, 9))
 
@@ -715,6 +715,66 @@ def test_closed_loop_dynamics_share_read_only_arrays(quadgrid, unicycle):
     assert build_quadgrid().dynamics.g(x2, d) is quadgrid.dynamics.g(x2, d)
 
 
+def _program_sample(scn, rng, x):
+    """A test vector for the list-program differential at x, two planar
+    obstacles: one of quadgrid's corner tests, obstacles anywhere around
+    the agent or within about a radius of it (negative right-hand sides,
+    tests in Γ), or both on the agent, where a gradient is zero and an
+    avoid row holds -0.0."""
+    on_agent, pick = np.tile(x[:2], 2), rng.random()
+    if pick < 0.25 and isinstance(scn.test_space, MappedSpace):
+        points = scn.test_space.at(x, 0.0).points
+        return points[int(rng.integers(len(points)))].copy()
+    if pick < 0.5:
+        return on_agent + rng.uniform(-1.0, 1.0, 4)
+    if pick < 0.75:
+        return on_agent + rng.normal(0.0, 0.2, 4)
+    if pick < 0.9:
+        # one obstacle about the unicycle's radius away, inside quadgrid's
+        angle, r = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.15, 0.18)
+        return on_agent + np.r_[r * math.cos(angle), r * math.sin(angle),
+                                rng.uniform(-1.0, 1.0, 2)]
+    return on_agent
+
+
+@pytest.mark.parametrize("name", ["quadgrid", "unicycle"])
+def test_list_program_matches_the_numpy_path(name):
+    # difficulty's values and maximizers and the controller's inputs on
+    # the list program, byte for byte against the numpy path it replaced
+    # (conftest.py): tests in Γ with the max-slack fallback, negative
+    # right-hand sides (Phase-I), and states and tests of +-0.0, which
+    # make -0.0 rows
+    from advsynth import continuous
+
+    scn = build_quadgrid() if name == "quadgrid" else build_unicycle(n_obstacles=2)
+    rng = np.random.default_rng(3301)
+    seen = dict.fromkeys(["gamma", "phase one", "trie", "-0.0"], 0)
+    for k in range(5_000):
+        x = rng.uniform(scn.state_lower, scn.state_upper)
+        if k % 10 == 0:
+            x[:2] = rng.choice([0.0, -0.0], 2)
+        d = _program_sample(scn, rng, x)
+        if k % 10 == 0:
+            d[rng.random(d.size) < 0.5] = -0.0
+        tau = 0.25 if k % 3 == 0 else 0.0
+        got, want = continuous.difficulty(scn, x, d, scn.floor, tau), \
+            reference_difficulty(scn, x, d, scn.floor, tau)
+        assert type(got[0]) is float and type(want[0]) is float
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        if want[1] is None:
+            assert got[1] is None
+        else:
+            assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+        u, v = greedy_safe_controller(scn, x, d), reference_controller(scn, x, d)
+        assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+        _, c, A, b = continuous._program(scn, x, scn.check_test(d, x))
+        seen["gamma"] += want[1] is None
+        seen["phase one"] += want[1] is not None and min(b) < 0
+        seen["trie"] += min(b) >= 0
+        seen["-0.0"] += any(e == 0.0 and math.copysign(1.0, e) < 0 for e in c + b + sum(A, []))
+    assert min(seen.values()) >= 200, seen
+
+
 def test_closed_loop_counts_its_trie_solves(monkeypatch):
     # every controller LP and held candidate with right-hand sides >= 0 is
     # solved along the input polytope's trie, which counts the solves that
@@ -728,8 +788,14 @@ def test_closed_loop_counts_its_trie_solves(monkeypatch):
         on_trie.append(poly._lead is not None and min(poly.b[:poly._lead[1]]) >= 0)
         return lp.solve_lp(problem)
 
+    def spy_lists(cs, A, b, inputs):
+        # the controller's programs, stacked lists
+        on_trie.append(min(b) >= 0)
+        return lp.maximize_stacked(cs, A, b, inputs)
+
     monkeypatch.setattr(continuous, "solve_lp", spy)
     monkeypatch.setattr(scenarios, "solve_lp", spy)
+    monkeypatch.setattr(continuous, "maximize_stacked", spy_lists)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         simulate_adversarial(scn, np.array([2.2, 1.9]), greedy_safe_controller, 0.5, horizon=1.0)
