@@ -422,6 +422,9 @@ def cmd_sweep(cfg: RunConfig, state_text: str, axes_text: str, out_dir: Path) ->
 def cmd_trials(cfg: RunConfig, count: int, out_dir: Optional[Path]) -> int:
     if count < 1:
         raise ConfigError("--count must be >= 1")
+    if count > DEFAULT_BUDGET:
+        raise ConfigError(f"trials would run {count} syntheses but the budget is "
+                          f"{DEFAULT_BUDGET}; lower --count")
     scn = make_scenario(cfg)
     # grid trials draw a non-overlapping state/goal pair, and so a fresh
     # scenario, per trial; the others draw states uniformly from the box

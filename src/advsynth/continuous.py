@@ -45,17 +45,8 @@ from .core import (
     lie_derivatives,
     objective_vector,
     satisfaction_floor,
-    stack_rows,
 )
-from .lp import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    BlandPath,
-    LpProblem,
-    maximize_stacked,
-    solve_lp,
-)
+from .lp import OPTIMAL, UNBOUNDED, BlandPath, LpProblem, maximize_stacked, solve_lp
 
 __all__ = [
     "SearchConfig",
@@ -210,63 +201,60 @@ def difficulty(scn: ContinuousScenario, x, d, floor: float, tau: float = 0.0):
     floor branch.  ``tau`` shifts the non-floor objective down by a progress
     margin; since it is a constant shift it can never change which test
     minimizes the measure.  The program is :func:`_program`'s, which
-    :func:`scenarios.greedy_safe_controller` solves too, both through
-    :func:`_solved`; the value is the drift rate plus ``float(c @ u)``, as
-    :func:`lp.solve_lp` computes an LP's value.  Before any dynamics or
-    barrier callback runs, a floor that is not finite (the rule of
-    :func:`core.satisfaction_floor`), or a state or test vector that
+    :func:`scenarios.greedy_safe_controller` solves too, and its value
+    :func:`_best_rate`'s, as the scan computes it.  Before any dynamics or
+    barrier callback runs, a floor or ``tau`` that is not finite (the rule
+    of :func:`core.satisfaction_floor`), or a state or test vector that
     :meth:`ContinuousScenario.check_state` or
     :meth:`ContinuousScenario.check_test` rejects, raises ``ValueError``
     (a mapped test space's map runs once per scenario, to size the tests).
     """
-    floor, x = _finite_floor(floor), scn.check_state(x)
-    drift_rate, c, _, _, u = _solved(scn, x, scn.check_test(d, x))
-    return (floor, None) if u is None else (drift_rate + float(np.array(c) @ u) - tau, u)
+    floor, tau, x = _finite_floor(floor), _finite_floor(tau, "tau"), scn.check_state(x)
+    drift_rate, row, A, b = _program(scn, x, scn.check_test(d, x))
+    value, u = _best_rate((drift_rate, row), A, b, scn.input_polytope, floor)
+    return (floor, None) if u is None else (value - tau, u)
 
 
 def _program(scn, x, d):
     """The one-test program of :func:`difficulty` and
-    :func:`scenarios.greedy_safe_controller` at checked (x, d), as Python
-    floats: ``(drift_rate, c, A, b)``, the reach barrier's drift rate and
-    input row ``c`` and the avoid rows ``A u <= b`` of
-    :func:`core.avoid_lists`, to stack above the input polytope.  f and g
-    are evaluated once for all of them, and each row is checked finite
-    once, ``c`` by :func:`core.objective_vector`."""
+    :func:`scenarios.greedy_safe_controller` at checked (x, d):
+    ``(drift_rate, input_row, A, b)``, the reach barrier's
+    :func:`core.lie_derivatives` and the avoid rows ``A u <= b`` of
+    :func:`core.avoid_lists` as Python floats, to stack above the input
+    polytope.  f and g are evaluated once for all of them.  The avoid rows
+    are checked finite here, the input row where it becomes the LP's
+    objective, by :func:`core.objective_vector`."""
     fg = dynamics_at(scn.dynamics, x, d)
     A, b = avoid_lists(scn.spec, scn.dynamics, x, d, scn.input_polytope.dim, fg)
-    drift_rate, row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg)
-    return drift_rate, objective_vector(row, scn.input_polytope.dim).tolist(), A, b
+    return (*lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg), A, b)
 
 
-def _solved(scn, x, d):
-    """:func:`_program` at checked (x, d) and the maximizer ``u`` of ``c @
-    u`` over its safe inputs, by :func:`lp.maximize_stacked`: ``(drift_rate,
-    c, A, b, u)``, ``u`` None when no input is safe (the test is in Γ).
-    Without avoid rows the program is the input polytope's own, which
-    :func:`_best_rate` solves, as the scan does."""
-    drift_rate, c, A, b = _program(scn, x, d)
-    if not b:
-        return drift_rate, c, A, b, _best_rate((drift_rate, c), scn.input_polytope, None)[1]
-    status, u = maximize_stacked(c, A, b, scn.input_polytope)
+def _maximizer(input_row, A, b, inputs):
+    """The one LP of a test, for the scan, :func:`difficulty` and
+    :func:`scenarios.greedy_safe_controller`: ``maximize c @ u`` over the
+    safe inputs, the avoid rows ``A u <= b`` (lists of Python floats,
+    checked finite where they were built; there may be none) stacked
+    above the input polytope ``inputs``, by :func:`lp.maximize_stacked`.
+    ``c`` is the reach barrier's ``input_row`` as
+    :func:`core.objective_vector` checks it.  Returns ``(c, u)``, ``u``
+    None when no input is safe (the test is in Γ); an unbounded program
+    raises :class:`ScenarioError`."""
+    c = objective_vector(input_row, inputs.dim)
+    status, u = maximize_stacked(c.tolist(), A, b, inputs)
     if status == UNBOUNDED:
         raise ScenarioError(_UNBOUNDED)
-    return drift_rate, c, A, b, u
+    return c, u
 
 
-def _best_rate(reach, poly, floor):
-    """The scan's inner maximization over the safe-input polytope
-    ``poly``, with ``reach`` the reach barrier's ``(drift_rate,
-    input_row)`` at the same (x, d): ``(floor, None)`` when ``poly`` is
-    empty (the test is in Γ), else the best rate and its maximizer, with
-    :func:`difficulty`'s bits.  :class:`lp.LpProblem` checks the input
-    row, the one check it gets."""
+def _best_rate(reach, A, b, inputs, floor):
+    """The inner maximization of one test, for the scan and
+    :func:`difficulty`, with ``reach`` the reach barrier's ``(drift_rate,
+    input_row)``: ``(floor, None)`` when :func:`_maximizer` finds no safe
+    input, else the drift rate plus ``float(c @ u)`` and the maximizer
+    ``u``."""
     drift_rate, input_row = reach
-    out = solve_lp(LpProblem(input_row, poly))
-    if out.status == INFEASIBLE:
-        return floor, None
-    if out.status == UNBOUNDED:
-        raise ScenarioError(_UNBOUNDED)
-    return drift_rate + out.value, out.point
+    c, u = _maximizer(input_row, A, b, inputs)
+    return (floor, None) if u is None else (drift_rate + float(c @ u), u)
 
 
 def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
@@ -297,12 +285,14 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     that row over the input polytope alone from the polytope's pivot
     trie.  A held candidate whose avoid rows neither leave nor tie at any
     of the path's pivots takes the kept reach rate plus the path's value,
-    and the path's point; :meth:`lp.BlandPath.follows` says why :func:`solve_lp`
-    would give it the same bits.  Every other held candidate, in queue
-    order, takes its reach rate from ``cache.reach`` and its LP from
-    :func:`solve_lp`.  A path rule is needed: a candidate whose avoid rows
-    merely hold at the recorded point may be cut at an intermediate vertex
-    of the path and get other last bits.  A candidate that is not held is
+    and the path's point; :meth:`lp.BlandPath.follows` says why
+    :func:`lp.maximize_stacked` would give it the same bits.  Every other
+    held candidate, in queue order, takes its reach rate from
+    ``cache.reach`` and its LP from :func:`_best_rate`, as every
+    candidate solved on the spot does, its rows handed on as lists.  A
+    path rule is needed: a candidate whose avoid rows merely hold at the
+    recorded point may be cut at an intermediate vertex of the path and
+    get other last bits.  A candidate that is not held is
     solved on the spot, in order, once the groups before its own are
     folded, so each LP solved on the spot is one a scan of one group at a
     time would solve.  Values and maximizers wait in two arrays until
@@ -332,7 +322,7 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     def solve_held(top):
         """Solve the next block of the queue, none at or past ``top``: the
         candidates that follow the recorded Bland path take its point, and
-        the rest go to :func:`solve_lp` in order."""
+        the rest go to :func:`_best_rate` in order."""
         nonlocal head
         stop = head + int(np.searchsorted(pending[head:min(tail, head + _HELD_BLOCK)], top))
         held, head = pending[head:stop], stop
@@ -348,7 +338,7 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
                 held, D = held[~short], D[~short]
         for k, d in zip(held.tolist(), D):
             values[k], maximizers[k] = _best_rate(
-                cache.reach(d), stack_rows(held_A[k], held_b[k], inputs), floor)
+                cache.reach(d), held_A[k].tolist(), held_b[k].tolist(), inputs, floor)
 
     def fold(stop):
         """Fold the groups that end at or before candidate ``stop``; True
@@ -380,7 +370,7 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
         for j in np.flatnonzero(spot).tolist():
             if fold(i + j):
                 return None, folded, best
-            val, u = _best_rate(cache.reach(D[j]), stack_rows(A[j], b[j], inputs), floor)
+            val, u = _best_rate(cache.reach(D[j]), A[j].tolist(), b[j].tolist(), inputs, floor)
             if u is None:
                 return SynthesisResult(block[j], float(floor), True, None,
                                        evals + i + j + 1), folded, best

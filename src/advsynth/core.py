@@ -46,7 +46,6 @@ __all__ = [
     "dynamics_at",
     "avoid_rows",
     "avoid_lists",
-    "stack_rows",
     "feasible_input_polytope",
     "least",
     "min_avoid",
@@ -101,9 +100,8 @@ class Polytope:
     A: np.ndarray
     b: np.ndarray
 
-    # ``_lead``, set by :func:`stack_rows`: (actuator polytope, leading row
-    # count); ``_trie``: the :class:`lp.PivotTrie` of these rows, once made
-    _lead = _trie = None
+    # the lp.PivotTrie of these rows, once made
+    _trie = None
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -373,14 +371,15 @@ def satisfaction_floor(scn) -> float:
     return _finite_floor(scn.floor)
 
 
-def _finite_floor(floor) -> float:
+def _finite_floor(floor, name: str = "satisfaction floor") -> float:
     """``floor`` as a float, the one rule for a satisfaction floor, which
     every difficulty measure applies before any callback runs: it must be
     finite.  It is the difficulty of a test in Γ, the hardest, and an
-    infinite or NaN one would rank that test with the easiest."""
+    infinite or NaN one would rank that test with the easiest.  A shift
+    of the other values, ``name`` in the error, follows the same rule."""
     floor = float(floor)
     if not math.isfinite(floor):
-        raise ValueError(f"satisfaction floor must be finite, got {floor}")
+        raise ValueError(f"{name} must be finite, got {floor}")
     return floor
 
 
@@ -452,7 +451,8 @@ class LieCache:
     def reach(self, d: np.ndarray):
         """``lie_derivatives`` of the reach barrier at (x, d).  Its input
         row is checked where it becomes an LP objective, once: by
-        :class:`lp.LpProblem`, or by :class:`lp.BlandPath` for a kept row."""
+        :func:`continuous._best_rate`, or by :class:`lp.BlandPath` for a
+        kept row."""
         if self._reach is not None:
             return self._reach
         out = lie_derivatives(self._spec.reach, self._dyn, self._x, d, self._f_g(d))
@@ -549,43 +549,23 @@ def avoid_lists(spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_dim: 
     return A, b
 
 
-def stack_rows(A: np.ndarray, b: np.ndarray, input_polytope: Polytope) -> Polytope:
-    """The avoid rows ``A u <= b`` stacked ahead of the actuator rows, so
-    dropping them recovers the actuator polytope exactly.  With no avoid
-    rows the actuator polytope itself is returned.
-
-    The rows are not checked again: ``A`` and ``b`` must be float rows of
-    the polytope's width that were checked finite where they were built,
-    as :func:`avoid_rows` and :meth:`LieCache.avoid_block` check theirs,
-    and the actuator rows were checked when ``input_polytope`` was made.
-    The result is marked with ``input_polytope`` and the count of avoid
-    rows, so :func:`lp.solve_lp` can follow the actuator polytope's
-    :class:`lp.PivotTrie`."""
-    if b.size == 0:
-        return input_polytope
-    poly = object.__new__(Polytope)
-    poly.__dict__.update(A=np.concatenate([A, input_polytope.A]), _lead=(input_polytope, b.size),
-                         b=np.concatenate([b, input_polytope.b]))
-    return poly
-
-
 def feasible_input_polytope(
-    spec: ReachAvoidSpec,
-    dyn: ContinuousDynamics,
-    x,
-    d,
-    input_polytope: Polytope,
-    fg: Optional[tuple] = None,
+    spec: ReachAvoidSpec, dyn: ContinuousDynamics, x, d, input_polytope: Polytope
 ) -> Polytope:
     """Inputs keeping every avoid barrier's rate above its -alpha(h) bound,
-    intersected with the actuator polytope: :func:`avoid_rows` stacked by
-    :func:`stack_rows`, with ``fg`` passed on.
+    intersected with the actuator polytope: the rows of :func:`avoid_rows`
+    stacked ahead of the actuator rows, so dropping them recovers the
+    actuator polytope exactly.  With no avoid rows the actuator polytope
+    itself is returned.
 
     The result may be empty; emptiness is meaningful (the test admits no
-    safe input).
+    safe input).  The synthesizers solve the same program from lists, by
+    :func:`lp.maximize_stacked`, without building this polytope.
     """
-    A, b = avoid_rows(spec, dyn, x, d, input_polytope.dim, fg=fg)
-    return stack_rows(A, b, input_polytope)
+    A, b = avoid_rows(spec, dyn, x, d, input_polytope.dim)
+    if not b.size:
+        return input_polytope
+    return Polytope(np.concatenate([A, input_polytope.A]), np.concatenate([b, input_polytope.b]))
 
 
 def least(a: float, b: float) -> float:

@@ -20,13 +20,15 @@ objective with an entry beyond the reduced-cost tolerance is UNBOUNDED,
 and any other is OPTIMAL at u = +0.0 with value +0.0, as when rows leave
 u free.
 
-Every LP this package solves goes through one kernel: :func:`solve_lp`,
-or :func:`maximize_stacked`, its branch for stacked programs, which
-takes a one-test program already built as lists (see
-:func:`continuous._program`).  A solve here is a tableau of about 7 rows
-by 11 columns in two or three pivots, where a numpy call costs more than
-its arithmetic, so the kernel and :func:`phase_one_feasible` keep their
-tableaux as lists of Python floats.
+Every LP this package solves goes through one kernel, by one of two
+entries: :func:`maximize_stacked` for every one-test program, a few avoid
+rows stacked above an actuator polytope, given as lists (see
+:func:`continuous._best_rate`), and :func:`solve_lp` for any other
+program, on a checked :class:`core.Polytope` (an input polytope's axis
+checks, the controller's max-slack fallback).  A solve here is a
+tableau of about 7 rows by 11 columns in two or three pivots, where a
+numpy call costs more than its arithmetic, so the kernel and
+:func:`phase_one_feasible` keep their tableaux as lists of Python floats.
 Each entry gets the float operations, in the order, that a numpy row
 update would give it, so every outcome has the bits the numpy tableau
 gave (``tests/conftest.py`` keeps that kernel as the reference); only the
@@ -34,15 +36,14 @@ returned value is still computed by numpy, as ``c @ u``.  Lists lose from
 about 14 rows on (two inputs, a box and 10 obstacles); the shipped configs
 build 6 rows.
 
-Most programs this package solves stack a few avoid rows above the same
-actuator polytope (:func:`core.stack_rows` marks them so), and when every
-right-hand side is >= 0 their Phase-II pivots start alike.  Each actuator
-polytope grows a :class:`PivotTrie` of its own rows' pivots, keyed by
-entering column: a node holds the actuator rows' tableau after the
-pivots on its way, the tie threshold (least ratio plus 1e-12) and the
-normalized pivot row of the last one.  :func:`solve_lp` follows it,
-updating only the objective row and the avoid rows, with the list
-kernel's own ``a - m * v``.  At the first step where an avoid row would
+The one-test programs stack a few avoid rows above the same actuator
+polytope, and when every right-hand side is >= 0 their Phase-II pivots
+start alike.  Each actuator polytope grows a :class:`PivotTrie` of its
+own rows' pivots, keyed by entering column: a node holds the actuator
+rows' tableau after the pivots on its way, the tie threshold (least
+ratio plus 1e-12) and the normalized pivot row of the last one.
+:func:`maximize_stacked` follows it, updating only the objective row and
+the avoid rows, with the list kernel's own ``a - m * v``.  At the first step where an avoid row would
 leave or tie (ratio at or below the threshold), or where the actuator
 rows alone are unbounded, it builds the stacked tableau there and
 :func:`_bland` finishes; at the root that tableau is the plain kernel's,
@@ -51,9 +52,10 @@ that leaves there goes to the plain kernel without a walk row built.
 The bits are those of the stacked solve: the avoid rows' slack columns
 stay +0.0 in the objective row, so the same columns enter; no avoid row
 ties, so the same rows leave, in the same basis order; and the actuator
-rows never read the avoid rows (see :class:`PivotTrie`).  A negative right-hand side takes Phase-I as
-before.  A trie holds at most ``_TRIE_CAP`` (256) nodes; a solve that
-needs one more makes it for itself and drops it.
+rows never read the avoid rows (see :class:`PivotTrie`).  A negative
+right-hand side takes Phase-I on the stacked lists.  A trie holds at
+most ``_TRIE_CAP`` (256) nodes; a solve that needs one more makes it for
+itself and drops it.
 
 :class:`BlandPath` reads a walk of the trie without avoid rows: each
 pivot's entering column, tie threshold and normalized pivot row.
@@ -62,8 +64,8 @@ once, with numpy, by the same rule: a program none of whose extra rows
 has a usable pivot entry with a ratio at or below the threshold, at any
 step, gets the recorded point and value, bit for bit.  That the recorded
 point merely satisfies the extra rows is not enough: an extra row can cut
-the path at an intermediate vertex, and :func:`solve_lp` then reaches the
-point, or another optimum, with other last bits.
+the path at an intermediate vertex, and :func:`maximize_stacked` then
+reaches the point, or another optimum, with other last bits.
 """
 
 from __future__ import annotations
@@ -180,17 +182,14 @@ def _bland(T: list, basis: list, width: int, done: int = 0) -> str:
         basis[leaving[0]] = j
 
 
-def _phase_one(A, b, n: Optional[int] = None):
-    """Feasibility tableau for {u : A u <= b} with u free (split u+ - u-):
-    ``A`` and ``b`` numpy arrays, or lists of Python floats with ``n`` the
-    size of u.
+def _phase_one(A: list, b: list, n: int):
+    """Feasibility tableau for {u : A u <= b} with u free (split u+ - u-),
+    ``A`` and ``b`` lists of Python floats and ``n`` the size of u.
 
     Returns (feasible, T, basis, width) where ``width`` counts the
     structural columns (u+, u-, slacks) preceding the artificials.  A row
     with b < 0 is negated and gets an artificial column.
     """
-    if n is None:
-        A, b, n = A.tolist(), b.tolist(), A.shape[1]
     r = len(b)
     n_art = sum(v < 0 for v in b)
     width = 2 * n + r
@@ -243,13 +242,10 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
     objective improves along a feasible ray.  Identical inputs always yield
     identical outcomes, point included.  Without rows the polytope is the
     whole space: the outcome is UNBOUNDED when an objective entry lies
-    beyond the reduced-cost tolerance, else OPTIMAL at u = 0.  A polytope
-    from :func:`core.stack_rows` whose right-hand sides are all >= 0 is
-    solved along its actuator polytope's :class:`PivotTrie`, with the same
-    bits.
+    beyond the reduced-cost tolerance, else OPTIMAL at u = 0.
     """
-    c = problem.objective
-    status, u = _maximize(c, problem.constraints)
+    c, poly = problem.objective, problem.constraints
+    status, u = _two_phase(c.tolist(), poly.A.tolist(), poly.b.tolist(), c.size)
     if status != OPTIMAL:
         return LpOutcome(status)
     return LpOutcome(OPTIMAL, float(c @ u), u)
@@ -271,25 +267,17 @@ def _phase_two(T: list, basis: list, width: int, n: int, done: int = 0):
     return OPTIMAL, np.array(_point(T, basis, width, n))
 
 
-def _maximize(c: np.ndarray, poly: Polytope):
-    """:func:`solve_lp`'s status and point, the point None unless OPTIMAL."""
-    cs = c.tolist()
-    if poly._lead is not None:
-        m = poly._lead[1]
-        return maximize_stacked(cs, poly.A[:m].tolist(), poly.b[:m].tolist(), poly._lead[0])
-    return _two_phase(cs, poly.A.tolist(), poly.b.tolist(), c.size)
-
-
 def maximize_stacked(cs: list, A: list, b: list, inputs: Polytope):
-    """:func:`solve_lp`'s status and point for ``maximize cs @ u`` over the
-    rows ``A u <= b`` stacked above ``inputs``'s rows, the program
-    :func:`core.stack_rows` marks, given as lists of Python floats: ``A``
-    and ``b`` checked finite where they were built and ``cs`` as
-    :func:`core.objective_vector` checks it.  The point is None unless
-    OPTIMAL.  With every right-hand side >= 0 the solve follows
-    ``inputs``'s :class:`PivotTrie`; otherwise, and where the trie hands
-    it back, both phases run on the stacked lists, ``inputs``'s made once
-    per polytope."""
+    """The status and point of ``maximize cs @ u`` over the rows ``A u <=
+    b`` (there may be none) stacked above ``inputs``'s rows, given as
+    lists of Python floats: ``A`` and ``b`` checked finite where they were
+    built and ``cs`` as :func:`core.objective_vector` checks it.  The
+    point is None unless OPTIMAL; status and point have the bits
+    :func:`solve_lp` gives on the stacked :class:`core.Polytope`.  With
+    every right-hand side >= 0 the solve follows ``inputs``'s
+    :class:`PivotTrie`; otherwise, and where the trie hands it back, both
+    phases run on the stacked lists, ``inputs``'s made once per
+    polytope."""
     trie = pivot_trie(inputs)
     out = trie.solve(cs, A, b)
     return out if out is not None else _two_phase(cs, A + trie.A, b + trie.b, len(cs))
@@ -325,18 +313,19 @@ class _Node:
 
 
 class PivotTrie:
-    """The Phase-II pivots of :func:`solve_lp` on an actuator polytope's
-    rows, memoized.  A program from :func:`core.stack_rows` puts m leading
-    rows above those rows; when every right-hand side is >= 0, Phase-I adds
-    no artificial and Phase-II starts from the slack basis, so its pivots
-    can be followed here and the stacked tableau need not be built.
+    """The Phase-II pivots of the two-phase kernel on an actuator
+    polytope's rows, memoized.  A program of :func:`maximize_stacked` puts
+    m leading rows above those rows; when every right-hand side is >= 0,
+    Phase-I adds no artificial and Phase-II starts from the slack basis,
+    so its pivots can be followed here and the stacked tableau need not
+    be built.
 
     The tableau is kept in the actuator layout, without the leading rows'
     slack columns: u+, u-, the actuator slacks, the right-hand side.  A
     node is reached by its entering columns, one per pivot (see
     :class:`_Node`).  :meth:`walk` updates only the objective row and the
-    leading rows, with :func:`_pivot`'s ``a - m * v``.  Its bits are
-    :func:`solve_lp`'s on the stacked tableau, step for step:
+    leading rows, with :func:`_pivot`'s ``a - m * v``.  Its bits are the
+    kernel's on the stacked tableau, step for step:
 
     - the entering column is the same: the leading rows' slack columns
       stay +0.0 in the objective row while no leading row pivots, and
@@ -470,12 +459,12 @@ def pivot_trie(poly: Polytope) -> PivotTrie:
 
 
 class BlandPath:
-    """The Phase-II pivots of ``maximize c @ u`` over ``inputs``, as
-    :func:`solve_lp` makes them, for :meth:`follows` to replay: ``steps``
-    holds one ``(entering column, tie threshold, normalized pivot row)``
-    per pivot, the path of a node of ``inputs``'s :class:`PivotTrie`.
-    ``point`` is :func:`solve_lp`'s maximizer and ``value`` its value,
-    ``float(c @ point)``.
+    """The Phase-II pivots of ``maximize c @ u`` over ``inputs``, as the
+    kernel makes them, for :meth:`follows` to replay: ``steps`` holds one
+    ``(entering column, tie threshold, normalized pivot row)`` per pivot,
+    the path of a node of ``inputs``'s :class:`PivotTrie`.  ``point`` is
+    the kernel's maximizer and ``value`` its value, ``float(c @
+    point)``.
 
     ``c`` is checked by :func:`core.objective_vector`.  Only an optimal
     program is recorded: ``inputs`` must have every right-hand side >= 0
@@ -496,7 +485,7 @@ class BlandPath:
         self.steps, self.columns = [(j, q, np.array(p)) for j, q, p in node.path], trie.width + 1
 
     def follows(self, A, b) -> np.ndarray:
-        """Which of K programs :func:`solve_lp` solves on this path:
+        """Which of K programs :func:`maximize_stacked` solves on this path:
         program k maximizes the recorded objective over the rows ``A[k] u
         <= b[k]`` (shapes (K, m, n) and (K, m), every ``b[k] >= 0``)
         stacked above the recorded polytope's rows.
@@ -510,8 +499,8 @@ class BlandPath:
         recorded ones (the new rows' slack columns stay 0 in the objective
         row, since none of those rows pivots), and so are the leaving rows
         (the recorded rows' basic indices keep their order, and no new row
-        ties).  So :func:`solve_lp` returns :attr:`point` and
-        :attr:`value`, bit for bit.
+        ties).  So :func:`maximize_stacked` returns :attr:`point`, whose
+        value is :attr:`value`, bit for bit.
         Returns a (K,) mask of the programs that pass.  A program that
         fails a step is still updated, with its own rows only, and its
         mask entry stays False."""
@@ -532,7 +521,7 @@ class BlandPath:
 def phase_one_feasible(poly: Polytope) -> bool:
     """True when the polytope contains at least one point; a polytope
     without rows gives a Phase-I program with no artificial, so True."""
-    feasible, _, _, _ = _phase_one(poly.A, poly.b)
+    feasible, _, _, _ = _phase_one(poly.A.tolist(), poly.b.tolist(), poly.dim)
     return feasible
 
 

@@ -18,7 +18,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .continuous import ContinuousScenario, SearchConfig, _solved, synthesize_constrained
+from .continuous import (
+    ContinuousScenario,
+    SearchConfig,
+    _maximizer,
+    _program,
+    synthesize_constrained,
+)
 from .core import (
     DEFAULT_BUDGET,
     BarrierFunction,
@@ -433,15 +439,16 @@ def build_quadgrid(
 def greedy_safe_controller(scn: ContinuousScenario, x, d) -> np.ndarray:
     """Baseline system-under-test: the maximizer of
     :func:`continuous.difficulty`, the safe input with the best
-    reach-barrier rate, from the same program solved by the same
-    :func:`continuous._solved`.  When no input is safe (the test is in
-    Γ), fall back to the input maximizing the least avoid-row slack over
-    the actuator polytope.  A state or test vector that
-    :meth:`ContinuousScenario.check_state` or
+    reach-barrier rate, from the same :func:`continuous._program` solved
+    by the same :func:`continuous._maximizer`, without its value.  When no
+    input is safe (the test is in Γ), fall back to the input maximizing
+    the least avoid-row slack over the actuator polytope.  A state or
+    test vector that :meth:`ContinuousScenario.check_state` or
     :meth:`ContinuousScenario.check_test` rejects raises ``ValueError``
     before any dynamics or barrier callback runs."""
     x = scn.check_state(x)
-    _, _, A, b, u = _solved(scn, x, scn.check_test(d, x))
+    _, row, A, b = _program(scn, x, scn.check_test(d, x))
+    _, u = _maximizer(row, A, b, scn.input_polytope)
     if u is not None:
         return u
 

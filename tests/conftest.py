@@ -274,15 +274,15 @@ def assert_same_outcome(got, want):
 
 # ---------------------------------------------------------------------------
 # the one-test program on the numpy path that the list program replaced:
-# the safe-input polytope from feasible_input_polytope, the LP from solve_lp
+# the safe-input polytope from feasible_input_polytope, a checked Polytope,
+# and the LP from solve_lp, the plain kernel, which walks no pivot trie
 
 def _reference_program(scn, x, d):
-    from advsynth.core import dynamics_at, feasible_input_polytope, lie_derivatives
+    from advsynth.core import feasible_input_polytope, lie_derivatives
     from advsynth.lp import LpProblem, solve_lp
 
-    fg = dynamics_at(scn.dynamics, x, d)
-    poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope, fg)
-    drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d, fg)
+    poly = feasible_input_polytope(scn.spec, scn.dynamics, x, d, scn.input_polytope)
+    drift_rate, input_row = lie_derivatives(scn.spec.reach, scn.dynamics, x, d)
     return drift_rate, poly, solve_lp(LpProblem(input_row, poly))
 
 

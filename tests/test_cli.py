@@ -225,6 +225,28 @@ def test_sweep_budget_admits_exactly_its_cell_count(tmp_path, capsys, monkeypatc
     assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 4
 
 
+def test_trials_budget_admits_exactly_its_count_before_any_work(tmp_path, capsys, monkeypatch):
+    # trials keeps one row per trial, so its count has the budget that
+    # sweep cells and simulate steps have; an excess exits before any
+    # scenario is built.  The small budget comes first, so a missing
+    # check fails here instead of running DEFAULT_BUDGET + 1 trials
+    built, make = [], cli.make_scenario
+    monkeypatch.setattr(cli, "make_scenario", lambda cfg: built.append(cfg) or make(cfg))
+    args = ["trials", "--config", str(REPO / "configs/gridworld-goal-7-9.cfg"),
+            "--out", str(tmp_path / "out"), "--count"]
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 3)
+    rc, out, err = run_cli(capsys, args + ["4"])
+    assert rc == 2 and "trials would run 4 syntheses but the budget is 3; lower --count" in err
+    assert out == "" and not built and not (tmp_path / "out").exists()
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", DEFAULT_BUDGET)
+    rc, _, err = run_cli(capsys, args + [str(DEFAULT_BUDGET + 1)])
+    assert rc == 2 and not built
+    assert f"trials would run {DEFAULT_BUDGET + 1} syntheses but the budget is {DEFAULT_BUDGET}" in err
+    monkeypatch.setattr(cli, "DEFAULT_BUDGET", 3)
+    assert run_cli(capsys, args + ["3"])[0] == 0 and built
+    assert json.loads((tmp_path / "out" / "trials.json").read_text())["count"] == 3
+
+
 def test_simulate_over_the_step_budget_exits_2_before_any_work(tmp_path, capsys):
     # 1e9 s at dt = 0.01 would be 1e11 Euler steps and logs without bound
     out_dir = tmp_path / "out"

@@ -145,9 +145,11 @@ def test_one_test_measures_reject_a_non_finite_floor_before_any_callback(unicycl
         lambda fl: difficulty(cont, BLOCKED, BLOCKED[:2], fl),
         lambda fl: predictive_difficulty(disc, (0,), (0,), fl, 1),
         lambda fl: one_step_difficulty(disc, (0,), (0,), fl),
+        # difficulty's tau shifts every value but the floor: the same rule
+        lambda fl: difficulty(cont, BLOCKED, BLOCKED[:2], -9.0, tau=fl),
     ]
     for measure in measures:
-        with pytest.raises(ValueError, match="^satisfaction floor must be finite, got "):
+        with pytest.raises(ValueError, match="^(satisfaction floor|tau) must be finite, got "):
             measure(floor)
         assert not calls
     for measure in measures:
@@ -656,8 +658,8 @@ def test_scan_matches_reference_when_actuators_exclude_zero(unicycle, monkeypatc
         unicycle, input_polytope=Polytope.box([0.05, -1.0], [0.2, 1.0])
     )
     calls = []
-    real = continuous.solve_lp
-    monkeypatch.setattr(continuous, "solve_lp", lambda p: calls.append(p) or real(p))
+    real = continuous.maximize_stacked
+    monkeypatch.setattr(continuous, "maximize_stacked", lambda *p: calls.append(p) or real(*p))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for x in seeded_states(scn, 2024, 12):
@@ -731,25 +733,25 @@ def without_batch(scn):
 
 
 def test_held_candidates_skip_the_scalar_solver(monkeypatch):
-    # solve_lp sees on the spot only candidates with a negative avoid rhs;
-    # every other one follows the input box's Bland path or is an
-    # off-path held solve, whether the rows come in blocks or one
+    # maximize_stacked sees on the spot only candidates with a negative
+    # avoid rhs; every other one follows the input box's Bland path or is
+    # an off-path held solve, whether the rows come in blocks or one
     # candidate at a time
     two = build_unicycle(n_obstacles=2)
-    # built before solve_lp is counted: construction checks the inputs by LP
     scenarios = ((True, two), (False, without_batch(two)))
     search = SearchConfig(grid_points=3)
     rhs, scalar, off_path, shortcut = [], [], [], []
-    real_block, real_lp, real_follows = core.LieCache.avoid_block, continuous.solve_lp, lp.BlandPath.follows
+    real_block, real_lp, real_follows = \
+        core.LieCache.avoid_block, continuous.maximize_stacked, lp.BlandPath.follows
 
     def avoid_block(cache, D):
         A, b = real_block(cache, D)
         rhs.extend(b)
         return A, b
 
-    def solve_lp(problem):
-        (scalar if (problem.constraints.b < 0).any() else off_path).append(problem)
-        return real_lp(problem)
+    def maximize_stacked(cs, A, b, inputs):
+        (scalar if min(b, default=0.0) < 0 else off_path).append(b)
+        return real_lp(cs, A, b, inputs)
 
     def follows(path, A, b):
         short = real_follows(path, A, b)
@@ -757,7 +759,7 @@ def test_held_candidates_skip_the_scalar_solver(monkeypatch):
         return short
 
     monkeypatch.setattr(core.LieCache, "avoid_block", avoid_block)
-    monkeypatch.setattr(continuous, "solve_lp", solve_lp)
+    monkeypatch.setattr(continuous, "maximize_stacked", maximize_stacked)
     monkeypatch.setattr(lp.BlandPath, "follows", follows)
     split = []
     for batched, scn in scenarios:
@@ -793,20 +795,19 @@ def test_held_blocks_follow_the_input_box_path_where_it_holds(quadgrid, monkeypa
     # integrator's reach row is not kept, so no path is recorded and every
     # held candidate is solved.  Each scan still gives the one-by-one
     # reference's result
-    log, real_follows, real_lp = [], lp.BlandPath.follows, continuous.solve_lp
+    log, real_follows, real_lp = [], lp.BlandPath.follows, continuous.maximize_stacked
 
     def follows(path, A, b):
         short = real_follows(path, A, b)
         log.append(("path", int(short.sum()), len(short)))
         return short
 
-    def solve_lp(problem):
-        if not (problem.constraints.b < 0).any():
+    def maximize_stacked(cs, A, b, inputs):
+        if min(b, default=0.0) >= 0:
             log.append(("solve",))
-        return real_lp(problem)
+        return real_lp(cs, A, b, inputs)
 
     search = SearchConfig(grid_points=3, refine_iterations=0)
-    # built before solve_lp is logged: construction checks the inputs by LP
     unicycle, integrator = build_unicycle(n_obstacles=2), integrator_scenario()
     cases = (
         (lambda: synthesize(unicycle, np.array([0.9, -0.8, 1.0]), search=search),
@@ -818,7 +819,7 @@ def test_held_blocks_follow_the_input_box_path_where_it_holds(quadgrid, monkeypa
          [("solve",)] * 81),
     )
     monkeypatch.setattr(lp.BlandPath, "follows", follows)
-    monkeypatch.setattr(continuous, "solve_lp", solve_lp)
+    monkeypatch.setattr(continuous, "maximize_stacked", maximize_stacked)
     for run, blocks in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -862,10 +863,12 @@ def test_scan_matches_reference_on_a_grid_wider_than_a_block(monkeypatch):
 def test_trials_solve_held_programs_on_the_path(monkeypatch, capsys):
     # a refine trial's compass plan is held as one scan: 40 trials on the
     # refine benchmark config hold 4,773 programs, which all take the
-    # input box's Bland path, and call solve_lp 7 times: 4 construction
-    # checks of the input polytope and 3 candidates solved on the spot
+    # input box's Bland path, and solve 7 LPs: 4 construction checks of
+    # the input polytope (solve_lp) and 3 candidates solved on the spot
+    # (maximize_stacked)
     counts = {"construction": 0, "on_the_spot": 0, "off_path": 0, "shortcut": 0}
-    real_over, real_lp, real_follows = continuous._synthesize_over, continuous.solve_lp, lp.BlandPath.follows
+    real_over, real_follows = continuous._synthesize_over, lp.BlandPath.follows
+    real_lp, real_stacked = continuous.solve_lp, continuous.maximize_stacked
     searching = []
 
     def synthesize_over(*args):
@@ -875,14 +878,21 @@ def test_trials_solve_held_programs_on_the_path(monkeypatch, capsys):
         finally:
             searching.pop()
 
-    def solve_lp(problem):
+    def count(b):
         if not searching:
             counts["construction"] += 1
-        elif (problem.constraints.b < 0).any():
+        elif min(b, default=0.0) < 0:
             counts["on_the_spot"] += 1
         else:
             counts["off_path"] += 1
+
+    def solve_lp(problem):
+        count(problem.constraints.b.tolist())
         return real_lp(problem)
+
+    def maximize_stacked(cs, A, b, inputs):
+        count(b)
+        return real_stacked(cs, A, b, inputs)
 
     def follows(path, A, b):
         short = real_follows(path, A, b)
@@ -891,6 +901,7 @@ def test_trials_solve_held_programs_on_the_path(monkeypatch, capsys):
 
     monkeypatch.setattr(continuous, "_synthesize_over", synthesize_over)
     monkeypatch.setattr(continuous, "solve_lp", solve_lp)
+    monkeypatch.setattr(continuous, "maximize_stacked", maximize_stacked)
     monkeypatch.setattr(lp.BlandPath, "follows", follows)
     config = str(REPO / "bench" / "configs" / "unicycle-refine.cfg")
     assert cli.main(["trials", "--config", config, "--count", "40", "--seed", "7"]) == 0
@@ -1010,7 +1021,7 @@ def test_scan_raises_reach_errors_at_the_same_candidate(monkeypatch, make_error,
     assert counts[0] == counts[1]
 
 
-def test_unbounded_held_program_raises_through_solve_lp(monkeypatch):
+def test_unbounded_held_program_raises_through_maximize_stacked(monkeypatch):
     # an actuator polytope open towards -u, which construction rejects: at
     # x = (1, 1) every candidate is held and its program unbounded; the
     # integrator's reach row is not kept, so no path is recorded, and the
@@ -1018,14 +1029,14 @@ def test_unbounded_held_program_raises_through_solve_lp(monkeypatch):
     scn = integrator_scenario()
     object.__setattr__(scn, "input_polytope", Polytope(np.eye(2), np.ones(2)))
     x = np.array([1.0, 1.0])
-    solved, real_lp = [], continuous.solve_lp
+    solved, real_lp = [], continuous.maximize_stacked
 
-    def solve_lp(problem):
-        out = real_lp(problem)
-        solved.append(out.status)
+    def maximize_stacked(cs, A, b, inputs):
+        out = real_lp(cs, A, b, inputs)
+        solved.append(out[0])
         return out
 
-    monkeypatch.setattr(continuous, "solve_lp", solve_lp)
+    monkeypatch.setattr(continuous, "maximize_stacked", maximize_stacked)
     for scan in (continuous._synthesize_over, reference_synthesize_over):
         with monkeypatch.context() as m:
             m.setattr(continuous, "_synthesize_over", scan)
@@ -1358,7 +1369,8 @@ def test_planned_rounds_match_one_round_at_a_time(monkeypatch, case, batch):
     search = SearchConfig(grid_points=5, refine_iterations=40)
     x = np.zeros(2)
     planned, evaluated, scalar = set(), set(), []
-    real_compass, real_difficulty, real_lp = continuous._compass, continuous.difficulty, continuous.solve_lp
+    real_compass, real_difficulty = continuous._compass, continuous.difficulty
+    real_lp = continuous.maximize_stacked
 
     def compass(*args):
         moves, counts = real_compass(*args)
@@ -1379,13 +1391,13 @@ def test_planned_rounds_match_one_round_at_a_time(monkeypatch, case, batch):
                     synthesize(scn, x, search=search)
         return
 
-    def solve_lp(problem):
-        # only an on-the-spot polytope has a negative right-hand side
-        if (problem.constraints.b < 0).any():
-            scalar.append(problem)
-        return real_lp(problem)
+    def maximize_stacked(cs, A, b, inputs):
+        # only an on-the-spot program has a negative right-hand side
+        if min(b, default=0.0) < 0:
+            scalar.append(b)
+        return real_lp(cs, A, b, inputs)
 
-    monkeypatch.setattr(continuous, "solve_lp", solve_lp)
+    monkeypatch.setattr(continuous, "maximize_stacked", maximize_stacked)
     got = synthesize(scn, x, search=search)
     on_the_spot = len(scalar)
     _, want = both_scans(monkeypatch, lambda: synthesize(scn, x, search=search))

@@ -126,32 +126,22 @@ def test_feasible_polytope_row_layout(unicycle):
 
 
 def test_stacked_rows_are_the_checked_polytope(monkeypatch):
-    # neither stack_rows nor maximize_stacked runs Polytope's checks
-    # again; on the controller's rows, lists of Python floats stacked
-    # above the actuator's (both obstacles on the agent first, so the
-    # fallback runs), and on the scan's candidates solved on the spot,
-    # they give Polytope's bits
-    stack, maximize, calls = core.stack_rows, continuous.maximize_stacked, Counter()
-
-    def same(got_A, got_b, want):
-        for g, w in ((got_A, want.A), (got_b, want.b)):
-            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-        calls[caller] += 1
-
-    def compared(A, b, inputs):
-        got = stack(A, b, inputs)
-        same(got.A, got.b, Polytope(np.vstack([A, inputs.A]), np.concatenate([b, inputs.b])))
-        return got
+    # maximize_stacked does not run Polytope's checks again; on the
+    # controller's rows and on the scan's, held or solved on the spot,
+    # lists of Python floats stacked above the actuator's (both obstacles
+    # on the agent first, so the fallback runs), they give Polytope's bits
+    maximize, calls = continuous.maximize_stacked, Counter()
 
     def compared_lists(cs, A, b, inputs):
         rows, rhs = A + inputs.A.tolist(), b + inputs.b.tolist()
         assert all(type(v) is float for v in itertools.chain(cs, rhs, *rows))
         assert all(len(row) == inputs.dim for row in rows) and len(cs) == inputs.dim
-        same(np.array(rows), np.array(rhs), Polytope(rows, rhs))
+        want = Polytope(rows, rhs)
+        for g, w in ((np.array(rows), want.A), (np.array(rhs), want.b)):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        calls[caller] += 1
         return maximize(cs, A, b, inputs)
 
-    monkeypatch.setattr(core, "stack_rows", compared)
-    monkeypatch.setattr(continuous, "stack_rows", compared)
     monkeypatch.setattr(continuous, "maximize_stacked", compared_lists)
     rng = np.random.default_rng(8)
     caller, quad = "controller", build_quadgrid()

@@ -43,6 +43,22 @@ def brute_force_vertices(poly):
     return found
 
 
+def stack(A, b, inputs):
+    """The rows ``A u <= b`` stacked above ``inputs``'s, as a checked
+    polytope."""
+    return Polytope(np.vstack([A, inputs.A]), np.concatenate([b, inputs.b]))
+
+
+def stacked_outcome(c, A, b, inputs):
+    """``lp.maximize_stacked`` of ``c`` over the rows ``A u <= b`` stacked
+    above ``inputs``, given as arrays, as the outcome ``solve_lp`` gives:
+    the value is ``float(c @ u)``."""
+    c = np.asarray(c, dtype=float)
+    A, b = np.asarray(A, dtype=float).reshape(-1, inputs.dim), np.asarray(b, dtype=float)
+    status, u = lp.maximize_stacked(c.tolist(), A.tolist(), b.tolist(), inputs)
+    return LpOutcome(status) if u is None else LpOutcome(status, float(c @ u), u)
+
+
 def random_bounded_problem(rng):
     m = int(rng.integers(2, 5))
     box = Polytope.box(-np.ones(m), np.ones(m))
@@ -75,8 +91,8 @@ def test_contradictory_halfspaces_infeasible():
 def test_contradictory_box_rows_empty():
     box = Polytope.box([-1.0], [1.0])
     extra = Polytope(np.array([[1.0], [-1.0]]), np.array([-2.0, -2.0]))
-    poly = core.stack_rows(box.A, box.b, extra)
-    assert blocks_all_inputs(poly)
+    assert blocks_all_inputs(stack(box.A, box.b, extra))
+    assert stacked_outcome([0.3], box.A, box.b, extra).status == INFEASIBLE
 
 
 def test_unit_box_feasible():
@@ -138,9 +154,8 @@ def test_nonnegative_rhs_is_never_infeasible():
         b[rng.random(rows) < 0.3] = 0.0
         b[rng.random(rows) < 0.1] = -0.0
         box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
-        poly = core.stack_rows(A, b, box)
-        assert phase_one_feasible(poly)
-        assert solve_lp(LpProblem(rng.normal(size=2), poly)).status == OPTIMAL
+        assert phase_one_feasible(stack(A, b, box))
+        assert stacked_outcome(rng.normal(size=2), A, b, box).status == OPTIMAL
 
 
 def test_random_instances_match_vertex_oracle():
@@ -193,7 +208,7 @@ def test_emptiness_monotone_under_added_rows():
         poly = Polytope(rng.uniform(-1, 1, size=(rows, m)), rng.uniform(-0.3, 0.5, size=rows))
         extra = Polytope(rng.uniform(-1, 1, size=(2, m)), rng.uniform(-0.3, 0.5, size=2))
         if blocks_all_inputs(poly):
-            assert blocks_all_inputs(core.stack_rows(poly.A, poly.b, extra))
+            assert blocks_all_inputs(stack(poly.A, poly.b, extra))
 
 
 def test_outcome_dataclass_defaults():
@@ -242,7 +257,8 @@ def test_list_kernel_matches_the_numpy_reference():
         assert phase_one_feasible(poly) == (want.status != INFEASIBLE)
         if (poly.b < 0).any():
             # Phase-I pivots: the whole tableau keeps its bits, -0.0 included
-            got, want_p1 = lp._phase_one(poly.A, poly.b), reference_phase_one(poly.A, poly.b)
+            got = lp._phase_one(poly.A.tolist(), poly.b.tolist(), poly.dim)
+            want_p1 = reference_phase_one(poly.A, poly.b)
             assert got[0] == want_p1[0] and got[2:] == want_p1[2:]
             assert np.array(got[1]).tobytes() == want_p1[1].tobytes()
         seen[want.status] += 1
@@ -310,13 +326,14 @@ def test_pivot_cap_counts_the_pivots_made_on_the_trie(monkeypatch, lead):
     # that never binds; one that binds at the second leaves the trie
     # there, and the stacked tableau's pivots count on from the first
     box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
-    problem = LpProblem(np.ones(2), core.stack_rows(np.array([lead[0]]), np.array([lead[1]]), box))
+    A, b = [lead[0]], [lead[1]]
     for cap in (0, 1):
         monkeypatch.setattr(lp, "_MAX_PIVOTS", cap)
         with pytest.raises(RuntimeError, match="^simplex pivot cap exceeded$"):
-            solve_lp(problem)
+            stacked_outcome(np.ones(2), A, b, box)
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 2)
-    assert_same_outcome(solve_lp(problem), reference_solve_lp(problem))
+    assert_same_outcome(stacked_outcome(np.ones(2), A, b, box),
+                        reference_solve_lp(LpProblem(np.ones(2), stack(A, b, box))))
     # the capped build of the second solve is counted: it raised in _bland
     trie = lp.pivot_trie(box)
     assert (trie.hits, trie.builds) == ((1, 0) if lead[1] == 10.0 else (0, 2))
@@ -327,7 +344,7 @@ def test_drop_artificials_pivots_out_and_drops_as_the_reference(monkeypatch):
     # the last row's artificial basic at level zero, and a structural
     # column takes its place
     poly = Polytope(np.array([[0.0], [1.0], [-1.0]]), np.array([1.0, 1.0, -1.0]))
-    feasible, T, basis, width = lp._phase_one(poly.A, poly.b)
+    feasible, T, basis, width = lp._phase_one(poly.A.tolist(), poly.b.tolist(), poly.dim)
     assert feasible and [bi >= width for bi in basis] == [False, False, True]
     pivot, pivots = lp._pivot, []
 
@@ -358,7 +375,7 @@ def test_phase_one_keeps_each_artificial_the_negated_slack():
         if not (b < 0).any():
             continue
         negated += 1
-        feasible, T, basis, width = lp._phase_one(A, b)
+        feasible, T, basis, width = lp._phase_one(A.tolist(), b.tolist(), A.shape[1])
         slacks = 2 * A.shape[1] + np.flatnonzero(b < 0)
         for row in T[:-1]:
             for art, slack in enumerate(slacks, start=width):
@@ -377,11 +394,12 @@ def test_phase_one_keeps_each_artificial_the_negated_slack():
 
 def solve_on_path(path, c, inputs, A, b):
     """``path.follows`` on the programs that stack the rows ``A u <= b``
-    above ``inputs``, and whether :func:`solve_lp` gives each of them the
-    recorded point and value, compared by bytes: ``(follows, same)``."""
+    above ``inputs``, and whether ``lp.maximize_stacked`` gives each of
+    them the recorded point and value, compared by bytes: ``(follows,
+    same)``."""
     same = []
     for Ak, bk in zip(A, b):
-        out = solve_lp(LpProblem(c, core.stack_rows(Ak, bk, inputs)))
+        out = stacked_outcome(c, Ak, bk, inputs)
         assert out.status == OPTIMAL
         same.append(out.point.tobytes() == path.point.tobytes()
                     and np.float64(out.value).tobytes() == np.float64(path.value).tobytes())
@@ -392,7 +410,7 @@ def test_bland_path_replay_gives_solve_lp_bits_on_both_scenarios():
     # the scan's held programs at many (x, d) pairs: the unicycle's 3-point
     # grid and quarter-rounded and uniform tests, and the quadgrid's corner
     # sets at random, half-integer and near-integer states, where ratios
-    # tie.  A program that follows the path gets solve_lp's bits; a rule
+    # tie.  A program that follows the path gets maximize_stacked's bits; a rule
     # that only asks u* to satisfy A u* <= b would take programs whose
     # avoid row cuts the path at an intermediate vertex, and get other bits
     rng = np.random.default_rng(2626)
@@ -433,7 +451,7 @@ def test_bland_path_replay_gives_solve_lp_bits_on_both_scenarios():
 def test_bland_path_replay_rejects_a_row_at_the_tie_threshold():
     # max u over [-1, 1]: one pivot, ratio θ = 1, tie threshold 1 + 1e-12.
     # An avoid row u <= β with β = θ or θ + 5e-13 ties with the box row,
-    # and its slack, of lower basic index, leaves in solve_lp: the replay
+    # and its slack, of lower basic index, leaves in the kernel: the replay
     # must reject both, since the second gets other bits than u* = 1
     box = Polytope.box([-1.0], [1.0])
     c = np.ones(1)
@@ -444,8 +462,8 @@ def test_bland_path_replay_rejects_a_row_at_the_tie_threshold():
     follows, same = solve_on_path(path, c, box, A, b)
     assert follows.tolist() == [False, False, True]
     assert same.tolist() == [True, False, True]
-    # the tied avoid row's slack leaves, so solve_lp stops at u = β
-    out = solve_lp(LpProblem(c, core.stack_rows(A[1], b[1], box)))
+    # the tied avoid row's slack leaves, so the kernel stops at u = β
+    out = stacked_outcome(c, A[1], b[1], box)
     assert out.point.tolist() == [1.0 + 5e-13]
 
 
@@ -467,7 +485,8 @@ def margin_program(rng, margin=1e-3):
     tangency: the box [-1, 1]^n, random rows with slack >= margin at an
     interior point p, and, in about a third of the programs, a row pair
     that leaves a gap of at least ``margin`` between two parallel
-    half-spaces (so no point exists)."""
+    half-spaces (so no point exists).  Returns the program on the
+    stacked polytope, the verdict and the rows and box apart."""
     n = int(rng.integers(1, 5))
     p = rng.uniform(-0.5, 0.5, size=n)
     A = rng.normal(size=(int(rng.integers(0, 8)), n))
@@ -478,8 +497,9 @@ def margin_program(rng, margin=1e-3):
         t = float(rng.uniform(-1.0, 1.0))
         gap = np.linalg.norm(a) * rng.uniform(margin, 0.5)
         A, b = np.vstack([A, a, -a]), np.concatenate([b, [t, -t - gap]])
-    poly = core.stack_rows(A.reshape(-1, n), b, Polytope.box(-np.ones(n), np.ones(n)))
-    return LpProblem(rng.normal(size=n), poly), infeasible
+    box = Polytope.box(-np.ones(n), np.ones(n))
+    A = A.reshape(-1, n)
+    return LpProblem(rng.normal(size=n), stack(A, b, box)), infeasible, (A, b, box)
 
 
 def test_solve_lp_agrees_with_highs():
@@ -487,11 +507,12 @@ def test_solve_lp_agrees_with_highs():
     rng = np.random.default_rng(4)
     seen = Counter()
     for _ in range(400):
-        problem, infeasible = margin_program(rng)
+        problem, infeasible, rows = margin_program(rng)
         poly = problem.constraints
         ref = optimize.linprog(-problem.objective, A_ub=poly.A, b_ub=poly.b,
                                bounds=(None, None), method="highs")
         out = solve_lp(problem)
+        assert_same_outcome(stacked_outcome(problem.objective, *rows), out)
         assert ref.status == (2 if infeasible else 0)
         assert out.status == (INFEASIBLE if infeasible else OPTIMAL)
         if not infeasible:
@@ -505,13 +526,14 @@ def test_solve_lp_agrees_with_highs():
 # the pivot trie: stacked programs solved along the actuator polytope's
 # memoized pivots, against the numpy reference and the plain list kernel
 
-def assert_trie_matches(problem):
-    """``solve_lp`` of a stacked program has the bits of the reference
-    kernel and of the list kernel on the same rows without the stacking
-    mark (which solves from Phase-I); returns the outcome."""
-    poly = problem.constraints
-    got = solve_lp(problem)
-    assert_same_outcome(got, solve_lp(LpProblem(problem.objective, Polytope(poly.A, poly.b))))
+def assert_trie_matches(c, A, b, actuator):
+    """``lp.maximize_stacked`` of the rows ``A u <= b`` stacked above
+    ``actuator`` has the bits of the reference kernel and of ``solve_lp``
+    on the stacked polytope (the list kernel from Phase-I, without the
+    trie); returns the outcome."""
+    got = stacked_outcome(c, A, b, actuator)
+    problem = LpProblem(c, stack(A, b, actuator))
+    assert_same_outcome(got, solve_lp(problem))
     assert_same_outcome(got, reference_solve_lp(problem))
     return got
 
@@ -530,8 +552,7 @@ def test_trie_matches_the_kernels_on_the_differential_set():
             continue
         k = int(rng.integers(1, len(b)))
         actuator = Polytope(A[-k:], b[-k:])
-        poly = core.stack_rows(A[:-k], b[:-k], actuator)
-        out = assert_trie_matches(LpProblem(problem.objective, poly))
+        out = assert_trie_matches(problem.objective, A[:-k], b[:-k], actuator)
         trie = lp.pivot_trie(actuator)
         seen[out.status] += 1
         seen["trie"] += trie.hits + trie.builds
@@ -554,14 +575,14 @@ def actuator_pool():
 
 
 def stacked_program(rng, actuator):
-    """1-5 random leading rows over ``actuator``, each with its own chance
+    """0-5 random leading rows over ``actuator``, each with its own chance
     of: integer coefficients (exact ties with other rows), a copy of an
     actuator row (a tie at the least ratio), a unit row whose right-hand
     side is 1 + 1e-12 (a ratio equal to a unit box's tie threshold), a
     zero or -0.0 right-hand side; and zero objective entries.  Every
-    right-hand side is >= 0."""
+    right-hand side is >= 0.  Returns ``(c, A, b, actuator)``."""
     n = actuator.dim
-    m = int(rng.integers(1, 6))
+    m = int(rng.integers(0, 6))
     A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-2, 3, size=(m, 1))
     b = np.abs(rng.normal(size=m)) * 10.0 ** rng.integers(-2, 2, size=m)
     c = rng.normal(size=n)
@@ -579,7 +600,7 @@ def stacked_program(rng, actuator):
     b[rng.random(m) < 0.15] = 0.0
     b[rng.random(m) < 0.1] = -0.0
     c[rng.random(n) < 0.2] = 0.0
-    return LpProblem(c, core.stack_rows(A, b, actuator))
+    return c, A, b, actuator
 
 
 def test_trie_matches_the_kernels_on_random_stacked_programs():
@@ -587,7 +608,7 @@ def test_trie_matches_the_kernels_on_random_stacked_programs():
     pool = actuator_pool()
     seen = Counter()
     for _ in range(40_000):
-        out = assert_trie_matches(stacked_program(rng, pool[int(rng.integers(len(pool)))]))
+        out = assert_trie_matches(*stacked_program(rng, pool[int(rng.integers(len(pool)))]))
         seen[out.status] += 1
     tries = [lp.pivot_trie(poly) for poly in pool]
     hits, builds = sum(t.hits for t in tries), sum(t.builds for t in tries)
@@ -610,19 +631,18 @@ def test_trie_builds_the_tableau_the_list_kernel_has_there(monkeypatch):
     monkeypatch.setattr(lp, "_bland", spy)
     builds = 0
     for _ in range(4_000):
-        problem = stacked_program(rng, pool[int(rng.integers(len(pool)))])
-        trie = lp.pivot_trie(problem.constraints._lead[0])
+        c, A, b, actuator = stacked_program(rng, pool[int(rng.integers(len(pool)))])
+        trie = lp.pivot_trie(actuator)
         before = trie.builds
-        solve_lp(problem)
+        stacked_outcome(c, A, b, actuator)
         if trie.builds == before:
             continue
         builds += 1
         _, _, done, built, built_basis = entered[-1]
-        poly = problem.constraints
         with monkeypatch.context() as m:
             m.setattr(lp, "_MAX_PIVOTS", done)  # the list kernel stops after `done` pivots
             try:
-                solve_lp(LpProblem(problem.objective, Polytope(poly.A, poly.b)))
+                solve_lp(LpProblem(c, stack(A, b, actuator)))
             except RuntimeError:
                 pass
         T, basis = entered[-1][:2]
@@ -641,7 +661,7 @@ def test_trie_matches_when_leading_rows_bound_a_direction_the_actuator_does_not(
         A = np.round(rng.normal(size=(int(rng.integers(1, 4)), 2)) * 2.0)
         b = np.round(np.abs(rng.normal(size=len(A))) * 2.0)
         c = np.round(rng.normal(size=2) * 2.0)
-        out = assert_trie_matches(LpProblem(c, core.stack_rows(A, b, half)))
+        out = assert_trie_matches(c, A, b, half)
         seen[out.status] += 1
     trie = lp.pivot_trie(half)
     assert None in trie.root.children.values()
@@ -656,7 +676,7 @@ def test_trie_never_passes_its_cap(monkeypatch):
     rng = np.random.default_rng(3264)
     box = Polytope.box(-np.ones(3), np.ones(3))
     for _ in range(2_000):
-        assert_trie_matches(stacked_program(rng, box))
+        assert_trie_matches(*stacked_program(rng, box))
         assert lp.pivot_trie(box).nodes <= 3
     trie = lp.pivot_trie(box)
     assert trie.nodes == 3 and trie.hits >= 500
@@ -676,9 +696,8 @@ def test_trie_leaves_no_overflow_to_its_slack_columns(case):
         "hit": (box, [[-1e308, 0.0]], [1.0], [1.0, 1.0]),
         "deviation": (box, [[-1e308, 0.0], [0.0, 1.0]], [1.0, 5.0], [1.0, 1.0]),
     }[case]
-    problem = LpProblem(np.array(c), core.stack_rows(np.array(A), np.array(b), actuator))
     with np.errstate(over="ignore", invalid="ignore"):  # the numpy reference overflows too
-        out = assert_trie_matches(problem)
+        out = assert_trie_matches(c, A, b, actuator)
     trie = lp.pivot_trie(actuator)
     assert (trie.hits, trie.builds) == ((0, 1) if case == "actuator" else (0, 0))
     assert out.status == OPTIMAL

@@ -741,9 +741,10 @@ def _program_sample(scn, rng, x):
 def test_list_program_matches_the_numpy_path(name):
     # difficulty's values and maximizers and the controller's inputs on
     # the list program, byte for byte against the numpy path it replaced
-    # (conftest.py): tests in Γ with the max-slack fallback, negative
-    # right-hand sides (Phase-I), and states and tests of +-0.0, which
-    # make -0.0 rows
+    # (conftest.py), which solves the stacked polytope with the plain
+    # kernel: so this checks the pivot trie against an independent solve,
+    # on tests in Γ with the max-slack fallback, negative right-hand sides
+    # (Phase-I), and states and tests of +-0.0, which make -0.0 rows
     from advsynth import continuous
 
     scn = build_quadgrid() if name == "quadgrid" else build_unicycle(n_obstacles=2)
@@ -771,30 +772,24 @@ def test_list_program_matches_the_numpy_path(name):
         seen["gamma"] += want[1] is None
         seen["phase one"] += want[1] is not None and min(b) < 0
         seen["trie"] += min(b) >= 0
-        seen["-0.0"] += any(e == 0.0 and math.copysign(1.0, e) < 0 for e in c + b + sum(A, []))
+        seen["-0.0"] += any(e == 0.0 and math.copysign(1.0, e) < 0
+                            for e in c.tolist() + b + sum(A, []))
     assert min(seen.values()) >= 200, seen
 
 
 def test_closed_loop_counts_its_trie_solves(monkeypatch):
-    # every controller LP and held candidate with right-hand sides >= 0 is
-    # solved along the input polytope's trie, which counts the solves that
-    # end on it and the tableaux built where a program leaves it
+    # every controller LP and scan candidate with right-hand sides >= 0
+    # is solved along the input polytope's trie, which counts the solves
+    # that end on it and the tableaux built where a program leaves it
     from advsynth import continuous, lp
 
     scn, on_trie = build_quadgrid(), []
 
-    def spy(problem):
-        poly = problem.constraints
-        on_trie.append(poly._lead is not None and min(poly.b[:poly._lead[1]]) >= 0)
-        return lp.solve_lp(problem)
-
     def spy_lists(cs, A, b, inputs):
-        # the controller's programs, stacked lists
+        # the controller's and the scan's programs, stacked lists
         on_trie.append(min(b) >= 0)
         return lp.maximize_stacked(cs, A, b, inputs)
 
-    monkeypatch.setattr(continuous, "solve_lp", spy)
-    monkeypatch.setattr(scenarios, "solve_lp", spy)
     monkeypatch.setattr(continuous, "maximize_stacked", spy_lists)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
