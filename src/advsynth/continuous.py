@@ -46,7 +46,7 @@ from .core import (
     objective_vector,
     satisfaction_floor,
 )
-from .lp import OPTIMAL, UNBOUNDED, BlandPath, LpProblem, maximize_stacked, solve_lp
+from .lp import OPTIMAL, UNBOUNDED, LpProblem, maximize_stacked, pivot_trie, solve_lp
 
 __all__ = [
     "SearchConfig",
@@ -57,7 +57,7 @@ __all__ = [
     "synthesize_constrained",
 ]
 
-# held candidates per path replay, which bounds the replay array's memory
+# held candidates per trie replay, which bounds the replay array's memory
 _HELD_BLOCK = 256
 _UNBOUNDED = "inner maximization unbounded; the input polytope is not compact"
 
@@ -281,17 +281,18 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     later candidates' rows are built).  Folding drains the queue in
     order, at most ``_HELD_BLOCK`` held candidates at a time, never past
     the end of the last group it folds.  When the cache keeps the reach
-    row, each block of held candidates reads the :class:`lp.BlandPath` of
-    that row over the input polytope alone from the polytope's pivot
-    trie.  A held candidate whose avoid rows neither leave nor tie at any
-    of the path's pivots takes the kept reach rate plus the path's value,
-    and the path's point; :meth:`lp.BlandPath.follows` says why
-    :func:`lp.maximize_stacked` would give it the same bits.  Every other
-    held candidate, in queue order, takes its reach rate from
+    row, each block of held candidates is replayed on the walk of that
+    row over the input polytope alone, by the polytope's pivot trie
+    (:meth:`lp.PivotTrie.replay`).  A held candidate whose avoid rows
+    neither leave nor tie at any of the walk's pivots takes the kept
+    reach rate plus ``float(c @ u)`` at the walk's point ``u``, and that
+    point; the replay says why :func:`lp.maximize_stacked` would give it
+    the same bits.  Every other held candidate (all of them when the walk
+    leaves the trie), in queue order, takes its reach rate from
     ``cache.reach`` and its LP from :func:`_best_rate`, as every
     candidate solved on the spot does, its rows handed on as lists.  A
-    path rule is needed: a candidate whose avoid rows merely hold at the
-    recorded point may be cut at an intermediate vertex of the path and
+    pivot rule is needed: a candidate whose avoid rows merely hold at the
+    walk's point may be cut at an intermediate vertex of the walk and
     get other last bits.  A candidate that is not held is
     solved on the spot, in order, once the groups before its own are
     folded, so each LP solved on the spot is one a scan of one group at a
@@ -301,7 +302,7 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
     Memory: ``8 * len(candidates) * barriers * (inputs + 1)`` bytes of
     held rows (about 19 MB for a 25^4 grid, two avoid barriers and two
     inputs), one block of rows, a result slot of ``8 * (inputs + 1)``
-    bytes and a queue slot of 8 bytes per candidate, and the path
+    bytes and a queue slot of 8 bytes per candidate, and the
     replay's array twice over (with its update's product), ``8 *
     _HELD_BLOCK * barriers * (2 * inputs + actuator rows + 1)`` bytes
     (about 74 KB there, with four actuator rows).  Rows and slots are
@@ -321,7 +322,7 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
 
     def solve_held(top):
         """Solve the next block of the queue, none at or past ``top``: the
-        candidates that follow the recorded Bland path take its point, and
+        candidates that pass the trie's replay take the walk's point, and
         the rest go to :func:`_best_rate` in order."""
         nonlocal head
         stop = head + int(np.searchsorted(pending[head:min(tail, head + _HELD_BLOCK)], top))
@@ -330,11 +331,12 @@ def _scan(scn, candidates, ends, floor, evals, cache, bar=-np.inf):
         D = np.asarray(candidates[first:int(held[-1]) + 1], dtype=float)[held - first]
         if cache.keep_reach:
             rate, row = cache.reach(D[0])
-            path = BlandPath(row, inputs)
-            short = path.follows(held_A[held], held_b[held])
-            if short.any():
-                values[held[short]] = rate + path.value
-                maximizers[held[short]] = path.point
+            c = objective_vector(row, inputs.dim)
+            out = pivot_trie(inputs).replay(c.tolist(), held_A[held], held_b[held])
+            if out is not None and out[1].any():
+                u, short = out
+                values[held[short]] = rate + float(c @ u)
+                maximizers[held[short]] = u
                 held, D = held[~short], D[~short]
         for k, d in zip(held.tolist(), D):
             values[k], maximizers[k] = _best_rate(

@@ -104,8 +104,11 @@ class Polytope:
     _trie = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        # read-only copies: the caller's arrays may change, and the trie
+        # memoizes these
+        A = np.array(self.A, dtype=float)
+        b = np.array(self.b, dtype=float)
+        A.flags.writeable = b.flags.writeable = False
         if A.ndim != 2:
             raise ValueError(f"constraint matrix must be 2-D, got shape {A.shape}")
         if b.ndim != 1 or b.size != A.shape[0]:
@@ -427,8 +430,8 @@ class LieCache:
     barriers' ``batch`` when f and g are evaluated once and every avoid
     barrier has one (:attr:`batched`), else one test at a time through
     :func:`avoid_rows`.  :attr:`keep_reach` says whether the reach rate and
-    row are taken once; when they are, the continuous scan reads the Bland
-    path of the kept row over the input polytope from that polytope's
+    row are taken once; when they are, the continuous scan replays the
+    walk of the kept row over the input polytope, by that polytope's
     pivot trie, once per block of held tests.
     """
 
@@ -451,8 +454,8 @@ class LieCache:
     def reach(self, d: np.ndarray):
         """``lie_derivatives`` of the reach barrier at (x, d).  Its input
         row is checked where it becomes an LP objective, once: by
-        :func:`continuous._best_rate`, or by :class:`lp.BlandPath` for a
-        kept row."""
+        :func:`continuous._best_rate`, or by the continuous scan for a
+        kept row, before :meth:`lp.PivotTrie.replay`."""
         if self._reach is not None:
             return self._reach
         out = lie_derivatives(self._spec.reach, self._dyn, self._x, d, self._f_g(d))

@@ -23,9 +23,11 @@ u free.
 Every LP this package solves goes through one kernel, by one of two
 entries: :func:`maximize_stacked` for every one-test program, a few avoid
 rows stacked above an actuator polytope, given as lists (see
-:func:`continuous._best_rate`), and :func:`solve_lp` for any other
-program, on a checked :class:`core.Polytope` (an input polytope's axis
-checks, the controller's max-slack fallback).  A solve here is a
+:func:`continuous._best_rate`; a block of them that shares an objective
+may be replayed on the same pivots instead, see below), and
+:func:`solve_lp` for any other program, on a checked
+:class:`core.Polytope` (an input polytope's axis checks, the
+controller's max-slack fallback).  A solve here is a
 tableau of about 7 rows by 11 columns in two or three pivots, where a
 numpy call costs more than its arithmetic, so the kernel and
 :func:`phase_one_feasible` keep their tableaux as lists of Python floats.
@@ -43,29 +45,27 @@ own rows' pivots, keyed by entering column: a node holds the actuator
 rows' tableau after the pivots on its way, the tie threshold (least
 ratio plus 1e-12) and the normalized pivot row of the last one.
 :func:`maximize_stacked` follows it, updating only the objective row and
-the avoid rows, with the list kernel's own ``a - m * v``.  At the first step where an avoid row would
-leave or tie (ratio at or below the threshold), or where the actuator
-rows alone are unbounded, it builds the stacked tableau there and
-:func:`_bland` finishes; at the root that tableau is the plain kernel's,
-so the root step is read from the avoid rows as given, and a program
-that leaves there goes to the plain kernel without a walk row built.
-The bits are those of the stacked solve: the avoid rows' slack columns
-stay +0.0 in the objective row, so the same columns enter; no avoid row
-ties, so the same rows leave, in the same basis order; and the actuator
-rows never read the avoid rows (see :class:`PivotTrie`).  A negative
-right-hand side takes Phase-I on the stacked lists.  A trie holds at
-most ``_TRIE_CAP`` (256) nodes; a solve that needs one more makes it for
-itself and drops it.
+the avoid rows, with the list kernel's own ``a - m * v``.  At the first
+step where an avoid row would leave or tie (ratio at or below the
+threshold), or where the actuator rows alone are unbounded, it builds
+the stacked tableau there and :func:`_bland` finishes; at the root that
+tableau is the plain kernel's Phase-I slack tableau.  The bits are those
+of the stacked solve: the avoid rows' slack columns stay +0.0 in the
+objective row, so the same columns enter; no avoid row ties, so the same
+rows leave, in the same basis order; and the actuator rows never read
+the avoid rows (see :class:`PivotTrie`).  A negative right-hand side
+takes Phase-I on the stacked lists.  A trie holds at most ``_TRIE_CAP``
+(256) nodes; a solve that needs one more makes it for itself and drops
+it.
 
-:class:`BlandPath` reads a walk of the trie without avoid rows: each
-pivot's entering column, tie threshold and normalized pivot row.
-:meth:`BlandPath.follows` replays them on many programs' extra rows at
-once, with numpy, by the same rule: a program none of whose extra rows
-has a usable pivot entry with a ratio at or below the threshold, at any
-step, gets the recorded point and value, bit for bit.  That the recorded
-point merely satisfies the extra rows is not enough: an extra row can cut
-the path at an intermediate vertex, and :func:`maximize_stacked` then
-reaches the point, or another optimum, with other last bits.
+:meth:`PivotTrie.replay` walks the trie without avoid rows and replays
+the walk's pivots on many programs' extra rows at once, with numpy, by
+the same rule: a program none of whose extra rows has a usable pivot
+entry with a ratio at or below the threshold, at any step, gets the
+walk's point, bit for bit.  That the point merely satisfies the extra
+rows is not enough: an extra row can cut the path at an intermediate
+vertex, and :func:`maximize_stacked` then reaches the point, or another
+optimum, with other last bits.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def maximize_stacked(cs: list, A: list, b: list, inputs: Polytope):
     point is None unless OPTIMAL; status and point have the bits
     :func:`solve_lp` gives on the stacked :class:`core.Polytope`.  With
     every right-hand side >= 0 the solve follows ``inputs``'s
-    :class:`PivotTrie`; otherwise, and where the trie hands it back, both
+    :class:`PivotTrie`; otherwise, or when the walk overflowed, both
     phases run on the stacked lists, ``inputs``'s made once per
     polytope."""
     trie = pivot_trie(inputs)
@@ -342,9 +342,7 @@ class PivotTrie:
     tableau there, its leading rows' slack columns the exact +0.0 and 1.0
     that every update with a finite multiplier leaves them, and
     :func:`_bland` finishes.  At the root that tableau is Phase-I's slack
-    tableau of the stacked rows, so :meth:`walk` decides the root step
-    from the rows as given and :meth:`solve` hands such a program back
-    for the plain kernel to build.
+    tableau of the stacked rows.
 
     All of this holds while every right-hand side stays finite: a
     non-finite multiplier leaves its row's right-hand side non-finite for
@@ -356,14 +354,13 @@ class PivotTrie:
     row end with one is made again from Phase-I.
 
     ``hits`` counts solves that finished on the trie, ``builds`` the
-    solves that left it (each builds its stacked tableau there, or at the
-    root hands it to the plain kernel), and ``nodes`` the nodes and
-    None marks held, at most ``_TRIE_CAP``; a node past the cap is made
-    for the solve at hand and dropped, so such a solve pivots the actuator
-    rows itself, with the same bits.  Two threads growing one node each
-    make the same node from the same parent, and one keeps it: every
-    solve gets the same bits, but the counts may drift and the cap may be
-    passed by one node per thread."""
+    solves that left it (each builds its stacked tableau there), and
+    ``nodes`` the nodes and None marks held, at most ``_TRIE_CAP``; a
+    node past the cap is made for the solve at hand and dropped, so such
+    a solve pivots the actuator rows itself, with the same bits.  Two
+    threads growing one node each make the same node from the same
+    parent, and one keeps it: every solve gets the same bits, but the
+    counts may drift and the cap may be passed by one node per thread."""
 
     def __init__(self, poly: Polytope):
         self.n2, self.width = 2 * poly.dim, 2 * poly.dim + poly.rows
@@ -393,15 +390,13 @@ class PivotTrie:
 
     def walk(self, cs: list, A: list, b: list):
         """Follow the objective ``cs`` from the root with the leading rows
-        ``A u <= b``, kept in the actuator layout.  Returns the last node,
-        the objective and leading rows there, the pivots made, and the
-        column where the walk leaves the trie, None when no column
-        enters.  The leading rows are laid out once the first pivot stays
-        on the trie: at the root the entering column is one of u+ or u-,
-        so a row's entry there is read from ``A``, and a walk that leaves
-        at the root returns them as None."""
-        n, pad, node, lead = self.n2 // 2, [0.0] * (self.width - self.n2), self.root, None
+        ``A u <= b``, laid out once in the actuator layout.  Returns the
+        last node, the objective and leading rows there, the pivots made,
+        and the column where the walk leaves the trie, None when no column
+        enters."""
+        pad, node = [0.0] * (self.width - self.n2), self.root
         obj = [-v for v in cs] + cs + pad + [0.0]
+        lead = [a + [-x for x in a] + pad + [v] for a, v in zip(A, b)]
         for pivots in itertools.count():
             for j in range(self.width):
                 if obj[j] < -_RC_TOL:
@@ -412,12 +407,7 @@ class PivotTrie:
             if child is None:
                 return node, obj, lead, pivots, j
             top = child.path[-1][1]
-            if lead is None:
-                col = [a[j] if j < n else -a[j - n] for a in A]
-                if any(p > _PIVOT_TOL and v / p <= top for p, v in zip(col, b)):
-                    return node, obj, lead, pivots, j
-                lead = [a + [-x for x in a] + pad + [v] for a, v in zip(A, b)]
-            elif any(row[j] > _PIVOT_TOL and row[-1] / row[j] <= top for row in lead):
+            if any(row[j] > _PIVOT_TOL and row[-1] / row[j] <= top for row in lead):
                 return node, obj, lead, pivots, j
             if pivots == _MAX_PIVOTS:
                 raise RuntimeError("simplex pivot cap exceeded")
@@ -428,26 +418,58 @@ class PivotTrie:
     def solve(self, cs: list, A: list, b: list):
         """:func:`maximize_stacked` of ``cs`` over the leading rows ``A u
         <= b`` stacked above the actuator rows; None when the trie does not
-        apply (an actuator or leading right-hand side is < 0), when a
-        leading or objective row overflowed (see the class docstring), or
-        when the walk leaves at the root, where the stacked tableau to
-        build is the plain kernel's own, which the caller then builds."""
+        apply (an actuator or leading right-hand side is < 0) or when a
+        leading or objective row overflowed (see the class docstring)."""
         if self.root is None or min(b, default=0.0) < 0:
             return None
         node, obj, lead, pivots, j = self.walk(cs, A, b)
-        if lead is not None and not all(math.isfinite(row[-1]) for row in lead + [obj]):
+        if not all(math.isfinite(row[-1]) for row in lead + [obj]):
             return None
         if j is None:
             self.hits += 1
             return OPTIMAL, np.array(node.u)
         self.builds += 1
-        if lead is None:
-            return None
         n2, m, zeros = self.n2, len(b), [0.0] * len(b)
         T = [row[:n2] + zeros[:i] + [1.0] + zeros[i + 1:] + row[n2:] for i, row in enumerate(lead)]
         T += [row[:n2] + zeros + row[n2:] for row in node.rows + [obj]]
         basis = list(range(n2, n2 + m)) + [bi + m if bi >= n2 else bi for bi in node.basis]
         return _phase_two(T, basis, self.width + m, n2 // 2, pivots)
+
+    def replay(self, cs: list, A, b):
+        """The walk of ``cs`` without leading rows, replayed on K programs
+        at once: program k maximizes ``cs @ u`` over the rows ``A[k] u <=
+        b[k]`` (shapes (K, m, n) and (K, m), every ``b[k] >= 0``) stacked
+        above the actuator rows.  Returns ``(point, mask)``: the walk's
+        point and a (K,) mask of the programs for which
+        :func:`maximize_stacked` gives that point, bit for bit.  None when
+        the trie has no root or the walk leaves it.
+
+        A program passes when, at every pivot of the walk, none of its
+        rows has an entry above the pivot tolerance in the entering column
+        together with a ratio at or below the pivot's tie threshold; such
+        a row would leave or tie.  Those rows are followed with the list
+        kernel's own elementwise update, ``a - m * v``, as ``R -= col *
+        prow``, so they carry :meth:`walk`'s bits, and :meth:`solve` of a
+        passing program finishes on the walk's node.  A program that fails
+        a step is still updated, with its own rows only, and its mask
+        entry stays False."""
+        if self.root is None:
+            return None
+        node, *_, j = self.walk(cs, [], [])
+        if j is not None:
+            return None
+        K, m, n = A.shape
+        R = np.zeros((K, m, self.width + 1))
+        R[:, :, :n], R[:, :, n:2 * n], R[:, :, -1] = A, -A, b
+        mask = np.ones(K, dtype=bool)
+        for j, top, prow in node.path:
+            col = R[:, :, j]
+            ratios = np.divide(R[:, :, -1], col, out=np.full(col.shape, np.inf),
+                               where=col > _PIVOT_TOL)
+            mask &= ~(ratios <= top).any(axis=1)
+            R -= col[:, :, None] * np.array(prow)
+            R[:, :, j] = 0.0
+        return np.array(node.u), mask
 
 
 def pivot_trie(poly: Polytope) -> PivotTrie:
@@ -456,66 +478,6 @@ def pivot_trie(poly: Polytope) -> PivotTrie:
     if poly._trie is None:
         object.__setattr__(poly, "_trie", PivotTrie(poly))
     return poly._trie
-
-
-class BlandPath:
-    """The Phase-II pivots of ``maximize c @ u`` over ``inputs``, as the
-    kernel makes them, for :meth:`follows` to replay: ``steps`` holds one
-    ``(entering column, tie threshold, normalized pivot row)`` per pivot,
-    the path of a node of ``inputs``'s :class:`PivotTrie`.  ``point`` is
-    the kernel's maximizer and ``value`` its value, ``float(c @
-    point)``.
-
-    ``c`` is checked by :func:`core.objective_vector`.  Only an optimal
-    program is recorded: ``inputs`` must have every right-hand side >= 0
-    (so u = 0 is in it) and the program must be bounded, else
-    ``ValueError``.  The continuous scan records the reach
-    row over a scenario's input polytope, which construction proves
-    nonempty and bounded."""
-
-    def __init__(self, c: np.ndarray, inputs: Polytope):
-        trie, c = pivot_trie(inputs), objective_vector(c, inputs.dim)
-        if trie.root is None:
-            raise ValueError("a recorded path needs right-hand sides >= 0")
-        node, *_, j = trie.walk(c.tolist(), [], [])
-        if j is not None:
-            raise ValueError(f"a recorded path needs an optimal program, got {UNBOUNDED}")
-        self.point = np.array(node.u)
-        self.value = float(c @ self.point)
-        self.steps, self.columns = [(j, q, np.array(p)) for j, q, p in node.path], trie.width + 1
-
-    def follows(self, A, b) -> np.ndarray:
-        """Which of K programs :func:`maximize_stacked` solves on this path:
-        program k maximizes the recorded objective over the rows ``A[k] u
-        <= b[k]`` (shapes (K, m, n) and (K, m), every ``b[k] >= 0``)
-        stacked above the recorded polytope's rows.
-
-        It does when, at every recorded step, none of its first m rows
-        has an entry above the pivot tolerance in the entering column
-        together with a ratio at or below the step's tie threshold; such a
-        row would leave or tie.  Those rows are followed with the list
-        kernel's own elementwise update, ``a - m * v``, as ``R -= col *
-        prow``, so they carry its bits.  Then the entering columns are the
-        recorded ones (the new rows' slack columns stay 0 in the objective
-        row, since none of those rows pivots), and so are the leaving rows
-        (the recorded rows' basic indices keep their order, and no new row
-        ties).  So :func:`maximize_stacked` returns :attr:`point`, whose
-        value is :attr:`value`, bit for bit.
-        Returns a (K,) mask of the programs that pass.  A program that
-        fails a step is still updated, with its own rows only, and its
-        mask entry stays False."""
-        K, m, n = A.shape
-        R = np.zeros((K, m, self.columns))
-        R[:, :, :n], R[:, :, n:2 * n], R[:, :, -1] = A, -A, b
-        follows = np.ones(K, dtype=bool)
-        for j, top, prow in self.steps:
-            col = R[:, :, j]
-            ratios = np.divide(R[:, :, -1], col, out=np.full(col.shape, np.inf),
-                               where=col > _PIVOT_TOL)
-            follows &= ~(ratios <= top).any(axis=1)
-            R -= col[:, :, None] * prow
-            R[:, :, j] = 0.0
-        return follows
 
 
 def phase_one_feasible(poly: Polytope) -> bool:

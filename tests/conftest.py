@@ -63,7 +63,7 @@ def _reference_grid(lower, upper, counts):
 
 
 def _reference_refine(scn, x, space, d0, val0, u0, floor, search, evals):
-    from advsynth.continuous import SynthesisResult, difficulty
+    from advsynth.continuous import SynthesisResult
 
     lower, upper = space.lower, space.upper
     diam = float(np.linalg.norm(upper - lower))
@@ -84,7 +84,7 @@ def _reference_refine(scn, x, space, d0, val0, u0, floor, search, evals):
                 cand[i] = float(np.clip(cand[i] + sign * step[i], lower[i], upper[i]))
                 if cand[i] == d_cur[i]:
                     continue
-                val, u = difficulty(scn, x, cand, floor)
+                val, u = reference_difficulty(scn, x, cand, floor)
                 evals += 1
                 if u is None:
                     return SynthesisResult(cand, float(floor), True, None, evals)
@@ -99,11 +99,12 @@ def _reference_refine(scn, x, space, d0, val0, u0, floor, search, evals):
 
 def reference_synthesize_over(scn, x, space, floor, search):
     """The continuous scan evaluated one candidate at a time, each through
-    ``difficulty``: the coarse grid (or finite set) in order, an exit at the
+    ``reference_difficulty``, the numpy path that walks no pivot trie: the
+    coarse grid (or finite set) in order, an exit at the
     first candidate in Γ, the earliest minimum kept, then compass
     refinement.  Drop-in for ``advsynth.continuous._synthesize_over``; the
     start-state warning is left out."""
-    from advsynth.continuous import BoxSpace, FiniteSpace, SynthesisResult, difficulty
+    from advsynth.continuous import BoxSpace, FiniteSpace, SynthesisResult
 
     if isinstance(space, FiniteSpace):
         candidates = list(space.points)
@@ -119,7 +120,7 @@ def reference_synthesize_over(scn, x, space, floor, search):
     best_d = best_u = None
     best_val = np.inf
     for d in candidates:
-        val, u = difficulty(scn, x, d, floor)
+        val, u = reference_difficulty(scn, x, d, floor)
         evals += 1
         if u is None:
             return SynthesisResult(d, float(floor), True, None, evals)

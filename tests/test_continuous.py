@@ -34,6 +34,7 @@ from advsynth import (
 )
 from advsynth.core import satisfaction_floor
 from advsynth import cli, continuous, core, lp
+import conftest
 from conftest import reference_synthesize_over
 
 REPO = Path(__file__).resolve().parent.parent
@@ -734,15 +735,15 @@ def without_batch(scn):
 
 def test_held_candidates_skip_the_scalar_solver(monkeypatch):
     # maximize_stacked sees on the spot only candidates with a negative
-    # avoid rhs; every other one follows the input box's Bland path or is
+    # avoid rhs; every other one passes the input box's trie replay or is
     # an off-path held solve, whether the rows come in blocks or one
     # candidate at a time
     two = build_unicycle(n_obstacles=2)
     scenarios = ((True, two), (False, without_batch(two)))
     search = SearchConfig(grid_points=3)
     rhs, scalar, off_path, shortcut = [], [], [], []
-    real_block, real_lp, real_follows = \
-        core.LieCache.avoid_block, continuous.maximize_stacked, lp.BlandPath.follows
+    real_block, real_lp, real_replay = \
+        core.LieCache.avoid_block, continuous.maximize_stacked, lp.PivotTrie.replay
 
     def avoid_block(cache, D):
         A, b = real_block(cache, D)
@@ -753,14 +754,14 @@ def test_held_candidates_skip_the_scalar_solver(monkeypatch):
         (scalar if min(b, default=0.0) < 0 else off_path).append(b)
         return real_lp(cs, A, b, inputs)
 
-    def follows(path, A, b):
-        short = real_follows(path, A, b)
-        shortcut.append(int(short.sum()))
-        return short
+    def replay(trie, cs, A, b):
+        out = real_replay(trie, cs, A, b)
+        shortcut.append(int(out[1].sum()))
+        return out
 
     monkeypatch.setattr(core.LieCache, "avoid_block", avoid_block)
     monkeypatch.setattr(continuous, "maximize_stacked", maximize_stacked)
-    monkeypatch.setattr(lp.BlandPath, "follows", follows)
+    monkeypatch.setattr(lp.PivotTrie, "replay", replay)
     split = []
     for batched, scn in scenarios:
         held = short = 0
@@ -782,25 +783,25 @@ def test_held_candidates_skip_the_scalar_solver(monkeypatch):
                 short += sum(shortcut)
                 del rhs[:], scalar[:], off_path[:], shortcut[:]
         split.append((short, held - short))
-    # (shortcut, off-path): every held candidate of these states follows
-    # the path, so none is solved
+    # (shortcut, off-path): every held candidate of these states passes
+    # the replay, so none is solved
     assert split == [(3448, 0), (3448, 0)]
 
 
 def test_held_blocks_follow_the_input_box_path_where_it_holds(quadgrid, monkeypatch):
-    # each held block as ("path", followed, held), then one ("solve",) per
+    # each held block as ("path", passed, held), then one ("solve",) per
     # off-path held program: every held candidate of this unicycle grid
-    # follows the input box's Bland path, so none is solved; the
+    # passes the input box's trie replay, so none is solved; the
     # quadgrid's corner set at a half-integer state mixes both; the
-    # integrator's reach row is not kept, so no path is recorded and every
+    # integrator's reach row is not kept, so no replay runs and every
     # held candidate is solved.  Each scan still gives the one-by-one
     # reference's result
-    log, real_follows, real_lp = [], lp.BlandPath.follows, continuous.maximize_stacked
+    log, real_replay, real_lp = [], lp.PivotTrie.replay, continuous.maximize_stacked
 
-    def follows(path, A, b):
-        short = real_follows(path, A, b)
-        log.append(("path", int(short.sum()), len(short)))
-        return short
+    def replay(trie, cs, A, b):
+        out = real_replay(trie, cs, A, b)
+        log.append(("path", int(out[1].sum()), len(out[1])))
+        return out
 
     def maximize_stacked(cs, A, b, inputs):
         if min(b, default=0.0) >= 0:
@@ -818,7 +819,7 @@ def test_held_blocks_follow_the_input_box_path_where_it_holds(quadgrid, monkeypa
                             search=dataclasses.replace(COARSE, refine_iterations=0)),
          [("solve",)] * 81),
     )
-    monkeypatch.setattr(lp.BlandPath, "follows", follows)
+    monkeypatch.setattr(lp.PivotTrie, "replay", replay)
     monkeypatch.setattr(continuous, "maximize_stacked", maximize_stacked)
     for run, blocks in cases:
         with warnings.catch_warnings():
@@ -862,12 +863,12 @@ def test_scan_matches_reference_on_a_grid_wider_than_a_block(monkeypatch):
 
 def test_trials_solve_held_programs_on_the_path(monkeypatch, capsys):
     # a refine trial's compass plan is held as one scan: 40 trials on the
-    # refine benchmark config hold 4,773 programs, which all take the
-    # input box's Bland path, and solve 7 LPs: 4 construction checks of
+    # refine benchmark config hold 4,773 programs, which all pass the
+    # input box's trie replay, and solve 7 LPs: 4 construction checks of
     # the input polytope (solve_lp) and 3 candidates solved on the spot
     # (maximize_stacked)
     counts = {"construction": 0, "on_the_spot": 0, "off_path": 0, "shortcut": 0}
-    real_over, real_follows = continuous._synthesize_over, lp.BlandPath.follows
+    real_over, real_replay = continuous._synthesize_over, lp.PivotTrie.replay
     real_lp, real_stacked = continuous.solve_lp, continuous.maximize_stacked
     searching = []
 
@@ -894,22 +895,22 @@ def test_trials_solve_held_programs_on_the_path(monkeypatch, capsys):
         count(b)
         return real_stacked(cs, A, b, inputs)
 
-    def follows(path, A, b):
-        short = real_follows(path, A, b)
-        counts["shortcut"] += int(short.sum())
-        return short
+    def replay(trie, cs, A, b):
+        out = real_replay(trie, cs, A, b)
+        counts["shortcut"] += int(out[1].sum())
+        return out
 
     monkeypatch.setattr(continuous, "_synthesize_over", synthesize_over)
     monkeypatch.setattr(continuous, "solve_lp", solve_lp)
     monkeypatch.setattr(continuous, "maximize_stacked", maximize_stacked)
-    monkeypatch.setattr(lp.BlandPath, "follows", follows)
+    monkeypatch.setattr(lp.PivotTrie, "replay", replay)
     config = str(REPO / "bench" / "configs" / "unicycle-refine.cfg")
     assert cli.main(["trials", "--config", config, "--count", "40", "--seed", "7"]) == 0
     capsys.readouterr()
     assert counts["shortcut"] + counts["off_path"] == 4773
     assert counts["construction"] + counts["on_the_spot"] == 7
     assert counts["construction"] == 4 and counts["on_the_spot"] == 3
-    # every held program follows the input box's Bland path: none is solved
+    # every held program passes the input box's trie replay: none is solved
     assert counts["shortcut"] == 4773 and counts["off_path"] == 0
 
 
@@ -1024,19 +1025,25 @@ def test_scan_raises_reach_errors_at_the_same_candidate(monkeypatch, make_error,
 def test_unbounded_held_program_raises_through_maximize_stacked(monkeypatch):
     # an actuator polytope open towards -u, which construction rejects: at
     # x = (1, 1) every candidate is held and its program unbounded; the
-    # integrator's reach row is not kept, so no path is recorded, and the
-    # first held program's solve reports it
+    # integrator's reach row is not kept, so no replay runs, and the first
+    # held program's solve reports it, as the reference's own solve does
     scn = integrator_scenario()
     object.__setattr__(scn, "input_polytope", Polytope(np.eye(2), np.ones(2)))
     x = np.array([1.0, 1.0])
-    solved, real_lp = [], continuous.maximize_stacked
+    solved, real_lp, real_program = [], continuous.maximize_stacked, conftest._reference_program
 
     def maximize_stacked(cs, A, b, inputs):
         out = real_lp(cs, A, b, inputs)
         solved.append(out[0])
         return out
 
+    def reference_program(scn, x, d):
+        out = real_program(scn, x, d)
+        solved.append(out[2].status)
+        return out
+
     monkeypatch.setattr(continuous, "maximize_stacked", maximize_stacked)
+    monkeypatch.setattr(conftest, "_reference_program", reference_program)
     for scan in (continuous._synthesize_over, reference_synthesize_over):
         with monkeypatch.context() as m:
             m.setattr(continuous, "_synthesize_over", scan)
@@ -1281,7 +1288,7 @@ def test_compass_moves_have_the_bits_of_np_clip(monkeypatch):
     refinement builds with ``np.clip``.  The cases move onto the box bounds,
     and the second box has signed-zero bounds."""
     rounds, evaluated = [], []
-    real_compass, real_difficulty = continuous._compass, continuous.difficulty
+    real_compass, real_difficulty = continuous._compass, conftest.reference_difficulty
 
     def compass(*args):
         moves, counts = real_compass(*args)
@@ -1293,7 +1300,9 @@ def test_compass_moves_have_the_bits_of_np_clip(monkeypatch):
         return real_difficulty(scn, x, d, *rest)
 
     monkeypatch.setattr(continuous, "_compass", compass)
-    monkeypatch.setattr(continuous, "difficulty", evaluate)
+    # the reference's own evaluator: the planned scan evaluates no test
+    # through it
+    monkeypatch.setattr(conftest, "reference_difficulty", evaluate)
     two = build_unicycle(n_obstacles=2)
     zeros = dataclasses.replace(
         build_unicycle(), test_space=BoxSpace(np.array([-0.0, -1.0]), np.array([1.0, -0.0]))
@@ -1369,7 +1378,7 @@ def test_planned_rounds_match_one_round_at_a_time(monkeypatch, case, batch):
     search = SearchConfig(grid_points=5, refine_iterations=40)
     x = np.zeros(2)
     planned, evaluated, scalar = set(), set(), []
-    real_compass, real_difficulty = continuous._compass, continuous.difficulty
+    real_compass, real_difficulty = continuous._compass, conftest.reference_difficulty
     real_lp = continuous.maximize_stacked
 
     def compass(*args):
@@ -1382,7 +1391,9 @@ def test_planned_rounds_match_one_round_at_a_time(monkeypatch, case, batch):
         return real_difficulty(scn, x, d, *rest)
 
     monkeypatch.setattr(continuous, "_compass", compass)
-    monkeypatch.setattr(continuous, "difficulty", evaluate)
+    # the reference's own evaluator: the planned scan evaluates no test
+    # through it
+    monkeypatch.setattr(conftest, "reference_difficulty", evaluate)
     if case == "raise-where-the-reference-raises":
         for scan in (continuous._synthesize_over, reference_synthesize_over):
             with monkeypatch.context() as m:

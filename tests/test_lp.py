@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from advsynth import (
     LpProblem,
     Polytope,
     blocks_all_inputs,
+    cli,
     continuous,
     core,
     lp,
@@ -390,20 +392,25 @@ def test_phase_one_keeps_each_artificial_the_negated_slack():
 
 
 # ---------------------------------------------------------------------------
-# the held-candidate shortcut: the input box's Bland path, replayed
+# the held-candidate shortcut: the input box's Bland path, replayed by
+# PivotTrie.replay
 
-def solve_on_path(path, c, inputs, A, b):
-    """``path.follows`` on the programs that stack the rows ``A u <= b``
-    above ``inputs``, and whether ``lp.maximize_stacked`` gives each of
-    them the recorded point and value, compared by bytes: ``(follows,
-    same)``."""
-    same = []
+NO_ROWS = np.zeros((1, 1, 2)), np.zeros((1, 1))
+
+
+def solve_on_path(c, inputs, A, b):
+    """``PivotTrie.replay`` of ``c`` on the programs that stack the rows
+    ``A u <= b`` above ``inputs``, and whether ``lp.maximize_stacked``
+    gives each of them the walk's point and its value ``float(c @
+    point)``, compared by bytes: ``(point, follows, same)``."""
+    point, follows = lp.pivot_trie(inputs).replay(c.tolist(), A, b)
+    value, same = float(c @ point), []
     for Ak, bk in zip(A, b):
         out = stacked_outcome(c, Ak, bk, inputs)
         assert out.status == OPTIMAL
-        same.append(out.point.tobytes() == path.point.tobytes()
-                    and np.float64(out.value).tobytes() == np.float64(path.value).tobytes())
-    return path.follows(A, b), np.array(same, dtype=bool)
+        same.append(out.point.tobytes() == point.tobytes()
+                    and np.float64(out.value).tobytes() == np.float64(value).tobytes())
+    return point, follows, np.array(same, dtype=bool)
 
 
 def test_bland_path_replay_gives_solve_lp_bits_on_both_scenarios():
@@ -422,9 +429,8 @@ def test_bland_path_replay_gives_solve_lp_bits_on_both_scenarios():
         A, b = cache.avoid_block(D)
         held = ~(b < 0).any(axis=1)
         A, b, c = A[held], b[held], cache.reach(D[0])[1]
-        path = lp.BlandPath(c, scn.input_polytope)
-        follows, same = solve_on_path(path, c, scn.input_polytope, A, b)
-        feasible = (A @ path.point <= b).all(axis=1)
+        point, follows, same = solve_on_path(c, scn.input_polytope, A, b)
+        feasible = (A @ point <= b).all(axis=1)
         tally.update(pairs=len(b), follows=int(follows.sum()),
                      mismatches=int((follows & ~same).sum()),
                      feasible_mismatches=int((feasible & ~same).sum()))
@@ -455,11 +461,11 @@ def test_bland_path_replay_rejects_a_row_at_the_tie_threshold():
     # must reject both, since the second gets other bits than u* = 1
     box = Polytope.box([-1.0], [1.0])
     c = np.ones(1)
-    path = lp.BlandPath(c, box)
-    assert [(j, top) for j, top, _ in path.steps] == [(0, 1.0 + 1e-12)]
-    assert path.point.tolist() == [1.0] and path.value == 1.0
+    node, *_ = lp.pivot_trie(box).walk(c.tolist(), [], [])
+    assert [(j, top) for j, top, _ in node.path] == [(0, 1.0 + 1e-12)]
     A, b = np.ones((3, 1, 1)), np.array([[1.0], [1.0 + 5e-13], [1.0 + 2e-12]])
-    follows, same = solve_on_path(path, c, box, A, b)
+    point, follows, same = solve_on_path(c, box, A, b)
+    assert point.tolist() == [1.0] and float(c @ point) == 1.0
     assert follows.tolist() == [False, False, True]
     assert same.tolist() == [True, False, True]
     # the tied avoid row's slack leaves, so the kernel stops at u = β
@@ -468,13 +474,14 @@ def test_bland_path_replay_rejects_a_row_at_the_tie_threshold():
 
 
 def test_bland_path_without_a_recordable_program():
-    # only an optimal program is recorded: an unbounded one has no point
-    # to take, and a negative right-hand side needs Phase-I pivots
+    # only an optimal program is replayed: an unbounded one has no point
+    # to take, and a negative right-hand side needs Phase-I pivots, so the
+    # polytope's trie has no root
     half = Polytope(np.eye(2), np.ones(2))
-    with pytest.raises(ValueError, match="needs an optimal program, got unbounded"):
-        lp.BlandPath(np.array([0.0, -1.0]), half)
-    with pytest.raises(ValueError, match="right-hand sides >= 0"):
-        lp.BlandPath(np.ones(2), Polytope(np.eye(2), np.array([1.0, -1.0])))
+    assert lp.pivot_trie(half).replay([0.0, -1.0], *NO_ROWS) is None
+    negative = Polytope(np.eye(2), np.array([1.0, -1.0]))
+    assert lp.pivot_trie(negative).root is None
+    assert lp.pivot_trie(negative).replay([1.0, 1.0], *NO_ROWS) is None
 
 
 # ---------------------------------------------------------------------------
@@ -712,23 +719,88 @@ def test_two_scenarios_never_share_a_trie():
     assert (lp.pivot_trie(b.input_polytope).hits, lp.pivot_trie(b.input_polytope).builds) == (0, 0)
 
 
+def test_polytope_keeps_its_rows_when_the_callers_arrays_change():
+    # a polytope holds read-only copies: writing into the arrays it was
+    # built from changes neither its rows nor what its trie memoized, so
+    # both entries keep agreeing, and a NaN written later cannot pass the
+    # finiteness check
+    A, b = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+    poly = Polytope(A, b)
+    assert lp.maximize_stacked([1.0, 1.0], [], [], poly)[1].tolist() == [1.0, 1.0]
+    b[:2], A[0, 0] = 5.0, 2.0
+    b[2] = np.nan
+    status, u = lp.maximize_stacked([1.0, 1.0], [], [], poly)
+    out = solve_lp(LpProblem(np.ones(2), poly))
+    assert status == out.status == OPTIMAL
+    assert u.tolist() == out.point.tolist() == [1.0, 1.0]
+    assert poly.A.tolist() == np.vstack([np.eye(2), -np.eye(2)]).tolist()
+    assert poly.b.tolist() == [1.0] * 4
+    with pytest.raises(ValueError, match="read-only"):
+        poly.b[0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        poly.A[0, 0] = 2.0
+
+
+def test_programs_with_nonnegative_rhs_finish_on_the_trie(monkeypatch, tmp_path, capsys):
+    # a one-test program whose right-hand sides are all >= 0 finishes on
+    # its actuator polytope's trie wherever its walk leaves, at the root
+    # too: maximize_stacked hands only a negative right-hand side to the
+    # plain two-phase kernel, in the closed loop's controller and scan
+    # programs and in the refine trials' on-the-spot and held ones
+    configs = Path(__file__).resolve().parent.parent / "bench" / "configs"
+    runs = (
+        ["simulate", "--config", str(configs / "quadgrid-loop.cfg"), "--horizon", "2.0",
+         "--state=2.2,1.9"],
+        ["trials", "--config", str(configs / "unicycle-refine.cfg"), "--count", "40",
+         "--seed", "7"],
+    )
+    tries, two_phase, seen = {}, [], Counter()
+    real_stacked, real_two_phase = continuous.maximize_stacked, lp._two_phase
+
+    def spy_two_phase(*args):
+        two_phase.append(args)
+        return real_two_phase(*args)
+
+    def maximize_stacked(cs, A, b, inputs):
+        trie = tries[id(inputs)] = lp.pivot_trie(inputs)
+        before = len(two_phase)
+        out = real_stacked(cs, A, b, inputs)
+        if min(b, default=0.0) >= 0:
+            assert trie.root is not None and len(two_phase) == before
+            seen["on trie"] += 1
+        else:
+            seen["phase one"] += 1
+        return out
+
+    monkeypatch.setattr(lp, "_two_phase", spy_two_phase)
+    monkeypatch.setattr(continuous, "maximize_stacked", maximize_stacked)
+    for k, argv in enumerate(runs):
+        assert cli.main(argv + ["--out", str(tmp_path / str(k))]) == 0
+    capsys.readouterr()
+    assert sum(t.hits + t.builds for t in tries.values()) == seen["on trie"] >= 150
+    assert seen["phase one"] >= 1
+
+
 def test_bland_path_walked_from_the_trie_has_the_recorded_bits():
     # the numpy reference records the box's own Phase-II pivots, as the
-    # list kernel's path argument once did; the trie gives the same steps
+    # list kernel's path argument once did; the trie's walk takes the same
+    # steps, and its replay returns the same point
     rng = np.random.default_rng(3265)
     for poly in actuator_pool():
+        trie = lp.pivot_trie(poly)
         for _ in range(60):
             c = np.round(rng.normal(size=poly.dim) * 2.0) if rng.random() < 0.5 \
                 else rng.normal(size=poly.dim)
             steps = []
             want = reference_solve_lp(LpProblem(c, poly), steps)
+            A, b = np.zeros((1, 1, poly.dim)), np.zeros((1, 1))
             if want.status != OPTIMAL:
-                with pytest.raises(ValueError, match="got unbounded"):
-                    lp.BlandPath(c, poly)
+                assert trie.replay(c.tolist(), A, b) is None
                 continue
-            path = lp.BlandPath(c, poly)
-            assert [(j, top) for j, top, _ in path.steps] == [(j, top) for j, top, _ in steps]
-            for (_, _, got), (_, _, row) in zip(path.steps, steps):
-                assert got.tobytes() == row.tobytes()
-            assert path.point.tobytes() == want.point.tobytes()
-            assert np.float64(path.value).tobytes() == np.float64(want.value).tobytes()
+            node, *_ = trie.walk(c.tolist(), [], [])
+            point, _ = trie.replay(c.tolist(), A, b)
+            assert [(j, top) for j, top, _ in node.path] == [(j, top) for j, top, _ in steps]
+            for (_, _, got), (_, _, row) in zip(node.path, steps):
+                assert np.array(got).tobytes() == row.tobytes()
+            assert point.tobytes() == want.point.tobytes()
+            assert np.float64(float(c @ point)).tobytes() == np.float64(want.value).tobytes()
